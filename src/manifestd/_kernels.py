@@ -1,10 +1,11 @@
-"""Pure-Python hash kernels.
+"""Hash kernels: the tree and chain primitives of the transparency log.
 
-Reference implementation of the tree/chain primitives.  The compiled backend
-(`manifestd._kernels._core`) must be observationally identical; tests compare
-the two directly.  All digests are SHA-256.  Leaf and interior hashes are
+All digests are SHA-256 from ``hashlib``.  Leaf and interior hashes are
 domain-separated with one-byte prefixes so a leaf can never be reinterpreted
-as an interior node.
+as an interior node.  A growing tree is tracked by its peaks, the roots of
+its perfect subtrees from left to right, one per set bit of the leaf count
+(the "compact range" of a transparency log): ``push_peak`` adds a leaf and
+``fold_peaks`` turns the peaks into the tree root.
 """
 
 from __future__ import annotations
@@ -120,6 +121,30 @@ def fold_path(leaf_hash: bytes, path: list[tuple[bytes, int]]) -> bytes:
     return node
 
 
+def push_peak(peaks: list[bytes], count: int, leaf: bytes) -> None:
+    """Add a leaf, in place, to the peaks of a tree holding ``count`` leaves.
+
+    Each trailing one-bit of ``count`` is a peak as large as the running
+    node, so the new leaf merges with that many peaks from the right.
+    """
+    node = leaf
+    while count & 1:
+        node = hash_interior(peaks.pop(), node)
+        count >>= 1
+    peaks.append(node)
+
+
+def fold_peaks(peaks: list[bytes]) -> bytes:
+    """Tree root from its peaks, folding from the right."""
+    if not peaks:
+        return hashlib.sha256(b"").digest()
+    nodes = reversed(peaks)
+    root = next(nodes)
+    for peak in nodes:
+        root = hash_interior(peak, root)
+    return root
+
+
 def verify_checkpoints(
     leaves: list[bytes],
     roots: list[bytes],
@@ -131,27 +156,16 @@ def verify_checkpoints(
     ``roots[i]`` and ``chains[i]`` are the expected tree root and chain value
     after appending leaf i.  Returns the first index where either disagrees,
     or -1 when every checkpoint matches.  Roots are recomputed incrementally
-    from the peak set (one subtree root per set bit of the entry count), so
-    the whole replay costs O(n log n) hashes.
+    from the peaks, so the whole replay costs O(n log n) hashes.
     """
     if not len(leaves) == len(roots) == len(chains):
         raise ValueError("leaves, roots and chains must have equal length")
     chain = genesis
     peaks: list[bytes] = []
-    sizes: list[int] = []
     for i, leaf in enumerate(leaves):
         chain = chain_update(chain, leaf)
-        peaks.append(leaf)
-        sizes.append(1)
-        while len(sizes) >= 2 and sizes[-1] == sizes[-2]:
-            right = peaks.pop()
-            merged = hash_interior(peaks.pop(), right)
-            peaks.append(merged)
-            sizes.append(sizes.pop() + sizes.pop())
-        root = peaks[-1]
-        for p in reversed(peaks[:-1]):
-            root = hash_interior(p, root)
-        if chain != chains[i] or root != roots[i]:
+        push_peak(peaks, i, leaf)
+        if chain != chains[i] or fold_peaks(peaks) != roots[i]:
             return i
     return -1
 

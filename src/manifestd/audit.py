@@ -97,8 +97,9 @@ def evidence_digest_of(
 def build_evidence(
     root: MerkleRoot, output: bytes, exec_time_ms: float, verify_time_ms: float
 ) -> EvidenceTuple:
-    if exec_time_ms < 0 or verify_time_ms < 0:
-        raise DomainError("stage timings must not be negative")
+    for value in (exec_time_ms, verify_time_ms):
+        if not math.isfinite(value) or value < 0:
+            raise DomainError("stage timings must be finite and not negative")
     output_digest = _kernels.sha256(output)
     return EvidenceTuple(
         merkle_root=root,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import json
 import math
 import os
@@ -898,21 +899,24 @@ def _run_scale(
 
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
+    """Write ``text`` as UTF-8 to a sibling temp file, then rename it over ``path``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
+    tmp.write_text(text, encoding="utf-8", newline="")
     os.replace(tmp, path)
+
+
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def write_outcomes_csv(outcomes: Iterable[ExecutionOutcome], path: Union[str, Path]) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=OUTCOME_COLUMNS)
-        writer.writeheader()
-        for outcome in outcomes:
-            writer.writerow(outcome.to_row())
-    os.replace(tmp, path)
+    rows = ([row[c] for c in OUTCOME_COLUMNS] for row in map(ExecutionOutcome.to_row, outcomes))
+    atomic_write_text(path, _csv_text(OUTCOME_COLUMNS, rows))
 
 
 def read_outcome_rows(path: Union[str, Path]) -> list[dict]:
@@ -921,59 +925,43 @@ def read_outcome_rows(path: Union[str, Path]) -> list[dict]:
 
 
 def write_metrics_csv(reports: Iterable[ScaleReport], path: Union[str, Path]) -> None:
-    path = Path(path)
     columns = [
         "workload_id", "scale", "requests", "successes", "failures", "logged_entries",
         "baseline_wall_ms", "secure_wall_ms", "overhead_delta", "modeled_exec_ms",
         "modeled_verify_ms", "log_bytes", "final_root_hex", "hash_ops", "audited",
     ]
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for r in reports:
-            writer.writerow([
-                r.workload_id, r.scale, r.requests, r.successes, r.failures,
-                r.logged_entries, f"{r.baseline_wall_ms:.3f}", f"{r.secure_wall_ms:.3f}",
-                f"{r.overhead_delta:.6f}", f"{r.modeled_exec_ms:.3f}",
-                f"{r.modeled_verify_ms:.3f}", r.log_bytes, r.final_root_hex,
-                r.hash_ops, r.audited,
-            ])
-    os.replace(tmp, path)
+    rows = (
+        [
+            r.workload_id, r.scale, r.requests, r.successes, r.failures,
+            r.logged_entries, f"{r.baseline_wall_ms:.3f}", f"{r.secure_wall_ms:.3f}",
+            f"{r.overhead_delta:.6f}", f"{r.modeled_exec_ms:.3f}",
+            f"{r.modeled_verify_ms:.3f}", r.log_bytes, r.final_root_hex,
+            r.hash_ops, r.audited,
+        ]
+        for r in reports
+    )
+    atomic_write_text(path, _csv_text(columns, rows))
 
 
 def write_growth_csv(growth: Iterable[tuple[int, int]], path: Union[str, Path]) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entries", "bytes"])
-        for entries, size in growth:
-            writer.writerow([entries, size])
-    os.replace(tmp, path)
+    atomic_write_text(path, _csv_text(["entries", "bytes"], growth))
 
 
 def write_evidence_ndjson(audits: Iterable[AuditRecord], path: Union[str, Path]) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in audits:
-            fh.write(record.evidence.to_json_line() + "\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, "".join(record.evidence.to_json_line() + "\n" for record in audits))
 
 
 def write_audit_receipts(audits: Iterable[AuditRecord], path: Union[str, Path]) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in audits:
-            fh.write(json.dumps({
-                "scale": record.scale,
-                "log_index": record.log_index,
-                "tree_size": record.tree_size,
-                "evidence_digest": record.evidence.evidence_digest.hex(),
-            }, separators=(",", ":")) + "\n")
-    os.replace(tmp, path)
+    lines = (
+        json.dumps({
+            "scale": record.scale,
+            "log_index": record.log_index,
+            "tree_size": record.tree_size,
+            "evidence_digest": record.evidence.evidence_digest.hex(),
+        }, separators=(",", ":")) + "\n"
+        for record in audits
+    )
+    atomic_write_text(path, "".join(lines))
 
 
 def run_report_dict(result: RunResult) -> dict:

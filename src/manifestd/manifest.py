@@ -53,7 +53,9 @@ class Manifest:
 
     Field mappings are normalized to sorted key order at construction and
     exposed read-only, so two manifests built from the same fields in any
-    insertion order are equal and encode to identical bytes.
+    insertion order are equal and encode to identical bytes.  Equality is
+    equality of the canonical encodings, so ``True``, ``1`` and ``1.0`` (which
+    encode and digest differently) are told apart.
     """
 
     user_fields: Mapping[str, Scalar]
@@ -75,6 +77,11 @@ class Manifest:
             raise EncodingError("tool_id must be a non-empty string")
         object.__setattr__(self, "user_fields", user)
         object.__setattr__(self, "model_fields", model)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Manifest):
+            return NotImplemented
+        return canonical_encode(self) == canonical_encode(other)
 
 
 @dataclass(frozen=True)
@@ -143,15 +150,15 @@ def canonical_encode(manifest: Manifest) -> bytes:
     the encoding (and therefore the digest).
     """
     try:
-        text = json.dumps(
+        return json.dumps(
             manifest_to_dict(manifest),
             separators=(",", ":"),
             ensure_ascii=False,
             allow_nan=False,
-        )
+        ).encode("utf-8")
     except (TypeError, ValueError) as exc:
+        # ValueError includes UnicodeEncodeError from lone surrogates
         raise EncodingError(str(exc)) from exc
-    return text.encode("utf-8")
 
 
 def manifest_from_dict(obj: object) -> Manifest:

@@ -17,7 +17,9 @@ index.
 
 from __future__ import annotations
 
+import binascii
 import json
+import re
 import struct
 import time
 from dataclasses import dataclass
@@ -124,7 +126,6 @@ class TransparencyLog:
         # element is the current end of file.
         self._offsets: list[int] = [0]
         self._peaks: list[bytes] = []
-        self._peak_sizes: list[int] = []
         self._chain: bytes = CHAIN_GENESIS
         if self._records_path.exists():
             self._replay()
@@ -132,7 +133,9 @@ class TransparencyLog:
             raise StorageError(f"{self._dir}: checkpoint file present without records file")
         try:
             self._records_fh = open(self._records_path, "ab")
-            self._checkpoints_fh = open(self._checkpoints_path, "a", encoding="ascii")
+            self._checkpoints_fh = open(
+                self._checkpoints_path, "a", encoding="ascii", newline="\n"
+            )
         except OSError as exc:
             raise StorageError(f"cannot open log files in {self._dir}: {exc}") from exc
 
@@ -151,12 +154,7 @@ class TransparencyLog:
         return self._offsets[-1]
 
     def current_root(self) -> MerkleRoot:
-        if not self._peaks:
-            return empty_root()
-        root = self._peaks[-1]
-        for peak in reversed(self._peaks[:-1]):
-            root = _kernels.hash_interior(peak, root)
-        return MerkleRoot(root, self.size)
+        return MerkleRoot(_kernels.fold_peaks(self._peaks), self.size)
 
     def chain_value(self) -> bytes:
         return self._chain
@@ -199,11 +197,9 @@ class TransparencyLog:
             )
         leaf = _kernels.hash_leaf(record)
         chain = _kernels.chain_update(self._chain, leaf)
-        peaks, sizes = self._push_peak(leaf)
-        root = peaks[-1]
-        for peak in reversed(peaks[:-1]):
-            root = _kernels.hash_interior(peak, root)
-        merkle = MerkleRoot(root, index + 1)
+        peaks = list(self._peaks)
+        _kernels.push_peak(peaks, index, leaf)
+        merkle = MerkleRoot(_kernels.fold_peaks(peaks), index + 1)
         try:
             self._records_fh.write(_LEN.pack(len(record)) + record)
             self._records_fh.flush()
@@ -215,21 +211,8 @@ class TransparencyLog:
         self._leaf_hashes.append(leaf)
         self._offsets.append(self._offsets[-1] + _LEN.size + len(record))
         self._peaks = peaks
-        self._peak_sizes = sizes
         self._chain = chain
         return index, merkle
-
-    def _push_peak(self, leaf: bytes) -> tuple[list[bytes], list[int]]:
-        peaks = list(self._peaks)
-        sizes = list(self._peak_sizes)
-        peaks.append(leaf)
-        sizes.append(1)
-        while len(sizes) >= 2 and sizes[-1] == sizes[-2]:
-            right = peaks.pop()
-            left = peaks.pop()
-            peaks.append(_kernels.hash_interior(left, right))
-            sizes.append(sizes.pop() + sizes.pop())
-        return peaks, sizes
 
     # -- reading ----------------------------------------------------------
 
@@ -330,30 +313,20 @@ class TransparencyLog:
             offsets.append(offsets[-1] + _LEN.size + len(record))
         chain = CHAIN_GENESIS
         peaks: list[bytes] = []
-        sizes: list[int] = []
-        for leaf in leaves:
+        for count, leaf in enumerate(leaves):
             chain = _kernels.chain_update(chain, leaf)
-            peaks.append(leaf)
-            sizes.append(1)
-            while len(sizes) >= 2 and sizes[-1] == sizes[-2]:
-                right = peaks.pop()
-                left = peaks.pop()
-                peaks.append(_kernels.hash_interior(left, right))
-                sizes.append(sizes.pop() + sizes.pop())
+            _kernels.push_peak(peaks, count, leaf)
         self._leaf_hashes = leaves
         self._offsets = offsets
         self._peaks = peaks
-        self._peak_sizes = sizes
         self._chain = chain
-        checkpoints = _read_checkpoints(self._checkpoints_path, strict=True)
-        if len(checkpoints) != len(leaves):
+        roots, chains = _read_checkpoints(self._checkpoints_path, strict=True)
+        if len(roots) != len(leaves):
             raise StorageError(
-                f"{self._dir}: {len(leaves)} records but {len(checkpoints)} checkpoints"
+                f"{self._dir}: {len(leaves)} records but {len(roots)} checkpoints"
             )
         if leaves:
-            size, root_hex, chain_hex = checkpoints[-1]
-            current = self.current_root()
-            if size != current.tree_size or root_hex != current.hex or chain_hex != chain.hex():
+            if roots[-1] != self.current_root().value or chains[-1] != chain:
                 raise StorageError(
                     f"{self._dir}: replayed state disagrees with final checkpoint; "
                     "run an integrity check"
@@ -447,39 +420,34 @@ class _FramingError(Exception):
         self.index = index
 
 
-def _read_checkpoints(path: Path, strict: bool) -> list[tuple[int, str, str]]:
+#: One checkpoint line exactly as ``append`` writes it.
+_CHECKPOINT_LINE = re.compile(rb"([1-9][0-9]*) ([0-9a-f]{64}) ([0-9a-f]{64})\n")
+
+
+def _read_checkpoints(path: Path, strict: bool) -> tuple[list[bytes], list[bytes]]:
+    """Stored (roots, chains), one per line; line i must read ``i+1 <root> <chain>``.
+
+    Only the exact bytes ``append`` writes are accepted: lowercase hex,
+    single spaces and a newline after every line, so no substitution can
+    leave a line that still parses to the same values.
+    """
     try:
-        text = path.read_text(encoding="ascii", errors="strict" if strict else "replace")
+        data = path.read_bytes()
     except OSError as exc:
         raise StorageError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise StorageError(f"{path} is not ASCII: {exc}") from exc
-    out: list[tuple[int, str, str]] = []
-    for lineno, line in enumerate(text.splitlines()):
-        parts = line.split()
-        good = (
-            len(parts) == 3
-            and parts[0].isdigit()
-            and len(parts[1]) == 64
-            and len(parts[2]) == 64
-            and _is_hex(parts[1])
-            and _is_hex(parts[2])
-            and int(parts[0]) == lineno + 1
-        )
-        if not good:
+    roots: list[bytes] = []
+    chains: list[bytes] = []
+    pos = 0
+    while pos < len(data):
+        line = _CHECKPOINT_LINE.match(data, pos)
+        if line is None or int(line[1]) != len(roots) + 1:
             if strict:
-                raise StorageError(f"{path}: malformed checkpoint line {lineno}")
-            raise _FramingError(lineno)
-        out.append((int(parts[0]), parts[1], parts[2]))
-    return out
-
-
-def _is_hex(text: str) -> bool:
-    try:
-        bytes.fromhex(text)
-        return True
-    except ValueError:
-        return False
+                raise StorageError(f"{path}: malformed checkpoint line {len(roots)}")
+            raise _FramingError(len(roots))
+        roots.append(binascii.unhexlify(line[2]))
+        chains.append(binascii.unhexlify(line[3]))
+        pos = line.end()
+    return roots, chains
 
 
 def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
@@ -506,20 +474,18 @@ def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     except StorageError as exc:
         return IntegrityReport(False, None, str(exc))
     try:
-        checkpoints = _read_checkpoints(checkpoints_path, strict=False)
+        roots, chains = _read_checkpoints(checkpoints_path, strict=False)
     except _FramingError as exc:
         return IntegrityReport(False, exc.index, "checkpoint line malformed")
     except StorageError as exc:
         return IntegrityReport(False, None, str(exc))
-    if len(checkpoints) != len(records):
+    if len(roots) != len(records):
         return IntegrityReport(
             False,
-            min(len(checkpoints), len(records)),
-            f"{len(records)} records but {len(checkpoints)} checkpoints",
+            min(len(roots), len(records)),
+            f"{len(records)} records but {len(roots)} checkpoints",
         )
     leaves = _kernels.hash_leaves(records)
-    roots = [bytes.fromhex(root_hex) for _, root_hex, _ in checkpoints]
-    chains = [bytes.fromhex(chain_hex) for _, _, chain_hex in checkpoints]
     bad = _kernels.verify_checkpoints(leaves, roots, chains, CHAIN_GENESIS)
     if bad >= 0:
         return IntegrityReport(False, bad, "stored root or chain value diverges from replay")

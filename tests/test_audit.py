@@ -82,6 +82,14 @@ class TestEvidence:
         with pytest.raises(DomainError):
             build_evidence(root(), b"out", 1.0, -0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timings_rejected(self, bad):
+        # NaN slips past a "< 0" check and would serialize as non-standard JSON
+        with pytest.raises(DomainError):
+            build_evidence(root(), b"out", bad, 1.0)
+        with pytest.raises(DomainError):
+            build_evidence(root(), b"out", 1.0, bad)
+
     def test_digests_are_collision_free_at_scale(self):
         seen = set()
         for i in range(100_000):

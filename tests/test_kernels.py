@@ -1,9 +1,8 @@
 """Hash kernel tests.
 
-The compiled backend and the pure-Python reference must be byte-identical on
-every exported function. Tree roots are additionally checked against a naive
-recursive oracle built here from hashlib alone, so a shared bug in the two
-backends would still be caught.
+Every tree root, inclusion path and peak fold is checked against a naive
+recursive oracle built here from hashlib alone, which has a different shape
+from the iterative code under test.
 """
 
 import hashlib
@@ -11,15 +10,6 @@ import hashlib
 import pytest
 
 from manifestd import _kernels
-from manifestd._kernels import _ref
-
-try:
-    from manifestd._kernels import _core
-except ImportError:
-    _core = None
-
-BACKENDS = [_ref] + ([_core] if _core is not None else [])
-IDS = [b.BACKEND for b in BACKENDS]
 
 
 def oracle_leaf(data: bytes) -> bytes:
@@ -62,7 +52,8 @@ def leaves_for(n):
     return [b"entry-%d" % i for i in range(n)]
 
 
-@pytest.mark.parametrize("kern", BACKENDS, ids=IDS)
+# One parameter named after the backend keeps the test ids stable.
+@pytest.mark.parametrize("kern", [_kernels], ids=[_kernels.BACKEND])
 class TestBackend:
     def test_sha256_nist_vectors(self, kern):
         assert kern.sha256(b"abc").hex() == (
@@ -161,22 +152,25 @@ class TestBackend:
         assert sum(counts) == 4
 
 
-@pytest.mark.skipif(_core is None, reason="compiled backend not built")
-def test_backends_agree_on_random_batches():
-    import random
+@pytest.mark.parametrize("n", list(range(0, 40)) + [63, 64, 65])
+def test_peaks_fold_to_the_oracle_root(n):
+    hashes = _kernels.hash_leaves(leaves_for(n))
+    peaks = []
+    for count, leaf in enumerate(hashes):
+        _kernels.push_peak(peaks, count, leaf)
+    assert len(peaks) == bin(n).count("1")
+    assert _kernels.fold_peaks(peaks) == oracle_root(hashes)
 
-    rnd = random.Random(1234)
-    for _ in range(25):
-        n = rnd.randrange(0, 40)
-        items = [rnd.randbytes(rnd.randrange(0, 64)) for _ in range(n)]
-        ref_hashes = _ref.hash_leaves(items)
-        core_hashes = _core.hash_leaves(items)
-        assert ref_hashes == core_hashes
-        assert _ref.merkle_root(ref_hashes) == _core.merkle_root(core_hashes)
-        for i in range(n):
-            assert _ref.inclusion_path(ref_hashes, i) == _core.inclusion_path(
-                core_hashes, i
-            )
+
+def test_push_peak_hashes_once_per_merge():
+    peaks = []
+    for count, leaf in enumerate(_kernels.hash_leaves(leaves_for(7))):
+        _kernels.push_peak(peaks, count, leaf)
+    _kernels.reset_ops()
+    # 7 = 0b111: the eighth leaf merges with all three peaks
+    _kernels.push_peak(peaks, 7, _kernels.sha256(b"eighth"))
+    assert _kernels.ops() == 3
+    assert len(peaks) == 1
 
 
 def test_ops_counter_counts_tree_work_only():
@@ -203,11 +197,13 @@ def test_selected_backend_exports_everything():
         "inclusion_path",
         "fold_path",
         "verify_checkpoints",
+        "push_peak",
+        "fold_peaks",
         "byte_histogram",
         "ops",
         "reset_ops",
     ):
         assert callable(getattr(_kernels, name))
-    assert _kernels.BACKEND in ("cython-openssl", "pure-python")
+    assert _kernels.BACKEND == "pure-python"
     assert _kernels.LEAF_PREFIX == b"\x00"
     assert _kernels.INTERIOR_PREFIX == b"\x01"

@@ -64,6 +64,40 @@ class TestConstruction:
         assert a == b
         assert canonical_encode(a) == canonical_encode(b)
 
+    def test_equality_tells_apart_values_that_encode_differently(self):
+        forms = [Manifest({"x": v}, {}, 5, "t") for v in (True, 1, 1.0, 0.0, -0.0)]
+        for i, a in enumerate(forms):
+            for j, b in enumerate(forms):
+                assert (a == b) == (i == j)
+                assert (canonical_encode(a) == canonical_encode(b)) == (i == j)
+
+    def test_unencodable_string_raises_encoding_error(self):
+        m = Manifest({"q": "\ud800"}, {}, 5, "t")
+        with pytest.raises(EncodingError):
+            canonical_encode(m)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.builds(
+                Manifest,
+                user_fields=st.dictionaries(
+                    st.sampled_from(["a", "b"]),
+                    st.sampled_from([True, False, 0, 1, 0.0, -0.0, 1.0, "1", "true"]),
+                    max_size=2,
+                ),
+                model_fields=st.just({}),
+                timestamp=st.integers(min_value=0, max_value=1),
+                tool_id=st.sampled_from(["t", "u"]),
+            ),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_equal_iff_same_encoding(self, pair):
+        m1, m2 = pair
+        assert (m1 == m2) == (canonical_encode(m1) == canonical_encode(m2))
+
     def test_shared_key_rejected(self):
         with pytest.raises(DisjointnessViolation):
             Manifest({"query": "x"}, {"query": "y"}, 1, "t")

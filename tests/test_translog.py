@@ -384,6 +384,26 @@ class TestTamperDetection:
         path.write_text(original)
         assert check_integrity(tmp_path).ok
 
+    def test_every_checkpoint_substitution_is_detected(self, tmp_path):
+        # Case flips and whitespace swaps leave a line that a lenient parser
+        # reads back as the same values; every one must still be reported.
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 10)
+        path = tmp_path / CHECKPOINTS_NAME
+        original = path.read_bytes()
+        missed = []
+        for pos, byte in enumerate(original):
+            line = original.count(b"\n", 0, pos)
+            swaps = {bytes([byte]).swapcase()[0], byte ^ 1, *b"\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f "}
+            for new in swaps - {byte}:
+                path.write_bytes(original[:pos] + bytes([new]) + original[pos + 1 :])
+                report = check_integrity(tmp_path)
+                if report.ok or report.tampered_at != line:
+                    missed.append((pos, byte, new))
+        path.write_bytes(original)
+        assert check_integrity(tmp_path).ok
+        assert missed == []
+
     def test_record_removal_is_detected(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
             fill(log, 6)
