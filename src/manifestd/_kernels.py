@@ -63,56 +63,6 @@ def chain_update(prev: bytes, leaf_hash: bytes) -> bytes:
     return hashlib.sha256(prev + leaf_hash).digest()
 
 
-def _check_level(leaf_hashes: list[bytes]) -> None:
-    for h in leaf_hashes:
-        if len(h) != HASH_SIZE:
-            raise ValueError("leaf hashes must be 32-byte digests")
-
-
-def merkle_root(leaf_hashes: list[bytes]) -> bytes:
-    """Root over already-hashed leaves.
-
-    Unpaired rightmost nodes promote to the next level unchanged, which gives
-    the same root as splitting at the largest power of two below n.
-    """
-    _check_level(leaf_hashes)
-    if not leaf_hashes:
-        return hashlib.sha256(b"").digest()
-    level = list(leaf_hashes)
-    while len(level) > 1:
-        nxt = [hash_interior(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    return level[0]
-
-
-def inclusion_path(leaf_hashes: list[bytes], index: int) -> list[tuple[bytes, int]]:
-    """Sibling path for one leaf.
-
-    Each element is ``(sibling_hash, side)`` where side 0 means the sibling
-    sits to the left of the running node and side 1 to the right.  Levels
-    where the node is promoted without a partner contribute no element.
-    """
-    _check_level(leaf_hashes)
-    n = len(leaf_hashes)
-    if not 0 <= index < n:
-        raise IndexError(f"leaf index {index} out of range for {n} leaves")
-    path: list[tuple[bytes, int]] = []
-    level = list(leaf_hashes)
-    pos = index
-    while len(level) > 1:
-        sib = pos ^ 1
-        if sib < len(level):
-            path.append((level[sib], 0 if sib < pos else 1))
-        nxt = [hash_interior(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-        pos //= 2
-    return path
-
-
 def fold_path(leaf_hash: bytes, path: list[tuple[bytes, int]]) -> bytes:
     """Recompute the root implied by a leaf hash and its sibling path."""
     node = leaf_hash
@@ -121,17 +71,22 @@ def fold_path(leaf_hash: bytes, path: list[tuple[bytes, int]]) -> bytes:
     return node
 
 
-def push_peak(peaks: list[bytes], count: int, leaf: bytes) -> None:
+def push_peak(peaks: list[bytes], count: int, leaf: bytes) -> list[bytes]:
     """Add a leaf, in place, to the peaks of a tree holding ``count`` leaves.
 
     Each trailing one-bit of ``count`` is a peak as large as the running
     node, so the new leaf merges with that many peaks from the right.
+    Returns the nodes the leaf completes, bottom-up: element k is the root
+    of the perfect subtree of 2^k leaves that now ends with this leaf.
     """
+    nodes = [leaf]
     node = leaf
     while count & 1:
         node = hash_interior(peaks.pop(), node)
+        nodes.append(node)
         count >>= 1
     peaks.append(node)
+    return nodes
 
 
 def fold_peaks(peaks: list[bytes]) -> bytes:

@@ -1,10 +1,11 @@
 """Bernoulli audit sampling, evidence tuples, and overhead/trade-off math.
 
 Each execution can be sampled for audit with probability p.  A sampled
-execution yields an evidence tuple binding the log root, the output digest,
-and the two stage timings into a single digest.  Timings enter the digest at
-fixed millisecond precision (three decimals) so that a tuple serialized and
-re-read reproduces its digest exactly.
+execution yields an evidence tuple binding the log root and the tree size it
+commits to, the output digest, and the two stage timings into a single
+digest.  The tree size enters as an 8-byte big-endian integer; timings enter
+at fixed millisecond precision (three decimals) so that a tuple serialized
+and re-read reproduces its digest exactly.
 """
 
 from __future__ import annotations
@@ -86,8 +87,11 @@ class EvidenceTuple:
 def evidence_digest_of(
     root: MerkleRoot, output_digest: bytes, exec_time_ms: float, verify_time_ms: float
 ) -> bytes:
+    if not 0 <= root.tree_size < 1 << 64:
+        raise DomainError(f"tree size {root.tree_size} does not fit the 8-byte digest field")
     return _kernels.sha256(
         root.value
+        + root.tree_size.to_bytes(8, "big")
         + output_digest
         + _canonical_timing(exec_time_ms)
         + _canonical_timing(verify_time_ms)
@@ -112,12 +116,16 @@ def build_evidence(
 
 def recheck_evidence(evidence: EvidenceTuple) -> bool:
     """True iff the stored digest matches a recomputation from the fields."""
-    expected = evidence_digest_of(
-        evidence.merkle_root,
-        evidence.output_digest,
-        evidence.exec_time_ms,
-        evidence.verify_time_ms,
-    )
+    try:
+        expected = evidence_digest_of(
+            evidence.merkle_root,
+            evidence.output_digest,
+            evidence.exec_time_ms,
+            evidence.verify_time_ms,
+        )
+    except DomainError:
+        # no digest was ever made over a tree size that cannot be encoded
+        return False
     return expected == evidence.evidence_digest
 
 

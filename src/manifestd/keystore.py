@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -156,16 +156,18 @@ _SCHEMES = {cls.name: cls for cls in (_Ecdsa, _Ed25519)}
 class _KeyRecord:
     key_id: str
     private_key: object
-    public_bytes: bytes
     created_at: int
     revoked: bool
+    # derived once from the private key, not on every verification
+    public_key: object = field(init=False)
+    public_bytes: bytes = field(init=False)
 
-
-def _public_bytes(private_key) -> bytes:
-    return private_key.public_key().public_bytes(
-        serialization.Encoding.DER,
-        serialization.PublicFormat.SubjectPublicKeyInfo,
-    )
+    def __post_init__(self) -> None:
+        self.public_key = self.private_key.public_key()
+        self.public_bytes = self.public_key.public_bytes(
+            serialization.Encoding.DER,
+            serialization.PublicFormat.SubjectPublicKeyInfo,
+        )
 
 
 class Keystore:
@@ -196,7 +198,6 @@ class Keystore:
         record = _KeyRecord(
             key_id=key_id,
             private_key=private_key,
-            public_bytes=_public_bytes(private_key),
             created_at=created_at,
             revoked=False,
         )
@@ -249,9 +250,8 @@ class Keystore:
             return VerifyResult(False, RejectReason.UNKNOWN_KEY)
         if record.revoked:
             return VerifyResult(False, RejectReason.KEY_REVOKED)
-        public_key = record.private_key.public_key()
         try:
-            self._scheme.verify(public_key, signature, dig.value)
+            self._scheme.verify(record.public_key, signature, dig.value)
         except InvalidSignature:
             return VerifyResult(False, RejectReason.SIGNATURE_INVALID)
         except Exception:
@@ -335,7 +335,6 @@ class Keystore:
             record = _KeyRecord(
                 key_id=raw["key_id"],
                 private_key=private_key,
-                public_bytes=_public_bytes(private_key),
                 created_at=int(raw.get("created_at", 0)),
                 revoked=bool(raw.get("revoked", False)),
             )

@@ -29,6 +29,14 @@ MAX_ENTROPY_BITS = 8.0
 _FIELD_TYPES = (str, int, float, bool)
 
 
+def _check_utf8(where: str, text: str) -> None:
+    # Lone surrogates are valid str but have no UTF-8 encoding.
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EncodingError(f"{where} cannot be encoded as UTF-8: {exc.reason}") from exc
+
+
 def _normalized(partition: str, fields: Mapping[str, Scalar]) -> Mapping[str, Scalar]:
     if not isinstance(fields, Mapping):
         raise EncodingError(f"{partition} must be a mapping, got {type(fields).__name__}")
@@ -36,6 +44,7 @@ def _normalized(partition: str, fields: Mapping[str, Scalar]) -> Mapping[str, Sc
     for key in sorted(fields):
         if not isinstance(key, str):
             raise EncodingError(f"{partition} key {key!r} is not a string")
+        _check_utf8(f"{partition} key {key!r}", key)
         value = fields[key]
         if not isinstance(value, _FIELD_TYPES):
             raise EncodingError(
@@ -43,6 +52,8 @@ def _normalized(partition: str, fields: Mapping[str, Scalar]) -> Mapping[str, Sc
             )
         if isinstance(value, float) and not math.isfinite(value):
             raise EncodingError(f"{partition}[{key!r}] is not a finite number")
+        if isinstance(value, str):
+            _check_utf8(f"{partition}[{key!r}]", value)
         out[key] = value
     return MappingProxyType(out)
 
@@ -75,6 +86,7 @@ class Manifest:
             raise EncodingError("timestamp must not be negative")
         if not isinstance(self.tool_id, str) or not self.tool_id:
             raise EncodingError("tool_id must be a non-empty string")
+        _check_utf8("tool_id", self.tool_id)
         object.__setattr__(self, "user_fields", user)
         object.__setattr__(self, "model_fields", model)
 

@@ -7,12 +7,21 @@ file.  Two structures are maintained over the records:
   to the whole history and supports O(log n) inclusion proofs, and
 * a sequential hash chain, giving cheap forward integrity.
 
-Appends keep only the O(log n) right-edge subtree roots ("peaks", one per
-set bit of the entry count) in play, so each append costs O(log n) hash
-operations rather than a full rebuild.  After every append a checkpoint line
-``<tree_size> <root hex> <chain hex>`` is persisted; integrity checking
-replays the records against those lines and reports the first divergent
-index.
+The log keeps the hash of every complete subtree in memory, in the layout of
+Cox's "Transparent Logs for Skeptical Clients": ``_levels[k]`` holds 32 bytes
+per perfect subtree of 2^k leaves, in append order, so level 0 is the leaf
+hashes and node i of level k covers leaves ``[i * 2^k, (i + 1) * 2^k)``.  An
+append merges the new leaf with the right-edge subtree roots ("peaks", one
+per set bit of the entry count) and records exactly the nodes it completes:
+O(log n) hashes.  Every range of the RFC 6962 split is a run of stored nodes,
+one per set bit of its length, so a historical root, an inclusion proof or a
+consistency proof (RFC 9162 format) reads O(log n) stored nodes and hashes at
+most one incomplete right-edge subtree: O(log n) hashes.  Reopening replays
+every record once, O(n); nothing but the records and checkpoints is stored.
+
+After every append a checkpoint line ``<tree_size> <root hex> <chain hex>``
+is persisted; integrity checking replays the records against those lines and
+reports the first divergent index.
 """
 
 from __future__ import annotations
@@ -121,7 +130,8 @@ class TransparencyLog:
         self._dir.mkdir(parents=True, exist_ok=True)
         self._records_path = self._dir / RECORDS_NAME
         self._checkpoints_path = self._dir / CHECKPOINTS_NAME
-        self._leaf_hashes: list[bytes] = []
+        # _levels[k] holds the roots of the complete subtrees of 2^k leaves.
+        self._levels: list[bytearray] = [bytearray()]
         # _offsets[i] is the file offset where record i starts; the final
         # element is the current end of file.
         self._offsets: list[int] = [0]
@@ -147,7 +157,7 @@ class TransparencyLog:
 
     @property
     def size(self) -> int:
-        return len(self._leaf_hashes)
+        return len(self._offsets) - 1
 
     @property
     def storage_bytes(self) -> int:
@@ -198,7 +208,7 @@ class TransparencyLog:
         leaf = _kernels.hash_leaf(record)
         chain = _kernels.chain_update(self._chain, leaf)
         peaks = list(self._peaks)
-        _kernels.push_peak(peaks, index, leaf)
+        nodes = _kernels.push_peak(peaks, index, leaf)
         merkle = MerkleRoot(_kernels.fold_peaks(peaks), index + 1)
         try:
             self._records_fh.write(_LEN.pack(len(record)) + record)
@@ -208,18 +218,46 @@ class TransparencyLog:
         except OSError as exc:
             raise StorageError(f"append to {self._dir} failed: {exc}") from exc
         # Commit in-memory state only after both files took the write.
-        self._leaf_hashes.append(leaf)
+        self._store(nodes)
         self._offsets.append(self._offsets[-1] + _LEN.size + len(record))
         self._peaks = peaks
         self._chain = chain
         return index, merkle
+
+    def _store(self, nodes: list[bytes]) -> None:
+        """Record the subtree roots one leaf completed; ``nodes[k]`` is on level k."""
+        levels = self._levels
+        if len(nodes) > len(levels):
+            # one leaf can start at most one new level
+            levels.append(bytearray())
+        for level, node in enumerate(nodes):
+            levels[level] += node
 
     # -- reading ----------------------------------------------------------
 
     def leaf_hash(self, index: int) -> bytes:
         if not 0 <= index < self.size:
             raise OutOfRange(f"index {index} outside log of size {self.size}")
-        return self._leaf_hashes[index]
+        return self._node(0, index)
+
+    def _node(self, level: int, index: int) -> bytes:
+        """Stored root of leaves ``[index * 2^level, (index + 1) * 2^level)``."""
+        at = index * _kernels.HASH_SIZE
+        return bytes(self._levels[level][at : at + _kernels.HASH_SIZE])
+
+    def _range_root(self, start: int, end: int) -> bytes:
+        """Root of leaves ``[start, end)``, a range of the RFC 6962 split.
+
+        ``start`` is a multiple of a power of two no smaller than the range,
+        so the range is one stored subtree per set bit of its length, largest
+        first, and its root is their fold from the right.
+        """
+        nodes = []
+        while start < end:
+            level = (end - start).bit_length() - 1
+            nodes.append(self._node(level, start >> level))
+            start += 1 << level
+        return _kernels.fold_peaks(nodes)
 
     def entry(self, index: int) -> LogEntry:
         if not 0 <= index < self.size:
@@ -245,11 +283,7 @@ class TransparencyLog:
     def root_at(self, tree_size: int) -> MerkleRoot:
         if not 0 <= tree_size <= self.size:
             raise OutOfRange(f"tree size {tree_size} outside log of size {self.size}")
-        if tree_size == self.size:
-            return self.current_root()
-        if tree_size == 0:
-            return empty_root()
-        return MerkleRoot(_kernels.merkle_root(self._leaf_hashes[:tree_size]), tree_size)
+        return MerkleRoot(self._range_root(0, tree_size), tree_size)
 
     def prove_inclusion(self, index: int, tree_size: Optional[int] = None) -> MerkleProof:
         """Inclusion proof for entry ``index`` in the tree at ``tree_size``."""
@@ -259,7 +293,18 @@ class TransparencyLog:
             raise OutOfRange(f"tree size {tree_size} outside log of size {self.size}")
         if not 0 <= index < tree_size:
             raise OutOfRange(f"index {index} outside tree of size {tree_size}")
-        path = _kernels.inclusion_path(self._leaf_hashes[:tree_size], index)
+        # Split top-down as RFC 9162 PATH does; the sibling list is bottom-up.
+        path = []
+        start, end = 0, tree_size
+        while end - start > 1:
+            k = 1 << ((end - start - 1).bit_length() - 1)
+            if index < start + k:
+                path.append((self._range_root(start + k, end), 1))
+                end = start + k
+            else:
+                path.append((self._range_root(start, start + k), 0))
+                start += k
+        path.reverse()
         return MerkleProof(leaf_index=index, tree_size=tree_size, path=tuple(path))
 
     def growth_series(self, sample_sizes: Optional[Sequence[int]] = None) -> list[tuple[int, int]]:
@@ -276,9 +321,6 @@ class TransparencyLog:
         return series
 
     # -- consistency ------------------------------------------------------
-
-    def _range_root(self, start: int, end: int) -> bytes:
-        return _kernels.merkle_root(self._leaf_hashes[start:end])
 
     def _subproof(self, m: int, start: int, end: int, complete: bool) -> list[bytes]:
         n = end - start
@@ -306,26 +348,25 @@ class TransparencyLog:
     # -- replay -----------------------------------------------------------
 
     def _replay(self) -> None:
-        records = list(_iter_records(self._records_path, strict=True))
-        leaves = _kernels.hash_leaves(records)
-        offsets = [0]
-        for record in records:
-            offsets.append(offsets[-1] + _LEN.size + len(record))
+        hash_leaf, chain_update, push_peak = (
+            _kernels.hash_leaf, _kernels.chain_update, _kernels.push_peak
+        )
+        store, peaks, offsets = self._store, self._peaks, self._offsets
         chain = CHAIN_GENESIS
-        peaks: list[bytes] = []
-        for count, leaf in enumerate(leaves):
-            chain = _kernels.chain_update(chain, leaf)
-            _kernels.push_peak(peaks, count, leaf)
-        self._leaf_hashes = leaves
-        self._offsets = offsets
-        self._peaks = peaks
+        end = 0
+        for count, record in enumerate(_iter_records(self._records_path, strict=True)):
+            leaf = hash_leaf(record)
+            chain = chain_update(chain, leaf)
+            store(push_peak(peaks, count, leaf))
+            end += _LEN.size + len(record)
+            offsets.append(end)
         self._chain = chain
         roots, chains = _read_checkpoints(self._checkpoints_path, strict=True)
-        if len(roots) != len(leaves):
+        if len(roots) != self.size:
             raise StorageError(
-                f"{self._dir}: {len(leaves)} records but {len(roots)} checkpoints"
+                f"{self._dir}: {self.size} records but {len(roots)} checkpoints"
             )
-        if leaves:
+        if roots:
             if roots[-1] != self.current_root().value or chains[-1] != chain:
                 raise StorageError(
                     f"{self._dir}: replayed state disagrees with final checkpoint; "

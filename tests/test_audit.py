@@ -5,6 +5,7 @@ simulation, so the formula and the sampler are validated against each other.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -54,9 +55,23 @@ class TestEvidence:
             build_evidence(root(), b"out2", 10.0, 2.0),
             build_evidence(root(), b"out", 10.001, 2.0),
             build_evidence(root(), b"out", 10.0, 2.001),
+            build_evidence(root(size=6), b"out", 10.0, 2.0),
         ]
         digests = {base.evidence_digest} | {c.evidence_digest for c in changed}
-        assert len(digests) == 5
+        assert len(digests) == 6
+
+    @pytest.mark.parametrize("tree_size", [4, 6, 0, 1 << 40, -1, 1 << 64])
+    def test_edited_tree_size_fails_recheck(self, tree_size):
+        ev = build_evidence(root(size=5), b"out", 10.0, 2.0)
+        obj = json.loads(ev.to_json_line())
+        obj["tree_size"] = tree_size
+        edited = EvidenceTuple.from_json_line(json.dumps(obj))
+        assert edited.merkle_root.tree_size == tree_size
+        assert not recheck_evidence(edited)
+
+    def test_unencodable_tree_size_refused(self):
+        with pytest.raises(DomainError):
+            build_evidence(root(size=-1), b"out", 1.0, 1.0)
 
     def test_timing_is_canonicalized_to_milliseconds_3dp(self):
         # below the canonical resolution the digest must not move, otherwise

@@ -2,7 +2,8 @@
 
 Every tree root, inclusion path and peak fold is checked against a naive
 recursive oracle built here from hashlib alone, which has a different shape
-from the iterative code under test.
+from the iterative code under test.  Whole-tree roots and inclusion paths
+come from the log's stored subtree hashes, so those are checked on a log.
 """
 
 import hashlib
@@ -10,6 +11,8 @@ import hashlib
 import pytest
 
 from manifestd import _kernels
+from manifestd.manifest import Manifest, digest
+from manifestd.translog import TransparencyLog
 
 
 def oracle_leaf(data: bytes) -> bytes:
@@ -52,6 +55,15 @@ def leaves_for(n):
     return [b"entry-%d" % i for i in range(n)]
 
 
+def log_with(directory, n):
+    """An open log of n entries and the oracle's hashes of its records."""
+    log = TransparencyLog(directory)
+    m = Manifest({"query": "q"}, {}, 1, "t")
+    for i in range(n):
+        log.append(digest(m), b"\x01", "k", appended_at=i)
+    return log, [oracle_leaf(e.to_record()) for e in log.entries()]
+
+
 # One parameter named after the backend keeps the test ids stable.
 @pytest.mark.parametrize("kern", [_kernels], ids=[_kernels.BACKEND])
 class TestBackend:
@@ -88,24 +100,26 @@ class TestBackend:
         assert kern.hash_leaves(items) == [kern.hash_leaf(d) for d in items]
 
     @pytest.mark.parametrize("n", list(range(0, 20)) + [31, 32, 33, 64])
-    def test_merkle_root_matches_recursive_oracle(self, kern, n):
-        hashes = kern.hash_leaves(leaves_for(n))
-        assert kern.merkle_root(hashes) == oracle_root(hashes)
+    def test_merkle_root_matches_recursive_oracle(self, kern, n, tmp_path):
+        log, hashes = log_with(tmp_path, n)
+        with log:
+            assert log.root_at(n).value == oracle_root(hashes)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 33])
-    def test_inclusion_paths_match_oracle_and_fold(self, kern, n):
-        hashes = kern.hash_leaves(leaves_for(n))
-        root = kern.merkle_root(hashes)
-        for i in range(n):
-            path = kern.inclusion_path(hashes, i)
-            assert path == oracle_path(hashes, i)
-            assert len(path) <= max(1, n - 1).bit_length()
-            assert kern.fold_path(hashes[i], path) == root
+    def test_inclusion_paths_match_oracle_and_fold(self, kern, n, tmp_path):
+        log, hashes = log_with(tmp_path, n)
+        with log:
+            for i in range(n):
+                path = list(log.prove_inclusion(i).path)
+                assert path == oracle_path(hashes, i)
+                assert len(path) <= max(1, n - 1).bit_length()
+                assert kern.fold_path(hashes[i], path) == oracle_root(hashes)
 
     def test_fold_rejects_wrong_sibling(self, kern):
         hashes = kern.hash_leaves(leaves_for(8))
-        root = kern.merkle_root(hashes)
-        path = kern.inclusion_path(hashes, 3)
+        root = oracle_root(hashes)
+        path = oracle_path(hashes, 3)
+        assert kern.fold_path(hashes[3], path) == root
         bad = [(kern.sha256(b"evil"), side) for _, side in path]
         assert kern.fold_path(hashes[3], bad) != root
 
@@ -162,15 +176,30 @@ def test_peaks_fold_to_the_oracle_root(n):
     assert _kernels.fold_peaks(peaks) == oracle_root(hashes)
 
 
+def test_push_peak_returns_the_subtrees_each_leaf_completes():
+    hashes = _kernels.hash_leaves(leaves_for(70))
+    peaks = []
+    for count, leaf in enumerate(hashes):
+        nodes = _kernels.push_peak(peaks, count, leaf)
+        end = count + 1
+        # node k is the root of the 2^k leaves ending here, and those are
+        # exactly the perfect subtrees that end at this leaf
+        assert len(nodes) == (end & -end).bit_length()
+        for k, node in enumerate(nodes):
+            assert node == oracle_root(hashes[end - (1 << k) : end])
+
+
 def test_push_peak_hashes_once_per_merge():
     peaks = []
     for count, leaf in enumerate(_kernels.hash_leaves(leaves_for(7))):
         _kernels.push_peak(peaks, count, leaf)
     _kernels.reset_ops()
     # 7 = 0b111: the eighth leaf merges with all three peaks
-    _kernels.push_peak(peaks, 7, _kernels.sha256(b"eighth"))
+    nodes = _kernels.push_peak(peaks, 7, _kernels.sha256(b"eighth"))
     assert _kernels.ops() == 3
     assert len(peaks) == 1
+    # the leaf and the roots of the 2-, 4- and 8-leaf subtrees it completes
+    assert len(nodes) == 4 and nodes[-1] == peaks[0]
 
 
 def test_ops_counter_counts_tree_work_only():
@@ -180,7 +209,8 @@ def test_ops_counter_counts_tree_work_only():
     assert kern.ops() == 0
     hashes = kern.hash_leaves(leaves_for(4))
     assert kern.ops() == 4
-    kern.merkle_root(hashes)  # 3 interior nodes for a 4-leaf tree
+    # the 3 interior nodes of a 4-leaf tree
+    kern.hash_interior(kern.hash_interior(*hashes[:2]), kern.hash_interior(*hashes[2:]))
     assert kern.ops() == 7
     kern.chain_update(bytes(32), hashes[0])
     assert kern.ops() == 8
@@ -193,8 +223,6 @@ def test_selected_backend_exports_everything():
         "hash_leaves",
         "hash_interior",
         "chain_update",
-        "merkle_root",
-        "inclusion_path",
         "fold_path",
         "verify_checkpoints",
         "push_peak",

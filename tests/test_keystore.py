@@ -198,6 +198,32 @@ class TestRotation:
         assert freqs == {"a": 1.0, "b": 0.0}
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestPublicKeyCache:
+    def test_verify_uses_the_key_built_at_keygen(self, scheme):
+        ks = Keystore(scheme)
+        ks.keygen("k1")
+        d = make_digest()
+        sig = ks.sign(d, "k1")
+        # verification needs no private key once the public key is built
+        ks._keys["k1"].private_key = None
+        assert ks.verify(d, sig, "k1").accepted
+        assert not ks.verify(make_digest("other"), sig, "k1").accepted
+        ks.revoke("k1")
+        assert ks.verify(d, sig, "k1").reason is RejectReason.KEY_REVOKED
+
+    def test_loaded_key_verifies_without_its_private_key(self, tmp_path, scheme):
+        ks = Keystore(scheme)
+        ks.keygen("k1")
+        d = make_digest()
+        sig = ks.sign(d, "k1")
+        ks.save(tmp_path / "keys.json")
+        loaded = Keystore.load(tmp_path / "keys.json")
+        loaded._keys["k1"].private_key = None
+        assert loaded.verify(d, sig, "k1").accepted
+        assert loaded.handle("k1").public_key == ks.handle("k1").public_key
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         path = tmp_path / "keys.pem"

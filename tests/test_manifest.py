@@ -72,9 +72,30 @@ class TestConstruction:
                 assert (canonical_encode(a) == canonical_encode(b)) == (i == j)
 
     def test_unencodable_string_raises_encoding_error(self):
-        m = Manifest({"q": "\ud800"}, {}, 5, "t")
         with pytest.raises(EncodingError):
-            canonical_encode(m)
+            canonical_encode(Manifest({"q": "\ud800"}, {}, 5, "t"))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            ({"\ud800": "x"}, {}, "t"),
+            ({"q": "a\udfffb"}, {}, "t"),
+            ({}, {"\udc00k": "x"}, "t"),
+            ({}, {"k": "\ud800"}, "t"),
+            ({"q": "x"}, {}, "tool-\ud800"),
+        ],
+        ids=["user-key", "user-value", "model-key", "model-value", "tool-id"],
+    )
+    def test_lone_surrogate_rejected_at_construction(self, fields):
+        # a manifest that was built must also encode, digest and compare
+        user, model, tool = fields
+        with pytest.raises(EncodingError):
+            Manifest(user, model, 5, tool)
+        text = json.dumps(
+            {"user_fields": user, "model_fields": model, "timestamp": 5, "tool_id": tool}
+        )
+        with pytest.raises(EncodingError):
+            parse_manifest(text)
 
     @settings(max_examples=300)
     @given(

@@ -1,7 +1,8 @@
-"""Repository hygiene: git tracks no file that .gitignore excludes."""
+"""Repository hygiene: git tracks no ignored file; the benchmark's gate trips."""
 
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +23,16 @@ def test_no_ignored_file_is_tracked():
         check=True,
     ).stdout
     assert listed == ""
+
+
+@pytest.mark.skipif(not (ROOT / "perfbench").is_dir(), reason="needs the perfbench directory")
+def test_benchmark_selftest_passes():
+    # the benchmark's correctness gate must still catch its planted faults
+    done = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]

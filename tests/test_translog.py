@@ -2,13 +2,16 @@
 
 Roots are checked against a naive oracle that re-parses the raw records file
 with struct and rebuilds the tree recursively from hashlib alone, so these
-tests do not trust the kernels the log itself uses.
+tests do not trust the kernels the log itself uses.  Proofs and historical
+roots are compared byte for byte with the recursive RFC 9162 oracles of
+``test_kernels``.
 """
 
 import hashlib
 import struct
 
 import pytest
+from test_kernels import oracle_leaf, oracle_path, oracle_root
 
 from manifestd import _kernels
 from manifestd.errors import OutOfRange, StorageError
@@ -20,6 +23,7 @@ from manifestd.translog import (
     RECORDS_NAME,
     LogEntry,
     MerkleProof,
+    MerkleRoot,
     TransparencyLog,
     check_integrity,
     empty_root,
@@ -75,6 +79,19 @@ def fill(log, n, start=0):
         assert idx == i
         roots.append(root)
     return roots
+
+
+def oracle_subproof(m, hashes, complete=True):
+    """RFC 9162 SUBPROOF(m, D[n], b) over leaf hashes, recursively."""
+    n = len(hashes)
+    if m == n:
+        return [] if complete else [oracle_root(hashes)]
+    k = 1
+    while k * 2 < n:
+        k *= 2
+    if m <= k:
+        return oracle_subproof(m, hashes[:k], complete) + [oracle_root(hashes[k:])]
+    return oracle_subproof(m - k, hashes[k:], False) + [oracle_root(hashes[:k])]
 
 
 class TestAppendAndRoots:
@@ -213,6 +230,69 @@ class TestInclusionProofs:
             fill(log, 25, start=8)
             assert verify_inclusion(log.leaf_hash(5), proof, root8)
             assert verify_inclusion(log.leaf_hash(5), log.prove_inclusion(5), log.current_root())
+
+
+SWEEP = 70
+
+
+@pytest.fixture(params=["live", "reopened", "reopened-then-appended"])
+def swept_log(request, tmp_path):
+    """A 70-entry log, read after the given history, and its oracle leaf hashes."""
+    first = SWEEP // 2 if request.param == "reopened-then-appended" else SWEEP
+    log = TransparencyLog(tmp_path)
+    fill(log, first)
+    if request.param != "live":
+        log.close()
+        log = TransparencyLog(tmp_path)
+        fill(log, SWEEP - first, start=first)
+    with log:
+        yield log, [oracle_leaf(r) for r in naive_records(tmp_path)]
+
+
+class TestStoredHashReads:
+    """Every read equals the recursive oracle, at every size up to SWEEP."""
+
+    def test_inclusion_paths_match_oracle(self, swept_log):
+        log, hashes = swept_log
+        for n in range(1, SWEEP + 1):
+            for index in range(n):
+                assert list(log.prove_inclusion(index, n).path) == oracle_path(hashes[:n], index)
+
+    def test_consistency_proofs_match_oracle(self, swept_log):
+        log, hashes = swept_log
+        for n in range(1, SWEEP + 1):
+            for m in range(1, n + 1):
+                assert log.prove_consistency(m, n) == tuple(oracle_subproof(m, hashes[:n]))
+
+    def test_historical_roots_match_oracle(self, swept_log):
+        log, hashes = swept_log
+        for m in range(SWEEP + 1):
+            assert log.root_at(m) == MerkleRoot(oracle_root(hashes[:m]), m)
+        assert log.current_root() == log.root_at(SWEEP)
+
+    def test_leaf_hashes_match_oracle(self, swept_log):
+        log, hashes = swept_log
+        assert [log.leaf_hash(i) for i in range(SWEEP)] == hashes
+
+    def test_each_read_costs_logarithmic_hashes(self, tmp_path):
+        # at most 2 * ceil(log2 n) hash operations per proof or root; a
+        # rebuild from the leaves would cost about n
+        top = 1 << 13
+        sizes = sorted({n for k in range(14) for n in (2**k - 1, 2**k, 2**k + 1)} - {0})
+
+        def ops_of(read, *args):
+            before = _kernels.ops()
+            read(*args)
+            return _kernels.ops() - before
+
+        with TransparencyLog(tmp_path) as log:
+            fill(log, top + 1)
+            for n in sizes:
+                picks = {0, 1, n // 3, n // 2, n - 2, n - 1} & set(range(n))
+                costs = [ops_of(log.root_at, n)]
+                costs += [ops_of(log.prove_inclusion, i, n) for i in picks]
+                costs += [ops_of(log.prove_consistency, m, n) for m in picks if m]
+                assert max(costs) <= 2 * (n - 1).bit_length(), n
 
 
 class TestConsistencyProofs:
