@@ -43,10 +43,6 @@ def hash_leaf(data: bytes) -> bytes:
     return hashlib.sha256(LEAF_PREFIX + data).digest()
 
 
-def hash_leaves(records: list[bytes]) -> list[bytes]:
-    return [hash_leaf(r) for r in records]
-
-
 def hash_interior(left: bytes, right: bytes) -> bytes:
     if len(left) != HASH_SIZE or len(right) != HASH_SIZE:
         raise ValueError("interior children must be 32-byte digests")
@@ -98,31 +94,6 @@ def fold_peaks(peaks: list[bytes]) -> bytes:
     for peak in nodes:
         root = hash_interior(peak, root)
     return root
-
-
-def verify_checkpoints(
-    leaves: list[bytes],
-    roots: list[bytes],
-    chains: list[bytes],
-    genesis: bytes,
-) -> int:
-    """Replay a log from its leaf hashes against stored per-append state.
-
-    ``roots[i]`` and ``chains[i]`` are the expected tree root and chain value
-    after appending leaf i.  Returns the first index where either disagrees,
-    or -1 when every checkpoint matches.  Roots are recomputed incrementally
-    from the peaks, so the whole replay costs O(n log n) hashes.
-    """
-    if not len(leaves) == len(roots) == len(chains):
-        raise ValueError("leaves, roots and chains must have equal length")
-    chain = genesis
-    peaks: list[bytes] = []
-    for i, leaf in enumerate(leaves):
-        chain = chain_update(chain, leaf)
-        push_peak(peaks, i, leaf)
-        if chain != chains[i] or fold_peaks(peaks) != roots[i]:
-            return i
-    return -1
 
 
 def byte_histogram(data: bytes) -> list[int]:

@@ -201,7 +201,7 @@ def cmd_verify(args) -> int:
                 manifest = manifest_from_dict(obj["manifest"])
                 signature = bytes.fromhex(obj["signature"])
                 key_id = str(obj["key_id"])
-            except (json.JSONDecodeError, KeyError, ValueError, EncodingError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError, EncodingError) as exc:
                 rejected += 1
                 _emit({"status": "rejected", "line": lineno,
                        "reason": "malformed-encoding", "detail": str(exc)})

@@ -173,9 +173,11 @@ class WorkloadConfig:
         if not sizes or any(s <= 0 for s in sizes):
             raise ConfigError("sizes must be positive")
         if list(sizes) != sorted(set(sizes)):
-            raise ConfigError("sizes must be strictly increasing")
+            raise ConfigError("sizes must increase, without repeats")
         if not 0.0 <= self.invalid_fraction <= 1.0:
             raise ConfigError("invalid_fraction outside [0, 1]")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
         mix = tuple((AttackKind(k), float(w)) for k, w in self.adversary_mix)
         object.__setattr__(self, "adversary_mix", mix)
         if len({k for k, _ in mix}) != len(mix):
@@ -310,6 +312,9 @@ def config_from_dict(obj: Mapping) -> WorkloadConfig:
     for name in simple:
         if name in obj:
             kwargs[name] = obj[name]
+    for name in ("sizes", "key_ids", "backends"):
+        if name in obj and not isinstance(obj[name], list):
+            raise ConfigError(f"{name} must be a list")
     if "sizes" in obj:
         kwargs["sizes"] = tuple(obj["sizes"])
     if "key_ids" in obj:
@@ -344,7 +349,7 @@ def config_from_dict(obj: Mapping) -> WorkloadConfig:
         kwargs["backends"] = tuple(backends)
     try:
         return WorkloadConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad workload config: {exc}") from exc
 
 

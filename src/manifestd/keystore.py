@@ -319,25 +319,37 @@ class Keystore:
             raise StorageError(f"cannot read keystore {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise StorageError(f"keystore {path} is not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict) or obj.get("version") != 1:
+        if (
+            not isinstance(obj, dict)
+            or obj.get("version") != 1
+            or not isinstance(obj.get("scheme", DEFAULT_SCHEME), str)
+            or not isinstance(obj.get("keys", []), list)
+        ):
             raise StorageError(f"keystore {path} has unsupported format")
         store = cls(scheme=obj.get("scheme", DEFAULT_SCHEME))
         password = passphrase.encode("utf-8") if passphrase else None
-        for raw in obj.get("keys", []):
+        for position, raw in enumerate(obj.get("keys", [])):
+            if not (
+                isinstance(raw, dict)
+                and isinstance(raw.get("key_id"), str)
+                and isinstance(raw.get("private_pem"), str)
+            ):
+                raise StorageError(
+                    f"keystore {path}: key entry {position} needs string key_id and private_pem"
+                )
             try:
-                private_key = serialization.load_pem_private_key(
-                    raw["private_pem"].encode("ascii"), password=password
+                record = _KeyRecord(
+                    key_id=raw["key_id"],
+                    private_key=serialization.load_pem_private_key(
+                        raw["private_pem"].encode("ascii"), password=password
+                    ),
+                    created_at=int(raw.get("created_at", 0)),
+                    revoked=bool(raw.get("revoked", False)),
                 )
             except (TypeError, ValueError) as exc:
                 raise StorageError(
-                    f"keystore {path}: cannot load key {raw.get('key_id')!r}: {exc}"
+                    f"keystore {path}: cannot load key {raw['key_id']!r}: {exc}"
                 ) from exc
-            record = _KeyRecord(
-                key_id=raw["key_id"],
-                private_key=private_key,
-                created_at=int(raw.get("created_at", 0)),
-                revoked=bool(raw.get("revoked", False)),
-            )
             if record.key_id in store._keys:
                 raise StorageError(f"keystore {path}: duplicate key id {record.key_id!r}")
             store._keys[record.key_id] = record

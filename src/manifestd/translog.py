@@ -16,17 +16,20 @@ per set bit of the entry count) and records exactly the nodes it completes:
 O(log n) hashes.  Every range of the RFC 6962 split is a run of stored nodes,
 one per set bit of its length, so a historical root, an inclusion proof or a
 consistency proof (RFC 9162 format) reads O(log n) stored nodes and hashes at
-most one incomplete right-edge subtree: O(log n) hashes.  Reopening replays
-every record once, O(n); nothing but the records and checkpoints is stored.
+most one incomplete right-edge subtree: O(log n) hashes.  Nothing but the
+records and checkpoints is stored.
 
 After every append a checkpoint line ``<tree_size> <root hex> <chain hex>``
-is persisted; integrity checking replays the records against those lines and
-reports the first divergent index.
+is persisted.  One reader, ``_read_log``, walks both files in step and owns
+their format.  Reopening replays every record once, O(n) hashes: it checks
+the framing of every record, the form and count of every checkpoint line,
+and the final root and chain.  ``check_integrity`` also compares every
+checkpoint's root and chain with the replay, O(n log n) hashes, and reports
+the first entry that fails.
 """
 
 from __future__ import annotations
 
-import binascii
 import json
 import re
 import struct
@@ -354,24 +357,23 @@ class TransparencyLog:
         store, peaks, offsets = self._store, self._peaks, self._offsets
         chain = CHAIN_GENESIS
         end = 0
-        for count, record in enumerate(_iter_records(self._records_path, strict=True)):
+        line = None
+        for count, (record, line) in enumerate(_read_log(self._dir)):
             leaf = hash_leaf(record)
             chain = chain_update(chain, leaf)
             store(push_peak(peaks, count, leaf))
             end += _LEN.size + len(record)
             offsets.append(end)
         self._chain = chain
-        roots, chains = _read_checkpoints(self._checkpoints_path, strict=True)
-        if len(roots) != self.size:
+        # Only the last line is compared: every root is check_integrity's work.
+        if line is not None and (
+            line["root"] != self.current_root().hex.encode()
+            or line["chain"] != chain.hex().encode()
+        ):
             raise StorageError(
-                f"{self._dir}: {self.size} records but {len(roots)} checkpoints"
+                f"{self._dir}: replayed state disagrees with final checkpoint; "
+                "run an integrity check"
             )
-        if roots:
-            if roots[-1] != self.current_root().value or chains[-1] != chain:
-                raise StorageError(
-                    f"{self._dir}: replayed state disagrees with final checkpoint; "
-                    "run an integrity check"
-                )
 
 
 def verify_inclusion(leaf_hash: bytes, proof: MerkleProof, root: MerkleRoot) -> bool:
@@ -431,103 +433,91 @@ def verify_consistency(
     return fr == old_root.value and sr == new_root.value
 
 
-def _iter_records(path: Path, strict: bool) -> Iterator[bytes]:
-    """Yield raw records; in strict mode framing damage raises StorageError."""
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    pos = 0
-    index = 0
-    while pos < len(data):
-        if pos + _LEN.size > len(data):
-            if strict:
-                raise StorageError(f"{path}: truncated length prefix at record {index}")
-            raise _FramingError(index)
-        (length,) = _LEN.unpack_from(data, pos)
-        pos += _LEN.size
-        if length > MAX_RECORD_BYTES or pos + length > len(data):
-            if strict:
-                raise StorageError(f"{path}: truncated or oversized record {index}")
-            raise _FramingError(index)
-        yield data[pos : pos + length]
-        pos += length
-        index += 1
+class LogDamage(StorageError):
+    """The log files break their format or disagree on the entry count.
 
+    ``index`` is the first entry the damage affects, or None when a file
+    cannot be read at all.
+    """
 
-class _FramingError(Exception):
-    def __init__(self, index: int):
-        super().__init__(index)
+    def __init__(self, index: Optional[int], detail: str):
+        super().__init__(detail)
         self.index = index
 
 
 #: One checkpoint line exactly as ``append`` writes it.
-_CHECKPOINT_LINE = re.compile(rb"([1-9][0-9]*) ([0-9a-f]{64}) ([0-9a-f]{64})\n")
+_CHECKPOINT_LINE = re.compile(
+    rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64}) (?P<chain>[0-9a-f]{64})\n"
+)
 
 
-def _read_checkpoints(path: Path, strict: bool) -> tuple[list[bytes], list[bytes]]:
-    """Stored (roots, chains), one per line; line i must read ``i+1 <root> <chain>``.
+def _read_log(directory: Path) -> Iterator[tuple[bytes, re.Match[bytes]]]:
+    """Yield every record of a log directory with its checkpoint line, in step.
 
-    Only the exact bytes ``append`` writes are accepted: lowercase hex,
-    single spaces and a newline after every line, so no substitution can
-    leave a line that still parses to the same values.
+    Record i is a 4-byte big-endian length, at most ``MAX_RECORD_BYTES``,
+    and that many bytes.  Checkpoint line i is exactly ``{i+1} {root hex}
+    {chain hex}`` and a newline, in lowercase hex with single spaces, so no
+    substitution can leave a line that still parses to the same values.
+    Both files hold the same number of entries.  Any breach raises
+    ``LogDamage`` at the first entry it affects; comparing the root and chain
+    groups of a line with the replay is left to the caller.
     """
     try:
-        data = path.read_bytes()
+        records = (directory / RECORDS_NAME).read_bytes()
+        checkpoints = (directory / CHECKPOINTS_NAME).read_bytes()
     except OSError as exc:
-        raise StorageError(f"cannot read {path}: {exc}") from exc
-    roots: list[bytes] = []
-    chains: list[bytes] = []
-    pos = 0
-    while pos < len(data):
-        line = _CHECKPOINT_LINE.match(data, pos)
-        if line is None or int(line[1]) != len(roots) + 1:
-            if strict:
-                raise StorageError(f"{path}: malformed checkpoint line {len(roots)}")
-            raise _FramingError(len(roots))
-        roots.append(binascii.unhexlify(line[2]))
-        chains.append(binascii.unhexlify(line[3]))
-        pos = line.end()
-    return roots, chains
+        raise LogDamage(None, f"cannot read log files in {directory}: {exc}") from exc
+    pos = at = index = 0
+    while pos < len(records):
+        start = pos + _LEN.size
+        if start > len(records):
+            raise LogDamage(index, f"truncated length prefix at record {index}")
+        (length,) = _LEN.unpack_from(records, pos)
+        pos = start + length
+        if length > MAX_RECORD_BYTES or pos > len(records):
+            raise LogDamage(index, f"truncated or oversized record {index}")
+        line = _CHECKPOINT_LINE.match(checkpoints, at)
+        if line is None or int(line[1]) != index + 1:
+            state = "missing" if at == len(checkpoints) else "malformed"
+            raise LogDamage(index, f"checkpoint line {index} {state}")
+        yield records[start:pos], line
+        at = line.end()
+        index += 1
+    if at < len(checkpoints):
+        raise LogDamage(index, f"checkpoint line {index} has no record")
 
 
 def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     """Replay a log directory and report the first index that fails to verify.
 
-    Recomputes every leaf hash, every chain value, and every per-append root
-    from the raw records and compares them with the stored checkpoint lines.
-    Any single-byte change to either file (including truncation) surfaces as
-    a non-ok report.
+    Recomputes every leaf hash, chain value and per-append root from the raw
+    records and compares each with its checkpoint line, keeping only the
+    peaks.  Damage to the framing, the line form or the entry count is
+    reported first, at the entry where it starts; otherwise the first entry
+    whose stored root or chain differs.  Any single-byte change to either
+    file (including truncation) surfaces as a non-ok report.
     """
-    directory = Path(directory)
-    records_path = directory / RECORDS_NAME
-    checkpoints_path = directory / CHECKPOINTS_NAME
-    if not records_path.exists():
-        return IntegrityReport(False, None, "records file missing")
-    if not checkpoints_path.exists():
-        return IntegrityReport(False, None, "checkpoint file missing")
-    records: list[bytes] = []
+    hash_leaf, chain_update, push_peak, fold_peaks = (
+        _kernels.hash_leaf, _kernels.chain_update, _kernels.push_peak, _kernels.fold_peaks
+    )
+    chain = CHAIN_GENESIS
+    peaks: list[bytes] = []
+    size = 0
+    diverged: Optional[int] = None
     try:
-        for record in _iter_records(records_path, strict=False):
-            records.append(record)
-    except _FramingError as exc:
-        return IntegrityReport(False, exc.index, "record framing damaged")
-    except StorageError as exc:
-        return IntegrityReport(False, None, str(exc))
-    try:
-        roots, chains = _read_checkpoints(checkpoints_path, strict=False)
-    except _FramingError as exc:
-        return IntegrityReport(False, exc.index, "checkpoint line malformed")
-    except StorageError as exc:
-        return IntegrityReport(False, None, str(exc))
-    if len(roots) != len(records):
-        return IntegrityReport(
-            False,
-            min(len(roots), len(records)),
-            f"{len(records)} records but {len(roots)} checkpoints",
-        )
-    leaves = _kernels.hash_leaves(records)
-    bad = _kernels.verify_checkpoints(leaves, roots, chains, CHAIN_GENESIS)
-    if bad >= 0:
-        return IntegrityReport(False, bad, "stored root or chain value diverges from replay")
-    return IntegrityReport(True, None, f"{len(records)} entries verified")
+        for size, (record, line) in enumerate(_read_log(Path(directory)), 1):
+            if diverged is not None:
+                continue
+            leaf = hash_leaf(record)
+            chain = chain_update(chain, leaf)
+            push_peak(peaks, size - 1, leaf)
+            if (
+                line["chain"] != chain.hex().encode()
+                or line["root"] != fold_peaks(peaks).hex().encode()
+            ):
+                diverged = size - 1
+    except LogDamage as exc:
+        return IntegrityReport(False, exc.index, str(exc))
+    if diverged is not None:
+        return IntegrityReport(False, diverged, "stored root or chain value diverges from replay")
+    return IntegrityReport(True, None, f"{size} entries verified")

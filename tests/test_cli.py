@@ -99,6 +99,31 @@ class TestKeyCommands:
         assert not rows["k1"]["revoked"]
         assert rows["k2"]["revoked"]
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda store: store.update(keys=5),
+            lambda store: store.update(scheme=[1]),
+            lambda store: store["keys"].append(7),
+            lambda store: store["keys"][0].pop("key_id"),
+            lambda store: store["keys"][0].pop("private_pem"),
+            lambda store: store["keys"][0].update(key_id=5),
+            lambda store: store["keys"][0].update(private_pem=5),
+            lambda store: store["keys"][0].update(created_at="x"),
+        ],
+        ids=["keys-not-list", "scheme-not-string", "entry-not-object", "no-key-id",
+             "no-pem", "key-id-not-string", "pem-not-string", "bad-created-at"],
+    )
+    def test_malformed_keystore_exits_5(self, tmp_path, capsys, edit):
+        ks = tmp_path / "keys.pem"
+        main(["key-gen", "--keystore", str(ks), "--key-id", "k1"])
+        store = json.loads(ks.read_text())
+        edit(store)
+        ks.write_text(json.dumps(store))
+        capsys.readouterr()
+        assert main(["key-list", "--keystore", str(ks)]) == EXIT_STORAGE
+        assert "keystore" in capsys.readouterr().err
+
     def test_revoke_unknown_key_exits_3(self, tmp_path):
         ks = tmp_path / "keys.pem"
         main(["key-gen", "--keystore", str(ks), "--key-id", "k1"])
@@ -218,6 +243,28 @@ class TestVerify:
                    "--log-dir", str(workspace / "log"), "--now", str(NOW)])
         assert rc == EXIT_VERIFY
         assert emitted(capsys)[0]["reason"] == "malformed-encoding"
+
+    def test_badly_typed_lines_are_rejected_and_the_batch_goes_on(self, workspace, capsys):
+        signed = workspace / "signed.ndjson"
+        good = signed.read_text().splitlines()
+        bad_signature = json.loads(good[1])
+        bad_signature["signature"] = 5
+        lines = [good[0], "[1]", json.dumps(bad_signature), good[2]]
+        signed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        receipts_path = workspace / "receipts.ndjson"
+        rc = main(["verify", "--in", str(signed),
+                   "--keystore", str(workspace / "keys.pem"),
+                   "--log-dir", str(workspace / "log"), "--now", str(NOW),
+                   "--receipts", str(receipts_path)])
+        assert rc == EXIT_VERIFY
+        out = emitted(capsys)
+        rejected = [o for o in out if o.get("status") == "rejected"]
+        assert [(o["line"], o["reason"]) for o in rejected] == [
+            (2, "malformed-encoding"), (3, "malformed-encoding")
+        ]
+        assert out[-1] == {"status": "partial", "accepted": 2, "rejected": 2}
+        receipts = [json.loads(l) for l in receipts_path.read_text().splitlines()]
+        assert [(r["line"], r["index"]) for r in receipts] == [(1, 0), (4, 1)]
 
     def test_log_dir_env_fallback(self, workspace, monkeypatch, capsys):
         log_dir = workspace / "env-log"
@@ -370,6 +417,20 @@ class TestBenchAndStats:
         assert rc == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "line" in err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"sizes": 5}, {"sizes": ["a"]}, {"key_ids": 5}, {"backends": 5}, {"seed": "x"}],
+        ids=["sizes-not-list", "size-not-number", "key-ids-not-list", "backends-not-list",
+             "seed-not-integer"],
+    )
+    def test_malformed_config_field_exits_1(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(bad), encoding="utf-8")
+        rc = main(["bench", "--out", str(tmp_path / "b"), "--config", str(cfg_path)])
+        assert rc == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "b").exists()
 
     def test_stats_over_outcomes(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -3,7 +3,8 @@
 Every tree root, inclusion path and peak fold is checked against a naive
 recursive oracle built here from hashlib alone, which has a different shape
 from the iterative code under test.  Whole-tree roots and inclusion paths
-come from the log's stored subtree hashes, so those are checked on a log.
+come from the log's stored subtree hashes, and the checkpoint replay is
+``check_integrity``'s, so those are checked on a log.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import pytest
 
 from manifestd import _kernels
 from manifestd.manifest import Manifest, digest
-from manifestd.translog import TransparencyLog
+from manifestd.translog import CHECKPOINTS_NAME, TransparencyLog, check_integrity
 
 
 def oracle_leaf(data: bytes) -> bytes:
@@ -95,9 +96,11 @@ class TestBackend:
         with pytest.raises(ValueError):
             kern.hash_interior(good, good + b"\x00")
 
-    def test_hash_leaves_matches_single_calls(self, kern):
-        items = leaves_for(9)
-        assert kern.hash_leaves(items) == [kern.hash_leaf(d) for d in items]
+    def test_hash_leaves_matches_single_calls(self, kern, tmp_path):
+        log, _ = log_with(tmp_path, 9)
+        with log:
+            for i, entry in enumerate(log.entries()):
+                assert log.leaf_hash(i) == kern.hash_leaf(entry.to_record())
 
     @pytest.mark.parametrize("n", list(range(0, 20)) + [31, 32, 33, 64])
     def test_merkle_root_matches_recursive_oracle(self, kern, n, tmp_path):
@@ -116,7 +119,7 @@ class TestBackend:
                 assert kern.fold_path(hashes[i], path) == oracle_root(hashes)
 
     def test_fold_rejects_wrong_sibling(self, kern):
-        hashes = kern.hash_leaves(leaves_for(8))
+        hashes = [kern.hash_leaf(d) for d in leaves_for(8)]
         root = oracle_root(hashes)
         path = oracle_path(hashes, 3)
         assert kern.fold_path(hashes[3], path) == root
@@ -131,33 +134,31 @@ class TestBackend:
         with pytest.raises(ValueError):
             kern.chain_update(state[:-1], leaf)
 
-    def test_verify_checkpoints_accepts_honest_sequence(self, kern):
-        hashes = kern.hash_leaves(leaves_for(24))
-        roots, chains = [], []
-        chain = bytes(32)
-        for i in range(len(hashes)):
-            chain = hashlib.sha256(chain + hashes[i]).digest()
-            chains.append(chain)
-            roots.append(oracle_root(hashes[: i + 1]))
-        assert kern.verify_checkpoints(hashes, roots, chains, bytes(32)) == -1
+    def test_verify_checkpoints_accepts_honest_sequence(self, kern, tmp_path):
+        log, hashes = log_with(tmp_path, 24)
+        log.close()
+        lines = (tmp_path / CHECKPOINTS_NAME).read_text().splitlines()
+        assert [line.split()[1] for line in lines] == [
+            oracle_root(hashes[: i + 1]).hex() for i in range(24)
+        ]
+        assert check_integrity(tmp_path).ok
 
     @pytest.mark.parametrize("bad_at", [0, 1, 7, 23])
-    def test_verify_checkpoints_reports_first_bad_index(self, kern, bad_at):
-        hashes = kern.hash_leaves(leaves_for(24))
-        roots, chains = [], []
-        chain = bytes(32)
-        for i in range(len(hashes)):
-            chain = hashlib.sha256(chain + hashes[i]).digest()
-            chains.append(chain)
-            roots.append(oracle_root(hashes[: i + 1]))
-        broken = list(roots)
-        broken[bad_at] = kern.sha256(b"forged root")
-        assert kern.verify_checkpoints(hashes, broken, chains, bytes(32)) == bad_at
-        broken_chain = list(chains)
-        broken_chain[bad_at] = kern.sha256(b"forged chain")
-        assert (
-            kern.verify_checkpoints(hashes, roots, broken_chain, bytes(32)) == bad_at
-        )
+    def test_verify_checkpoints_reports_first_bad_index(self, kern, bad_at, tmp_path):
+        log, _ = log_with(tmp_path, 24)
+        log.close()
+        path = tmp_path / CHECKPOINTS_NAME
+        honest = path.read_text().splitlines()
+        # field 1 is the root, field 2 the chain value
+        for field in (1, 2):
+            lines = list(honest)
+            parts = lines[bad_at].split()
+            parts[field] = kern.sha256(b"forged %d" % field).hex()
+            lines[bad_at] = " ".join(parts)
+            path.write_text("\n".join(lines) + "\n")
+            report = check_integrity(tmp_path)
+            assert not report.ok
+            assert report.tampered_at == bad_at
 
     def test_byte_histogram(self, kern):
         counts = kern.byte_histogram(b"\x00\x00\x01\xff")
@@ -168,7 +169,7 @@ class TestBackend:
 
 @pytest.mark.parametrize("n", list(range(0, 40)) + [63, 64, 65])
 def test_peaks_fold_to_the_oracle_root(n):
-    hashes = _kernels.hash_leaves(leaves_for(n))
+    hashes = [_kernels.hash_leaf(d) for d in leaves_for(n)]
     peaks = []
     for count, leaf in enumerate(hashes):
         _kernels.push_peak(peaks, count, leaf)
@@ -177,7 +178,7 @@ def test_peaks_fold_to_the_oracle_root(n):
 
 
 def test_push_peak_returns_the_subtrees_each_leaf_completes():
-    hashes = _kernels.hash_leaves(leaves_for(70))
+    hashes = [_kernels.hash_leaf(d) for d in leaves_for(70)]
     peaks = []
     for count, leaf in enumerate(hashes):
         nodes = _kernels.push_peak(peaks, count, leaf)
@@ -191,7 +192,7 @@ def test_push_peak_returns_the_subtrees_each_leaf_completes():
 
 def test_push_peak_hashes_once_per_merge():
     peaks = []
-    for count, leaf in enumerate(_kernels.hash_leaves(leaves_for(7))):
+    for count, leaf in enumerate([_kernels.hash_leaf(d) for d in leaves_for(7)]):
         _kernels.push_peak(peaks, count, leaf)
     _kernels.reset_ops()
     # 7 = 0b111: the eighth leaf merges with all three peaks
@@ -207,7 +208,7 @@ def test_ops_counter_counts_tree_work_only():
     kern.reset_ops()
     kern.sha256(b"not counted")
     assert kern.ops() == 0
-    hashes = kern.hash_leaves(leaves_for(4))
+    hashes = [kern.hash_leaf(d) for d in leaves_for(4)]
     assert kern.ops() == 4
     # the 3 interior nodes of a 4-leaf tree
     kern.hash_interior(kern.hash_interior(*hashes[:2]), kern.hash_interior(*hashes[2:]))
@@ -220,11 +221,9 @@ def test_selected_backend_exports_everything():
     for name in (
         "sha256",
         "hash_leaf",
-        "hash_leaves",
         "hash_interior",
         "chain_update",
         "fold_path",
-        "verify_checkpoints",
         "push_peak",
         "fold_peaks",
         "byte_histogram",

@@ -1,11 +1,16 @@
-"""Repository hygiene: git tracks no ignored file; the benchmark's gate trips."""
+"""Repository hygiene: git tracks no ignored file; the benchmark's gate trips;
+every hash kernel has a caller."""
 
+import ast
+import inspect
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from manifestd import _kernels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +41,23 @@ def test_benchmark_selftest_passes():
         timeout=300,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+def test_every_kernel_has_a_caller_in_the_package():
+    package = ROOT / "src" / "manifestd"
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "_kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_kernels":
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "_kernels":
+                used.update(alias.name for alias in node.names)
+    defined = {
+        name
+        for name, fn in inspect.getmembers(_kernels, inspect.isfunction)
+        if fn.__module__ == _kernels.__name__
+    }
+    # reset_ops is the test-side half of the ops counter
+    assert defined - used - {"reset_ops"} == set()

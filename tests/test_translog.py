@@ -484,6 +484,28 @@ class TestTamperDetection:
         assert check_integrity(tmp_path).ok
         assert missed == []
 
+    def test_every_cut_of_the_last_append_is_detected(self, tmp_path):
+        # a crash in the middle of the last append leaves one file cut short
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 10)
+        records, checkpoints = tmp_path / RECORDS_NAME, tmp_path / CHECKPOINTS_NAME
+        original_records, original_checkpoints = records.read_bytes(), checkpoints.read_bytes()
+        last_record = naive_records(tmp_path)[-1]
+        record_start = len(original_records) - _LEN.size - len(last_record)
+        line_start = original_checkpoints.rindex(b"\n", 0, -1) + 1
+        cuts = [(records, original_records, cut) for cut in range(record_start, len(original_records))]
+        cuts += [
+            (checkpoints, original_checkpoints, cut)
+            for cut in range(line_start, len(original_checkpoints))
+        ]
+        for path, original, cut in cuts:
+            path.write_bytes(original[:cut])
+            assert check_integrity(tmp_path).tampered_at == 9, (path.name, cut)
+            with pytest.raises(StorageError):
+                TransparencyLog(tmp_path)
+            path.write_bytes(original)
+        assert check_integrity(tmp_path).ok
+
     def test_record_removal_is_detected(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
             fill(log, 6)
