@@ -5,7 +5,8 @@ domain-separated with one-byte prefixes so a leaf can never be reinterpreted
 as an interior node.  A growing tree is tracked by its peaks, the roots of
 its perfect subtrees from left to right, one per set bit of the leaf count
 (the "compact range" of a transparency log): ``push_peak`` adds a leaf and
-``fold_peaks`` turns the peaks into the tree root.
+``right_edge`` folds the peaks from the right into the tree root, keeping
+every partial fold.
 """
 
 from __future__ import annotations
@@ -85,15 +86,22 @@ def push_peak(peaks: list[bytes], count: int, leaf: bytes) -> list[bytes]:
     return nodes
 
 
-def fold_peaks(peaks: list[bytes]) -> bytes:
-    """Tree root from its peaks, folding from the right."""
+def right_edge(peaks: list[bytes]) -> list[bytes]:
+    """The folds of every suffix of the peaks, longest first.
+
+    Element j is the root of the leaves that ``peaks[j:]`` cover, so element
+    0 is the tree root; ``len(peaks) - 1`` hashes, an empty list for no peaks.
+    """
     if not peaks:
-        return hashlib.sha256(b"").digest()
+        return []
     nodes = reversed(peaks)
-    root = next(nodes)
+    node = next(nodes)
+    edge = [node]
     for peak in nodes:
-        root = hash_interior(peak, root)
-    return root
+        node = hash_interior(peak, node)
+        edge.append(node)
+    edge.reverse()
+    return edge
 
 
 def byte_histogram(data: bytes) -> list[int]:

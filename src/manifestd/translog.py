@@ -13,24 +13,32 @@ per perfect subtree of 2^k leaves, in append order, so level 0 is the leaf
 hashes and node i of level k covers leaves ``[i * 2^k, (i + 1) * 2^k)``.  An
 append merges the new leaf with the right-edge subtree roots ("peaks", one
 per set bit of the entry count) and records exactly the nodes it completes:
-O(log n) hashes.  Every range of the RFC 6962 split is a run of stored nodes,
-one per set bit of its length, so a historical root, an inclusion proof or a
-consistency proof (RFC 9162 format) reads O(log n) stored nodes and hashes at
-most one incomplete right-edge subtree: O(log n) hashes.  Nothing but the
-records and checkpoints is stored.
+O(log n) hashes.  The fold of the peaks from the right gives the root, and
+the log keeps every partial fold of the current tree (its "right edge").  A
+range of the RFC 6962 split whose length is a power of two is one stored
+node; any other range ends at the tree size and is an element of that
+tree's right edge.  So an inclusion or consistency proof (RFC 9162 format)
+or a root at the current size reads stored nodes only, 0 hashes, and at an
+older size m folds m's stored peaks once: at most popcount(m) - 1 hashes.
+Nothing but the records and checkpoints is stored.
+
+An open log holds one read-only descriptor on the records file; ``entry``
+reads a record with one ``os.pread`` at its stored offset and checks it
+against its stored leaf hash, so a record changed after open is refused.
 
 After every append a checkpoint line ``<tree_size> <root hex> <chain hex>``
-is persisted.  One reader, ``_read_log``, walks both files in step and owns
-their format.  Reopening replays every record once, O(n) hashes: it checks
-the framing of every record, the form and count of every checkpoint line,
-and the final root and chain.  ``check_integrity`` also compares every
-checkpoint's root and chain with the replay, O(n log n) hashes, and reports
-the first entry that fails.
+is persisted.  One reader, ``_read_log``, streams both files in step and
+owns their format; its memory does not grow with the log.  Reopening
+replays every record once, O(n) hashes: it checks the framing of every
+record, the form and count of every checkpoint line, and the final root and
+chain.  ``check_integrity`` also compares every checkpoint's root and chain
+with the replay, O(n log n) hashes, and reports the first entry that fails.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import struct
 import time
@@ -51,6 +59,9 @@ _LEN = struct.Struct(">I")
 
 #: Hard cap on one record's size; a length prefix above this is corruption.
 MAX_RECORD_BYTES = 1 << 20
+
+#: The one encoder of record bytes; ``json.dumps`` would build a new one per call.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
 
 
 @dataclass(frozen=True)
@@ -85,7 +96,7 @@ class LogEntry:
             "key_id": self.key_id,
             "appended_at": self.appended_at,
         }
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        return _RECORD_ENCODER.encode(obj).encode("utf-8")
 
     @classmethod
     def from_record(cls, data: bytes) -> "LogEntry":
@@ -139,18 +150,25 @@ class TransparencyLog:
         # element is the current end of file.
         self._offsets: list[int] = [0]
         self._peaks: list[bytes] = []
+        # _edge is _kernels.right_edge(_peaks): the roots of the suffixes of
+        # the current tree's peaks, kept by every append at no extra hash.
+        self._edge: list[bytes] = []
         self._chain: bytes = CHAIN_GENESIS
         if self._records_path.exists():
             self._replay()
         elif self._checkpoints_path.exists():
             raise StorageError(f"{self._dir}: checkpoint file present without records file")
+        opened = []
         try:
-            self._records_fh = open(self._records_path, "ab")
-            self._checkpoints_fh = open(
-                self._checkpoints_path, "a", encoding="ascii", newline="\n"
-            )
+            opened.append(open(self._records_path, "ab"))
+            opened.append(open(self._checkpoints_path, "a", encoding="ascii", newline="\n"))
+            # the one read handle: entry() reads its descriptor with os.pread
+            opened.append(open(self._records_path, "rb", buffering=0))
         except OSError as exc:
+            for fh in opened:
+                fh.close()
             raise StorageError(f"cannot open log files in {self._dir}: {exc}") from exc
+        self._records_fh, self._checkpoints_fh, self._reader = opened
 
     # -- state ------------------------------------------------------------
 
@@ -167,7 +185,7 @@ class TransparencyLog:
         return self._offsets[-1]
 
     def current_root(self) -> MerkleRoot:
-        return MerkleRoot(_kernels.fold_peaks(self._peaks), self.size)
+        return self.root_at(self.size)
 
     def chain_value(self) -> bytes:
         return self._chain
@@ -175,6 +193,7 @@ class TransparencyLog:
     def close(self) -> None:
         self._records_fh.close()
         self._checkpoints_fh.close()
+        self._reader.close()
 
     def __enter__(self) -> "TransparencyLog":
         return self
@@ -212,7 +231,8 @@ class TransparencyLog:
         chain = _kernels.chain_update(self._chain, leaf)
         peaks = list(self._peaks)
         nodes = _kernels.push_peak(peaks, index, leaf)
-        merkle = MerkleRoot(_kernels.fold_peaks(peaks), index + 1)
+        edge = _kernels.right_edge(peaks)
+        merkle = MerkleRoot(edge[0], index + 1)
         try:
             self._records_fh.write(_LEN.pack(len(record)) + record)
             self._records_fh.flush()
@@ -224,6 +244,7 @@ class TransparencyLog:
         self._store(nodes)
         self._offsets.append(self._offsets[-1] + _LEN.size + len(record))
         self._peaks = peaks
+        self._edge = edge
         self._chain = chain
         return index, merkle
 
@@ -248,31 +269,50 @@ class TransparencyLog:
         at = index * _kernels.HASH_SIZE
         return bytes(self._levels[level][at : at + _kernels.HASH_SIZE])
 
-    def _range_root(self, start: int, end: int) -> bytes:
+    def _right_edge(self, tree_size: int) -> list[bytes]:
+        """``_kernels.right_edge`` of the tree at ``tree_size``.
+
+        The current tree's is kept; an older tree's peaks are stored nodes,
+        one per set bit of its size, so its edge costs popcount - 1 hashes.
+        """
+        if tree_size == self.size:
+            return self._edge
+        peaks = [
+            self._node(level, (tree_size >> level) - 1)
+            for level in range(tree_size.bit_length() - 1, -1, -1)
+            if tree_size >> level & 1
+        ]
+        return _kernels.right_edge(peaks)
+
+    def _range_root(self, start: int, end: int, edge: list[bytes]) -> bytes:
         """Root of leaves ``[start, end)``, a range of the RFC 6962 split.
 
-        ``start`` is a multiple of a power of two no smaller than the range,
-        so the range is one stored subtree per set bit of its length, largest
-        first, and its root is their fold from the right.
+        ``start`` is a multiple of a power of two no smaller than the range.
+        A range whose length is a power of two is one stored node.  Any other
+        range ends at the tree size and covers its peaks below some level:
+        an element of the tree's right edge, which ``edge`` must be.
         """
-        nodes = []
-        while start < end:
-            level = (end - start).bit_length() - 1
-            nodes.append(self._node(level, start >> level))
-            start += 1 << level
-        return _kernels.fold_peaks(nodes)
+        length = end - start
+        if length & (length - 1):
+            return edge[len(edge) - length.bit_count()]
+        level = length.bit_length() - 1
+        return self._node(level, start >> level)
 
     def entry(self, index: int) -> LogEntry:
+        """Entry ``index``, read with one ``pread`` and checked against its leaf hash."""
         if not 0 <= index < self.size:
             raise OutOfRange(f"index {index} outside log of size {self.size}")
+        start, end = self._offsets[index], self._offsets[index + 1]
         try:
-            with open(self._records_path, "rb") as fh:
-                fh.seek(self._offsets[index])
-                header = fh.read(_LEN.size)
-                (length,) = _LEN.unpack(header)
-                record = fh.read(length)
-        except (OSError, struct.error) as exc:
+            data = os.pread(self._reader.fileno(), end - start, start)
+        except (OSError, ValueError) as exc:
+            # ValueError: the log is closed
             raise StorageError(f"cannot read record {index}: {exc}") from exc
+        if len(data) != end - start or _LEN.unpack_from(data)[0] != len(data) - _LEN.size:
+            raise StorageError(f"record {index} no longer spans its offsets")
+        record = data[_LEN.size :]
+        if _kernels.hash_leaf(record) != self._node(0, index):
+            raise StorageError(f"record {index} changed since it was appended")
         entry = LogEntry.from_record(record)
         if entry.index != index:
             raise StorageError(f"record at position {index} claims index {entry.index}")
@@ -286,28 +326,36 @@ class TransparencyLog:
     def root_at(self, tree_size: int) -> MerkleRoot:
         if not 0 <= tree_size <= self.size:
             raise OutOfRange(f"tree size {tree_size} outside log of size {self.size}")
-        return MerkleRoot(self._range_root(0, tree_size), tree_size)
+        if not tree_size:
+            return empty_root()
+        return MerkleRoot(self._right_edge(tree_size)[0], tree_size)
 
     def prove_inclusion(self, index: int, tree_size: Optional[int] = None) -> MerkleProof:
-        """Inclusion proof for entry ``index`` in the tree at ``tree_size``."""
+        """Inclusion proof for entry ``index`` in the tree at ``tree_size``.
+
+        Walks bottom-up.  The leaf lies in the peak on level ``top``, the
+        highest bit where ``index`` and ``tree_size`` differ; below it the
+        siblings are stored nodes.  Above it the sibling on the right is the
+        fold of the lower peaks, then each higher peak is a sibling on the left.
+        """
         if tree_size is None:
             tree_size = self.size
         if not 0 < tree_size <= self.size:
             raise OutOfRange(f"tree size {tree_size} outside log of size {self.size}")
         if not 0 <= index < tree_size:
             raise OutOfRange(f"index {index} outside tree of size {tree_size}")
-        # Split top-down as RFC 9162 PATH does; the sibling list is bottom-up.
+        node = self._node
+        top = (index ^ tree_size).bit_length() - 1
         path = []
-        start, end = 0, tree_size
-        while end - start > 1:
-            k = 1 << ((end - start - 1).bit_length() - 1)
-            if index < start + k:
-                path.append((self._range_root(start + k, end), 1))
-                end = start + k
-            else:
-                path.append((self._range_root(start, start + k), 0))
-                start += k
-        path.reverse()
+        for level in range(top):
+            i = index >> level
+            path.append((node(level, i ^ 1), (i & 1) ^ 1))
+        if tree_size & ((1 << top) - 1):
+            edge = self._right_edge(tree_size)
+            path.append((edge[(tree_size >> top).bit_count()], 1))
+        for level in range(top + 1, tree_size.bit_length()):
+            if tree_size >> level & 1:
+                path.append((node(level, (tree_size >> level) - 1), 0))
         return MerkleProof(leaf_index=index, tree_size=tree_size, path=tuple(path))
 
     def growth_series(self, sample_sizes: Optional[Sequence[int]] = None) -> list[tuple[int, int]]:
@@ -325,28 +373,35 @@ class TransparencyLog:
 
     # -- consistency ------------------------------------------------------
 
-    def _subproof(self, m: int, start: int, end: int, complete: bool) -> list[bytes]:
-        n = end - start
-        if m == n:
-            return [] if complete else [self._range_root(start, end)]
-        k = 1 << ((n - 1).bit_length() - 1)
-        if m <= k:
-            nodes = self._subproof(m, start, start + k, complete)
-            nodes.append(self._range_root(start + k, end))
-        else:
-            nodes = self._subproof(m - k, start + k, end, False)
-            nodes.append(self._range_root(start, start + k))
-        return nodes
-
     def prove_consistency(self, old_size: int, new_size: int) -> tuple[bytes, ...]:
-        """Proof that the tree at ``new_size`` extends the tree at ``old_size``."""
+        """Proof that the tree at ``new_size`` extends the tree at ``old_size``.
+
+        RFC 9162 SUBPROOF, unrolled: the split is walked top-down and the
+        nodes, found outermost first, are returned innermost first.
+        """
         if not 0 < old_size <= new_size <= self.size:
             raise OutOfRange(
                 f"need 0 < old <= new <= {self.size}, got old={old_size} new={new_size}"
             )
         if old_size == new_size:
             return ()
-        return tuple(self._subproof(old_size, 0, new_size, True))
+        edge = self._right_edge(new_size)
+        nodes = []
+        m, start, end, complete = old_size, 0, new_size, True
+        while m != end - start:
+            k = 1 << ((end - start - 1).bit_length() - 1)
+            if m <= k:
+                nodes.append(self._range_root(start + k, end, edge))
+                end = start + k
+            else:
+                nodes.append(self._range_root(start, start + k, edge))
+                m -= k
+                start += k
+                complete = False
+        if not complete:
+            nodes.append(self._range_root(start, end, edge))
+        nodes.reverse()
+        return tuple(nodes)
 
     # -- replay -----------------------------------------------------------
 
@@ -364,10 +419,11 @@ class TransparencyLog:
             store(push_peak(peaks, count, leaf))
             end += _LEN.size + len(record)
             offsets.append(end)
+        self._edge = _kernels.right_edge(peaks)
         self._chain = chain
         # Only the last line is compared: every root is check_integrity's work.
         if line is not None and (
-            line["root"] != self.current_root().hex.encode()
+            line["root"] != self._edge[0].hex().encode()
             or line["chain"] != chain.hex().encode()
         ):
             raise StorageError(
@@ -451,6 +507,10 @@ _CHECKPOINT_LINE = re.compile(
 )
 
 
+#: Longer than any checkpoint line, so a line is read in one bounded call.
+_MAX_LINE = 256
+
+
 def _read_log(directory: Path) -> Iterator[tuple[bytes, re.Match[bytes]]]:
     """Yield every record of a log directory with its checkpoint line, in step.
 
@@ -460,31 +520,32 @@ def _read_log(directory: Path) -> Iterator[tuple[bytes, re.Match[bytes]]]:
     substitution can leave a line that still parses to the same values.
     Both files hold the same number of entries.  Any breach raises
     ``LogDamage`` at the first entry it affects; comparing the root and chain
-    groups of a line with the replay is left to the caller.
+    groups of a line with the replay is left to the caller.  Both files are
+    streamed, so memory does not grow with the log.
     """
     try:
-        records = (directory / RECORDS_NAME).read_bytes()
-        checkpoints = (directory / CHECKPOINTS_NAME).read_bytes()
+        with open(directory / RECORDS_NAME, "rb") as records, open(
+            directory / CHECKPOINTS_NAME, "rb"
+        ) as checkpoints:
+            index = 0
+            while header := records.read(_LEN.size):
+                if len(header) < _LEN.size:
+                    raise LogDamage(index, f"truncated length prefix at record {index}")
+                (length,) = _LEN.unpack(header)
+                record = records.read(length) if length <= MAX_RECORD_BYTES else b""
+                if len(record) != length:
+                    raise LogDamage(index, f"truncated or oversized record {index}")
+                raw = checkpoints.readline(_MAX_LINE)
+                line = _CHECKPOINT_LINE.fullmatch(raw)
+                if line is None or int(line[1]) != index + 1:
+                    state = "malformed" if raw else "missing"
+                    raise LogDamage(index, f"checkpoint line {index} {state}")
+                yield record, line
+                index += 1
+            if checkpoints.read(1):
+                raise LogDamage(index, f"checkpoint line {index} has no record")
     except OSError as exc:
         raise LogDamage(None, f"cannot read log files in {directory}: {exc}") from exc
-    pos = at = index = 0
-    while pos < len(records):
-        start = pos + _LEN.size
-        if start > len(records):
-            raise LogDamage(index, f"truncated length prefix at record {index}")
-        (length,) = _LEN.unpack_from(records, pos)
-        pos = start + length
-        if length > MAX_RECORD_BYTES or pos > len(records):
-            raise LogDamage(index, f"truncated or oversized record {index}")
-        line = _CHECKPOINT_LINE.match(checkpoints, at)
-        if line is None or int(line[1]) != index + 1:
-            state = "missing" if at == len(checkpoints) else "malformed"
-            raise LogDamage(index, f"checkpoint line {index} {state}")
-        yield records[start:pos], line
-        at = line.end()
-        index += 1
-    if at < len(checkpoints):
-        raise LogDamage(index, f"checkpoint line {index} has no record")
 
 
 def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
@@ -497,8 +558,8 @@ def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     whose stored root or chain differs.  Any single-byte change to either
     file (including truncation) surfaces as a non-ok report.
     """
-    hash_leaf, chain_update, push_peak, fold_peaks = (
-        _kernels.hash_leaf, _kernels.chain_update, _kernels.push_peak, _kernels.fold_peaks
+    hash_leaf, chain_update, push_peak, right_edge = (
+        _kernels.hash_leaf, _kernels.chain_update, _kernels.push_peak, _kernels.right_edge
     )
     chain = CHAIN_GENESIS
     peaks: list[bytes] = []
@@ -513,7 +574,7 @@ def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
             push_peak(peaks, size - 1, leaf)
             if (
                 line["chain"] != chain.hex().encode()
-                or line["root"] != fold_peaks(peaks).hex().encode()
+                or line["root"] != right_edge(peaks)[0].hex().encode()
             ):
                 diverged = size - 1
     except LogDamage as exc:

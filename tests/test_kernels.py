@@ -174,7 +174,14 @@ def test_peaks_fold_to_the_oracle_root(n):
     for count, leaf in enumerate(hashes):
         _kernels.push_peak(peaks, count, leaf)
     assert len(peaks) == bin(n).count("1")
-    assert _kernels.fold_peaks(peaks) == oracle_root(hashes)
+    # element j of the right edge folds peaks[j:], the leaves after the larger
+    # peaks, so element 0 is the root
+    _kernels.reset_ops()
+    edge = _kernels.right_edge(peaks)
+    assert _kernels.ops() == max(len(peaks) - 1, 0)
+    # the peak on level k starts where n's bits above k end
+    starts = [n >> k + 1 << k + 1 for k in range(n.bit_length() - 1, -1, -1) if n >> k & 1]
+    assert edge == [oracle_root(hashes[start:]) for start in starts]
 
 
 def test_push_peak_returns_the_subtrees_each_leaf_completes():
@@ -225,7 +232,7 @@ def test_selected_backend_exports_everything():
         "chain_update",
         "fold_path",
         "push_peak",
-        "fold_peaks",
+        "right_edge",
         "byte_histogram",
         "ops",
         "reset_ops",

@@ -8,14 +8,23 @@ roots are compared byte for byte with the recursive RFC 9162 oracles of
 """
 
 import hashlib
+import json
+import os
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_kernels import oracle_leaf, oracle_path, oracle_root
+
+from manifestd import translog
 
 from manifestd import _kernels
 from manifestd.errors import OutOfRange, StorageError
-from manifestd.manifest import Manifest, digest
+from manifestd.manifest import Manifest, ManifestDigest, digest
 from manifestd.translog import (
     CHAIN_GENESIS,
     CHECKPOINTS_NAME,
@@ -151,6 +160,26 @@ class TestAppendAndRoots:
         assert LogEntry.from_record(entry.to_record()) == entry
         with pytest.raises(StorageError):
             LogEntry.from_record(b"{not json")
+
+    @settings(max_examples=300)
+    @given(
+        key_id=st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+        index=st.integers(0, 2**80),
+        appended_at=st.integers(-(2**80), 2**80),
+        signature=st.binary(max_size=80),
+    )
+    def test_record_bytes_are_json_dumps_bytes(self, key_id, index, appended_at, signature):
+        # quotes, backslashes, control and non-ASCII characters included
+        dig = ManifestDigest.from_hex("5e" * 32)
+        obj = {
+            "index": index,
+            "manifest_digest": dig.hex,
+            "signature": signature.hex(),
+            "key_id": key_id,
+            "appended_at": appended_at,
+        }
+        expected = json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        assert LogEntry(index, dig, signature, key_id, appended_at).to_record() == expected
 
     def test_oversized_record_refused_before_write(self, tmp_path):
         m = Manifest({"q": "x"}, {}, 1, "t")
@@ -294,6 +323,138 @@ class TestStoredHashReads:
                 costs += [ops_of(log.prove_consistency, m, n) for m in picks if m]
                 assert max(costs) <= 2 * (n - 1).bit_length(), n
 
+    @pytest.mark.parametrize("reopen", [False, True])
+    def test_reads_at_the_current_size_cost_no_hashes(self, tmp_path, reopen):
+        # the current tree's right edge is kept; an older tree's costs one
+        # hash per peak after its first
+        log = TransparencyLog(tmp_path)
+        for n in (1, 2, 3, 64, 100, 1023, 1024, 1025):
+            fill(log, n - log.size, start=log.size)
+            if reopen:
+                log.close()
+                log = TransparencyLog(tmp_path)
+            log.root_at(n)
+            before = _kernels.ops()
+            for i in range(n):
+                log.prove_inclusion(i)
+            for m in range(1, n + 1):
+                log.prove_consistency(m, n)
+            assert log.root_at(n) == log.current_root()
+            assert _kernels.ops() == before, n
+            for m in range(1, n):
+                before = _kernels.ops()
+                log.root_at(m)
+                assert _kernels.ops() - before == m.bit_count() - 1, (n, m)
+                before = _kernels.ops()
+                log.prove_inclusion(m // 2, m)
+                log.prove_consistency(max(1, m // 3), m)
+                assert _kernels.ops() - before <= 2 * (m.bit_count() - 1), (n, m)
+        log.close()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["append", "root", "inclusion", "consistency"]),
+                st.integers(0, 1 << 16),
+                st.integers(0, 1 << 16),
+            ),
+            max_size=80,
+        )
+    )
+    def test_reads_between_appends_match_oracle(self, ops):
+        # a kept right edge that went stale would show here: reads at the
+        # current size and at older sizes, interleaved with appends
+        with tempfile.TemporaryDirectory() as tmp, TransparencyLog(tmp) as log:
+            hashes = []
+            for op, a, b in ops:
+                n = log.size
+                if op == "append" or n == 0:
+                    fill(log, 1, start=n)
+                    hashes.append(oracle_leaf(naive_records(Path(tmp))[-1]))
+                    continue
+                size = n - b % 2 * (b % n)  # the current size half of the time
+                if op == "root":
+                    assert log.root_at(size) == MerkleRoot(oracle_root(hashes[:size]), size)
+                elif op == "inclusion":
+                    index = a % size
+                    path = oracle_path(hashes[:size], index)
+                    assert list(log.prove_inclusion(index, size).path) == path
+                else:
+                    m = 1 + a % size
+                    assert log.prove_consistency(m, size) == tuple(
+                        oracle_subproof(m, hashes[:size])
+                    )
+            assert log.current_root() == MerkleRoot(oracle_root(hashes), len(hashes))
+
+
+class TestReadHandle:
+    @pytest.mark.parametrize("offset", ["body", "length prefix"])
+    def test_entry_fails_closed_on_a_record_changed_after_open(self, tmp_path, offset):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 6)
+            start = log.growth_series([3])[0][1]
+            at = start + (_LEN.size + 10 if offset == "body" else _LEN.size - 1)
+            with open(tmp_path / RECORDS_NAME, "r+b") as fh:
+                fh.seek(at)
+                byte = fh.read(1)
+                fh.seek(at)
+                fh.write(bytes([byte[0] ^ 0x01]))
+            with pytest.raises(StorageError, match="record 3"):
+                log.entry(3)
+            assert log.entry(2).index == 2
+            assert log.entry(4).index == 4
+
+    def test_entry_fails_closed_on_a_truncated_file(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 4)
+            os.truncate(tmp_path / RECORDS_NAME, log.storage_bytes - 1)
+            with pytest.raises(StorageError, match="record 3"):
+                log.entry(3)
+            assert log.entry(2).index == 2
+
+    def test_entry_reads_what_was_just_appended(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            for i in range(5):
+                fill(log, 1, start=i)
+                assert log.entry(i).appended_at == 2_000 + i
+
+    def test_entry_after_close_raises_storage_error(self, tmp_path):
+        log = TransparencyLog(tmp_path)
+        fill(log, 2)
+        log.close()
+        with pytest.raises(StorageError):
+            log.entry(1)
+
+    def test_failed_open_closes_what_it_opened(self, tmp_path, monkeypatch):
+        opened = []
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            if mode == "rb":
+                raise PermissionError("refused")
+            fh = open(path, mode, *args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(translog, "open", failing_open, raising=False)
+        with pytest.raises(StorageError):
+            TransparencyLog(tmp_path)
+        assert len(opened) == 2
+        assert all(fh.closed for fh in opened)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_open_read_close_cycles_leak_no_descriptor(self, tmp_path):
+        def cycle(i):
+            with TransparencyLog(tmp_path) as log:
+                fill(log, 1, start=i)
+                log.entry(i)
+
+        cycle(0)
+        before = len(os.listdir("/proc/self/fd"))
+        for i in range(1, 201):
+            cycle(i)
+        assert len(os.listdir("/proc/self/fd")) == before
+
 
 class TestConsistencyProofs:
     def test_every_size_pair_verifies(self, tmp_path):
@@ -400,6 +561,23 @@ class TestPersistence:
             for n, total in series:
                 assert total == pytest.approx(n * per_entry, rel=0.01)
             assert log.storage_bytes == (tmp_path / RECORDS_NAME).stat().st_size
+
+    def test_reader_memory_does_not_grow_with_the_log(self, tmp_path):
+        # the files are streamed: only the peaks, O(log n) of them, grow
+        dig = ManifestDigest.from_hex("5e" * 32)
+        peak = {}
+        for n in (1 << 10, 1 << 14):
+            with TransparencyLog(tmp_path / str(n)) as log:
+                for i in range(n):
+                    log.append(dig, b"\x30" * 71, "k", appended_at=i)
+            tracemalloc.start()
+            try:
+                assert check_integrity(tmp_path / str(n)).ok
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak[1 << 14] < 1 << 20
+        assert peak[1 << 14] <= peak[1 << 10] + 4096
 
 
 class TestTamperDetection:
