@@ -6,7 +6,9 @@ as an interior node.  A growing tree is tracked by its peaks, the roots of
 its perfect subtrees from left to right, one per set bit of the leaf count
 (the "compact range" of a transparency log): ``push_peak`` adds a leaf and
 ``right_edge`` folds the peaks from the right into the tree root, keeping
-every partial fold.
+every partial fold.  ``hash_pairs`` and ``fold_chain`` are batch forms of
+``hash_interior`` and ``chain_update`` over packed 32-byte hashes, for
+rebuilding a whole tree from its leaf hashes.
 """
 
 from __future__ import annotations
@@ -58,6 +60,37 @@ def chain_update(prev: bytes, leaf_hash: bytes) -> bytes:
     global _ops
     _ops += 1
     return hashlib.sha256(prev + leaf_hash).digest()
+
+
+def hash_pairs(nodes) -> bytes:
+    """Interior hash of each pair of consecutive 32-byte nodes, packed.
+
+    ``nodes`` is any bytes-like object holding whole pairs; one hash per
+    pair, so the result is half its length.
+    """
+    pair = 2 * HASH_SIZE
+    if len(nodes) % pair:
+        raise ValueError("hash_pairs needs whole pairs of 32-byte digests")
+    sha256 = hashlib.sha256
+    out = b"".join(
+        [sha256(INTERIOR_PREFIX + nodes[at : at + pair]).digest()
+         for at in range(0, len(nodes), pair)]
+    )
+    global _ops
+    _ops += len(nodes) // pair
+    return out
+
+
+def fold_chain(prev: bytes, leaves) -> bytes:
+    """``chain_update`` applied to each 32-byte leaf hash packed in ``leaves``, in order."""
+    if len(prev) != HASH_SIZE or len(leaves) % HASH_SIZE:
+        raise ValueError("chain inputs must be 32-byte digests")
+    sha256 = hashlib.sha256
+    for at in range(0, len(leaves), HASH_SIZE):
+        prev = sha256(prev + leaves[at : at + HASH_SIZE]).digest()
+    global _ops
+    _ops += len(leaves) // HASH_SIZE
+    return prev
 
 
 def fold_path(leaf_hash: bytes, path: list[tuple[bytes, int]]) -> bytes:

@@ -10,6 +10,7 @@ atomically (temp file plus rename).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -58,7 +59,7 @@ from .manifest import (
 )
 from .policy import evaluate, load_policy_file
 from .stats import report_from_rows
-from .translog import TransparencyLog, check_integrity
+from .translog import LEAVES_NAME, RECORDS_NAME, TransparencyLog, check_integrity
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -108,6 +109,14 @@ def _log_dir(args) -> Path:
     if env:
         return Path(env)
     raise ConfigError(f"no log directory: pass --log-dir or set {LOG_DIR_ENV}")
+
+
+def _existing_log(args) -> TransparencyLog:
+    """The log a read-only command reads; refused, creating nothing, if absent."""
+    directory = _log_dir(args)
+    if not (directory / RECORDS_NAME).is_file():
+        raise StorageError(f"no log in {directory}: {RECORDS_NAME} is missing")
+    return TransparencyLog(directory)
 
 
 def _read_manifests(path: Path) -> list[Manifest]:
@@ -237,7 +246,7 @@ def cmd_audit(args) -> int:
     probability = float(args.probability)
     if not 0.0 <= probability <= 1.0:
         raise ConfigError(f"audit probability {probability} outside [0, 1]")
-    with TransparencyLog(_log_dir(args)) as log:
+    with _existing_log(args) as log:
         size = log.size
         root = log.current_root()
         evidence_lines: list[str] = []
@@ -429,7 +438,7 @@ def cmd_log_verify(args) -> int:
 
 
 def cmd_log_prove(args) -> int:
-    with TransparencyLog(_log_dir(args)) as log:
+    with _existing_log(args) as log:
         tree_size = args.size if args.size is not None else log.size
         proof = log.prove_inclusion(args.index, tree_size)
         root = log.root_at(tree_size)
@@ -447,7 +456,7 @@ def cmd_log_prove(args) -> int:
 
 
 def cmd_log_stats(args) -> int:
-    with TransparencyLog(_log_dir(args)) as log:
+    with _existing_log(args) as log:
         samples = None
         if args.samples:
             try:
@@ -461,6 +470,8 @@ def cmd_log_stats(args) -> int:
                 "bytes": log.storage_bytes,
                 "root": log.current_root().hex,
                 "growth": [[n, b] for n, b in series],
+                "index_bytes": (log.directory / LEAVES_NAME).stat().st_size,
+                "reopen": dataclasses.asdict(log.reopened),
             }
         )
     return EXIT_OK

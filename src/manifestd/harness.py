@@ -20,7 +20,6 @@ import enum
 import io
 import json
 import math
-import os
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,7 @@ from .errors import ConfigError, EncodingError
 from .keystore import Keystore, RejectReason, RotationPolicy
 from .manifest import Manifest, digest as manifest_digest
 from .policy import PolicyRule, PolicySet, RuleKind, Severity, evaluate
-from .translog import TransparencyLog
+from .translog import TransparencyLog, atomic_write_bytes
 
 BASELINE_DEFINITION = (
     "same requests with signing, verification, and logging elided; "
@@ -905,10 +904,7 @@ def _run_scale(
 
 def atomic_write_text(path: Union[str, Path], text: str) -> None:
     """Write ``text`` as UTF-8 to a sibling temp file, then rename it over ``path``."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
+    atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

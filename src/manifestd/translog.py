@@ -20,19 +20,34 @@ node; any other range ends at the tree size and is an element of that
 tree's right edge.  So an inclusion or consistency proof (RFC 9162 format)
 or a root at the current size reads stored nodes only, 0 hashes, and at an
 older size m folds m's stored peaks once: at most popcount(m) - 1 hashes.
-Nothing but the records and checkpoints is stored.
+
+A log directory holds three files.  ``log.records`` holds the records, each
+a 4-byte big-endian length and that many bytes.  ``log.checkpoints`` holds
+one line ``<tree_size> <root hex> <chain hex>`` per append.  ``log.leaves``,
+the index, holds level 0 of the stored hashes, 32 bytes per entry in append
+order; it is derived data, buffered one 256-leaf tile at a time and written
+out by ``close``, so it may lag behind the other two files.
 
 An open log holds one read-only descriptor on the records file; ``entry``
 reads a record with one ``os.pread`` at its stored offset and checks it
 against its stored leaf hash, so a record changed after open is refused.
 
-After every append a checkpoint line ``<tree_size> <root hex> <chain hex>``
-is persisted.  One reader, ``_read_log``, streams both files in step and
-owns their format; its memory does not grow with the log.  Reopening
-replays every record once, O(n) hashes: it checks the framing of every
-record, the form and count of every checkpoint line, and the final root and
-chain.  ``check_integrity`` also compares every checkpoint's root and chain
-with the replay, O(n log n) hashes, and reports the first entry that fails.
+Reopening frames every record (each length prefix, the record size cap, and
+that the records end exactly at the end of the file), checks that the
+checkpoints file is exactly as long as that many lines, and parses its last
+line.  It takes the leaf hashes the index holds, hashes only the records
+after them, rebuilds every level and the chain from the leaves (n - 1
+interior and n chain hashes) and compares the root and chain with the last
+line.  If they differ it retries once without the index, and if that agrees
+the index was at fault and is rewritten.  So reopening trusts nothing it
+has not checked against the last checkpoint, but it does not re-hash a
+record the index covers: a same-size change inside such a record body, or
+inside any checkpoint line but the last, does not fail reopening.  ``entry``
+refuses such a record, and ``check_integrity``, which reads only the records
+and checkpoints, reports it.  ``check_integrity`` streams both files in step
+through one reader, ``_read_log``, and compares every checkpoint's root and
+chain with a full replay, O(n log n) hashes, reporting the first entry that
+fails; its memory does not grow with the log.
 """
 
 from __future__ import annotations
@@ -42,6 +57,7 @@ import os
 import re
 import struct
 import time
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
@@ -52,6 +68,7 @@ from .manifest import ManifestDigest
 
 RECORDS_NAME = "log.records"
 CHECKPOINTS_NAME = "log.checkpoints"
+LEAVES_NAME = "log.leaves"
 
 CHAIN_GENESIS = bytes(32)
 
@@ -59,6 +76,16 @@ _LEN = struct.Struct(">I")
 
 #: Hard cap on one record's size; a length prefix above this is corruption.
 MAX_RECORD_BYTES = 1 << 20
+
+#: Leaves per tile: the index writer buffers one tile, 8 KiB, between writes.
+TILE_LEAVES = 256
+
+#: Bytes of ``log.records`` read per call while framing records.
+_CHUNK = 1 << 16
+
+#: Nodes hashed per batch call while rebuilding a level, bounding the
+#: transient memory of one call.
+_BATCH_NODES = 1 << 12
 
 #: The one encoder of record bytes; ``json.dumps`` would build a new one per call.
 _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
@@ -76,6 +103,22 @@ class MerkleRoot:
         return self.value.hex()
 
 
+def _record_bytes(
+    index: int, manifest_digest: ManifestDigest, signature: bytes, key_id: str, appended_at: int
+) -> bytes:
+    """The bytes of one record, as ``LogEntry.to_record`` returns them."""
+    # Fixed field order and compact separators: these bytes are what the
+    # leaf hash commits to, so the serialization must be stable.
+    obj = {
+        "index": index,
+        "manifest_digest": manifest_digest.hex,
+        "signature": signature.hex(),
+        "key_id": key_id,
+        "appended_at": appended_at,
+    }
+    return _RECORD_ENCODER.encode(obj).encode("utf-8")
+
+
 @dataclass(frozen=True)
 class LogEntry:
     """One appended record: digest provenance plus signing context."""
@@ -87,16 +130,9 @@ class LogEntry:
     appended_at: int
 
     def to_record(self) -> bytes:
-        # Fixed field order and compact separators: these bytes are what the
-        # leaf hash commits to, so the serialization must be stable.
-        obj = {
-            "index": self.index,
-            "manifest_digest": self.manifest_digest.hex,
-            "signature": self.signature.hex(),
-            "key_id": self.key_id,
-            "appended_at": self.appended_at,
-        }
-        return _RECORD_ENCODER.encode(obj).encode("utf-8")
+        return _record_bytes(
+            self.index, self.manifest_digest, self.signature, self.key_id, self.appended_at
+        )
 
     @classmethod
     def from_record(cls, data: bytes) -> "LogEntry":
@@ -132,43 +168,66 @@ class IntegrityReport:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class ReopenReport:
+    """What reopening a log did with its leaf-hash index.
+
+    ``index`` is ``"kept"`` when the file held exactly the verified leaves,
+    ``"extended"`` when it held fewer (missing, cut or behind the records),
+    ``"trimmed"`` when it held them and more, and ``"rebuilt"`` when its
+    leaves failed the check against the last checkpoint.  In every case but
+    the first the file has been rewritten to the verified leaves.
+    """
+
+    leaves_from_index: int
+    leaves_rehashed: int
+    index: str
+
+
 def empty_root() -> MerkleRoot:
     return MerkleRoot(_kernels.sha256(b""), 0)
 
 
 class TransparencyLog:
-    """Single-writer log over one directory; reopening replays the files."""
+    """Single-writer log over one directory, checked against its last checkpoint on reopen."""
 
     def __init__(self, directory: Union[str, Path]):
         self._dir = Path(directory)
         self._dir.mkdir(parents=True, exist_ok=True)
         self._records_path = self._dir / RECORDS_NAME
         self._checkpoints_path = self._dir / CHECKPOINTS_NAME
+        self._leaves_path = self._dir / LEAVES_NAME
         # _levels[k] holds the roots of the complete subtrees of 2^k leaves.
         self._levels: list[bytearray] = [bytearray()]
         # _offsets[i] is the file offset where record i starts; the final
         # element is the current end of file.
-        self._offsets: list[int] = [0]
+        self._offsets = array("q", [0])
         self._peaks: list[bytes] = []
         # _edge is _kernels.right_edge(_peaks): the roots of the suffixes of
         # the current tree's peaks, kept by every append at no extra hash.
         self._edge: list[bytes] = []
         self._chain: bytes = CHAIN_GENESIS
+        self._reopened: Optional[ReopenReport] = None
         if self._records_path.exists():
-            self._replay()
+            self._reopened = self._reopen()
         elif self._checkpoints_path.exists():
             raise StorageError(f"{self._dir}: checkpoint file present without records file")
         opened = []
         try:
             opened.append(open(self._records_path, "ab"))
             opened.append(open(self._checkpoints_path, "a", encoding="ascii", newline="\n"))
+            # the index holds exactly the verified leaves now, or is started afresh
+            opened.append(
+                open(self._leaves_path, "ab" if self.size else "wb",
+                     buffering=TILE_LEAVES * _kernels.HASH_SIZE)
+            )
             # the one read handle: entry() reads its descriptor with os.pread
             opened.append(open(self._records_path, "rb", buffering=0))
         except OSError as exc:
             for fh in opened:
                 fh.close()
             raise StorageError(f"cannot open log files in {self._dir}: {exc}") from exc
-        self._records_fh, self._checkpoints_fh, self._reader = opened
+        self._records_fh, self._checkpoints_fh, self._leaves_fh, self._reader = opened
 
     # -- state ------------------------------------------------------------
 
@@ -190,10 +249,17 @@ class TransparencyLog:
     def chain_value(self) -> bytes:
         return self._chain
 
+    @property
+    def reopened(self) -> Optional[ReopenReport]:
+        """What opening this log did with its index; None for a new log."""
+        return self._reopened
+
     def close(self) -> None:
         self._records_fh.close()
         self._checkpoints_fh.close()
         self._reader.close()
+        # last: writing out the buffered tail of the index can fail
+        self._leaves_fh.close()
 
     def __enter__(self) -> "TransparencyLog":
         return self
@@ -214,14 +280,7 @@ class TransparencyLog:
         if appended_at is None:
             appended_at = int(time.time() * 1000)
         index = self.size
-        entry = LogEntry(
-            index=index,
-            manifest_digest=manifest_digest,
-            signature=signature,
-            key_id=key_id,
-            appended_at=appended_at,
-        )
-        record = entry.to_record()
+        record = _record_bytes(index, manifest_digest, signature, key_id, appended_at)
         if len(record) > MAX_RECORD_BYTES:
             # refuse to write what replay would refuse to read
             raise StorageError(
@@ -238,9 +297,11 @@ class TransparencyLog:
             self._records_fh.flush()
             self._checkpoints_fh.write(f"{merkle.tree_size} {merkle.hex} {chain.hex()}\n")
             self._checkpoints_fh.flush()
+            # derived data, never flushed here: reopening checks what it holds
+            self._leaves_fh.write(leaf)
         except OSError as exc:
             raise StorageError(f"append to {self._dir} failed: {exc}") from exc
-        # Commit in-memory state only after both files took the write.
+        # Commit in-memory state only after the files took the write.
         self._store(nodes)
         self._offsets.append(self._offsets[-1] + _LEN.size + len(record))
         self._peaks = peaks
@@ -269,20 +330,22 @@ class TransparencyLog:
         at = index * _kernels.HASH_SIZE
         return bytes(self._levels[level][at : at + _kernels.HASH_SIZE])
 
-    def _right_edge(self, tree_size: int) -> list[bytes]:
-        """``_kernels.right_edge`` of the tree at ``tree_size``.
-
-        The current tree's is kept; an older tree's peaks are stored nodes,
-        one per set bit of its size, so its edge costs popcount - 1 hashes.
-        """
-        if tree_size == self.size:
-            return self._edge
-        peaks = [
+    def _stored_peaks(self, tree_size: int) -> list[bytes]:
+        """The peaks of the tree at ``tree_size``: stored nodes, one per set bit."""
+        return [
             self._node(level, (tree_size >> level) - 1)
             for level in range(tree_size.bit_length() - 1, -1, -1)
             if tree_size >> level & 1
         ]
-        return _kernels.right_edge(peaks)
+
+    def _right_edge(self, tree_size: int) -> list[bytes]:
+        """``_kernels.right_edge`` of the tree at ``tree_size``.
+
+        The current tree's is kept; an older tree's costs popcount - 1 hashes.
+        """
+        if tree_size == self.size:
+            return self._edge
+        return _kernels.right_edge(self._stored_peaks(tree_size))
 
     def _range_root(self, start: int, end: int, edge: list[bytes]) -> bytes:
         """Root of leaves ``[start, end)``, a range of the RFC 6962 split.
@@ -403,33 +466,112 @@ class TransparencyLog:
         nodes.reverse()
         return tuple(nodes)
 
-    # -- replay -----------------------------------------------------------
+    # -- reopen -----------------------------------------------------------
 
-    def _replay(self) -> None:
-        hash_leaf, chain_update, push_peak = (
-            _kernels.hash_leaf, _kernels.chain_update, _kernels.push_peak
+    def _reopen(self) -> ReopenReport:
+        """Restore the state of an existing log and bring its index in line.
+
+        The index is read up to the number of records the records file can
+        hold at most, so a runaway index costs no memory.
+        """
+        try:
+            index_bytes = self._leaves_path.stat().st_size
+        except FileNotFoundError:
+            index_bytes = 0
+        stored = min(
+            index_bytes // _kernels.HASH_SIZE, self._records_path.stat().st_size // _LEN.size
         )
-        store, peaks, offsets = self._store, self._peaks, self._offsets
-        chain = CHAIN_GENESIS
-        end = 0
         line = None
-        for count, (record, line) in enumerate(_read_log(self._dir)):
-            leaf = hash_leaf(record)
-            chain = chain_update(chain, leaf)
-            store(push_peak(peaks, count, leaf))
-            end += _LEN.size + len(record)
-            offsets.append(end)
-        self._edge = _kernels.right_edge(peaks)
-        self._chain = chain
-        # Only the last line is compared: every root is check_integrity's work.
-        if line is not None and (
-            line["root"] != self._edge[0].hex().encode()
-            or line["chain"] != chain.hex().encode()
-        ):
+        for start in [stored, 0] if stored else [0]:
+            leaves, offsets = self._leaf_level(start)
+            size = len(offsets) - 1
+            if start == stored:
+                line = _final_checkpoint(self._checkpoints_path, size)
+            levels = _levels_over(leaves)
+            self._levels, self._offsets = levels, offsets
+            peaks = self._stored_peaks(size)
+            edge = _kernels.right_edge(peaks)
+            chain = _kernels.fold_chain(CHAIN_GENESIS, leaves)
+            if line is None or (
+                line["root"] == edge[0].hex().encode() and line["chain"] == chain.hex().encode()
+            ):
+                break
+        else:
             raise StorageError(
                 f"{self._dir}: replayed state disagrees with final checkpoint; "
                 "run an integrity check"
             )
+        self._peaks, self._edge, self._chain = peaks, edge, chain
+        from_index = min(start, size)
+        if start != stored:
+            action = "rebuilt"
+        elif index_bytes == len(leaves):
+            action = "kept"
+        else:
+            action = "extended" if from_index < size else "trimmed"
+        if action != "kept":
+            try:
+                atomic_write_bytes(self._leaves_path, leaves)
+            except OSError as exc:
+                raise StorageError(f"cannot rewrite {self._leaves_path}: {exc}") from exc
+        return ReopenReport(from_index, size - from_index, action)
+
+    def _leaf_level(self, start: int) -> tuple[bytearray, array]:
+        """Frame every record; return the leaf hashes and the record offsets.
+
+        Leaves before ``start`` come from the index, the rest are hashed from
+        their records; ``start`` may exceed the number of records.
+        """
+        leaves = bytearray(start * _kernels.HASH_SIZE)
+        offsets = array("q", [0])
+        hash_leaf, append = _kernels.hash_leaf, offsets.append
+        end = 0
+        try:
+            if start:
+                with open(self._leaves_path, "rb") as fh:
+                    if fh.readinto(leaves) != len(leaves):
+                        raise OSError(f"{LEAVES_NAME} shrank while it was read")
+            with open(self._records_path, "rb") as records:
+                for index, record in enumerate(_frames(records)):
+                    end += _LEN.size + len(record)
+                    append(end)
+                    if index >= start:
+                        leaves += hash_leaf(record)
+        except OSError as exc:
+            raise LogDamage(None, f"cannot read log files in {self._dir}: {exc}") from exc
+        del leaves[(len(offsets) - 1) * _kernels.HASH_SIZE :]
+        return leaves, offsets
+
+
+def _levels_over(leaves: bytearray) -> list[bytearray]:
+    """Every level of stored hashes, level 0 being ``leaves`` itself.
+
+    Each level is hashed pairwise from the one below, ``_BATCH_NODES`` nodes
+    per batch call, straight into a level of its final size; an odd last
+    node waits for its sibling.
+    """
+    levels = [leaves]
+    batch = _BATCH_NODES * _kernels.HASH_SIZE
+    while len(levels[-1]) >= 2 * _kernels.HASH_SIZE:
+        below = levels[-1]
+        level = bytearray(len(below) // (2 * _kernels.HASH_SIZE) * _kernels.HASH_SIZE)
+        paired = 2 * len(level)
+        with memoryview(below) as view:
+            for at in range(0, paired, batch):
+                level[at // 2 : (at + batch) // 2] = _kernels.hash_pairs(
+                    view[at : min(at + batch, paired)]
+                )
+        levels.append(level)
+    return levels
+
+
+def atomic_write_bytes(path: Union[str, Path], data) -> None:
+    """Write ``data`` to a sibling temp file, then rename it over ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
 
 
 def verify_inclusion(leaf_hash: bytes, proof: MerkleProof, root: MerkleRoot) -> bool:
@@ -511,30 +653,101 @@ _CHECKPOINT_LINE = re.compile(
 _MAX_LINE = 256
 
 
-def _read_log(directory: Path) -> Iterator[tuple[bytes, re.Match[bytes]]]:
-    """Yield every record of a log directory with its checkpoint line, in step.
+def _frames(records) -> Iterator[memoryview]:
+    """Yield the body of every record of an open records file, in order.
 
     Record i is a 4-byte big-endian length, at most ``MAX_RECORD_BYTES``,
-    and that many bytes.  Checkpoint line i is exactly ``{i+1} {root hex}
-    {chain hex}`` and a newline, in lowercase hex with single spaces, so no
-    substitution can leave a line that still parses to the same values.
-    Both files hold the same number of entries.  Any breach raises
-    ``LogDamage`` at the first entry it affects; comparing the root and chain
-    groups of a line with the replay is left to the caller.  Both files are
-    streamed, so memory does not grow with the log.
+    and that many bytes, and the last record ends at the end of the file;
+    any breach raises ``LogDamage`` at the first record it affects.  The file
+    is read ``_CHUNK`` bytes at a time, or one record's worth when a record
+    is longer, so memory does not grow with the log.  A yielded body is a
+    view into the chunk that holds it.
+    """
+    data = b""
+    view = memoryview(data)
+    pos = index = 0
+    while True:
+        end = pos + _LEN.size
+        if end <= len(data):
+            (length,) = _LEN.unpack_from(data, pos)
+            if length > MAX_RECORD_BYTES:
+                raise LogDamage(index, f"truncated or oversized record {index}")
+            end += length
+            if end <= len(data):
+                yield view[pos + _LEN.size : end]
+                pos = end
+                index += 1
+                continue
+        more = records.read(max(_CHUNK, end - len(data)))
+        if not more:
+            if pos == len(data):
+                return
+            if len(data) - pos < _LEN.size:
+                raise LogDamage(index, f"truncated length prefix at record {index}")
+            raise LogDamage(index, f"truncated or oversized record {index}")
+        data = data[pos:] + more
+        view = memoryview(data)
+        pos = 0
+
+
+def _checkpoints_size(size: int) -> int:
+    """Length of the first ``size`` checkpoint lines.
+
+    Line i is the decimal i + 1, a space, 64 hex digits, a space, 64 hex
+    digits and a newline: 131 bytes and the digits of i + 1.
+    """
+    total = (2 * 2 * _kernels.HASH_SIZE + 3) * size
+    low = 1
+    while low <= size:
+        total += size - low + 1  # one more digit for every count from low on
+        low *= 10
+    return total
+
+
+def _final_checkpoint(path: Path, size: int) -> Optional[re.Match[bytes]]:
+    """The last of exactly ``size`` checkpoint lines; None when ``size`` is 0.
+
+    Only the file's length and the form of its last line are checked; every
+    other line is ``check_integrity``'s work.
+    """
+    expected = _checkpoints_size(size)
+    try:
+        with open(path, "rb") as fh:
+            length = os.fstat(fh.fileno()).st_size
+            if length != expected:
+                raise StorageError(
+                    f"{path} holds {length} bytes, not the {expected} of {size} "
+                    "checkpoint lines; run an integrity check"
+                )
+            if not size:
+                return None
+            fh.seek(_checkpoints_size(size - 1))
+            raw = fh.read(_MAX_LINE)
+    except OSError as exc:
+        raise LogDamage(None, f"cannot read log files in {path.parent}: {exc}") from exc
+    line = _CHECKPOINT_LINE.fullmatch(raw)
+    if line is None or int(line[1]) != size:
+        raise LogDamage(size - 1, f"checkpoint line {size - 1} malformed")
+    return line
+
+
+def _read_log(directory: Path) -> Iterator[tuple[memoryview, re.Match[bytes]]]:
+    """Yield every record of a log directory with its checkpoint line, in step.
+
+    Records are framed by ``_frames``.  Checkpoint line i is exactly ``{i+1}
+    {root hex} {chain hex}`` and a newline, in lowercase hex with single
+    spaces, so no substitution can leave a line that still parses to the
+    same values.  Both files hold the same number of entries.  Any breach
+    raises ``LogDamage`` at the first entry it affects; comparing the root
+    and chain groups of a line with the replay is left to the caller.  Both
+    files are streamed, so memory does not grow with the log.
     """
     try:
         with open(directory / RECORDS_NAME, "rb") as records, open(
             directory / CHECKPOINTS_NAME, "rb"
         ) as checkpoints:
             index = 0
-            while header := records.read(_LEN.size):
-                if len(header) < _LEN.size:
-                    raise LogDamage(index, f"truncated length prefix at record {index}")
-                (length,) = _LEN.unpack(header)
-                record = records.read(length) if length <= MAX_RECORD_BYTES else b""
-                if len(record) != length:
-                    raise LogDamage(index, f"truncated or oversized record {index}")
+            for record in _frames(records):
                 raw = checkpoints.readline(_MAX_LINE)
                 line = _CHECKPOINT_LINE.fullmatch(raw)
                 if line is None or int(line[1]) != index + 1:

@@ -16,7 +16,7 @@ from manifestd.cli import (
     main,
 )
 from manifestd.policy import PolicyRule, PolicySet, RuleKind, Severity, save_policy_file
-from manifestd.translog import RECORDS_NAME, TransparencyLog
+from manifestd.translog import LEAVES_NAME, RECORDS_NAME, TransparencyLog
 
 NOW = 1_755_000_000_000
 
@@ -325,6 +325,37 @@ class TestLogCommands:
         assert [n for n, _ in stats["growth"]] == [1, 3, 5]
         totals = [b for _, b in stats["growth"]]
         assert totals == sorted(totals)
+
+    def test_log_stats_reports_what_reopening_did(self, logged, capsys):
+        assert main(["log-stats", "--log-dir", str(logged)]) == EXIT_OK
+        stats = emitted(capsys)[-1]
+        assert stats["index_bytes"] == 5 * _kernels.HASH_SIZE
+        assert stats["reopen"] == {"leaves_from_index": 5, "leaves_rehashed": 0, "index": "kept"}
+        (logged / LEAVES_NAME).unlink()
+        assert main(["log-stats", "--log-dir", str(logged)]) == EXIT_OK
+        stats = emitted(capsys)[-1]
+        assert stats["reopen"] == {
+            "leaves_from_index": 0, "leaves_rehashed": 5, "index": "extended"
+        }
+        assert stats["index_bytes"] == 5 * _kernels.HASH_SIZE
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["log-stats"],
+            ["log-prove", "--index", "0"],
+            ["audit", "--probability", "1", "--seed", "1", "--out", "evidence.ndjson"],
+        ],
+    )
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_read_only_commands_create_no_log(self, tmp_path, monkeypatch, command, exists):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(LOG_DIR_ENV, raising=False)
+        log_dir = tmp_path / "no" / "log"
+        if exists:
+            log_dir.mkdir(parents=True)
+        assert main([*command, "--log-dir", str(log_dir)]) == EXIT_STORAGE
+        assert sorted(tmp_path.rglob("*")) == ([tmp_path / "no", log_dir] if exists else [])
 
     def test_missing_log_dir_exits_storage(self, tmp_path, monkeypatch):
         monkeypatch.delenv(LOG_DIR_ENV, raising=False)

@@ -210,6 +210,36 @@ def test_push_peak_hashes_once_per_merge():
     assert len(nodes) == 4 and nodes[-1] == peaks[0]
 
 
+@pytest.mark.parametrize("pairs", [0, 1, 2, 7])
+def test_hash_pairs_matches_single_interior_hashes(pairs):
+    hashes = [_kernels.sha256(d) for d in leaves_for(2 * pairs)]
+    packed = b"".join(hashes)
+    _kernels.reset_ops()
+    for nodes in (packed, bytearray(packed), memoryview(packed)):
+        assert _kernels.hash_pairs(nodes) == b"".join(
+            oracle_interior(hashes[i], hashes[i + 1]) for i in range(0, 2 * pairs, 2)
+        )
+    assert _kernels.ops() == 3 * pairs
+    with pytest.raises(ValueError):
+        _kernels.hash_pairs(packed + bytes(32))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_fold_chain_matches_chain_updates(n):
+    hashes = [_kernels.sha256(d) for d in leaves_for(n)]
+    expected = bytes(32)
+    for leaf in hashes:
+        expected = hashlib.sha256(expected + leaf).digest()
+    _kernels.reset_ops()
+    for leaves in (b"".join(hashes), memoryview(b"".join(hashes))):
+        assert _kernels.fold_chain(bytes(32), leaves) == expected
+    assert _kernels.ops() == 2 * n
+    with pytest.raises(ValueError):
+        _kernels.fold_chain(bytes(32), bytes(31))
+    with pytest.raises(ValueError):
+        _kernels.fold_chain(bytes(31), b"")
+
+
 def test_ops_counter_counts_tree_work_only():
     kern = _kernels
     kern.reset_ops()
@@ -233,6 +263,8 @@ def test_selected_backend_exports_everything():
         "fold_path",
         "push_peak",
         "right_edge",
+        "hash_pairs",
+        "fold_chain",
         "byte_histogram",
         "ops",
         "reset_ops",

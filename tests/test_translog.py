@@ -11,6 +11,8 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -28,11 +30,14 @@ from manifestd.manifest import Manifest, ManifestDigest, digest
 from manifestd.translog import (
     CHAIN_GENESIS,
     CHECKPOINTS_NAME,
+    LEAVES_NAME,
     MAX_RECORD_BYTES,
     RECORDS_NAME,
+    TILE_LEAVES,
     LogEntry,
     MerkleProof,
     MerkleRoot,
+    ReopenReport,
     TransparencyLog,
     check_integrity,
     empty_root,
@@ -439,7 +444,8 @@ class TestReadHandle:
         monkeypatch.setattr(translog, "open", failing_open, raising=False)
         with pytest.raises(StorageError):
             TransparencyLog(tmp_path)
-        assert len(opened) == 2
+        # the records, checkpoints and index writers, opened before the reader
+        assert len(opened) == 3
         assert all(fh.closed for fh in opened)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -578,6 +584,252 @@ class TestPersistence:
                 tracemalloc.stop()
         assert peak[1 << 14] < 1 << 20
         assert peak[1 << 14] <= peak[1 << 10] + 4096
+
+
+def log_state(log):
+    """Everything reopening restores: stored levels, offsets, peaks, edge, chain."""
+    return (
+        [bytes(level) for level in log._levels],
+        list(log._offsets),
+        list(log._peaks),
+        list(log._edge),
+        log.chain_value(),
+    )
+
+
+def log_reads(log):
+    """Every root, and every inclusion and consistency proof at the current size."""
+    n = log.size
+    return (
+        [log.root_at(m) for m in range(n + 1)],
+        [log.prove_inclusion(i) for i in range(n)],
+        [log.prove_consistency(m, n) for m in range(1, n + 1)],
+    )
+
+
+#: More than two full tiles of the index and a partial one.
+INDEXED = 2 * TILE_LEAVES + 88
+
+
+@pytest.fixture(scope="module")
+def indexed_log(tmp_path_factory):
+    """A closed INDEXED-entry log's files, and what a replay without index restores."""
+    directory = tmp_path_factory.mktemp("indexed")
+    with TransparencyLog(directory) as log:
+        fill(log, INDEXED)
+        live = log_state(log)
+    files = {
+        name: (directory / name).read_bytes()
+        for name in (RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME)
+    }
+    assert files[LEAVES_NAME] == b"".join(oracle_leaf(r) for r in naive_records(directory))
+    (directory / LEAVES_NAME).unlink()
+    with TransparencyLog(directory) as replayed:
+        assert replayed.reopened == ReopenReport(0, INDEXED, "extended")
+        expected = (log_state(replayed), log_reads(replayed))
+    assert expected[0] == live
+    return files, expected, check_integrity(directory)
+
+
+def reopen_with_index(files, index):
+    """Reopen the log's files with ``index`` as its index, or with none.
+
+    Returns the restored state and reads, the reopen report, the index file
+    left behind, and the integrity report afterwards.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for name in (RECORDS_NAME, CHECKPOINTS_NAME):
+            (directory / name).write_bytes(files[name])
+        if index is not None:
+            (directory / LEAVES_NAME).write_bytes(index)
+        with TransparencyLog(directory) as log:
+            restored = (log_state(log), log_reads(log))
+            report = log.reopened
+        return restored, report, (directory / LEAVES_NAME).read_bytes(), check_integrity(directory)
+
+
+class TestLeafIndex:
+    """A damaged, missing or stale ``log.leaves`` restores the no-index state and is repaired."""
+
+    def check(self, indexed_log, index, report):
+        files, expected, integrity = indexed_log
+        restored, got_report, left, got_integrity = reopen_with_index(files, index)
+        assert got_report == report
+        assert restored == expected
+        assert left == files[LEAVES_NAME]
+        assert got_integrity == integrity
+
+    def test_missing_index(self, indexed_log):
+        self.check(indexed_log, None, ReopenReport(0, INDEXED, "extended"))
+
+    def test_complete_index_is_kept(self, indexed_log):
+        files = indexed_log[0]
+        self.check(indexed_log, files[LEAVES_NAME], ReopenReport(INDEXED, 0, "kept"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_index_cut_at_any_byte(self, indexed_log, data):
+        index = indexed_log[0][LEAVES_NAME]
+        cut = data.draw(st.integers(0, len(index) - 1))
+        k = cut // _kernels.HASH_SIZE
+        self.check(indexed_log, index[:cut], ReopenReport(k, INDEXED - k, "extended"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_index_with_extra_bytes(self, indexed_log, data):
+        index = indexed_log[0][LEAVES_NAME]
+        extra = data.draw(st.binary(min_size=1, max_size=3 * _kernels.HASH_SIZE))
+        self.check(indexed_log, index + extra, ReopenReport(INDEXED, 0, "trimmed"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_index_with_any_byte_flipped(self, indexed_log, data):
+        index = bytearray(indexed_log[0][LEAVES_NAME])
+        at = data.draw(st.integers(0, len(index) - 1))
+        index[at] ^= data.draw(st.integers(1, 255))
+        self.check(indexed_log, bytes(index), ReopenReport(0, INDEXED, "rebuilt"))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_index_with_two_leaves_swapped(self, indexed_log, data):
+        index = indexed_log[0][LEAVES_NAME]
+        leaves = [index[at : at + 32] for at in range(0, len(index), 32)]
+        i = data.draw(st.integers(0, INDEXED - 1))
+        j = data.draw(st.integers(0, INDEXED - 1).filter(lambda j: j != i))
+        leaves[i], leaves[j] = leaves[j], leaves[i]
+        self.check(indexed_log, b"".join(leaves), ReopenReport(0, INDEXED, "rebuilt"))
+
+    def test_crash_after_the_checkpoint_before_the_index_is_written(self, indexed_log, tmp_path):
+        # the writer dies without closing: the buffered tail of the index is lost
+        files = indexed_log[0]
+        script = (
+            "import os, sys\n"
+            "from test_translog import fill\n"
+            "from manifestd.translog import TransparencyLog\n"
+            "log = TransparencyLog(sys.argv[1])\n"
+            f"fill(log, {INDEXED})\n"
+            "os._exit(0)\n"
+        )
+        package_root = Path(translog.__file__).resolve().parent.parent
+        path = os.pathsep.join([str(package_root), str(Path(__file__).parent)])
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+            timeout=120,
+        )
+        for name in (RECORDS_NAME, CHECKPOINTS_NAME):
+            assert (tmp_path / name).read_bytes() == files[name]
+        written = (tmp_path / LEAVES_NAME).read_bytes()
+        # whole tiles only, and not the last, partial one
+        assert len(written) == INDEXED // TILE_LEAVES * TILE_LEAVES * _kernels.HASH_SIZE
+        assert files[LEAVES_NAME].startswith(written)
+        k = len(written) // _kernels.HASH_SIZE
+        self.check(indexed_log, written, ReopenReport(k, INDEXED - k, "extended"))
+
+    def test_index_follows_appends_after_a_reopen(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 300)
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 300, start=300)
+        leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
+        assert (tmp_path / LEAVES_NAME).read_bytes() == leaves
+        with TransparencyLog(tmp_path) as log:
+            assert log.reopened == ReopenReport(600, 0, "kept")
+
+    @pytest.mark.parametrize("empty_records", [False, True])
+    def test_a_new_log_drops_a_stale_index(self, tmp_path, empty_records):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 5)
+        for name in (RECORDS_NAME, CHECKPOINTS_NAME):
+            (tmp_path / name).unlink()
+        if empty_records:
+            (tmp_path / RECORDS_NAME).write_bytes(b"")
+            (tmp_path / CHECKPOINTS_NAME).write_bytes(b"")
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 3)
+        with TransparencyLog(tmp_path) as log:
+            assert log.reopened == ReopenReport(3, 0, "kept")
+            assert log.current_root().value == naive_root(naive_records(tmp_path))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, TILE_LEAVES - 1, TILE_LEAVES, TILE_LEAVES + 1, 1000])
+    def test_reopen_hash_costs(self, tmp_path, monkeypatch, n):
+        # with a complete index no record is hashed: n - 1 interior hashes
+        # rebuild the tree and n chain hashes the chain
+        with TransparencyLog(tmp_path) as log:
+            fill(log, n)
+        hash_leaf = _kernels.hash_leaf
+        leaf_hashes = []
+        monkeypatch.setattr(_kernels, "hash_leaf", lambda d: leaf_hashes.append(d) or hash_leaf(d))
+        before = _kernels.ops()
+        with TransparencyLog(tmp_path) as log:
+            assert _kernels.ops() - before == (n - 1) + n
+            assert log.reopened == ReopenReport(n, 0, "kept")
+        assert leaf_hashes == []
+        (tmp_path / LEAVES_NAME).unlink()
+        before = _kernels.ops()
+        with TransparencyLog(tmp_path) as log:
+            assert _kernels.ops() - before == n + (n - 1) + n
+        assert len(leaf_hashes) == n
+
+    def test_same_size_record_change_reopens_but_is_refused(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 12)
+            at = log.growth_series([5])[0][1] + _LEN.size + 10
+        with open(tmp_path / RECORDS_NAME, "r+b") as fh:
+            fh.seek(at)
+            byte = fh.read(1)
+            fh.seek(at)
+            fh.write(bytes([byte[0] ^ 0x01]))
+        with TransparencyLog(tmp_path) as log:
+            assert log.reopened == ReopenReport(12, 0, "kept")
+            with pytest.raises(StorageError, match="record 5"):
+                log.entry(5)
+            assert log.entry(4).index == 4 and log.entry(6).index == 6
+        assert check_integrity(tmp_path).tampered_at == 5
+
+    def test_same_size_checkpoint_change_reopens_but_is_reported(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 12)
+            root = log.current_root()
+        path = tmp_path / CHECKPOINTS_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[4] = lines[4][:-2] + (b"0" if lines[4][-2:-1] != b"0" else b"1") + b"\n"
+        path.write_bytes(b"".join(lines))
+        with TransparencyLog(tmp_path) as log:
+            assert log.current_root() == root
+        assert check_integrity(tmp_path).tampered_at == 4
+
+    @pytest.mark.parametrize("change", ["removed", "doubled"])
+    def test_reopen_refuses_a_middle_line_removed_or_doubled(self, tmp_path, change):
+        # the last line still reads right; only the file's length shows it
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 12)
+        path = tmp_path / CHECKPOINTS_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[5:6] = [] if change == "removed" else [lines[5]] * 2
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(StorageError, match="checkpoint lines"):
+            TransparencyLog(tmp_path)
+        assert check_integrity(tmp_path).tampered_at == 5 + (change == "doubled")
+
+    def test_reopen_memory_is_below_the_full_replay(self, tmp_path):
+        # the full record replay this replaced peaked at 1.79 MB here on
+        # Python 3.11; the index adds no copy of a whole level
+        dig = ManifestDigest.from_hex("5e" * 32)
+        with TransparencyLog(tmp_path) as log:
+            for i in range(1 << 14):
+                log.append(dig, b"\x30" * 71, "k", appended_at=i)
+        tracemalloc.start()
+        try:
+            log = TransparencyLog(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log.close()
+        assert log.reopened == ReopenReport(1 << 14, 0, "kept")
+        assert peak <= 1_800_000
 
 
 class TestTamperDetection:
