@@ -129,11 +129,15 @@ def machine() -> dict:
 
 
 def git_commit(path: Path) -> str | None:
-    """HEAD of the checkout at ``path``, with ``-dirty`` if its sources differ from it."""
+    """HEAD of the checkout at ``path``, with ``-dirty`` if its sources differ from it.
+
+    ``path`` is the root of a checkout or its ``src`` directory.
+    """
+    sources = "src" if (path / "src").is_dir() else "."
     try:
         head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=path,
                               capture_output=True, text=True, check=True).stdout.strip()
-        dirty = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=path,
+        dirty = subprocess.run(["git", "status", "--porcelain", "--", sources], cwd=path,
                                capture_output=True, text=True, check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None

@@ -8,7 +8,9 @@ its perfect subtrees from left to right, one per set bit of the leaf count
 ``right_edge`` folds the peaks from the right into the tree root, keeping
 every partial fold.  ``hash_pairs`` and ``fold_chain`` are batch forms of
 ``hash_interior`` and ``chain_update`` over packed 32-byte hashes, for
-rebuilding a whole tree from its leaf hashes.
+rebuilding a whole tree from its leaf hashes; ``prefix_roots`` is the batch
+form of ``chain_update``, ``push_peak`` and ``right_edge`` together, giving
+the root and chain value at every size while leaves are added.
 """
 
 from __future__ import annotations
@@ -135,6 +137,52 @@ def right_edge(peaks: list[bytes]) -> list[bytes]:
         edge.append(node)
     edge.reverse()
     return edge
+
+
+def prefix_roots(
+    peaks: list[bytes], count: int, chain: bytes, leaves: list[bytes]
+) -> tuple[list[bytes], list[bytes]]:
+    """The tree root and the chain value after each of ``leaves``, added in order.
+
+    ``peaks`` are those of a tree holding ``count`` leaves, as ``push_peak``
+    keeps them, and are updated in place; ``chain`` is the chain value at
+    ``count``.  Each leaf costs exactly the hashes of ``chain_update``,
+    ``push_peak`` and ``right_edge``: one chain hash, one per merge, and
+    popcount(size) - 1 to fold the root.  Each peak is also held as a SHA-256
+    state that has taken the interior prefix and the peak, so a merge or fold
+    copies that state and adds the right child.
+    """
+    sha256 = hashlib.sha256
+    left = [sha256(INTERIOR_PREFIX + peak) for peak in peaks]
+    roots, chains = [], []
+    # a chain hash per leaf, and the merges: a tree of m leaves has merged
+    # m - popcount(m) times
+    end = count + len(leaves)
+    hashes = len(leaves) + (end - end.bit_count()) - (count - count.bit_count())
+    for leaf in leaves:
+        chain = sha256(chain + leaf).digest()
+        node = leaf
+        trailing = count
+        while trailing & 1:
+            peaks.pop()
+            merge = left.pop().copy()
+            merge.update(node)
+            node = merge.digest()
+            trailing >>= 1
+        count += 1
+        root = node
+        for peak in reversed(left):
+            fold = peak.copy()
+            fold.update(root)
+            root = fold.digest()
+        hashes += len(left)
+        peaks.append(node)
+        left.append(sha256(INTERIOR_PREFIX + node))
+        roots.append(root)
+        chains.append(chain)
+    global _ops
+    _ops += hashes
+    return roots, chains
 
 
 def byte_histogram(data: bytes) -> list[int]:

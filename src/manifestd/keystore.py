@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -30,6 +29,7 @@ from .errors import (
     UnknownKey,
 )
 from .manifest import Manifest, ManifestDigest, digest as manifest_digest
+from .translog import atomic_write_bytes
 
 DEFAULT_SCHEME = "ecdsa-p256"
 
@@ -301,13 +301,9 @@ class Keystore:
                 }
             )
         payload = json.dumps({"version": 1, "scheme": self._scheme.name, "keys": keys}, indent=2)
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-            os.replace(tmp, path)
+            # the file holds the private keys: owner-only, whatever was there before
+            atomic_write_bytes(path, (payload + "\n").encode("utf-8"), mode=0o600)
         except OSError as exc:
             raise StorageError(f"cannot write keystore {path}: {exc}") from exc
 

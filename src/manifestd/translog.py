@@ -44,10 +44,20 @@ has not checked against the last checkpoint, but it does not re-hash a
 record the index covers: a same-size change inside such a record body, or
 inside any checkpoint line but the last, does not fail reopening.  ``entry``
 refuses such a record, and ``check_integrity``, which reads only the records
-and checkpoints, reports it.  ``check_integrity`` streams both files in step
-through one reader, ``_read_log``, and compares every checkpoint's root and
-chain with a full replay, O(n log n) hashes, reporting the first entry that
-fails; its memory does not grow with the log.
+and checkpoints, reports it.
+
+``check_integrity`` compares every checkpoint's root and chain with a full
+replay, O(n log n) hashes, and reports the first entry that fails; its
+memory does not grow with the log.  It works a tile of ``TILE_LEAVES``
+entries at a time: it frames and hashes the tile's records, computes the
+root and chain at every size in the tile in one ``_kernels.prefix_roots``
+call, and compares the checkpoint lines ``append`` would have written with
+the same bytes of the checkpoints file.  A line has exactly one valid form,
+so one byte compare checks every line's form, size, root and chain, and the
+hashes are exactly those of an entry-by-entry replay.  Only at the first
+tile that fails to frame or compare does the entry-by-entry reader,
+``_read_log``, take over, from that tile's first entry and with its peaks
+and chain, to name the first bad entry.
 """
 
 from __future__ import annotations
@@ -58,7 +68,9 @@ import re
 import struct
 import time
 from array import array
+from binascii import hexlify
 from dataclasses import dataclass
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -565,11 +577,20 @@ def _levels_over(leaves: bytearray) -> list[bytearray]:
     return levels
 
 
-def atomic_write_bytes(path: Union[str, Path], data) -> None:
-    """Write ``data`` to a sibling temp file, then rename it over ``path``."""
+def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
+    """Write ``data`` to a new sibling temp file, then rename it over ``path``.
+
+    The temp file is created afresh with ``mode`` (less the umask): a stale
+    one left by an earlier crash is removed first, so its mode, and so the
+    mode of ``path``, is never inherited from it.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
+    try:
+        os.unlink(tmp)
+    except FileNotFoundError:
+        pass
+    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
 
@@ -653,19 +674,20 @@ _CHECKPOINT_LINE = re.compile(
 _MAX_LINE = 256
 
 
-def _frames(records) -> Iterator[memoryview]:
+def _frames(records, index: int = 0) -> Iterator[memoryview]:
     """Yield the body of every record of an open records file, in order.
 
-    Record i is a 4-byte big-endian length, at most ``MAX_RECORD_BYTES``,
-    and that many bytes, and the last record ends at the end of the file;
-    any breach raises ``LogDamage`` at the first record it affects.  The file
-    is read ``_CHUNK`` bytes at a time, or one record's worth when a record
-    is longer, so memory does not grow with the log.  A yielded body is a
-    view into the chunk that holds it.
+    The file is positioned at record ``index``.  Record i is a 4-byte
+    big-endian length, at most ``MAX_RECORD_BYTES``, and that many bytes, and
+    the last record ends at the end of the file; any breach raises
+    ``LogDamage`` at the first record it affects.  The file is read
+    ``_CHUNK`` bytes at a time, or one record's worth when a record is
+    longer, so memory does not grow with the log.  A yielded body is a view
+    into the chunk that holds it.
     """
     data = b""
     view = memoryview(data)
-    pos = index = 0
+    pos = 0
     while True:
         end = pos + _LEN.size
         if end <= len(data):
@@ -731,34 +753,30 @@ def _final_checkpoint(path: Path, size: int) -> Optional[re.Match[bytes]]:
     return line
 
 
-def _read_log(directory: Path) -> Iterator[tuple[memoryview, re.Match[bytes]]]:
-    """Yield every record of a log directory with its checkpoint line, in step.
+def _read_log(
+    records, checkpoints, index: int
+) -> Iterator[tuple[memoryview, re.Match[bytes]]]:
+    """Yield every record of the open log files with its checkpoint line, in step.
 
-    Records are framed by ``_frames``.  Checkpoint line i is exactly ``{i+1}
-    {root hex} {chain hex}`` and a newline, in lowercase hex with single
-    spaces, so no substitution can leave a line that still parses to the
-    same values.  Both files hold the same number of entries.  Any breach
-    raises ``LogDamage`` at the first entry it affects; comparing the root
-    and chain groups of a line with the replay is left to the caller.  Both
-    files are streamed, so memory does not grow with the log.
+    Both files are positioned at entry ``index``, which the first yielded
+    pair belongs to.  Records are framed by ``_frames``.  Checkpoint line i
+    is exactly ``{i+1} {root hex} {chain hex}`` and a newline, in lowercase
+    hex with single spaces, so no substitution can leave a line that still
+    parses to the same values.  Both files hold the same number of entries.
+    Any breach raises ``LogDamage`` at the first entry it affects; comparing
+    the root and chain groups of a line with the replay is left to the
+    caller.  Both files are streamed, so memory does not grow with the log.
     """
-    try:
-        with open(directory / RECORDS_NAME, "rb") as records, open(
-            directory / CHECKPOINTS_NAME, "rb"
-        ) as checkpoints:
-            index = 0
-            for record in _frames(records):
-                raw = checkpoints.readline(_MAX_LINE)
-                line = _CHECKPOINT_LINE.fullmatch(raw)
-                if line is None or int(line[1]) != index + 1:
-                    state = "malformed" if raw else "missing"
-                    raise LogDamage(index, f"checkpoint line {index} {state}")
-                yield record, line
-                index += 1
-            if checkpoints.read(1):
-                raise LogDamage(index, f"checkpoint line {index} has no record")
-    except OSError as exc:
-        raise LogDamage(None, f"cannot read log files in {directory}: {exc}") from exc
+    for record in _frames(records, index):
+        raw = checkpoints.readline(_MAX_LINE)
+        line = _CHECKPOINT_LINE.fullmatch(raw)
+        if line is None or int(line[1]) != index + 1:
+            state = "malformed" if raw else "missing"
+            raise LogDamage(index, f"checkpoint line {index} {state}")
+        yield record, line
+        index += 1
+    if checkpoints.read(1):
+        raise LogDamage(index, f"checkpoint line {index} has no record")
 
 
 def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
@@ -770,16 +788,81 @@ def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     reported first, at the entry where it starts; otherwise the first entry
     whose stored root or chain differs.  Any single-byte change to either
     file (including truncation) surfaces as a non-ok report.
+
+    The check runs a tile of ``TILE_LEAVES`` entries at a time: it frames
+    and hashes the tile's records, computes the root and chain at every size
+    in the tile with ``_kernels.prefix_roots``, builds the checkpoint lines
+    ``append`` would have written for them and compares those bytes with the
+    same range of the checkpoints file.  A line has one valid form, so equal
+    bytes check the form, the size, the root and the chain at once, with the
+    same hashes as an entry-by-entry replay.  At the first tile whose records
+    fail to frame or whose lines differ, the entry-by-entry reader
+    ``_read_log`` takes over from the tile's first entry, seeded with its
+    peaks and chain, to find and name the first bad entry.
+    """
+    directory = Path(directory)
+    try:
+        with open(directory / RECORDS_NAME, "rb") as records, open(
+            directory / CHECKPOINTS_NAME, "rb"
+        ) as checkpoints:
+            return _check_tiles(records, checkpoints)
+    except OSError as exc:
+        return IntegrityReport(False, None, f"cannot read log files in {directory}: {exc}")
+
+
+def _check_tiles(records, checkpoints) -> IntegrityReport:
+    """``check_integrity`` over the open log files, a tile at a time."""
+    hash_leaf, prefix_roots = _kernels.hash_leaf, _kernels.prefix_roots
+    frames = _frames(records)
+    peaks: list[bytes] = []
+    chain = CHAIN_GENESIS
+    size = records_at = 0
+    while True:
+        tile_peaks = list(peaks)
+        leaves = []
+        spanned = 0
+        try:
+            for record in islice(frames, TILE_LEAVES):
+                leaves.append(hash_leaf(record))
+                spanned += _LEN.size + len(record)
+        except LogDamage:
+            break
+        roots, chains = prefix_roots(peaks, size, chain, leaves)
+        expected = b"".join(
+            [
+                b"%d %s %s\n" % (tree_size, hexlify(root), hexlify(value))
+                for tree_size, root, value in zip(count(size + 1), roots, chains)
+            ]
+        )
+        if checkpoints.read(len(expected)) != expected:
+            break
+        if len(leaves) < TILE_LEAVES:
+            if checkpoints.read(1):
+                break
+            return IntegrityReport(True, None, f"{size + len(leaves)} entries verified")
+        size += len(leaves)
+        records_at += spanned
+        chain = chains[-1]
+    records.seek(records_at)
+    checkpoints.seek(_checkpoints_size(size))
+    return _check_entries(records, checkpoints, size, tile_peaks, chain)
+
+
+def _check_entries(
+    records, checkpoints, size: int, peaks: list[bytes], chain: bytes
+) -> IntegrityReport:
+    """``check_integrity`` entry by entry, from entry ``size`` of the open files on.
+
+    ``peaks`` and ``chain`` are the tree's and chain's state at ``size``.
+    The first ``LogDamage`` outranks a divergence, so the files are read to
+    the end.
     """
     hash_leaf, chain_update, push_peak, right_edge = (
         _kernels.hash_leaf, _kernels.chain_update, _kernels.push_peak, _kernels.right_edge
     )
-    chain = CHAIN_GENESIS
-    peaks: list[bytes] = []
-    size = 0
     diverged: Optional[int] = None
     try:
-        for size, (record, line) in enumerate(_read_log(Path(directory)), 1):
+        for size, (record, line) in enumerate(_read_log(records, checkpoints, size), size + 1):
             if diverged is not None:
                 continue
             leaf = hash_leaf(record)

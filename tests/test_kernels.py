@@ -240,6 +240,29 @@ def test_fold_chain_matches_chain_updates(n):
         _kernels.fold_chain(bytes(31), b"")
 
 
+@pytest.mark.parametrize("count", [0, 1, 5, 7, 8, 255, 256])
+@pytest.mark.parametrize("batch", [0, 1, 2, 9, 256, 257])
+def test_prefix_roots_does_the_hashes_of_a_push_and_fold_per_leaf(count, batch):
+    hashes = [_kernels.sha256(d) for d in leaves_for(count + batch)]
+    peaks, chain = [], bytes(32)
+    for size, leaf in enumerate(hashes[:count]):
+        _kernels.push_peak(peaks, size, leaf)
+        chain = _kernels.chain_update(chain, leaf)
+    start_chain, expected_peaks, roots, chains = chain, list(peaks), [], []
+    _kernels.reset_ops()
+    for size, leaf in enumerate(hashes[count:], count):
+        chain = _kernels.chain_update(chain, leaf)
+        _kernels.push_peak(expected_peaks, size, leaf)
+        roots.append(_kernels.right_edge(expected_peaks)[0])
+        chains.append(chain)
+    per_leaf = _kernels.ops()
+    _kernels.reset_ops()
+    assert _kernels.prefix_roots(peaks, count, start_chain, hashes[count:]) == (roots, chains)
+    assert _kernels.ops() == per_leaf
+    assert peaks == expected_peaks
+    assert roots == [oracle_root(hashes[:size]) for size in range(count + 1, count + batch + 1)]
+
+
 def test_ops_counter_counts_tree_work_only():
     kern = _kernels
     kern.reset_ops()
@@ -265,6 +288,7 @@ def test_selected_backend_exports_everything():
         "right_edge",
         "hash_pairs",
         "fold_chain",
+        "prefix_roots",
         "byte_histogram",
         "ops",
         "reset_ops",

@@ -251,6 +251,26 @@ class TestPersistence:
         ks.save(path)
         assert (path.stat().st_mode & 0o777) == 0o600
 
+    def test_stale_temp_file_does_not_widen_the_mode(self, tmp_path):
+        # a crash can leave the temp file behind, readable by everyone
+        path = tmp_path / "keys.json"
+        stale = tmp_path / "keys.json.tmp"
+        stale.write_text("stale", encoding="utf-8")
+        stale.chmod(0o644)
+        ks = Keystore()
+        ks.keygen("k1")
+        ks.save(path)
+        assert (path.stat().st_mode & 0o777) == 0o600
+        assert not stale.exists()
+        assert Keystore.load(path).handle("k1").key_id == "k1"
+
+    def test_unwritable_temp_path_is_a_storage_error(self, tmp_path):
+        (tmp_path / "keys.json.tmp").mkdir()
+        ks = Keystore()
+        ks.keygen("k1")
+        with pytest.raises(StorageError):
+            ks.save(tmp_path / "keys.json")
+
     def test_passphrase_round_trip(self, tmp_path):
         path = tmp_path / "keys.pem"
         ks = Keystore("ed25519")

@@ -1,8 +1,9 @@
 """Repository hygiene: git tracks no ignored file; the benchmark's gate trips;
-every hash kernel has a caller."""
+the scripts under benchmarks/ run; every hash kernel has a caller."""
 
 import ast
 import inspect
+import json
 import shutil
 import subprocess
 import sys
@@ -41,6 +42,34 @@ def test_benchmark_selftest_passes():
         timeout=300,
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+
+
+BENCH_SCRIPTS = sorted(p.name for p in (ROOT / "benchmarks").glob("bench_*.py"))
+
+
+@pytest.mark.skipif(not (ROOT / "benchmarks").is_dir(), reason="needs the benchmarks directory")
+@pytest.mark.parametrize("script", BENCH_SCRIPTS)
+def test_benchmark_script_runs_and_records_both_sides(script, tmp_path):
+    # this checkout stands in for the parent: the figures must be there, not differ
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, f"benchmarks/{script}", "--parent", "src", "--sizes", "300",
+         "--repeats", "1", "--out", str(out)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [row["entries"] for row in rows] == [300]
+    for row in rows:
+        sides = [side for side in row if side == "parent" or side.startswith("change")]
+        assert "parent" in sides and len(sides) >= 2, sorted(row)
+        for side in sides:
+            timings = [v for k, v in row[side].items() if k.endswith("_s")]
+            assert timings and all(t["median"] > 0 for t in timings), row[side]
+            assert row[side]["hashes"] > 0
 
 
 def test_every_kernel_has_a_caller_in_the_package():

@@ -8,8 +8,10 @@ roots are compared byte for byte with the recursive RFC 9162 oracles of
 """
 
 import hashlib
+import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -977,3 +979,196 @@ class TestTamperDetection:
         # folding adds the peak count. A naive rebuild would cost ~n per
         # append, three orders of magnitude more at this size.
         assert per_append < 15
+
+
+#: A checkpoint line exactly as ``append`` writes it, for the reference replay.
+_REFERENCE_LINE = re.compile(rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64}) (?P<chain>[0-9a-f]{64})\n")
+
+
+class _Damaged(Exception):
+    def __init__(self, index):
+        super().__init__(index)
+        self.index = index
+
+
+def _reference_frames(data):
+    """The records of a records file in order; ``_Damaged`` at the first one that breaks."""
+    pos = index = 0
+    while pos < len(data):
+        if len(data) - pos < _LEN.size:
+            raise _Damaged(index)
+        (length,) = _LEN.unpack_from(data, pos)
+        end = pos + _LEN.size + length
+        if length > MAX_RECORD_BYTES or end > len(data):
+            raise _Damaged(index)
+        yield data[pos + _LEN.size : end]
+        pos, index = end, index + 1
+
+
+def reference_check(directory):
+    """``(ok, tampered_at)`` of the entry-by-entry replay ``check_integrity`` was before tiles.
+
+    Each record is framed, its line parsed and its root and chain compared in
+    step; the first framing or line damage outranks the first divergence.
+    """
+    try:
+        records = (directory / RECORDS_NAME).read_bytes()
+        checkpoints = io.BytesIO((directory / CHECKPOINTS_NAME).read_bytes())
+    except OSError:
+        return False, None
+    chain, peaks, diverged, index = CHAIN_GENESIS, [], None, 0
+    try:
+        for record in _reference_frames(records):
+            line = _REFERENCE_LINE.fullmatch(checkpoints.readline(256))
+            if line is None or int(line[1]) != index + 1:
+                return False, index
+            if diverged is None:
+                leaf = hashlib.sha256(b"\x00" + record).digest()
+                chain = hashlib.sha256(chain + leaf).digest()
+                _kernels.push_peak(peaks, index, leaf)
+                if (line["root"], line["chain"]) != (
+                    _kernels.right_edge(peaks)[0].hex().encode(), chain.hex().encode()
+                ):
+                    diverged = index
+            index += 1
+    except _Damaged as exc:
+        return False, exc.index
+    if checkpoints.read(1):
+        return False, index
+    return diverged is None, diverged
+
+
+#: Three tiles and a few entries more.
+TILED = 3 * TILE_LEAVES + 4
+
+
+@pytest.fixture(scope="module")
+def tiled_log(tmp_path_factory):
+    """The records and checkpoint lines of a closed TILED-entry log."""
+    directory = tmp_path_factory.mktemp("tiled")
+    with TransparencyLog(directory) as log:
+        fill(log, TILED)
+    records = naive_records(directory)
+    lines = (directory / CHECKPOINTS_NAME).read_bytes().splitlines(keepends=True)
+    assert len(records) == len(lines) == TILED
+    return records, lines
+
+
+def damaged(records, lines, kind, entry, at):
+    """The two files of a log of ``records`` and ``lines``, damaged once at ``entry``.
+
+    ``at`` picks a byte of the entry's framed record or line where the kind
+    needs one.
+    """
+    framed = [_LEN.pack(len(r)) + r for r in records]
+    lines = list(lines)
+    if kind == "record flip":
+        blob = bytearray(framed[entry])
+        blob[at % len(blob)] ^= 0x01
+        framed[entry] = bytes(blob)
+    elif kind == "record cut":
+        framed[entry] = framed[entry][: at % len(framed[entry])]
+        del framed[entry + 1 :]
+    elif kind == "line cut":
+        lines[entry] = lines[entry][: at % len(lines[entry])]
+        del lines[entry + 1 :]
+    elif kind == "line byte":
+        line = bytearray(lines[entry])
+        pos = at % len(line)
+        # a case flip or a whitespace swap, or any other byte
+        line[pos] = b" \t"[line[pos] == 0x20] if at % 3 == 0 else (line[pos] ^ (at % 255 + 1))
+        lines[entry] = bytes(line)
+    elif kind == "line removed":
+        del lines[entry]
+    elif kind == "line doubled":
+        lines.insert(entry, lines[entry])
+    elif kind == "record swap":
+        other = entry + 1 if entry + 1 < len(framed) else entry - 1
+        framed[entry], framed[other] = framed[other], framed[entry]
+    else:
+        raise AssertionError(kind)
+    return b"".join(framed), b"".join(lines)
+
+
+DAMAGE_KINDS = (
+    "record flip", "record cut", "line cut", "line byte", "line removed", "line doubled",
+    "record swap",
+)
+
+
+def check_both(records_blob, checkpoints_blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        (directory / RECORDS_NAME).write_bytes(records_blob)
+        (directory / CHECKPOINTS_NAME).write_bytes(checkpoints_blob)
+        report = check_integrity(directory)
+        return (report.ok, report.tampered_at), reference_check(directory)
+
+
+class TestTileCheck:
+    """``check_integrity`` a tile at a time: the same hashes and the same reports."""
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 1025])
+    def test_hash_count_is_the_entry_by_entry_count(self, tmp_path, n):
+        dig = ManifestDigest.from_hex("a7" * 32)
+        with TransparencyLog(tmp_path) as log:
+            for i in range(n):
+                log.append(dig, b"\x30" * 71, "k", appended_at=i)
+        before = _kernels.ops()
+        assert check_integrity(tmp_path).ok
+        # a leaf and a chain hash per entry, n - popcount(n) merges in all,
+        # and popcount(m) - 1 folds for the root at every size m
+        folds = sum(m.bit_count() - 1 for m in range(1, n + 1))
+        assert _kernels.ops() - before == 3 * n - n.bit_count() + folds
+
+    @pytest.mark.parametrize("n", [0, 1, TILE_LEAVES - 1, TILE_LEAVES, TILE_LEAVES + 1, TILED])
+    def test_clean_prefixes_verify(self, tiled_log, n):
+        records, lines = tiled_log
+        framed = b"".join(_LEN.pack(len(r)) + r for r in records[:n])
+        got, want = check_both(framed, b"".join(lines[:n]))
+        assert got == want == (True, None)
+
+    @pytest.mark.parametrize("n", [TILE_LEAVES, TILE_LEAVES + 1])
+    @pytest.mark.parametrize("kind", DAMAGE_KINDS)
+    def test_damage_next_to_a_tile_boundary_is_reported_as_before(self, tiled_log, n, kind):
+        records, lines = tiled_log
+        for entry in range(TILE_LEAVES - 2, min(TILE_LEAVES + 2, n)):
+            for at in (0, 3, 5, 40, 130):
+                got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
+                assert got == want, (kind, entry, at)
+                assert not got[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_damage_is_reported_as_before(self, tiled_log, data):
+        records, lines = tiled_log
+        kind = data.draw(st.sampled_from(DAMAGE_KINDS), label="kind")
+        # a swap needs two records
+        n = data.draw(st.integers(2 if kind == "record swap" else 1, TILED), label="entries")
+        near_boundary = [
+            tile + step
+            for tile in range(TILE_LEAVES, TILED, TILE_LEAVES)
+            for step in (-2, -1, 0, 1)
+            if tile + step < n
+        ]
+        entry = data.draw(
+            st.sampled_from(near_boundary) if near_boundary and data.draw(st.booleans())
+            else st.integers(0, n - 1),
+            label="entry",
+        )
+        at = data.draw(st.integers(0, 1 << 16), label="at")
+        got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
+        assert got == want
+        assert not got[0]
+
+    def test_reads_only_the_records_and_checkpoints_and_writes_nothing(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, TILE_LEAVES + 3)
+        (tmp_path / LEAVES_NAME).write_bytes(b"\xff" * 7)
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+        assert check_integrity(tmp_path).ok
+        (tmp_path / LEAVES_NAME).unlink()
+        assert check_integrity(tmp_path).ok
+        del before[LEAVES_NAME]
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+        assert after == before
