@@ -11,7 +11,6 @@ from ._kernels import BACKEND as kernel_backend
 from .audit import (
     AuditConfig,
     EvidenceTuple,
-    MetricsRecord,
     TradeoffWeights,
     audit_sample,
     build_evidence,
@@ -57,7 +56,6 @@ from .keystore import (
     Keystore,
     RejectReason,
     RotationPolicy,
-    SignedManifest,
     VerifyResult,
 )
 from .manifest import (

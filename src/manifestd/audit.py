@@ -194,35 +194,3 @@ def tradeoff(overhead_delta: float, error_probability: float, weights: TradeoffW
         raise DomainError(f"error probability {error_probability} outside [0, 1]")
     return weights.overhead_weight * overhead_delta + weights.error_weight * error_probability
 
-
-@dataclass(frozen=True)
-class MetricsRecord:
-    """Per-workload timing summary used by the overhead analysis."""
-
-    workload_id: str
-    scale: int
-    exec_time_ms: float
-    verify_time_ms: float
-    baseline_time_ms: float
-    secure_time_ms: float
-    overhead_delta: float
-
-    @classmethod
-    def build(
-        cls,
-        workload_id: str,
-        scale: int,
-        exec_time_ms: float,
-        verify_time_ms: float,
-        baseline_time_ms: float,
-        secure_time_ms: float,
-    ) -> "MetricsRecord":
-        return cls(
-            workload_id=workload_id,
-            scale=scale,
-            exec_time_ms=exec_time_ms,
-            verify_time_ms=verify_time_ms,
-            baseline_time_ms=baseline_time_ms,
-            secure_time_ms=secure_time_ms,
-            overhead_delta=overhead(baseline_time_ms, secure_time_ms),
-        )

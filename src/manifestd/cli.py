@@ -57,7 +57,8 @@ from .manifest import (
     manifest_to_dict,
     parse_manifest,
 )
-from .policy import evaluate, load_policy_file
+from .pipeline import accept, admit
+from .policy import load_policy_file
 from .stats import report_from_rows
 from .translog import LEAVES_NAME, RECORDS_NAME, TransparencyLog, check_integrity
 
@@ -153,7 +154,7 @@ def cmd_sign(args) -> int:
     lines = []
     rejected = 0
     for position, manifest in enumerate(manifests):
-        report = evaluate(manifest, policy, now_ms=now)
+        dig, report = admit(manifest, policy, now)
         if not report.passed:
             rejected += 1
             _emit(
@@ -169,14 +170,14 @@ def cmd_sign(args) -> int:
                 }
             )
             continue
-        signed = keystore.sign_manifest(manifest, args.key_id)
+        signature = keystore.sign(dig, args.key_id)
         lines.append(
             json.dumps(
                 {
                     "manifest": manifest_to_dict(manifest),
-                    "digest": signed.digest.hex,
-                    "signature": signed.signature.hex(),
-                    "key_id": signed.key_id,
+                    "digest": dig.hex,
+                    "signature": signature.hex(),
+                    "key_id": args.key_id,
                 },
                 separators=(",", ":"),
                 ensure_ascii=False,
@@ -215,14 +216,15 @@ def cmd_verify(args) -> int:
                 _emit({"status": "rejected", "line": lineno,
                        "reason": "malformed-encoding", "detail": str(exc)})
                 continue
-            dig = manifest_digest(manifest)
-            verdict = keystore.verify(dig, signature, key_id)
-            if not verdict.accepted:
+            verdict, appended = accept(
+                keystore, log, manifest_digest(manifest), signature, key_id, now
+            )
+            if appended is None:
                 rejected += 1
                 _emit({"status": "rejected", "line": lineno,
                        "reason": verdict.reason.value, "key_id": key_id})
                 continue
-            index, root = log.append(dig, signature, key_id, appended_at=now)
+            index, root = appended
             receipt = {
                 "status": "accepted",
                 "line": lineno,

@@ -1,16 +1,20 @@
 """End-to-end workload driver.
 
-Runs the full pipeline (build manifest, canonical encode, digest, policy,
-sign, verify, append to log, simulated execute, audit sampling) over a
-ladder of batch sizes, with a configurable fraction of adversarial traffic.
-Backends are simulated: latencies and output sizes are drawn from per-backend
-models using counter-based RNG streams, so a (config, seed) pair reproduces
-the exact outcome list.  Wall-clock measurements cover the pipeline work
-itself; no sleeping is involved.
+Runs the full pipeline over a ladder of batch sizes, with a configurable
+fraction of adversarial traffic.  Each request goes through
+``Request.manifest``, ``pipeline.admit`` (digest, policy), key selection and
+signing, ``pipeline.accept`` (verify, then log append), simulated execution
+and audit sampling.  Backends are simulated: latencies and output sizes are
+drawn from per-backend models using counter-based RNG streams, so a
+(config, seed) pair reproduces the exact outcome list.  Wall-clock
+measurements cover the pipeline work itself; no sleeping is involved.
 
 The baseline pass used for overhead measurement runs the same requests with
-signing, verification, and logging elided (encode, digest, policy check, and
-simulated execution are kept).
+signing, verification, and logging elided (``manifest`` and ``admit`` and the
+simulated execution are kept).  The two passes take turns, a chunk of
+requests at a time, and each sums its own spans, so both see the same host
+load; each keeps its own RNG streams, so the outcomes do not depend on the
+interleaving.
 """
 
 from __future__ import annotations
@@ -29,11 +33,12 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import _kernels
-from .audit import EvidenceTuple, build_evidence
+from .audit import EvidenceTuple, build_evidence, overhead
 from .errors import ConfigError, EncodingError
 from .keystore import Keystore, RejectReason, RotationPolicy
 from .manifest import Manifest, digest as manifest_digest
-from .policy import PolicyRule, PolicySet, RuleKind, Severity, evaluate
+from .pipeline import accept, admit
+from .policy import PolicyRule, PolicySet, RuleKind, Severity
 from .translog import TransparencyLog, atomic_write_bytes
 
 BASELINE_DEFINITION = (
@@ -46,6 +51,11 @@ DEFAULT_KEY_IDS = ("dev-k1", "dev-k2")
 
 FRESHNESS_RULE_ID = "fresh-window"
 PRIORITY_RULE_ID = "priority-soft-cap"
+
+# Requests per turn when the baseline and secure passes alternate: small
+# enough that both passes see the same host load, large enough that the
+# clock reads are negligible.
+_CHUNK = 256
 
 
 class AttackKind(enum.Enum):
@@ -387,6 +397,15 @@ class Request:
     pinned_key: Optional[str] = None
     corrupt_signature: bool = False
 
+    def manifest(self) -> Manifest:
+        """The request's manifest; raises EncodingError for a malformed one."""
+        return Manifest(
+            user_fields=self.user_fields,
+            model_fields=self.model_fields,
+            timestamp=self.timestamp,
+            tool_id=self.tool_id,
+        )
+
 
 def select_backend(backend_ids: Sequence[str], rng) -> str:
     """Uniform draw over the configured backends."""
@@ -705,8 +724,7 @@ def _run_scale(
     streams = _Streams(cfg.seed, scale)
     backends = {b.backend_id: b for b in cfg.backends}
 
-    rngs = streams.fresh()
-    requests = generate_batch(cfg, scale, rngs["gen"])
+    requests = generate_batch(cfg, scale, streams.fresh()["gen"])
     policy = default_policy_set(cfg)
 
     keystore = Keystore(cfg.scheme)
@@ -719,13 +737,7 @@ def _run_scale(
     presigned: dict[int, tuple[str, bytes]] = {}
     for request in requests:
         if request.kind is AttackKind.REVOKED_KEY_USE:
-            manifest = Manifest(
-                user_fields=request.user_fields,
-                model_fields=request.model_fields,
-                timestamp=request.timestamp,
-                tool_id=request.tool_id,
-            )
-            dig = manifest_digest(manifest)
+            dig = manifest_digest(request.manifest())
             presigned[request.index] = (request.pinned_key, keystore.sign(dig, request.pinned_key))
 
     revoke_at: Optional[int] = None
@@ -733,150 +745,128 @@ def _run_scale(
         k is AttackKind.REVOKED_KEY_USE and w > 0 for k, w in cfg.adversary_mix
     ):
         revoke_at = math.ceil(cfg.revoke_at_fraction * scale)
-
-    # Baseline pass: no signing, verification, or logging.
-    base_rngs = streams.fresh()
     burst_sd = math.sqrt(cfg.burst_coeff * scale ** cfg.burst_exponent)
-    call_counts = {b: 0 for b in backends}
-    t0 = time.perf_counter()
-    for request in requests:
+
+    base_rngs = streams.fresh()
+    base_calls = {b: 0 for b in backends}
+
+    def baseline(request: Request) -> None:
+        """Baseline pass: no signing, verification, or logging."""
         try:
-            manifest = Manifest(
-                user_fields=request.user_fields,
-                model_fields=request.model_fields,
-                timestamp=request.timestamp,
-                tool_id=request.tool_id,
-            )
+            manifest = request.manifest()
         except EncodingError:
-            continue
-        manifest_digest(manifest)
-        report = evaluate(manifest, policy, now_ms=int(request.scheduled_ms))
+            return
+        _, report = admit(manifest, policy, int(request.scheduled_ms))
         if not report.passed:
-            continue
+            return
         backend = backends[manifest.tool_id]
-        backend.exec_latency.draw(base_rngs["latency"], call_counts[manifest.tool_id])
+        backend.exec_latency.draw(base_rngs["latency"], base_calls[manifest.tool_id])
         backend.output.draw(base_rngs["outputs"], rank)
-        call_counts[manifest.tool_id] += 1
-    baseline_wall_ms = (time.perf_counter() - t0) * 1e3
+        base_calls[manifest.tool_id] += 1
 
-    # Secure pass: the full pipeline.
     rngs = streams.fresh()
-    ops_before = _kernels.ops()
-    outcomes: list[ExecutionOutcome] = []
+    calls = {b: 0 for b in backends}
     audits: list[AuditRecord] = []
-    modeled_exec = 0.0
-    modeled_verify = 0.0
-    successes = 0
-    call_counts = {b: 0 for b in backends}
-    audit_p = cfg.audit_probability
+
+    def secure(request: Request, log: TransparencyLog) -> ExecutionOutcome:
+        """Secure pass: the full pipeline for one request."""
+        if request.index == revoke_at:
+            keystore.revoke(cfg.revoke_key)
+        observed = apply_jitter(
+            request.scheduled_ms + rngs["timing"].normal(0.0, burst_sd),
+            cfg.jitter_epsilon_ms,
+            rngs["timing"],
+        )
+        # a request refused before its manifest exists; each later return
+        # replaces the fields its stage settles
+        failed = ExecutionOutcome(
+            workload_id=workload_id,
+            scale=scale,
+            request_index=request.index,
+            backend_id=request.tool_id,
+            key_id="",
+            status=Status.FAILURE,
+            error_kind=ErrorKind.MALFORMED_ENCODING,
+            severity=Severity.BLOCK,
+            exec_time_ms=0.0,
+            verify_time_ms=0.0,
+            output_bytes=0,
+            timestamp=observed,
+            log_index=-1,
+        )
+        try:
+            manifest = request.manifest()
+        except EncodingError:
+            return failed
+        dig, report = admit(manifest, policy, int(request.scheduled_ms))
+        if not report.passed:
+            expired = FRESHNESS_RULE_ID in report.failed_rule_ids
+            return replace(
+                failed,
+                error_kind=ErrorKind.EXPIRED_TIMESTAMP if expired else ErrorKind.POLICY_VIOLATION,
+                severity=report.severity,
+            )
+        if request.index in presigned:
+            key_id, signature = presigned[request.index]
+        else:
+            key_id = keystore.select_key(rotation, rngs["keysel"])
+            signature = keystore.sign(dig, key_id)
+        if request.corrupt_signature:
+            signature = _corrupt(signature)
+        verdict, appended = accept(keystore, log, dig, signature, key_id, int(observed))
+        backend = backends[manifest.tool_id]
+        verify_ms = backend.verify_latency.draw(rngs["latency"], calls[manifest.tool_id])
+        if appended is None:
+            invalid = verdict.reason is RejectReason.SIGNATURE_INVALID
+            return replace(
+                failed,
+                key_id=key_id,
+                error_kind=ErrorKind.SIGNATURE_INVALID if invalid else ErrorKind.KEY_REVOKED,
+                severity=report.severity,
+                verify_time_ms=verify_ms,
+            )
+        log_index, root = appended
+        exec_ms = backend.exec_latency.draw(rngs["latency"], calls[manifest.tool_id])
+        output_bytes = backend.output.draw(rngs["outputs"], rank)
+        calls[manifest.tool_id] += 1
+        if rngs["audit"].random() < cfg.audit_probability:
+            output = rngs["content"].bytes(output_bytes)
+            evidence = build_evidence(root, output, exec_ms, verify_ms)
+            audits.append(
+                AuditRecord(
+                    scale=scale, log_index=log_index, tree_size=root.tree_size, evidence=evidence
+                )
+            )
+        return replace(
+            failed,
+            key_id=key_id,
+            status=Status.SUCCESS,
+            error_kind=None,
+            severity=report.severity,
+            exec_time_ms=exec_ms,
+            verify_time_ms=verify_ms,
+            output_bytes=output_bytes,
+            log_index=log_index,
+        )
+
+    outcomes: list[ExecutionOutcome] = []
+    baseline_s = secure_s = 0.0
+    ops_before = _kernels.ops()
     with TransparencyLog(log_dir) as log:
-        t0 = time.perf_counter()
-        for request in requests:
-            if revoke_at is not None and request.index == revoke_at:
-                keystore.revoke(cfg.revoke_key)
-            observed = apply_jitter(
-                request.scheduled_ms + rngs["timing"].normal(0.0, burst_sd),
-                cfg.jitter_epsilon_ms,
-                rngs["timing"],
-            )
-            backend_id = request.tool_id
-            severity = Severity.BLOCK
-            key_id = ""
-            exec_ms = 0.0
-            verify_ms = 0.0
-            output_bytes = 0
-            log_index = -1
-            status = Status.FAILURE
-            error: Optional[ErrorKind] = None
-
-            try:
-                manifest = Manifest(
-                    user_fields=request.user_fields,
-                    model_fields=request.model_fields,
-                    timestamp=request.timestamp,
-                    tool_id=request.tool_id,
-                )
-            except EncodingError:
-                manifest = None
-                error = ErrorKind.MALFORMED_ENCODING
-
-            if manifest is not None:
-                dig = manifest_digest(manifest)
-                report = evaluate(manifest, policy, now_ms=int(request.scheduled_ms))
-                severity = report.severity
-                if not report.passed:
-                    if FRESHNESS_RULE_ID in report.failed_rule_ids:
-                        error = ErrorKind.EXPIRED_TIMESTAMP
-                    else:
-                        error = ErrorKind.POLICY_VIOLATION
-                else:
-                    if request.index in presigned:
-                        key_id, signature = presigned[request.index]
-                    else:
-                        key_id = keystore.select_key(rotation, rngs["keysel"])
-                        signature = keystore.sign(dig, key_id)
-                    if request.corrupt_signature:
-                        signature = _corrupt(signature)
-                    verdict = keystore.verify(dig, signature, key_id)
-                    backend = backends[manifest.tool_id]
-                    verify_ms = backend.verify_latency.draw(
-                        rngs["latency"], call_counts[manifest.tool_id]
-                    )
-                    modeled_verify += verify_ms
-                    if not verdict.accepted:
-                        if verdict.reason is RejectReason.SIGNATURE_INVALID:
-                            error = ErrorKind.SIGNATURE_INVALID
-                        else:
-                            error = ErrorKind.KEY_REVOKED
-                    else:
-                        log_index, root = log.append(
-                            dig, signature, key_id, appended_at=int(observed)
-                        )
-                        exec_ms = backend.exec_latency.draw(
-                            rngs["latency"], call_counts[manifest.tool_id]
-                        )
-                        output_bytes = backend.output.draw(rngs["outputs"], rank)
-                        call_counts[manifest.tool_id] += 1
-                        modeled_exec += exec_ms
-                        status = Status.SUCCESS
-                        successes += 1
-                        if rngs["audit"].random() < audit_p:
-                            output = rngs["content"].bytes(output_bytes)
-                            evidence = build_evidence(root, output, exec_ms, verify_ms)
-                            audits.append(
-                                AuditRecord(
-                                    scale=scale,
-                                    log_index=log_index,
-                                    tree_size=root.tree_size,
-                                    evidence=evidence,
-                                )
-                            )
-            outcomes.append(
-                ExecutionOutcome(
-                    workload_id=workload_id,
-                    scale=scale,
-                    request_index=request.index,
-                    backend_id=backend_id,
-                    key_id=key_id,
-                    status=status,
-                    error_kind=error,
-                    severity=severity,
-                    exec_time_ms=exec_ms,
-                    verify_time_ms=verify_ms,
-                    output_bytes=output_bytes,
-                    timestamp=observed,
-                    log_index=log_index,
-                )
-            )
-        secure_wall_ms = (time.perf_counter() - t0) * 1e3
+        for start in range(0, len(requests), _CHUNK):
+            chunk = requests[start:start + _CHUNK]
+            t0 = time.perf_counter()
+            for request in chunk:
+                baseline(request)
+            t1 = time.perf_counter()
+            outcomes.extend(secure(request, log) for request in chunk)
+            baseline_s += t1 - t0
+            secure_s += time.perf_counter() - t1
         log_bytes = log.storage_bytes
         final_root = log.current_root()
     hash_ops = _kernels.ops() - ops_before
 
-    if baseline_wall_ms > 0:
-        delta = (secure_wall_ms - baseline_wall_ms) / baseline_wall_ms
-    else:
-        delta = float("nan")
+    successes = sum(o.status is Status.SUCCESS for o in outcomes)
     report_row = ScaleReport(
         workload_id=workload_id,
         scale=scale,
@@ -884,11 +874,11 @@ def _run_scale(
         successes=successes,
         failures=len(requests) - successes,
         logged_entries=final_root.tree_size,
-        baseline_wall_ms=baseline_wall_ms,
-        secure_wall_ms=secure_wall_ms,
-        overhead_delta=delta,
-        modeled_exec_ms=modeled_exec,
-        modeled_verify_ms=modeled_verify,
+        baseline_wall_ms=baseline_s * 1e3,
+        secure_wall_ms=secure_s * 1e3,
+        overhead_delta=overhead(baseline_s, secure_s),
+        modeled_exec_ms=sum(o.exec_time_ms for o in outcomes),
+        modeled_verify_ms=sum(o.verify_time_ms for o in outcomes),
         log_bytes=log_bytes,
         final_root_hex=final_root.hex,
         hash_ops=hash_ops,

@@ -28,7 +28,7 @@ from .errors import (
     StorageError,
     UnknownKey,
 )
-from .manifest import Manifest, ManifestDigest, digest as manifest_digest
+from .manifest import ManifestDigest
 from .translog import atomic_write_bytes
 
 DEFAULT_SCHEME = "ecdsa-p256"
@@ -62,16 +62,6 @@ class KeyHandle:
     @property
     def public_key_hex(self) -> str:
         return self.public_key.hex()
-
-
-@dataclass(frozen=True)
-class SignedManifest:
-    """A manifest bound to its digest and a signature that verified at signing time."""
-
-    manifest: Manifest
-    digest: ManifestDigest
-    signature: bytes
-    key_id: str
 
 
 @dataclass(frozen=True)
@@ -233,15 +223,6 @@ class Keystore:
         if record.revoked:
             raise KeyRevoked(f"key {key_id!r} is revoked")
         return self._scheme.sign(record.private_key, dig.value)
-
-    def sign_manifest(self, manifest: Manifest, key_id: str) -> SignedManifest:
-        dig = manifest_digest(manifest)
-        return SignedManifest(
-            manifest=manifest,
-            digest=dig,
-            signature=self.sign(dig, key_id),
-            key_id=key_id,
-        )
 
     def verify(self, dig: ManifestDigest, signature: bytes, key_id: str) -> VerifyResult:
         """Fail-closed: every path that is not a clean match is a rejection."""

@@ -30,16 +30,6 @@ class TestSignVerify:
         result = ks.verify(d, sig, "k1")
         assert result.accepted and result.reason is None
 
-    def test_sign_manifest_carries_digest_and_key(self, scheme):
-        ks = Keystore(scheme)
-        ks.keygen("k1")
-        m = Manifest({"query": "q"}, {}, 5, "t")
-        signed = ks.sign_manifest(m, "k1")
-        assert signed.key_id == "k1"
-        assert signed.manifest == m
-        assert signed.digest == digest(m)
-        assert ks.verify(signed.digest, signed.signature, "k1").accepted
-
     def test_flipped_signature_bit_rejected(self, scheme):
         ks = Keystore(scheme)
         ks.keygen("k1")
@@ -128,7 +118,6 @@ class TestLifecycle:
         reachable = [
             ks.handle("k1"),
             ks.list_keys()[0],
-            ks.sign_manifest(Manifest({"q": "x"}, {}, 1, "t"), "k1"),
             ks.sign(d, "k1"),
             ks.verify(d, ks.sign(d, "k1"), "k1"),
         ]

@@ -1,5 +1,6 @@
 """Repository hygiene: git tracks no ignored file; the benchmark's gate trips;
-the scripts under benchmarks/ run; every hash kernel has a caller."""
+the scripts under benchmarks/ run; every hash kernel has a caller; the stage
+sequence is written only in pipeline.py."""
 
 import ast
 import inspect
@@ -90,3 +91,27 @@ def test_every_kernel_has_a_caller_in_the_package():
     }
     # reset_ops is the test-side half of the ops counter
     assert defined - used - {"reset_ops"} == set()
+
+
+def test_only_the_pipeline_verifies_and_appends():
+    # verify-then-append is written once, in pipeline.accept; a log append
+    # (an .append with more than list.append's one argument) or a .verify call
+    # anywhere else would spell the sequence out again
+    package = ROOT / "src" / "manifestd"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "pipeline.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            method = node.func.attr if isinstance(node.func, ast.Attribute) else None
+            appends = method == "append" and len(node.args) + len(node.keywords) > 1
+            # the keystore's own calls into its signature schemes
+            verifies = method == "verify" and not (
+                path.name == "keystore.py"
+                and ast.unparse(node.func.value) in ("public_key", "self._scheme")
+            )
+            if appends or verifies:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+    assert found == []
