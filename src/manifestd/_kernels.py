@@ -11,6 +11,15 @@ every partial fold.  ``hash_pairs`` and ``fold_chain`` are batch forms of
 rebuilding a whole tree from its leaf hashes; ``prefix_roots`` is the batch
 form of ``chain_update``, ``push_peak`` and ``right_edge`` together, giving
 the root and chain value at every size while leaves are added.
+
+Every kernel counts its hashes in ``ops``, one per SHA-256 of a leaf, an
+interior node or a chain step; the kernels that loop add their count once
+per call.  Input lengths are checked where digests may come from outside
+the tree code: ``hash_interior`` and ``chain_update`` (so ``fold_path``
+too) take only 32-byte digests, ``hash_pairs`` and ``fold_chain`` only
+whole packed ones.  ``push_peak``, ``right_edge`` and ``prefix_roots``
+check nothing: the peaks and leaf hashes they are given are 32-byte digests
+the log made itself.
 """
 
 from __future__ import annotations
@@ -111,13 +120,16 @@ def push_peak(peaks: list[bytes], count: int, leaf: bytes) -> list[bytes]:
     Returns the nodes the leaf completes, bottom-up: element k is the root
     of the perfect subtree of 2^k leaves that now ends with this leaf.
     """
+    sha256 = hashlib.sha256
     nodes = [leaf]
     node = leaf
     while count & 1:
-        node = hash_interior(peaks.pop(), node)
+        node = sha256(INTERIOR_PREFIX + peaks.pop() + node).digest()
         nodes.append(node)
         count >>= 1
     peaks.append(node)
+    global _ops
+    _ops += len(nodes) - 1
     return nodes
 
 
@@ -129,13 +141,16 @@ def right_edge(peaks: list[bytes]) -> list[bytes]:
     """
     if not peaks:
         return []
+    sha256 = hashlib.sha256
     nodes = reversed(peaks)
     node = next(nodes)
     edge = [node]
     for peak in nodes:
-        node = hash_interior(peak, node)
+        node = sha256(INTERIOR_PREFIX + peak + node).digest()
         edge.append(node)
     edge.reverse()
+    global _ops
+    _ops += len(edge) - 1
     return edge
 
 

@@ -22,11 +22,12 @@ or a root at the current size reads stored nodes only, 0 hashes, and at an
 older size m folds m's stored peaks once: at most popcount(m) - 1 hashes.
 
 A log directory holds three files.  ``log.records`` holds the records, each
-a 4-byte big-endian length and that many bytes.  ``log.checkpoints`` holds
-one line ``<tree_size> <root hex> <chain hex>`` per append.  ``log.leaves``,
-the index, holds level 0 of the stored hashes, 32 bytes per entry in append
-order; it is derived data, buffered one 256-leaf tile at a time and written
-out by ``close``, so it may lag behind the other two files.
+a 4-byte big-endian length and that many bytes in one fixed JSON layout,
+``_RECORD``.  ``log.checkpoints`` holds one line ``<tree_size> <root hex>
+<chain hex>`` per append, ``_CHECKPOINT``.  ``log.leaves``, the index,
+holds level 0 of the stored hashes, 32 bytes per entry in append order; it
+is derived data, buffered one 256-leaf tile at a time and written out by
+``close``, so it may lag behind the other two files.
 
 An open log holds one read-only descriptor on the records file; ``entry``
 reads a record with one ``os.pread`` at its stored offset and checks it
@@ -71,6 +72,7 @@ from array import array
 from binascii import hexlify
 from dataclasses import dataclass
 from itertools import count, islice
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -99,8 +101,13 @@ _CHUNK = 1 << 16
 #: transient memory of one call.
 _BATCH_NODES = 1 << 12
 
-#: The one encoder of record bytes; ``json.dumps`` would build a new one per call.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False)
+#: One record: the JSON object ``json.dumps`` writes with compact separators
+#: and ``ensure_ascii=False``, fields in this order.  The leaf hash commits to
+#: these bytes, so the layout is fixed.
+_RECORD = b'{"index":%d,"manifest_digest":"%s","signature":"%s","key_id":%s,"appended_at":%d}'
+
+#: One checkpoint line: tree size, root hex and chain hex.
+_CHECKPOINT = b"%d %s %s\n"
 
 
 @dataclass(frozen=True)
@@ -118,17 +125,19 @@ class MerkleRoot:
 def _record_bytes(
     index: int, manifest_digest: ManifestDigest, signature: bytes, key_id: str, appended_at: int
 ) -> bytes:
-    """The bytes of one record, as ``LogEntry.to_record`` returns them."""
-    # Fixed field order and compact separators: these bytes are what the
-    # leaf hash commits to, so the serialization must be stable.
-    obj = {
-        "index": index,
-        "manifest_digest": manifest_digest.hex,
-        "signature": signature.hex(),
-        "key_id": key_id,
-        "appended_at": appended_at,
-    }
-    return _RECORD_ENCODER.encode(obj).encode("utf-8")
+    """The bytes of one record, as ``LogEntry.to_record`` returns them.
+
+    ``encode_basestring`` is the quoting ``json`` applies to a string with
+    ``ensure_ascii=False``; a ``key_id`` with a lone surrogate raises
+    ``UnicodeEncodeError``.
+    """
+    return _RECORD % (
+        index,
+        hexlify(manifest_digest.value),
+        hexlify(signature),
+        encode_basestring(key_id).encode("utf-8"),
+        appended_at,
+    )
 
 
 @dataclass(frozen=True)
@@ -227,7 +236,7 @@ class TransparencyLog:
         opened = []
         try:
             opened.append(open(self._records_path, "ab"))
-            opened.append(open(self._checkpoints_path, "a", encoding="ascii", newline="\n"))
+            opened.append(open(self._checkpoints_path, "ab"))
             # the index holds exactly the verified leaves now, or is started afresh
             opened.append(
                 open(self._leaves_path, "ab" if self.size else "wb",
@@ -288,11 +297,27 @@ class TransparencyLog:
         key_id: str,
         appended_at: Optional[int] = None,
     ) -> tuple[int, MerkleRoot]:
-        """Durably append one entry; returns its index and the new root."""
+        """Durably append one entry; returns its index and the new root.
+
+        ``appended_at`` defaults to now, in milliseconds.  An entry that would
+        not read back as given (a ``key_id`` that is not a UTF-8-encodable
+        ``str``, a ``signature`` that is not ``bytes``, an ``appended_at``
+        that is not an ``int`` or is a ``bool``) raises ``EncodingError``
+        before anything is written.
+        """
         if appended_at is None:
             appended_at = int(time.time() * 1000)
+        elif not isinstance(appended_at, int) or isinstance(appended_at, bool):
+            raise EncodingError(f"appended_at must be an int, not {type(appended_at).__name__}")
+        if not isinstance(key_id, str):
+            raise EncodingError(f"key id must be a str, not {type(key_id).__name__}")
+        if not isinstance(signature, bytes):
+            raise EncodingError(f"signature must be bytes, not {type(signature).__name__}")
         index = self.size
-        record = _record_bytes(index, manifest_digest, signature, key_id, appended_at)
+        try:
+            record = _record_bytes(index, manifest_digest, signature, key_id, appended_at)
+        except UnicodeEncodeError as exc:
+            raise EncodingError(f"key id is not encodable as UTF-8: {exc}") from exc
         if len(record) > MAX_RECORD_BYTES:
             # refuse to write what replay would refuse to read
             raise StorageError(
@@ -307,7 +332,7 @@ class TransparencyLog:
         try:
             self._records_fh.write(_LEN.pack(len(record)) + record)
             self._records_fh.flush()
-            self._checkpoints_fh.write(f"{merkle.tree_size} {merkle.hex} {chain.hex()}\n")
+            self._checkpoints_fh.write(_CHECKPOINT % (index + 1, hexlify(edge[0]), hexlify(chain)))
             self._checkpoints_fh.flush()
             # derived data, never flushed here: reopening checks what it holds
             self._leaves_fh.write(leaf)
@@ -664,7 +689,7 @@ class LogDamage(StorageError):
         self.index = index
 
 
-#: One checkpoint line exactly as ``append`` writes it.
+#: One checkpoint line exactly as ``append`` writes it with ``_CHECKPOINT``.
 _CHECKPOINT_LINE = re.compile(
     rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64}) (?P<chain>[0-9a-f]{64})\n"
 )
@@ -830,7 +855,7 @@ def _check_tiles(records, checkpoints) -> IntegrityReport:
         roots, chains = prefix_roots(peaks, size, chain, leaves)
         expected = b"".join(
             [
-                b"%d %s %s\n" % (tree_size, hexlify(root), hexlify(value))
+                _CHECKPOINT % (tree_size, hexlify(root), hexlify(value))
                 for tree_size, root, value in zip(count(size + 1), roots, chains)
             ]
         )

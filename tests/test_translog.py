@@ -27,7 +27,7 @@ from test_kernels import oracle_leaf, oracle_path, oracle_root
 from manifestd import translog
 
 from manifestd import _kernels
-from manifestd.errors import OutOfRange, StorageError
+from manifestd.errors import EncodingError, OutOfRange, StorageError
 from manifestd.manifest import Manifest, ManifestDigest, digest
 from manifestd.translog import (
     CHAIN_GENESIS,
@@ -210,6 +210,148 @@ class TestAppendAndRoots:
                 log.prove_inclusion(0, 4)
             with pytest.raises(OutOfRange):
                 log.prove_consistency(2, 4)
+
+
+def log_files(directory):
+    """The bytes of the three log files, a missing one as None."""
+    return {
+        name: (directory / name).read_bytes() if (directory / name).exists() else None
+        for name in (RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME)
+    }
+
+
+class TestAppendInputs:
+    """``append`` writes only entries that read back exactly as given."""
+
+    DIG = ManifestDigest.from_hex("3c" * 32)
+
+    @pytest.mark.parametrize(
+        "signature, key_id, appended_at",
+        [
+            pytest.param(b"\x01", "k", 1.5, id="float-time"),
+            pytest.param(b"\x01", "k", 1.0, id="integral-float-time"),
+            pytest.param(b"\x01", "k", True, id="true-time"),
+            pytest.param(b"\x01", "k", False, id="false-time"),
+            pytest.param(b"\x01", "k", "1", id="str-time"),
+            pytest.param(b"\x01", 5, 1, id="int-key"),
+            pytest.param(b"\x01", b"k", 1, id="bytes-key"),
+            pytest.param(b"\x01", None, 1, id="no-key"),
+            pytest.param(b"\x01", "lone \ud800 surrogate", 1, id="surrogate-key"),
+            pytest.param(b"\x01", "\udfff", None, id="surrogate-key-now"),
+            pytest.param("01", "k", 1, id="str-signature"),
+            pytest.param(bytearray(b"\x01"), "k", 1, id="bytearray-signature"),
+            pytest.param(None, "k", 1, id="no-signature"),
+        ],
+    )
+    def test_refused_entry_leaves_the_log_unchanged(self, tmp_path, signature, key_id, appended_at):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 3)
+        before = log_files(tmp_path)
+        with TransparencyLog(tmp_path) as log:
+            root = log.current_root()
+            with pytest.raises(EncodingError):
+                log.append(self.DIG, signature, key_id, appended_at=appended_at)
+            assert log.size == 3 and log.current_root() == root
+        assert log_files(tmp_path) == before
+        with TransparencyLog(tmp_path) as log:
+            assert log.append(self.DIG, b"\x01", "k", appended_at=4)[0] == 3
+        assert check_integrity(tmp_path).ok
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        signature=st.one_of(st.binary(max_size=80), st.text(max_size=4), st.none()),
+        key_id=st.one_of(
+            st.text(), st.text(alphabet=st.characters(min_codepoint=0xD7F0, max_codepoint=0xE010)),
+            st.integers(), st.binary(max_size=4),
+        ),
+        appended_at=st.one_of(
+            st.none(), st.integers(-(2**70), 2**70), st.floats(allow_nan=False), st.booleans()
+        ),
+    )
+    def test_every_accepted_entry_reads_back_and_rehashes(self, signature, key_id, appended_at):
+        with tempfile.TemporaryDirectory() as tmp, TransparencyLog(tmp) as log:
+            fill(log, 2)
+            try:
+                index, root = log.append(self.DIG, signature, key_id, appended_at=appended_at)
+            except EncodingError:
+                assert log.size == 2
+                log.close()
+                assert check_integrity(Path(tmp)).ok
+                return
+            entry = log.entry(index)
+            # what the auditor checks: the re-encoded entry hashes to the stored leaf
+            assert _kernels.hash_leaf(entry.to_record()) == log.leaf_hash(index)
+            assert (entry.signature, entry.key_id) == (signature, key_id)
+            if appended_at is not None:
+                assert entry.appended_at == appended_at
+            assert log.root_at(index + 1) == root
+
+
+def append_hashes(size):
+    """Tree hashes of the append that takes a log from ``size`` to ``size + 1`` entries.
+
+    A leaf and a chain hash, a merge per trailing one-bit of ``size``, and
+    popcount(size + 1) - 1 folds for the new root.
+    """
+    trailing_ones = (~size & (size + 1)).bit_length() - 1
+    return 2 + trailing_ones + (size + 1).bit_count() - 1
+
+
+#: Every append up to this size is counted hash by hash.
+COUNTED = 1 << 11
+
+
+class TestAppendCost:
+    DIG = ManifestDigest.from_hex("a7" * 32)
+
+    def test_each_append_costs_exactly_its_hashes(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            for size in range(COUNTED):
+                before = _kernels.ops()
+                log.append(self.DIG, b"\x30" * 71, "k", appended_at=size)
+                assert _kernels.ops() - before == append_hashes(size), size
+
+    def test_each_append_after_a_reopen_costs_exactly_its_hashes(self, tmp_path):
+        for size in range(COUNTED):
+            with TransparencyLog(tmp_path) as log:
+                assert log.size == size
+                before = _kernels.ops()
+                log.append(self.DIG, b"\x30" * 71, "k", appended_at=size)
+                assert _kernels.ops() - before == append_hashes(size), size
+
+
+#: SHA-256 of each log file ``golden_log`` writes, computed when records
+#: were encoded by ``json.dumps``: they pin the on-disk format.
+GOLDEN_FILES = {
+    RECORDS_NAME: "f874caa90c55deb96103177c2da9e8787551564cfee7a3e13a9d3a82ea8fe308",
+    CHECKPOINTS_NAME: "1b0bc32eb5b225b000ade3571fd669a706c1f37277875479a06d3c808fdec8cf",
+    LEAVES_NAME: "9a8f9a0fc04a110541935dc5bd16efcc0b6eaea618c9ab673bce648a1b7c5225",
+}
+
+GOLDEN_KEY_IDS = [
+    "k", "", 'quo"te', "back\\slash", "ctl \x00\x01\x08\x0c\x1f\x7f \n\r\t",
+    "non-ascii \xe9\xdf\u4e2d \u2028\u2029", "astral \U0001f512\U00010000", "\"\\/",
+]
+GOLDEN_TIMES = [0, -1, 2**63]
+GOLDEN_SIGNATURE_LENGTHS = [0, 1, 64, 70, 71, 72, 255]
+
+
+def golden_log(directory, entries=700):
+    """A fixed sequence of appends over the awkward cases of the record format."""
+    with TransparencyLog(directory) as log:
+        for i in range(entries):
+            dig = ManifestDigest(hashlib.sha256(b"golden %d" % i).digest())
+            length = GOLDEN_SIGNATURE_LENGTHS[i % len(GOLDEN_SIGNATURE_LENGTHS)]
+            signature = bytes((i + j) & 0xFF for j in range(length))
+            at = GOLDEN_TIMES[i // 5 % len(GOLDEN_TIMES)] if i % 5 == 0 else 1_700_000_000_000 + i
+            log.append(dig, signature, GOLDEN_KEY_IDS[i % len(GOLDEN_KEY_IDS)], appended_at=at)
+
+
+def test_log_files_match_the_golden_digests(tmp_path):
+    golden_log(tmp_path)
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES
+    } == GOLDEN_FILES
 
 
 class TestInclusionProofs:
