@@ -32,6 +32,7 @@ from .manifest import ManifestDigest
 from .translog import atomic_write_bytes
 
 DEFAULT_SCHEME = "ecdsa-p256"
+_ECDSA_SHA256 = ec.ECDSA(hashes.SHA256())  # stateless, so one serves every call
 
 
 class RejectReason(enum.Enum):
@@ -70,6 +71,7 @@ class RotationPolicy:
 
     key_ids: tuple[str, ...]
     offsets: tuple[float, ...]
+    _weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         key_ids = tuple(self.key_ids)
@@ -84,9 +86,11 @@ class RotationPolicy:
             raise ConfigError("one offset per key id required")
         if abs(sum(offsets)) > 1e-9:
             raise ConfigError("offsets must sum to zero")
-        for w in self.weights():
+        weights = tuple(1.0 / len(key_ids) + o for o in offsets)
+        for w in weights:
             if not 0.0 <= w <= 1.0:
                 raise ConfigError(f"selection weight {w} outside [0, 1]")
+        object.__setattr__(self, "_weights", weights)
 
     @classmethod
     def uniform(cls, key_ids: Sequence[str]) -> "RotationPolicy":
@@ -103,8 +107,7 @@ class RotationPolicy:
         return cls(key_ids=ids, offsets=tuple(weights[i] - 1.0 / k for i in ids))
 
     def weights(self) -> tuple[float, ...]:
-        base = 1.0 / len(self.key_ids)
-        return tuple(base + o for o in self.offsets)
+        return self._weights
 
 
 class _Ecdsa:
@@ -116,11 +119,11 @@ class _Ecdsa:
 
     @staticmethod
     def sign(private_key, data: bytes) -> bytes:
-        return private_key.sign(data, ec.ECDSA(hashes.SHA256()))
+        return private_key.sign(data, _ECDSA_SHA256)
 
     @staticmethod
     def verify(public_key, signature: bytes, data: bytes) -> None:
-        public_key.verify(signature, data, ec.ECDSA(hashes.SHA256()))
+        public_key.verify(signature, data, _ECDSA_SHA256)
 
 
 class _Ed25519:

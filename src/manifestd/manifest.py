@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Union
 
@@ -28,34 +29,39 @@ MAX_ENTROPY_BITS = 8.0
 
 _FIELD_TYPES = (str, int, float, bool)
 
-
-def _check_utf8(where: str, text: str) -> None:
-    # Lone surrogates are valid str but have no UTF-8 encoding.
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise EncodingError(f"{where} cannot be encoded as UTF-8: {exc.reason}") from exc
+#: The one encoder behind every canonical encoding.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _normalized(partition: str, fields: Mapping[str, Scalar]) -> Mapping[str, Scalar]:
+def _normalized(partition: str, fields: Mapping[str, Scalar]) -> dict[str, Scalar]:
     if not isinstance(fields, Mapping):
         raise EncodingError(f"{partition} must be a mapping, got {type(fields).__name__}")
-    out: dict[str, Scalar] = {}
-    for key in sorted(fields):
+    items = list(fields.items())
+    for key, value in items:
         if not isinstance(key, str):
             raise EncodingError(f"{partition} key {key!r} is not a string")
-        _check_utf8(f"{partition} key {key!r}", key)
-        value = fields[key]
         if not isinstance(value, _FIELD_TYPES):
             raise EncodingError(
                 f"{partition}[{key!r}] has unrepresentable type {type(value).__name__}"
             )
+    items.sort()  # the keys are distinct, so no two values are ever compared
+    return dict(items)
+
+
+def _unencodable(user: dict, model: dict, tool_id: str, exc: ValueError) -> str:
+    """Name the field that the canonical encoding could not represent."""
+    named = []
+    for partition, fields in (("user_fields", user), ("model_fields", model)):
+        for key, value in fields.items():
+            named += [(f"{partition} key {key!r}", key), (f"{partition}[{key!r}]", value)]
+    for where, value in named + [("tool_id", tool_id)]:
         if isinstance(value, float) and not math.isfinite(value):
-            raise EncodingError(f"{partition}[{key!r}] is not a finite number")
-        if isinstance(value, str):
-            _check_utf8(f"{partition}[{key!r}]", value)
-        out[key] = value
-    return MappingProxyType(out)
+            return f"{where} is not a finite number"
+        if isinstance(value, str) and _SURROGATE.search(value):
+            # lone surrogates are valid str but have no UTF-8 encoding
+            return f"{where} cannot be encoded as UTF-8"
+    return f"manifest has no canonical encoding: {exc}"
 
 
 @dataclass(frozen=True)
@@ -64,15 +70,17 @@ class Manifest:
 
     Field mappings are normalized to sorted key order at construction and
     exposed read-only, so two manifests built from the same fields in any
-    insertion order are equal and encode to identical bytes.  Equality is
-    equality of the canonical encodings, so ``True``, ``1`` and ``1.0`` (which
-    encode and digest differently) are told apart.
+    insertion order are equal and encode to identical bytes.  The encoding is
+    made once, at construction.  Equality and hashing are those of the
+    encodings, so ``True``, ``1`` and ``1.0`` (which encode and digest
+    differently) are told apart.
     """
 
     user_fields: Mapping[str, Scalar]
     model_fields: Mapping[str, Scalar]
     timestamp: int
     tool_id: str
+    _encoded: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         user = _normalized("user_fields", self.user_fields)
@@ -86,14 +94,24 @@ class Manifest:
             raise EncodingError("timestamp must not be negative")
         if not isinstance(self.tool_id, str) or not self.tool_id:
             raise EncodingError("tool_id must be a non-empty string")
-        _check_utf8("tool_id", self.tool_id)
-        object.__setattr__(self, "user_fields", user)
-        object.__setattr__(self, "model_fields", model)
+        document = {"user_fields": user, "model_fields": model,
+                    "timestamp": self.timestamp, "tool_id": self.tool_id}
+        try:
+            encoded = _ENCODER.encode(document).encode("utf-8")
+        except ValueError as exc:
+            # non-finite floats, lone surrogates, ints past the digit limit
+            raise EncodingError(_unencodable(user, model, self.tool_id, exc)) from exc
+        object.__setattr__(self, "user_fields", MappingProxyType(user))
+        object.__setattr__(self, "model_fields", MappingProxyType(model))
+        object.__setattr__(self, "_encoded", encoded)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Manifest):
             return NotImplemented
-        return canonical_encode(self) == canonical_encode(other)
+        return self._encoded == other._encoded
+
+    def __hash__(self) -> int:
+        return hash(self._encoded)
 
 
 @dataclass(frozen=True)
@@ -128,12 +146,9 @@ class UserView:
     tool_id: str
 
     def encode(self) -> bytes:
-        payload = {
-            "user_fields": dict(self.user_fields),
-            "timestamp": self.timestamp,
-            "tool_id": self.tool_id,
-        }
-        return json.dumps(payload, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        payload = {"user_fields": dict(self.user_fields),
+                   "timestamp": self.timestamp, "tool_id": self.tool_id}
+        return _ENCODER.encode(payload).encode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -161,16 +176,7 @@ def canonical_encode(manifest: Manifest) -> bytes:
     Equal manifests encode to equal bytes; any change to any field changes
     the encoding (and therefore the digest).
     """
-    try:
-        return json.dumps(
-            manifest_to_dict(manifest),
-            separators=(",", ":"),
-            ensure_ascii=False,
-            allow_nan=False,
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        # ValueError includes UnicodeEncodeError from lone surrogates
-        raise EncodingError(str(exc)) from exc
+    return manifest._encoded
 
 
 def manifest_from_dict(obj: object) -> Manifest:
@@ -181,12 +187,7 @@ def manifest_from_dict(obj: object) -> Manifest:
         missing = sorted(expected - set(obj))
         extra = sorted(set(obj) - expected)
         raise EncodingError(f"manifest object keys wrong; missing={missing} extra={extra}")
-    return Manifest(
-        user_fields=obj["user_fields"],
-        model_fields=obj["model_fields"],
-        timestamp=obj["timestamp"],
-        tool_id=obj["tool_id"],
-    )
+    return Manifest(obj["user_fields"], obj["model_fields"], obj["timestamp"], obj["tool_id"])
 
 
 def parse_manifest(text: Union[str, bytes]) -> Manifest:
@@ -210,13 +211,13 @@ def canonical_decode(data: bytes) -> Manifest:
     decode(encode(m)) == m and encode(decode(b)) == b both hold.
     """
     manifest = parse_manifest(data)
-    if canonical_encode(manifest) != data:
+    if manifest._encoded != data:
         raise EncodingError("byte sequence is not a canonical manifest encoding")
     return manifest
 
 
 def digest(manifest: Manifest) -> ManifestDigest:
-    return ManifestDigest(_kernels.sha256(canonical_encode(manifest)))
+    return ManifestDigest(_kernels.sha256(manifest._encoded))
 
 
 def redact_for_user(manifest: Manifest) -> UserView:
@@ -245,7 +246,7 @@ def encoding_stats(manifest: Manifest) -> EncodingStats:
 
     Redundancy is measured against the full byte alphabet: 1 - H/8.
     """
-    data = canonical_encode(manifest)
+    data = manifest._encoded
     entropy = byte_entropy_bits(data)
     return EncodingStats(
         size_bytes=len(data),

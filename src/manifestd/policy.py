@@ -15,7 +15,8 @@ import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .errors import ConfigError, DomainError
 from .manifest import Manifest, canonical_encode
@@ -25,9 +26,6 @@ class Severity(enum.Enum):
     OK = "ok"
     WARN = "warn"
     BLOCK = "block"
-
-
-_SEVERITY_RANK = {Severity.OK: 0, Severity.WARN: 1, Severity.BLOCK: 2}
 
 
 class RuleKind(enum.Enum):
@@ -41,6 +39,9 @@ class RuleKind(enum.Enum):
 
 
 _PARTITIONS = ("user", "model", "any")
+
+#: What a field lookup returns for a field the manifest does not have.
+_ABSENT = object()
 
 
 @dataclass(frozen=True)
@@ -58,10 +59,16 @@ class PolicyRule:
         if self.severity_on_fail is Severity.OK:
             raise ConfigError(f"rule {self.rule_id}: failure severity cannot be 'ok'")
         params = dict(self.params)
-        object.__setattr__(self, "params", params)
-        self._validate_params(params)
+        check = self._compile(params)
+        # read-only, so the compiled check cannot go stale
+        object.__setattr__(self, "params", MappingProxyType(params))
+        object.__setattr__(self, "_check", check)
 
-    def _validate_params(self, params: dict) -> None:
+    def _compile(self, params: dict) -> Optional[Callable[[Manifest, int], bool]]:
+        """Validate ``params`` and close the check over them; True means the manifest passes.
+
+        A freshness rule has no check of its own: its window is its policy set's.
+        """
         kind = self.kind
         def need(name: str, types: tuple) -> Any:
             if name not in params:
@@ -71,38 +78,63 @@ class PolicyRule:
                 raise ConfigError(f"rule {self.rule_id}: param {name!r} has wrong type")
             return value
 
-        if kind in (RuleKind.REQUIRED_FIELD, RuleKind.FIELD_PATTERN, RuleKind.VALUE_RANGE):
-            need("field", (str,))
-            partition = params.setdefault("partition", "any")
-            if partition not in _PARTITIONS:
-                raise ConfigError(f"rule {self.rule_id}: partition must be one of {_PARTITIONS}")
-        if kind is RuleKind.FIELD_PATTERN:
-            pattern = need("pattern", (str,))
-            try:
-                object.__setattr__(self, "_compiled", re.compile(pattern))
-            except re.error as exc:
-                raise ConfigError(f"rule {self.rule_id}: bad pattern: {exc}") from exc
-        elif kind is RuleKind.VALUE_RANGE:
-            lo = params.get("min")
-            hi = params.get("max")
-            if lo is None and hi is None:
-                raise ConfigError(f"rule {self.rule_id}: need at least one of min/max")
-            for name, bound in (("min", lo), ("max", hi)):
-                if bound is not None and (isinstance(bound, bool) or not isinstance(bound, (int, float))):
-                    raise ConfigError(f"rule {self.rule_id}: param {name!r} has wrong type")
-            if lo is not None and hi is not None and lo > hi:
-                raise ConfigError(f"rule {self.rule_id}: min exceeds max")
-        elif kind is RuleKind.MAX_FIELD_COUNT:
-            if need("max_fields", (int,)) < 0:
+        if kind is RuleKind.FRESHNESS_WINDOW:
+            return None
+        if kind is RuleKind.MAX_FIELD_COUNT:
+            max_fields = need("max_fields", (int,))
+            if max_fields < 0:
                 raise ConfigError(f"rule {self.rule_id}: max_fields must be >= 0")
-        elif kind is RuleKind.MAX_ENCODING_SIZE:
-            if need("max_bytes", (int,)) <= 0:
+            return lambda m, now: len(m.user_fields) + len(m.model_fields) <= max_fields
+        if kind is RuleKind.MAX_ENCODING_SIZE:
+            max_bytes = need("max_bytes", (int,))
+            if max_bytes <= 0:
                 raise ConfigError(f"rule {self.rule_id}: max_bytes must be positive")
-        elif kind is RuleKind.TOOL_ALLOWLIST:
+            return lambda m, now: len(canonical_encode(m)) <= max_bytes
+        if kind is RuleKind.TOOL_ALLOWLIST:
             tools = need("tools", (list, tuple))
             if not tools or not all(isinstance(t, str) for t in tools):
                 raise ConfigError(f"rule {self.rule_id}: tools must be a non-empty string list")
             params["tools"] = tuple(tools)
+            allowed = frozenset(tools)
+            return lambda m, now: m.tool_id in allowed
+        if kind not in (RuleKind.REQUIRED_FIELD, RuleKind.FIELD_PATTERN, RuleKind.VALUE_RANGE):
+            raise ConfigError(f"rule {self.rule_id}: unknown kind {kind!r}")
+        name = need("field", (str,))
+        partition = params.setdefault("partition", "any")
+        if partition not in _PARTITIONS:
+            raise ConfigError(f"rule {self.rule_id}: partition must be one of {_PARTITIONS}")
+        # the field's value, the user partition's first for "any", or _ABSENT
+        if partition == "user":
+            get = lambda m: m.user_fields.get(name, _ABSENT)
+        elif partition == "model":
+            get = lambda m: m.model_fields.get(name, _ABSENT)
+        else:
+            get = lambda m: m.user_fields.get(name, m.model_fields.get(name, _ABSENT))
+        if kind is RuleKind.REQUIRED_FIELD:
+            return lambda m, now: get(m) is not _ABSENT
+        if kind is RuleKind.FIELD_PATTERN:
+            try:
+                whole = re.compile(need("pattern", (str,))).fullmatch
+            except re.error as exc:
+                raise ConfigError(f"rule {self.rule_id}: bad pattern: {exc}") from exc
+            def matches(m: Manifest, now: int) -> bool:
+                value = get(m)
+                return value is _ABSENT or (isinstance(value, str) and whole(value) is not None)
+            return matches
+        if params.get("min") is None and params.get("max") is None:
+            raise ConfigError(f"rule {self.rule_id}: need at least one of min/max")
+        lo = -math.inf if params.get("min") is None else need("min", (int, float))
+        hi = math.inf if params.get("max") is None else need("max", (int, float))
+        if lo > hi:
+            raise ConfigError(f"rule {self.rule_id}: min exceeds max")
+        def in_range(m: Manifest, now: int) -> bool:
+            value = get(m)
+            if value is _ABSENT:
+                return True
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return False
+            return not (value < lo or value > hi)
+        return in_range
 
 
 @dataclass(frozen=True)
@@ -112,6 +144,8 @@ class PolicySet:
     rules: tuple[PolicyRule, ...]
     epoch_ms: int = 60_000
     clock_skew_ms: int = 2_000
+    # (rule_id, severity, check) per rule, in rule order; built here, once
+    _checks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rules = tuple(self.rules)
@@ -125,6 +159,17 @@ class PolicySet:
             raise ConfigError("epoch_ms must be positive")
         if self.clock_skew_ms < 0:
             raise ConfigError("clock_skew_ms must not be negative")
+        epoch_ms, skew_ms = self.epoch_ms, self.clock_skew_ms
+        def fresh(m: Manifest, now: int) -> bool:
+            # Timestamps ahead of the verifier clock are tolerated up to the skew.
+            age_ms = now - m.timestamp
+            return not (age_ms > epoch_ms or age_ms < -skew_ms)
+        checks = tuple(
+            (rule.rule_id, rule.severity_on_fail,
+             fresh if rule.kind is RuleKind.FRESHNESS_WINDOW else rule._check)
+            for rule in rules
+        )
+        object.__setattr__(self, "_checks", checks)
 
 
 @dataclass(frozen=True)
@@ -140,72 +185,24 @@ class ComplianceReport:
         return tuple(rule_id for rule_id, _ in self.failed_rules)
 
 
-def _lookup(manifest: Manifest, partition: str, name: str) -> tuple[bool, Any]:
-    if partition in ("user", "any") and name in manifest.user_fields:
-        return True, manifest.user_fields[name]
-    if partition in ("model", "any") and name in manifest.model_fields:
-        return True, manifest.model_fields[name]
-    return False, None
-
-
-def _rule_passes(rule: PolicyRule, manifest: Manifest, policy: PolicySet, now_ms: int) -> bool:
-    params = rule.params
-    kind = rule.kind
-    if kind is RuleKind.REQUIRED_FIELD:
-        present, _ = _lookup(manifest, params["partition"], params["field"])
-        return present
-    if kind is RuleKind.FIELD_PATTERN:
-        present, value = _lookup(manifest, params["partition"], params["field"])
-        if not present:
-            return True
-        if not isinstance(value, str):
-            return False
-        return rule._compiled.fullmatch(value) is not None  # type: ignore[attr-defined]
-    if kind is RuleKind.VALUE_RANGE:
-        present, value = _lookup(manifest, params["partition"], params["field"])
-        if not present:
-            return True
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        lo = params.get("min")
-        hi = params.get("max")
-        if lo is not None and value < lo:
-            return False
-        if hi is not None and value > hi:
-            return False
-        return True
-    if kind is RuleKind.MAX_FIELD_COUNT:
-        total = len(manifest.user_fields) + len(manifest.model_fields)
-        return total <= params["max_fields"]
-    if kind is RuleKind.MAX_ENCODING_SIZE:
-        return len(canonical_encode(manifest)) <= params["max_bytes"]
-    if kind is RuleKind.TOOL_ALLOWLIST:
-        return manifest.tool_id in params["tools"]
-    if kind is RuleKind.FRESHNESS_WINDOW:
-        age_ms = now_ms - manifest.timestamp
-        if age_ms > policy.epoch_ms:
-            return False
-        # Timestamps ahead of the verifier clock are tolerated up to the skew.
-        if age_ms < -policy.clock_skew_ms:
-            return False
-        return True
-    raise ConfigError(f"unhandled rule kind {kind!r}")
+_CLEAN = ComplianceReport(passed=True, severity=Severity.OK, failed_rules=())
 
 
 def evaluate(manifest: Manifest, policy: PolicySet, now_ms: int) -> ComplianceReport:
     """Evaluate every rule; the report lists all failures, not just the first."""
-    failed: list[tuple[str, Severity]] = []
-    for rule in policy.rules:
-        if not _rule_passes(rule, manifest, policy, now_ms):
-            failed.append((rule.rule_id, rule.severity_on_fail))
-    severity = Severity.OK
-    for _, sev in failed:
-        if _SEVERITY_RANK[sev] > _SEVERITY_RANK[severity]:
-            severity = sev
+    failed = tuple(
+        (rule_id, severity)
+        for rule_id, severity, check in policy._checks
+        if not check(manifest, now_ms)
+    )
+    if not failed:
+        return _CLEAN
+    # a failure is WARN or BLOCK, never OK
+    blocked = any(severity is Severity.BLOCK for _, severity in failed)
     return ComplianceReport(
-        passed=severity is not Severity.BLOCK,
-        severity=severity,
-        failed_rules=tuple(failed),
+        passed=not blocked,
+        severity=Severity.BLOCK if blocked else Severity.WARN,
+        failed_rules=failed,
     )
 
 
@@ -271,18 +268,22 @@ def policy_from_dict(obj: object) -> PolicySet:
     )
 
 
-def load_policy_file(path: Union[str, Path]) -> PolicySet:
+def read_json_config(path: Union[str, Path], what: str) -> Any:
+    """The JSON document in the file at ``path``; any failure is a ConfigError."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read policy file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"policy file {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{what} {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return policy_from_dict(obj)
+
+
+def load_policy_file(path: Union[str, Path]) -> PolicySet:
+    return policy_from_dict(read_json_config(path, "policy file"))
 
 
 def save_policy_file(policy: PolicySet, path: Union[str, Path]) -> None:

@@ -300,11 +300,16 @@ class TransparencyLog:
         """Durably append one entry; returns its index and the new root.
 
         ``appended_at`` defaults to now, in milliseconds.  An entry that would
-        not read back as given (a ``key_id`` that is not a UTF-8-encodable
+        not read back as given (a ``manifest_digest`` that is not a
+        ``ManifestDigest``, a ``key_id`` that is not a UTF-8-encodable
         ``str``, a ``signature`` that is not ``bytes``, an ``appended_at``
         that is not an ``int`` or is a ``bool``) raises ``EncodingError``
         before anything is written.
         """
+        if not isinstance(manifest_digest, ManifestDigest):
+            raise EncodingError(
+                f"manifest digest must be a ManifestDigest, not {type(manifest_digest).__name__}"
+            )
         if appended_at is None:
             appended_at = int(time.time() * 1000)
         elif not isinstance(appended_at, int) or isinstance(appended_at, bool):

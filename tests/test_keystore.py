@@ -164,6 +164,42 @@ class TestRotation:
         freqs = rotation_frequencies(picks, ["a", "b"])
         assert freqs["a"] == pytest.approx(0.8, abs=0.015)
 
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            RotationPolicy.uniform(["a", "b", "c"]),
+            RotationPolicy.weighted({"a": 0.7, "b": 0.1, "c": 0.2}),
+            RotationPolicy(("a", "b", "c"), (0.1, -1 / 3, 1 / 3 - 0.1)),
+        ],
+        ids=["uniform", "weighted", "zero-weight"],
+    )
+    def test_stored_weights_draw_the_keys_recomputed_weights_draw(self, policy):
+        # the weights are computed once, with the per-call arithmetic, so one
+        # RNG stream picks the same keys either way
+        base = 1.0 / len(policy.key_ids)
+        assert policy.weights() == tuple(base + o for o in policy.offsets)
+
+        def reference_pick(revoked, rng):
+            usable = [(k, base + o) for k, o in zip(policy.key_ids, policy.offsets)
+                      if k not in revoked]
+            r = rng.random() * sum(w for _, w in usable)
+            acc = 0.0
+            for key_id, weight in usable:
+                acc += weight
+                if r < acc:
+                    return key_id
+            return usable[-1][0]
+
+        ks = Keystore()
+        for kid in policy.key_ids:
+            ks.keygen(kid)
+        for revoked in ((), ("b",)):
+            for kid in revoked:
+                ks.revoke(kid)
+            rng, ref_rng = (np.random.Generator(np.random.Philox(45)) for _ in range(2))
+            picks = [ks.select_key(policy, rng) for _ in range(2_000)]
+            assert picks == [reference_pick(revoked, ref_rng) for _ in range(2_000)]
+
     def test_selection_renormalizes_after_revocation(self):
         ks = Keystore()
         for kid in ("a", "b", "c"):

@@ -1,7 +1,9 @@
 """Canonical encoding and digest tests."""
 
+import hashlib
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,29 @@ class TestConstruction:
         with pytest.raises(EncodingError):
             parse_manifest(text)
 
+    @pytest.mark.parametrize(
+        "user, model, tool, named",
+        [
+            ({"q\ud800": "x"}, {}, "t", "user_fields key 'q\\ud800'"),
+            ({}, {"k": "a\udfffb"}, "t", "model_fields['k']"),
+            ({"q": "x"}, {}, "tool-\udc00", "tool_id"),
+        ],
+        ids=["key", "value", "tool-id"],
+    )
+    def test_lone_surrogate_error_names_the_field(self, user, model, tool, named):
+        with pytest.raises(EncodingError) as err:
+            Manifest(user, model, 5, tool)
+        assert str(err.value) == f"{named} cannot be encoded as UTF-8"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter has no int-to-str digit limit",
+    )
+    def test_unencodable_int_is_refused_at_construction(self):
+        # past the interpreter's int-to-str digit limit: no canonical encoding
+        with pytest.raises(EncodingError, match="no canonical encoding"):
+            Manifest({"n": 10 ** (sys.get_int_max_str_digits() + 1)}, {}, 5, "t")
+
     @settings(max_examples=300)
     @given(
         st.lists(
@@ -118,6 +143,36 @@ class TestConstruction:
     def test_equal_iff_same_encoding(self, pair):
         m1, m2 = pair
         assert (m1 == m2) == (canonical_encode(m1) == canonical_encode(m2))
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(
+            st.builds(
+                Manifest,
+                user_fields=st.dictionaries(
+                    st.sampled_from(["a", "b"]),
+                    st.sampled_from([True, False, 0, 1, 0.0, -0.0, 1.0, "1", "true"]),
+                    max_size=2,
+                ),
+                model_fields=st.just({}),
+                timestamp=st.integers(min_value=0, max_value=1),
+                tool_id=st.sampled_from(["t", "u"]),
+            ),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_equal_manifests_hash_alike(self, pair):
+        m1, m2 = pair
+        if m1 == m2:
+            assert hash(m1) == hash(m2)
+            assert len({m1, m2}) == 1
+
+    def test_true_one_and_one_point_zero_are_distinct_set_members(self):
+        forms = {Manifest({"x": v}, {}, 5, "t") for v in (True, 1, 1.0)}
+        assert len(forms) == 3
+        assert Manifest({"x": 1}, {}, 5, "t") in forms
+        assert Manifest({"x": False}, {}, 5, "t") not in forms
 
     def test_shared_key_rejected(self):
         with pytest.raises(DisjointnessViolation):
@@ -144,6 +199,22 @@ class TestConstruction:
     def test_non_string_keys_rejected(self):
         with pytest.raises(EncodingError):
             Manifest({1: "x"}, {}, 1, "t")
+
+    @pytest.mark.parametrize(
+        "user, model, named",
+        [
+            ({"a": 1, 2: 3}, {}, "user_fields key 2"),
+            ({None: 1, "a": 2}, {}, "user_fields key None"),
+            ({}, {"b": "x", (1,): "y"}, "model_fields key (1,)"),
+            ({"a": 1}, {3.5: 0, "z": 1}, "model_fields key 3.5"),
+        ],
+        ids=["user-int", "user-none", "model-tuple", "model-float"],
+    )
+    def test_mixed_key_types_name_the_key(self, user, model, named):
+        # keys that cannot be sorted against a str are refused before sorting
+        with pytest.raises(EncodingError) as err:
+            Manifest(user, model, 1, "t")
+        assert str(err.value) == f"{named} is not a string"
 
     @pytest.mark.parametrize("ts", [-1, 1.5, "7", True, None])
     def test_bad_timestamp_rejected(self, ts):
@@ -218,6 +289,74 @@ class TestCanonicalEncoding:
         obj["extra"] = 1
         with pytest.raises(EncodingError):
             manifest_from_dict(obj)
+
+
+#: Strings the reference encoder treats specially: escapes, controls, line
+#: and paragraph separators, non-ASCII and astral characters.
+_awkward_text = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        ["", "\u2028", "a\u2029b", "\x00\x1f\x7f", "\"\\/", "\U0001f600\U0001d11e", "søk",
+         "\ufeff"]
+    ),
+)
+_awkward_scalar = st.one_of(
+    _awkward_text,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308, True, False]),
+)
+_awkward_manifests = st.builds(
+    Manifest,
+    user_fields=st.dictionaries(_awkward_text.map("u".__add__), _awkward_scalar, max_size=5),
+    model_fields=st.dictionaries(_awkward_text.map("m".__add__), _awkward_scalar, max_size=5),
+    timestamp=st.integers(min_value=0, max_value=2**64),
+    tool_id=_awkward_text.filter(bool),
+)
+
+
+def reference_encode(m):
+    """The canonical encoding as a fresh ``json.dumps`` of the plain-dict form."""
+    return json.dumps(
+        manifest_to_dict(m), separators=(",", ":"), ensure_ascii=False, allow_nan=False
+    ).encode("utf-8")
+
+
+class TestEncodedOnce:
+    @settings(max_examples=400)
+    @given(_awkward_manifests)
+    def test_stored_encoding_matches_the_reference(self, m):
+        assert canonical_encode(m) == reference_encode(m)
+        assert digest(m).value == hashlib.sha256(reference_encode(m)).digest()
+        assert encoding_stats(m).size_bytes == len(reference_encode(m))
+
+    def test_stored_encoding_is_not_a_field(self):
+        m = sample_manifest()
+        assert "encoded" not in repr(m)
+        with pytest.raises(TypeError):
+            Manifest(m.user_fields, m.model_fields, m.timestamp, m.tool_id, b"{}")
+
+    def test_golden_digests_of_a_generated_batch(self):
+        # SHA-256 over the digests of every well-formed manifest of one seeded
+        # harness batch; the value was computed before the encoding moved to
+        # construction and pins the digests byte for byte.
+        from manifestd.harness import WorkloadConfig, _Streams, generate_batch
+
+        cfg = WorkloadConfig(sizes=(2000,), seed=7)
+        batch = generate_batch(cfg, 2000, _Streams(cfg.seed, 2000).fresh()["gen"])
+        chained = hashlib.sha256()
+        built = 0
+        for request in batch:
+            try:
+                m = request.manifest()
+            except EncodingError:
+                continue
+            chained.update(digest(m).value)
+            built += 1
+        assert built == 1950
+        assert chained.hexdigest() == (
+            "eb010056dbffe9a53c10af03e903bb0a318713c839022e207635a148480ab223"
+        )
 
 
 class TestDigest:

@@ -5,13 +5,14 @@ manifest passes only when no blocking rule failed.
 """
 
 import json
+import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from manifestd.errors import ConfigError, DomainError
-from manifestd.manifest import Manifest
+from manifestd.manifest import Manifest, canonical_encode
 from manifestd.policy import (
     ComplianceReport,
     PolicyRule,
@@ -262,3 +263,205 @@ class TestSerialization:
     def test_json_shape_is_plain(self):
         text = json.dumps(policy_to_dict(self.policy()))
         assert "needs-query" in text and "freshness-window" in text
+
+
+# -- reference evaluator ------------------------------------------------------
+# Rule-by-rule interpretation of the parameters on every call, as evaluation
+# worked before policies were compiled.  The compiled ``evaluate`` must give
+# an equal report for every policy and manifest.
+
+_RANK = {Severity.OK: 0, Severity.WARN: 1, Severity.BLOCK: 2}
+
+
+def _oracle_lookup(manifest, partition, name):
+    if partition in ("user", "any") and name in manifest.user_fields:
+        return True, manifest.user_fields[name]
+    if partition in ("model", "any") and name in manifest.model_fields:
+        return True, manifest.model_fields[name]
+    return False, None
+
+
+def _oracle_rule_passes(rule, manifest, policy, now_ms):
+    params = rule.params
+    kind = rule.kind
+    if kind is RuleKind.REQUIRED_FIELD:
+        present, _ = _oracle_lookup(manifest, params["partition"], params["field"])
+        return present
+    if kind is RuleKind.FIELD_PATTERN:
+        present, value = _oracle_lookup(manifest, params["partition"], params["field"])
+        if not present:
+            return True
+        if not isinstance(value, str):
+            return False
+        return re.compile(params["pattern"]).fullmatch(value) is not None
+    if kind is RuleKind.VALUE_RANGE:
+        present, value = _oracle_lookup(manifest, params["partition"], params["field"])
+        if not present:
+            return True
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        lo = params.get("min")
+        hi = params.get("max")
+        if lo is not None and value < lo:
+            return False
+        if hi is not None and value > hi:
+            return False
+        return True
+    if kind is RuleKind.MAX_FIELD_COUNT:
+        total = len(manifest.user_fields) + len(manifest.model_fields)
+        return total <= params["max_fields"]
+    if kind is RuleKind.MAX_ENCODING_SIZE:
+        return len(canonical_encode(manifest)) <= params["max_bytes"]
+    if kind is RuleKind.TOOL_ALLOWLIST:
+        return manifest.tool_id in params["tools"]
+    if kind is RuleKind.FRESHNESS_WINDOW:
+        age_ms = now_ms - manifest.timestamp
+        if age_ms > policy.epoch_ms:
+            return False
+        if age_ms < -policy.clock_skew_ms:
+            return False
+        return True
+    raise ConfigError(f"unhandled rule kind {kind!r}")
+
+
+def oracle_evaluate(manifest, policy, now_ms):
+    failed = []
+    for r in policy.rules:
+        if not _oracle_rule_passes(r, manifest, policy, now_ms):
+            failed.append((r.rule_id, r.severity_on_fail))
+    severity = Severity.OK
+    for _, sev in failed:
+        if _RANK[sev] > _RANK[severity]:
+            severity = sev
+    return ComplianceReport(
+        passed=severity is not Severity.BLOCK, severity=severity, failed_rules=tuple(failed)
+    )
+
+
+_FIELDS = ["query", "priority", "tag", "n"]
+_PATTERNS = [r"[a-z ]+", r"\d{1,3}", r".*", r"x|y", r"", r"[\w\- ]{1,8}"]
+_TOOLS = ["tracker", "search", "shell"]
+# bounds and field values share small pools, so values land on the bounds
+_NUMBERS = [-2, -1, 0, 1, 2, 3, -0.0, 0.5, 2.5, 2**63]
+_bound = st.one_of(
+    st.none(),
+    st.sampled_from(_NUMBERS),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _rules(draw, rule_id):
+    kind = draw(st.sampled_from(list(RuleKind)))
+    severity = draw(st.sampled_from([Severity.WARN, Severity.BLOCK]))
+    params = {}
+    if kind in (RuleKind.REQUIRED_FIELD, RuleKind.FIELD_PATTERN, RuleKind.VALUE_RANGE):
+        params["field"] = draw(st.sampled_from(_FIELDS))
+        partition = draw(st.sampled_from(["user", "model", "any", None]))
+        if partition is not None:
+            params["partition"] = partition
+    if kind is RuleKind.FIELD_PATTERN:
+        params["pattern"] = draw(st.sampled_from(_PATTERNS))
+    elif kind is RuleKind.VALUE_RANGE:
+        params["min"], params["max"] = draw(_bound), draw(_bound)
+    elif kind is RuleKind.MAX_FIELD_COUNT:
+        params["max_fields"] = draw(st.integers(0, 6))
+    elif kind is RuleKind.MAX_ENCODING_SIZE:
+        params["max_bytes"] = draw(st.integers(1, 200))
+    elif kind is RuleKind.TOOL_ALLOWLIST:
+        params["tools"] = draw(st.lists(st.sampled_from(_TOOLS), min_size=1, max_size=3))
+    try:
+        return PolicyRule(rule_id, kind, params, severity)
+    except ConfigError:
+        assume(False)
+
+
+@st.composite
+def _policies(draw):
+    n = draw(st.integers(0, 9))
+    rules = tuple(draw(_rules(f"r{i}")) for i in range(n))
+    epoch = draw(st.one_of(st.sampled_from([1_000, 5_000, 60_000]), st.integers(1, 100_000)))
+    skew = draw(st.one_of(st.sampled_from([0, 100, 2_000]), st.integers(0, 10_000)))
+    return PolicySet(rules, epoch_ms=epoch, clock_skew_ms=skew)
+
+
+_field_value = st.one_of(
+    st.sampled_from(["", "abc", "x", "42", "list open issues", "rm -rf /"]),
+    st.text(max_size=10),
+    st.sampled_from(_NUMBERS),
+    st.integers(-100, 100),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+)
+
+
+@st.composite
+def _policy_manifests(draw):
+    placed = draw(
+        st.dictionaries(
+            st.sampled_from(_FIELDS + ["extra"]),
+            st.tuples(st.sampled_from(["user", "model"]), _field_value),
+            max_size=5,
+        )
+    )
+    user = {k: v for k, (side, v) in placed.items() if side == "user"}
+    model = {k: v for k, (side, v) in placed.items() if side == "model"}
+    # timestamps that sit exactly on the freshness bounds of the pooled windows
+    edges = [NOW + d for d in (-60_000, -5_000, -1_000, 0, 100, 2_000)]
+    timestamp = draw(st.one_of(st.sampled_from(edges), st.integers(NOW - 200_000, NOW + 20_000)))
+    return Manifest(user, model, timestamp, draw(st.sampled_from(_TOOLS)))
+
+
+class TestCompiledMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(
+        _policies(),
+        _policy_manifests(),
+        st.one_of(st.just(NOW), st.integers(NOW - 5_000, NOW + 5_000)),
+    )
+    def test_same_report_as_the_reference(self, policy, m, now):
+        # equal reports: same passed, severity and failed rules in order
+        assert evaluate(m, policy, now) == oracle_evaluate(m, policy, now)
+
+    @pytest.mark.parametrize("severity", [Severity.WARN, Severity.BLOCK])
+    @pytest.mark.parametrize("partition", ["user", "model", "any"])
+    def test_every_kind_and_partition(self, partition, severity):
+        rules = (
+            rule("req", RuleKind.REQUIRED_FIELD, severity, field="query", partition=partition),
+            rule("pat", RuleKind.FIELD_PATTERN, severity, field="query", partition=partition,
+                 pattern=r"[a-z ]+"),
+            rule("rng", RuleKind.VALUE_RANGE, severity, field="priority", partition=partition,
+                 min=1, max=4),
+            rule("cnt", RuleKind.MAX_FIELD_COUNT, severity, max_fields=2),
+            rule("size", RuleKind.MAX_ENCODING_SIZE, severity, max_bytes=110),
+            rule("tool", RuleKind.TOOL_ALLOWLIST, severity, tools=["tracker"]),
+            rule("fresh", RuleKind.FRESHNESS_WINDOW, severity),
+        )
+        policy = PolicySet(rules, epoch_ms=10_000, clock_skew_ms=100)
+        manifests = [
+            manifest(),
+            manifest(user_fields={}, model_fields={"query": "UPPER", "priority": 9}),
+            manifest(user_fields={"query": 3, "priority": "x"}, tool_id="shell"),
+            manifest(user_fields={"query": "ab", "priority": 4}),
+            manifest(model_fields={"query": "ab", "priority": 1.0}, user_fields={}),
+            manifest(user_fields={"priority": True}),
+            manifest(timestamp=NOW - 10_001),
+            manifest(timestamp=NOW - 10_000),
+            manifest(timestamp=NOW + 100),
+            manifest(timestamp=NOW + 101),
+        ]
+        for m in manifests:
+            assert evaluate(m, policy, NOW) == oracle_evaluate(m, policy, NOW)
+
+    def test_params_are_read_only(self):
+        r = rule("r", RuleKind.VALUE_RANGE, field="priority", max=5)
+        with pytest.raises(TypeError):
+            r.params["max"] = 100
+        with pytest.raises(TypeError):
+            r.params["min"] = 0
+
+    def test_caller_dict_changes_do_not_reach_the_rule(self):
+        params = {"tools": ["tracker"]}
+        policy = PolicySet((PolicyRule("t", RuleKind.TOOL_ALLOWLIST, params),))
+        params["tools"].append("shell")
+        assert not evaluate(manifest(tool_id="shell"), policy, NOW).passed

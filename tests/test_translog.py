@@ -257,6 +257,26 @@ class TestAppendInputs:
             assert log.append(self.DIG, b"\x01", "k", appended_at=4)[0] == 3
         assert check_integrity(tmp_path).ok
 
+    @pytest.mark.parametrize(
+        "dig",
+        [
+            pytest.param(bytes(32), id="raw-bytes"),
+            pytest.param("3c" * 32, id="hex-str"),
+            pytest.param(None, id="none"),
+        ],
+    )
+    def test_refused_digest_leaves_the_log_unchanged(self, tmp_path, dig):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 3)
+        before = log_files(tmp_path)
+        with TransparencyLog(tmp_path) as log:
+            root = log.current_root()
+            with pytest.raises(EncodingError, match="must be a ManifestDigest"):
+                log.append(dig, b"\x01", "k", appended_at=4)
+            assert log.size == 3 and log.current_root() == root
+        assert log_files(tmp_path) == before
+        assert check_integrity(tmp_path).ok
+
     @settings(max_examples=200, deadline=None)
     @given(
         signature=st.one_of(st.binary(max_size=80), st.text(max_size=4), st.none()),
