@@ -11,20 +11,22 @@ Every measurement runs in a fresh interpreter that imports only the source
 tree it measures, and the two trees take turns, each going first in every
 other pair, so both see the same phases of a shared host.
 
-Each interpreter times every stage as one loop over all the manifests,
-``--loops`` times, and keeps the best loop; a side's figure is the median of
-its interpreters' figures (``--repeats`` of them), with the quartiles and
-every run.  ``admission`` is ``Manifest()`` plus ``digest`` plus
-``evaluate``, the work of ``pipeline.admit`` and the construction before it;
-``admission_s`` is one such pass over the batch, and ``hashes`` the SHA-256
-digests it makes.
+Each interpreter times every stage as one loop over all the manifests, five
+times, and keeps the best loop; a side's figure is the median of its
+interpreters' figures (``--repeats`` of them), with the quartiles and every
+run.  ``admission`` is one more such loop that builds each manifest from its
+fields, digests it and evaluates it: the construction and ``pipeline.admit``
+work of the secure pass.  ``admission_s`` is the best of these passes over the
+whole batch, and ``hashes`` the SHA-256 digests one pass makes, one per
+manifest.
 
 Both trees must produce the same digests, the same compliance reports and,
 from the same RNG stream, the same key choices: the script exits 1 if the
 SHA-256 over any of these differs between runs or sides.  The output,
 ``BENCH_admission.json`` by default, also records the pairs the change won
-on ``admission_s``, the seed, signature scheme, kernel backend, Python and
-``cryptography`` versions and the machine.  Run from the root of a checkout:
+on ``admission_s``, the seed, loop count, signature scheme (the harness
+default), kernel backend, Python and ``cryptography`` versions and the
+machine.  Run from the root of a checkout:
 
     python3 benchmarks/bench_admission.py --parent ../parent/src
 """
@@ -43,7 +45,10 @@ from bench_reopen import git_commit, machine
 
 ROOT = Path(__file__).resolve().parent.parent
 
-STAGES = ("construct", "digest", "evaluate", "select_key", "sign", "verify")
+STAGES = ("construct", "digest", "evaluate", "admission", "select_key", "sign", "verify")
+
+#: Timed loops per stage and interpreter; the best is kept.
+LOOPS = 5
 
 #: Child program: build the batch, time each stage's loop, fingerprint the outputs.
 _CHILD = r"""
@@ -55,8 +60,8 @@ from manifestd.harness import WorkloadConfig, _Streams, default_policy_set, gene
 from manifestd.keystore import Keystore, RotationPolicy
 from manifestd.manifest import Manifest, digest
 from manifestd.policy import evaluate
-seed, requests, loops, scheme = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]), sys.argv[5]
-cfg = WorkloadConfig(sizes=(requests,), seed=seed, scheme=scheme)
+seed, requests, loops = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+cfg = WorkloadConfig(sizes=(requests,), seed=seed)
 batch = generate_batch(cfg, requests, _Streams(seed, requests).fresh()["gen"])
 good = []
 for r in batch:
@@ -68,7 +73,7 @@ for r in batch:
 fields = [(r.user_fields, r.model_fields, r.timestamp, r.tool_id) for r in good]
 nows = [int(r.scheduled_ms) for r in good]
 policy = default_policy_set(cfg)
-keystore = Keystore(scheme)
+keystore = Keystore(cfg.scheme)
 for key_id in cfg.key_ids:
     keystore.keygen(key_id, created_at=cfg.base_time_ms)
 rotation = RotationPolicy.uniform(cfg.key_ids)
@@ -89,6 +94,15 @@ def stage(name, body):
 stage("construct", lambda: [Manifest(*f) for f in fields])
 stage("digest", lambda: [digest(m) for m in manifests])
 reports = stage("evaluate", lambda: [evaluate(m, policy, n) for m, n in zip(manifests, nows)])
+def admit_all():
+    admitted = []
+    for f, n in zip(fields, nows):
+        m = Manifest(*f)
+        admitted.append((digest(m), evaluate(m, policy, n)))
+    return admitted
+admitted = stage("admission", admit_all)
+if [d for d, _ in admitted] != digests or [r for _, r in admitted] != reports:
+    sys.exit("the admission pass disagrees with the separate stages")
 def draw():
     rng = np.random.Generator(np.random.Philox(seed))
     return [keystore.select_key(rotation, rng) for _ in good]
@@ -113,9 +127,9 @@ print(json.dumps({
 """
 
 
-def run_once(src: Path, seed: int, requests: int, loops: int, scheme: str) -> dict:
+def run_once(src: Path, seed: int, requests: int) -> dict:
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(seed), str(requests), str(loops), scheme],
+        [sys.executable, "-c", _CHILD, str(src), str(seed), str(requests), str(LOOPS)],
         check=True,
         capture_output=True,
         text=True,
@@ -130,19 +144,15 @@ def spread(values: list[float]) -> dict:
 
 
 def admission_s(sample: dict) -> float:
-    """Seconds of one admission pass over the batch: construct, digest, evaluate."""
-    us = sum(sample["us"][name] for name in ("construct", "digest", "evaluate"))
-    return us * sample["manifests"] / 1e6
+    """Seconds of the best timed admission pass over the batch: construct, digest, evaluate."""
+    return sample["us"]["admission"] * sample["manifests"] / 1e6
 
 
 def summary(samples: list[dict]) -> dict:
     return {
         "admission_s": spread([admission_s(s) for s in samples]),
-        "us_per_manifest": {
-            **{name: spread([s["us"][name] for s in samples]) for name in STAGES},
-            "admission": spread([admission_s(s) * 1e6 / s["manifests"] for s in samples]),
-        },
-        # one SHA-256 digest per well-formed manifest in an admission pass
+        "us_per_manifest": {name: spread([s["us"][name] for s in samples]) for name in STAGES},
+        # the admission pass digests each well-formed manifest once
         "hashes": samples[0]["manifests"],
     }
 
@@ -153,8 +163,7 @@ def measure(sides: dict[str, Path], requests: int, args) -> tuple[dict, list[str
     order = list(sides)
     for pair in range(args.repeats):
         for side in order if pair % 2 == 0 else order[::-1]:
-            samples[side].append(run_once(sides[side], args.seed, requests, args.loops,
-                                          args.scheme))
+            samples[side].append(run_once(sides[side], args.seed, requests))
     mismatches = []
     for key in ("manifests", "digests", "reports", "picks"):
         seen = {str(s[key]) for side in sides for s in samples[side]}
@@ -182,14 +191,13 @@ def main() -> int:
     parser.add_argument("--parent-rev", help="label or commit of that checkout, for the record")
     parser.add_argument("--sizes", default="2000", help="requests per batch, comma-separated")
     parser.add_argument("--repeats", type=int, default=10, help="interpreter pairs per size")
-    parser.add_argument("--loops", type=int, default=5, help="timed loops per stage, best kept")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--scheme", default="ecdsa-p256", choices=("ecdsa-p256", "ed25519"))
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_admission.json")
     args = parser.parse_args()
     change_src = ROOT / "src"
     sys.path.insert(0, str(change_src))
     from manifestd import kernel_backend
+    from manifestd.harness import WorkloadConfig
 
     try:
         from cryptography import __version__ as cryptography_version
@@ -203,7 +211,7 @@ def main() -> int:
         rows.append({"entries": requests, **row})
         mismatches += differ
         print(f"{requests} requests, {row['manifests']} manifests", file=sys.stderr)
-        for name in (*STAGES, "admission"):
+        for name in STAGES:
             p, c = (row[side]["us_per_manifest"][name]["median"] for side in sides)
             print(f"  {name:11} parent {p:8.2f} us  change {c:8.2f} us  x{c / p:.2f}",
                   file=sys.stderr)
@@ -212,13 +220,14 @@ def main() -> int:
         "benchmark": "admission",
         "sizes": args.sizes,
         "what": "us per well-formed manifest of one generate_batch batch (entries = requests), "
-                "each stage timed as one loop over the batch, best of --loops loops per fresh "
-                "interpreter, parent and change alternating; admission = construct + digest + "
-                "evaluate; hashes = SHA-256 digests of one admission pass",
+                "each stage timed as one loop over the batch, best of `loops` loops per fresh "
+                "interpreter, parent and change alternating; admission = one timed loop that "
+                "constructs, digests and evaluates each manifest, admission_s = that loop over "
+                "the whole batch; hashes = SHA-256 digests of one admission pass",
         "seed": args.seed,
         "repeats": args.repeats,
-        "loops": args.loops,
-        "scheme": args.scheme,
+        "loops": LOOPS,
+        "scheme": WorkloadConfig.scheme,
         "kernel_backend": kernel_backend,
         "python": platform.python_version(),
         "cryptography": cryptography_version,

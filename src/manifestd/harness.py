@@ -38,7 +38,7 @@ from .errors import ConfigError, EncodingError
 from .keystore import Keystore, RejectReason, RotationPolicy
 from .manifest import Manifest, digest as manifest_digest
 from .pipeline import accept, admit
-from .policy import PolicyRule, PolicySet, RuleKind, Severity, read_json_config
+from .policy import PolicyRule, PolicySet, RuleKind, Severity
 from .translog import TransparencyLog, atomic_write_bytes
 
 BASELINE_DEFINITION = (
@@ -363,7 +363,17 @@ def config_from_dict(obj: Mapping) -> WorkloadConfig:
 
 
 def load_config_file(path: Union[str, Path]) -> WorkloadConfig:
-    return config_from_dict(read_json_config(path, "config"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"config {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    return config_from_dict(obj)
 
 
 # -- request generation ----------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping, Union
@@ -31,7 +30,6 @@ _FIELD_TYPES = (str, int, float, bool)
 
 #: The one encoder behind every canonical encoding.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan=False)
-_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _normalized(partition: str, fields: Mapping[str, Scalar]) -> dict[str, Scalar]:
@@ -58,9 +56,11 @@ def _unencodable(user: dict, model: dict, tool_id: str, exc: ValueError) -> str:
     for where, value in named + [("tool_id", tool_id)]:
         if isinstance(value, float) and not math.isfinite(value):
             return f"{where} is not a finite number"
-        if isinstance(value, str) and _SURROGATE.search(value):
-            # lone surrogates are valid str but have no UTF-8 encoding
-            return f"{where} cannot be encoded as UTF-8"
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as err:  # a lone surrogate: valid str, no UTF-8 form
+                return f"{where} cannot be encoded as UTF-8: {err.reason}"
     return f"manifest has no canonical encoding: {exc}"
 
 

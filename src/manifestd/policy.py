@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
 from .errors import ConfigError, DomainError
 from .manifest import Manifest, canonical_encode
@@ -52,6 +52,9 @@ class PolicyRule:
     kind: RuleKind
     params: Mapping[str, Any] = field(default_factory=dict)
     severity_on_fail: Severity = Severity.BLOCK
+    # check(manifest, now_ms, policy) -> passes, the policy giving the freshness window;
+    # compiled from params here, once
+    _check: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rule_id:
@@ -64,11 +67,8 @@ class PolicyRule:
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "_check", check)
 
-    def _compile(self, params: dict) -> Optional[Callable[[Manifest, int], bool]]:
-        """Validate ``params`` and close the check over them; True means the manifest passes.
-
-        A freshness rule has no check of its own: its window is its policy set's.
-        """
+    def _compile(self, params: dict) -> Callable[[Manifest, int, "PolicySet"], bool]:
+        """Validate ``params`` and close the check over them; True means the manifest passes."""
         kind = self.kind
         def need(name: str, types: tuple) -> Any:
             if name not in params:
@@ -79,24 +79,27 @@ class PolicyRule:
             return value
 
         if kind is RuleKind.FRESHNESS_WINDOW:
-            return None
+            # timestamps ahead of the verifier clock are tolerated up to the skew
+            return lambda m, now, p: not (
+                now - m.timestamp > p.epoch_ms or now - m.timestamp < -p.clock_skew_ms
+            )
         if kind is RuleKind.MAX_FIELD_COUNT:
             max_fields = need("max_fields", (int,))
             if max_fields < 0:
                 raise ConfigError(f"rule {self.rule_id}: max_fields must be >= 0")
-            return lambda m, now: len(m.user_fields) + len(m.model_fields) <= max_fields
+            return lambda m, now, p: len(m.user_fields) + len(m.model_fields) <= max_fields
         if kind is RuleKind.MAX_ENCODING_SIZE:
             max_bytes = need("max_bytes", (int,))
             if max_bytes <= 0:
                 raise ConfigError(f"rule {self.rule_id}: max_bytes must be positive")
-            return lambda m, now: len(canonical_encode(m)) <= max_bytes
+            return lambda m, now, p: len(canonical_encode(m)) <= max_bytes
         if kind is RuleKind.TOOL_ALLOWLIST:
             tools = need("tools", (list, tuple))
             if not tools or not all(isinstance(t, str) for t in tools):
                 raise ConfigError(f"rule {self.rule_id}: tools must be a non-empty string list")
             params["tools"] = tuple(tools)
             allowed = frozenset(tools)
-            return lambda m, now: m.tool_id in allowed
+            return lambda m, now, p: m.tool_id in allowed
         if kind not in (RuleKind.REQUIRED_FIELD, RuleKind.FIELD_PATTERN, RuleKind.VALUE_RANGE):
             raise ConfigError(f"rule {self.rule_id}: unknown kind {kind!r}")
         name = need("field", (str,))
@@ -111,13 +114,13 @@ class PolicyRule:
         else:
             get = lambda m: m.user_fields.get(name, m.model_fields.get(name, _ABSENT))
         if kind is RuleKind.REQUIRED_FIELD:
-            return lambda m, now: get(m) is not _ABSENT
+            return lambda m, now, p: get(m) is not _ABSENT
         if kind is RuleKind.FIELD_PATTERN:
             try:
                 whole = re.compile(need("pattern", (str,))).fullmatch
             except re.error as exc:
                 raise ConfigError(f"rule {self.rule_id}: bad pattern: {exc}") from exc
-            def matches(m: Manifest, now: int) -> bool:
+            def matches(m: Manifest, now: int, p: PolicySet) -> bool:
                 value = get(m)
                 return value is _ABSENT or (isinstance(value, str) and whole(value) is not None)
             return matches
@@ -127,7 +130,7 @@ class PolicyRule:
         hi = math.inf if params.get("max") is None else need("max", (int, float))
         if lo > hi:
             raise ConfigError(f"rule {self.rule_id}: min exceeds max")
-        def in_range(m: Manifest, now: int) -> bool:
+        def in_range(m: Manifest, now: int, p: PolicySet) -> bool:
             value = get(m)
             if value is _ABSENT:
                 return True
@@ -159,16 +162,7 @@ class PolicySet:
             raise ConfigError("epoch_ms must be positive")
         if self.clock_skew_ms < 0:
             raise ConfigError("clock_skew_ms must not be negative")
-        epoch_ms, skew_ms = self.epoch_ms, self.clock_skew_ms
-        def fresh(m: Manifest, now: int) -> bool:
-            # Timestamps ahead of the verifier clock are tolerated up to the skew.
-            age_ms = now - m.timestamp
-            return not (age_ms > epoch_ms or age_ms < -skew_ms)
-        checks = tuple(
-            (rule.rule_id, rule.severity_on_fail,
-             fresh if rule.kind is RuleKind.FRESHNESS_WINDOW else rule._check)
-            for rule in rules
-        )
+        checks = tuple((rule.rule_id, rule.severity_on_fail, rule._check) for rule in rules)
         object.__setattr__(self, "_checks", checks)
 
 
@@ -193,7 +187,7 @@ def evaluate(manifest: Manifest, policy: PolicySet, now_ms: int) -> ComplianceRe
     failed = tuple(
         (rule_id, severity)
         for rule_id, severity, check in policy._checks
-        if not check(manifest, now_ms)
+        if not check(manifest, now_ms, policy)
     )
     if not failed:
         return _CLEAN
@@ -268,22 +262,18 @@ def policy_from_dict(obj: object) -> PolicySet:
     )
 
 
-def read_json_config(path: Union[str, Path], what: str) -> Any:
-    """The JSON document in the file at ``path``; any failure is a ConfigError."""
+def load_policy_file(path: Union[str, Path]) -> PolicySet:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+        raise ConfigError(f"cannot read policy file {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"{what} {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"policy file {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-
-
-def load_policy_file(path: Union[str, Path]) -> PolicySet:
-    return policy_from_dict(read_json_config(path, "policy file"))
+    return policy_from_dict(obj)
 
 
 def save_policy_file(policy: PolicySet, path: Union[str, Path]) -> None:

@@ -111,7 +111,7 @@ class TestConstruction:
     def test_lone_surrogate_error_names_the_field(self, user, model, tool, named):
         with pytest.raises(EncodingError) as err:
             Manifest(user, model, 5, tool)
-        assert str(err.value) == f"{named} cannot be encoded as UTF-8"
+        assert str(err.value) == f"{named} cannot be encoded as UTF-8: surrogates not allowed"
 
     @pytest.mark.skipif(
         not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
