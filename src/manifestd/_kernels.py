@@ -6,20 +6,21 @@ as an interior node.  A growing tree is tracked by its peaks, the roots of
 its perfect subtrees from left to right, one per set bit of the leaf count
 (the "compact range" of a transparency log): ``push_peak`` adds a leaf and
 ``right_edge`` folds the peaks from the right into the tree root, keeping
-every partial fold.  ``hash_pairs`` and ``fold_chain`` are batch forms of
-``hash_interior`` and ``chain_update`` over packed 32-byte hashes, for
-rebuilding a whole tree from its leaf hashes; ``prefix_roots`` is the batch
-form of ``chain_update``, ``push_peak`` and ``right_edge`` together, giving
-the root and chain value at every size while leaves are added.
+every partial fold.  ``fold_path`` folds a node up a path of siblings, each
+on a given side: the check of an inclusion or consistency proof, and the
+fold of an older tree's peaks.  ``hash_pairs`` and ``fold_chain`` are batch
+forms of the interior hash and ``chain_update`` over packed 32-byte hashes,
+for rebuilding a whole tree from its leaf hashes; ``prefix_roots`` is the
+batch form of ``chain_update``, ``push_peak`` and ``right_edge`` together,
+giving the root and chain value at every size while leaves are added.
 
 Every kernel counts its hashes in ``ops``, one per SHA-256 of a leaf, an
 interior node or a chain step; the kernels that loop add their count once
 per call.  Input lengths are checked where digests may come from outside
-the tree code: ``hash_interior`` and ``chain_update`` (so ``fold_path``
-too) take only 32-byte digests, ``hash_pairs`` and ``fold_chain`` only
-whole packed ones.  ``push_peak``, ``right_edge`` and ``prefix_roots``
-check nothing: the peaks and leaf hashes they are given are 32-byte digests
-the log made itself.
+the tree code: ``chain_update`` and ``fold_path`` take only 32-byte
+digests, ``hash_pairs`` and ``fold_chain`` only whole packed ones.
+``push_peak``, ``right_edge`` and ``prefix_roots`` check nothing: the peaks
+and leaf hashes they are given are 32-byte digests the log made itself.
 """
 
 from __future__ import annotations
@@ -55,14 +56,6 @@ def hash_leaf(data: bytes) -> bytes:
     global _ops
     _ops += 1
     return hashlib.sha256(LEAF_PREFIX + data).digest()
-
-
-def hash_interior(left: bytes, right: bytes) -> bytes:
-    if len(left) != HASH_SIZE or len(right) != HASH_SIZE:
-        raise ValueError("interior children must be 32-byte digests")
-    global _ops
-    _ops += 1
-    return hashlib.sha256(INTERIOR_PREFIX + left + right).digest()
 
 
 def chain_update(prev: bytes, leaf_hash: bytes) -> bytes:
@@ -104,11 +97,34 @@ def fold_chain(prev: bytes, leaves) -> bytes:
     return prev
 
 
-def fold_path(leaf_hash: bytes, path: list[tuple[bytes, int]]) -> bytes:
-    """Recompute the root implied by a leaf hash and its sibling path."""
-    node = leaf_hash
-    for sibling, side in path:
-        node = hash_interior(sibling, node) if side == 0 else hash_interior(node, sibling)
+def fold_path(node: bytes, path) -> bytes:
+    """The root that ``node`` folds to up ``path``, a sequence of ``(sibling, side)``.
+
+    Side 0 puts the sibling left of the running node, side 1 right; each step
+    is one interior hash.  The node and every sibling must be 32-byte digests
+    and every side 0 or 1.  Each element is checked as the fold reaches it: a
+    bad one raises ``ValueError`` (``TypeError`` for a sibling that is not
+    bytes-like), and only the hashes made before it are counted.
+    """
+    if len(node) != HASH_SIZE:
+        raise ValueError("fold_path takes only 32-byte digests")
+    sha256 = hashlib.sha256
+    global _ops
+    done = 0
+    try:
+        for done, (sibling, side) in enumerate(path):
+            if len(sibling) != HASH_SIZE:
+                raise ValueError("fold_path takes only 32-byte digests")
+            if side == 0:
+                node = sha256(INTERIOR_PREFIX + sibling + node).digest()
+            elif side == 1:
+                node = sha256(INTERIOR_PREFIX + node + sibling).digest()
+            else:
+                raise ValueError(f"a path side is 0 or 1, not {side!r}")
+    except (TypeError, ValueError):
+        _ops += done
+        raise
+    _ops += len(path)
     return node
 
 

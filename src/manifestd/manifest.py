@@ -113,6 +113,12 @@ class Manifest:
     def __hash__(self) -> int:
         return hash(self._encoded)
 
+    def __reduce__(self):
+        # rebuilt from plain fields: the read-only partitions cannot be pickled
+        return Manifest, (
+            dict(self.user_fields), dict(self.model_fields), self.timestamp, self.tool_id
+        )
+
 
 @dataclass(frozen=True)
 class ManifestDigest:

@@ -67,6 +67,11 @@ class PolicyRule:
         object.__setattr__(self, "params", MappingProxyType(params))
         object.__setattr__(self, "_check", check)
 
+    def __reduce__(self):
+        # rebuilt, and so recompiled, from plain arguments: the read-only
+        # params and the compiled check cannot be pickled
+        return PolicyRule, (self.rule_id, self.kind, dict(self.params), self.severity_on_fail)
+
     def _compile(self, params: dict) -> Callable[[Manifest, int, "PolicySet"], bool]:
         """Validate ``params`` and close the check over them; True means the manifest passes."""
         kind = self.kind
@@ -164,6 +169,10 @@ class PolicySet:
             raise ConfigError("clock_skew_ms must not be negative")
         checks = tuple((rule.rule_id, rule.severity_on_fail, rule._check) for rule in rules)
         object.__setattr__(self, "_checks", checks)
+
+    def __reduce__(self):
+        # rebuilt from its rules, without the compiled checks
+        return PolicySet, (self.rules, self.epoch_ms, self.clock_skew_ms)
 
 
 @dataclass(frozen=True)

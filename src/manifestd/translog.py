@@ -14,12 +14,15 @@ hashes and node i of level k covers leaves ``[i * 2^k, (i + 1) * 2^k)``.  An
 append merges the new leaf with the right-edge subtree roots ("peaks", one
 per set bit of the entry count) and records exactly the nodes it completes:
 O(log n) hashes.  The fold of the peaks from the right gives the root, and
-the log keeps every partial fold of the current tree (its "right edge").  A
-range of the RFC 6962 split whose length is a power of two is one stored
-node; any other range ends at the tree size and is an element of that
-tree's right edge.  So an inclusion or consistency proof (RFC 9162 format)
-or a root at the current size reads stored nodes only, 0 hashes, and at an
-older size m folds m's stored peaks once: at most popcount(m) - 1 hashes.
+the log keeps every partial fold of the current tree (its "right edge").
+An inclusion proof (RFC 9162 format) walks up from the leaf: its siblings
+are stored nodes, except at most one, the fold of the peaks below some
+level, which at the current size is an element of the right edge.  A
+consistency proof is the same walk from the largest perfect subtree that
+ends at the old size.  So a proof or a root at the current size reads
+stored nodes only, 0 hashes, and at an older size m folds m's stored peaks
+once: at most popcount(m) - 1 hashes.  Both verifiers are
+``_kernels.fold_path`` walks.
 
 A log directory holds three files.  ``log.records`` holds the records, each
 a 4-byte big-endian length and that many bytes in one fixed JSON layout,
@@ -32,6 +35,8 @@ is derived data, buffered one 256-leaf tile at a time and written out by
 An open log holds one read-only descriptor on the records file; ``entry``
 reads a record with one ``os.pread`` at its stored offset and checks it
 against its stored leaf hash, so a record changed after open is refused.
+``LogEntry.from_record`` reads only ``_RECORD``'s layout, so decoding and
+encoding are inverses.
 
 Reopening frames every record (each length prefix, the record size cap, and
 that the records end exactly at the end of the file), checks that the
@@ -69,8 +74,8 @@ import re
 import struct
 import time
 from array import array
-from binascii import hexlify
-from dataclasses import dataclass
+from binascii import hexlify, unhexlify
+from dataclasses import dataclass, field
 from itertools import count, islice
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -87,6 +92,10 @@ LEAVES_NAME = "log.leaves"
 CHAIN_GENESIS = bytes(32)
 
 _LEN = struct.Struct(">I")
+
+#: One stored node: ``_NODE.unpack_from(level, i * HASH_SIZE)[0]`` is node i
+#: of a level as ``bytes``, read without an intermediate copy.
+_NODE = struct.Struct(f"{_kernels.HASH_SIZE}s")
 
 #: Hard cap on one record's size; a length prefix above this is corruption.
 MAX_RECORD_BYTES = 1 << 20
@@ -105,6 +114,15 @@ _BATCH_NODES = 1 << 12
 #: and ``ensure_ascii=False``, fields in this order.  The leaf hash commits to
 #: these bytes, so the layout is fixed.
 _RECORD = b'{"index":%d,"manifest_digest":"%s","signature":"%s","key_id":%s,"appended_at":%d}'
+
+#: ``_RECORD``'s layout and no other: decimal integers without a sign or
+#: leading zero (``appended_at`` may be negative), lowercase hex, and the key
+#: id's JSON string body, with no raw quote, backslash or control byte.
+_RECORD_FORM = re.compile(
+    rb'\{"index":(0|[1-9][0-9]*),"manifest_digest":"([0-9a-f]{64})",'
+    rb'"signature":"([0-9a-f]*)","key_id":"((?:[^"\\\x00-\x1f]|\\.)*)",'
+    rb'"appended_at":(0|-?[1-9][0-9]*)\}'
+)
 
 #: One checkpoint line: tree size, root hex and chain hex.
 _CHECKPOINT = b"%d %s %s\n"
@@ -149,25 +167,56 @@ class LogEntry:
     signature: bytes
     key_id: str
     appended_at: int
+    # the bytes a decoded entry was read from, exactly what to_record would make
+    _record: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def to_record(self) -> bytes:
+        if self._record is not None:
+            return self._record
         return _record_bytes(
             self.index, self.manifest_digest, self.signature, self.key_id, self.appended_at
         )
 
     @classmethod
     def from_record(cls, data: bytes) -> "LogEntry":
+        """The entry whose ``to_record`` is exactly ``data``, which it keeps.
+
+        Only bytes in ``_RECORD``'s layout are read, so decoding and encoding
+        are inverses; any other bytes raise ``StorageError``.  A key id with
+        an escape is decoded by ``json`` and must quote back to the same
+        bytes; any other key id is its own UTF-8 text.
+        """
+        match = _RECORD_FORM.fullmatch(data)
+        if match is None:
+            raise StorageError("log record is not in the record layout")
+        index, digest_hex, signature_hex, key_id, appended_at = match.groups()
         try:
-            obj = json.loads(data.decode("utf-8"))
-            return cls(
-                index=int(obj["index"]),
-                manifest_digest=ManifestDigest.from_hex(obj["manifest_digest"]),
-                signature=bytes.fromhex(obj["signature"]),
-                key_id=str(obj["key_id"]),
-                appended_at=int(obj["appended_at"]),
-            )
-        except (ValueError, KeyError, UnicodeDecodeError, EncodingError) as exc:
+            if b"\\" in key_id:
+                quoted = b'"' + key_id + b'"'
+                key_id = json.loads(quoted.decode("utf-8"))
+                if encode_basestring(key_id).encode("utf-8") != quoted:
+                    raise ValueError("key id is not in its one quoted form")
+            else:
+                key_id = key_id.decode("utf-8")
+            signature = unhexlify(signature_hex)
+        except ValueError as exc:
+            # bad UTF-8 or escape, a lone surrogate, odd-length hex
             raise StorageError(f"unreadable log record: {exc}") from exc
+        # Every value already has the form the constructors check, so both
+        # frozen instances are filled in directly, skipping a guarded
+        # object.__setattr__ per field: about a fifth of a decode.
+        manifest_digest = object.__new__(ManifestDigest)
+        vars(manifest_digest)["value"] = unhexlify(digest_hex)
+        entry = object.__new__(cls)
+        vars(entry).update(
+            index=int(index),
+            manifest_digest=manifest_digest,
+            signature=signature,
+            key_id=key_id,
+            appended_at=int(appended_at),
+            _record=bytes(data),
+        )
+        return entry
 
 
 @dataclass(frozen=True)
@@ -365,58 +414,38 @@ class TransparencyLog:
     def leaf_hash(self, index: int) -> bytes:
         if not 0 <= index < self.size:
             raise OutOfRange(f"index {index} outside log of size {self.size}")
-        return self._node(0, index)
+        return _NODE.unpack_from(self._levels[0], index * _kernels.HASH_SIZE)[0]
 
-    def _node(self, level: int, index: int) -> bytes:
-        """Stored root of leaves ``[index * 2^level, (index + 1) * 2^level)``."""
-        at = index * _kernels.HASH_SIZE
-        return bytes(self._levels[level][at : at + _kernels.HASH_SIZE])
+    def _peaks_root(self, tree_size: int, below: int) -> bytes:
+        """Root of the leaves covered by the peaks of ``tree_size`` on levels below ``below``.
 
-    def _stored_peaks(self, tree_size: int) -> list[bytes]:
-        """The peaks of the tree at ``tree_size``: stored nodes, one per set bit."""
-        return [
-            self._node(level, (tree_size >> level) - 1)
-            for level in range(tree_size.bit_length() - 1, -1, -1)
-            if tree_size >> level & 1
-        ]
-
-    def _right_edge(self, tree_size: int) -> list[bytes]:
-        """``_kernels.right_edge`` of the tree at ``tree_size``.
-
-        The current tree's is kept; an older tree's costs popcount - 1 hashes.
+        ``tree_size`` has at least one such peak.  The current tree's is an
+        element of the kept right edge; an older tree's folds its stored
+        peaks from the lowest up, one hash per peak after the first.
         """
-        if tree_size == self.size:
-            return self._edge
-        return _kernels.right_edge(self._stored_peaks(tree_size))
-
-    def _range_root(self, start: int, end: int, edge: list[bytes]) -> bytes:
-        """Root of leaves ``[start, end)``, a range of the RFC 6962 split.
-
-        ``start`` is a multiple of a power of two no smaller than the range.
-        A range whose length is a power of two is one stored node.  Any other
-        range ends at the tree size and covers its peaks below some level:
-        an element of the tree's right edge, which ``edge`` must be.
-        """
-        length = end - start
-        if length & (length - 1):
-            return edge[len(edge) - length.bit_count()]
-        level = length.bit_length() - 1
-        return self._node(level, start >> level)
+        if tree_size == len(self._offsets) - 1:
+            return self._edge[(tree_size >> below).bit_count()]
+        peaks = _peaks_below(self._levels, tree_size, below)
+        return _kernels.fold_path(peaks[0], [(peak, 0) for peak in peaks[1:]])
 
     def entry(self, index: int) -> LogEntry:
         """Entry ``index``, read with one ``pread`` and checked against its leaf hash."""
-        if not 0 <= index < self.size:
+        offsets = self._offsets
+        if not 0 <= index < len(offsets) - 1:
             raise OutOfRange(f"index {index} outside log of size {self.size}")
-        start, end = self._offsets[index], self._offsets[index + 1]
+        start = offsets[index]
+        length = offsets[index + 1] - start
         try:
-            data = os.pread(self._reader.fileno(), end - start, start)
+            data = os.pread(self._reader.fileno(), length, start)
         except (OSError, ValueError) as exc:
             # ValueError: the log is closed
             raise StorageError(f"cannot read record {index}: {exc}") from exc
-        if len(data) != end - start or _LEN.unpack_from(data)[0] != len(data) - _LEN.size:
-            raise StorageError(f"record {index} no longer spans its offsets")
         record = data[_LEN.size :]
-        if _kernels.hash_leaf(record) != self._node(0, index):
+        if len(data) != length or _LEN.unpack_from(data)[0] != len(record):
+            raise StorageError(f"record {index} no longer spans its offsets")
+        if _kernels.hash_leaf(record) != _NODE.unpack_from(
+            self._levels[0], index * _kernels.HASH_SIZE
+        )[0]:
             raise StorageError(f"record {index} changed since it was appended")
         entry = LogEntry.from_record(record)
         if entry.index != index:
@@ -433,35 +462,42 @@ class TransparencyLog:
             raise OutOfRange(f"tree size {tree_size} outside log of size {self.size}")
         if not tree_size:
             return empty_root()
-        return MerkleRoot(self._right_edge(tree_size)[0], tree_size)
+        return MerkleRoot(self._peaks_root(tree_size, tree_size.bit_length()), tree_size)
 
     def prove_inclusion(self, index: int, tree_size: Optional[int] = None) -> MerkleProof:
-        """Inclusion proof for entry ``index`` in the tree at ``tree_size``.
-
-        Walks bottom-up.  The leaf lies in the peak on level ``top``, the
-        highest bit where ``index`` and ``tree_size`` differ; below it the
-        siblings are stored nodes.  Above it the sibling on the right is the
-        fold of the lower peaks, then each higher peak is a sibling on the left.
-        """
+        """Inclusion proof for entry ``index`` in the tree at ``tree_size``."""
+        size = len(self._offsets) - 1
         if tree_size is None:
-            tree_size = self.size
-        if not 0 < tree_size <= self.size:
-            raise OutOfRange(f"tree size {tree_size} outside log of size {self.size}")
+            tree_size = size
+        if not 0 < tree_size <= size:
+            raise OutOfRange(f"tree size {tree_size} outside log of size {size}")
         if not 0 <= index < tree_size:
             raise OutOfRange(f"index {index} outside tree of size {tree_size}")
-        node = self._node
-        top = (index ^ tree_size).bit_length() - 1
-        path = []
-        for level in range(top):
-            i = index >> level
-            path.append((node(level, i ^ 1), (i & 1) ^ 1))
+        return MerkleProof(index, tree_size, tuple(self._path(index, 0, tree_size)))
+
+    def _path(self, index: int, level: int, tree_size: int) -> list[tuple[bytes, int]]:
+        """The siblings, bottom-up and with their sides, from stored node ``index``
+        on ``level`` to the root of the tree at ``tree_size``, which holds it.
+
+        The node lies in the peak on level ``top``, the highest bit where its
+        first leaf and ``tree_size`` differ; below it the siblings are stored
+        nodes.  Above it the sibling on the right is the fold of the lower
+        peaks, then each higher peak is a sibling on the left.
+        """
+        levels, node = self._levels, _NODE.unpack_from
+        top = (index << level ^ tree_size).bit_length() - 1
+        path = [
+            (node(levels[level + up], (index >> up ^ 1) * _kernels.HASH_SIZE)[0],
+             (index >> up & 1) ^ 1)
+            for up in range(top - level)
+        ]
         if tree_size & ((1 << top) - 1):
-            edge = self._right_edge(tree_size)
-            path.append((edge[(tree_size >> top).bit_count()], 1))
-        for level in range(top + 1, tree_size.bit_length()):
-            if tree_size >> level & 1:
-                path.append((node(level, (tree_size >> level) - 1), 0))
-        return MerkleProof(leaf_index=index, tree_size=tree_size, path=tuple(path))
+            path.append((self._peaks_root(tree_size, top), 1))
+        for peak in range(top + 1, tree_size.bit_length()):
+            if tree_size >> peak & 1:
+                at = ((tree_size >> peak) - 1) * _kernels.HASH_SIZE
+                path.append((node(levels[peak], at)[0], 0))
+        return path
 
     def growth_series(self, sample_sizes: Optional[Sequence[int]] = None) -> list[tuple[int, int]]:
         """(entry count, cumulative record-file bytes) at each sampled size."""
@@ -481,8 +517,10 @@ class TransparencyLog:
     def prove_consistency(self, old_size: int, new_size: int) -> tuple[bytes, ...]:
         """Proof that the tree at ``new_size`` extends the tree at ``old_size``.
 
-        RFC 9162 SUBPROOF, unrolled: the split is walked top-down and the
-        nodes, found outermost first, are returned innermost first.
+        RFC 9162 SUBPROOF, read bottom-up: the largest perfect subtree that
+        ends at ``old_size`` (omitted when it is the whole old tree, whose root
+        the verifier holds), then the siblings of its inclusion path in the
+        tree at ``new_size``.
         """
         if not 0 < old_size <= new_size <= self.size:
             raise OutOfRange(
@@ -490,22 +528,11 @@ class TransparencyLog:
             )
         if old_size == new_size:
             return ()
-        edge = self._right_edge(new_size)
-        nodes = []
-        m, start, end, complete = old_size, 0, new_size, True
-        while m != end - start:
-            k = 1 << ((end - start - 1).bit_length() - 1)
-            if m <= k:
-                nodes.append(self._range_root(start + k, end, edge))
-                end = start + k
-            else:
-                nodes.append(self._range_root(start, start + k, edge))
-                m -= k
-                start += k
-                complete = False
-        if not complete:
-            nodes.append(self._range_root(start, end, edge))
-        nodes.reverse()
+        level = (old_size & -old_size).bit_length() - 1
+        index = (old_size - 1) >> level
+        nodes = [sibling for sibling, _ in self._path(index, level, new_size)]
+        if index:
+            nodes.insert(0, _NODE.unpack_from(self._levels[level], index * _kernels.HASH_SIZE)[0])
         return tuple(nodes)
 
     # -- reopen -----------------------------------------------------------
@@ -531,7 +558,7 @@ class TransparencyLog:
                 line = _final_checkpoint(self._checkpoints_path, size)
             levels = _levels_over(leaves)
             self._levels, self._offsets = levels, offsets
-            peaks = self._stored_peaks(size)
+            peaks = _peaks_below(levels, size, size.bit_length())[::-1]
             edge = _kernels.right_edge(peaks)
             chain = _kernels.fold_chain(CHAIN_GENESIS, leaves)
             if line is None or (
@@ -607,6 +634,15 @@ def _levels_over(leaves: bytearray) -> list[bytearray]:
     return levels
 
 
+def _peaks_below(levels: list[bytearray], tree_size: int, below: int) -> list[bytes]:
+    """The stored peaks of the tree at ``tree_size`` on levels below ``below``, lowest first."""
+    return [
+        _NODE.unpack_from(levels[level], ((tree_size >> level) - 1) * _kernels.HASH_SIZE)[0]
+        for level in range(below)
+        if tree_size >> level & 1
+    ]
+
+
 def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
     """Write ``data`` to a new sibling temp file, then rename it over ``path``.
 
@@ -626,17 +662,17 @@ def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
 
 
 def verify_inclusion(leaf_hash: bytes, proof: MerkleProof, root: MerkleRoot) -> bool:
-    """Accept iff the proof folds from the leaf hash to exactly this root."""
-    if proof.tree_size != root.tree_size:
+    """Accept iff the proof folds from the leaf hash to exactly this root.
+
+    A malformed proof (an element that is not a 32-byte digest on side 0 or
+    1) is refused, never an error.
+    """
+    if proof.tree_size != root.tree_size or not 0 <= proof.leaf_index < proof.tree_size:
         return False
-    if not 0 <= proof.leaf_index < proof.tree_size:
+    try:
+        return _kernels.fold_path(leaf_hash, proof.path) == root.value
+    except (TypeError, ValueError):
         return False
-    if len(leaf_hash) != _kernels.HASH_SIZE:
-        return False
-    for sibling, side in proof.path:
-        if len(sibling) != _kernels.HASH_SIZE or side not in (0, 1):
-            return False
-    return _kernels.fold_path(leaf_hash, list(proof.path)) == root.value
 
 
 def verify_consistency(
@@ -644,40 +680,43 @@ def verify_consistency(
     new_root: MerkleRoot,
     proof: Sequence[bytes],
 ) -> bool:
-    """Accept iff ``new_root`` extends ``old_root`` per the supplied proof."""
+    """Accept iff ``new_root`` extends ``old_root`` per the supplied proof.
+
+    RFC 9162's check, with the role of each proof element worked out from
+    the two sizes alone.  The first element, unless the old size is a power
+    of two (then the old root), seeds two folds: ``fr`` towards the old root
+    and ``sr`` towards the new.  Each later element is a left sibling of
+    both, or a right sibling of ``sr`` only, so the proof is two
+    ``fold_path`` calls with the hashes of the step-by-step check.  A proof
+    of the wrong length or with a malformed element is refused, never an
+    error.
+    """
     m, n = old_root.tree_size, new_root.tree_size
     if m == n:
         return not proof and old_root.value == new_root.value
     if not 0 < m < n:
         return False
-    nodes = iter(proof)
     node, last = m - 1, n - 1
-    while node % 2 == 1:
-        node //= 2
-        last //= 2
+    # levels where the old tree's last node is a right child hold no element
+    trailing = (~node & (node + 1)).bit_length() - 1
+    node >>= trailing
+    last >>= trailing
+    # After the seed, one element per level below the highest bit where node
+    # and last differ: a left sibling of both folds where node's bit is set,
+    # a right sibling of sr's where it is clear.  Above that bit node and
+    # last agree, and each set bit of node is a left sibling of both.
+    differ = (node ^ last).bit_length()
+    sides = [node >> level & 1 ^ 1 for level in range(differ)]
+    sides += [0] * (node >> differ).bit_count()
+    seeded = node != 0
+    if len(proof) != seeded + len(sides):
+        return False
+    seed = proof[0] if seeded else old_root.value
+    path = list(zip(proof[seeded:], sides))
     try:
-        if node:
-            fr = sr = next(nodes)
-        else:
-            fr = sr = old_root.value
-        while node:
-            if node % 2 == 1:
-                sibling = next(nodes)
-                fr = _kernels.hash_interior(sibling, fr)
-                sr = _kernels.hash_interior(sibling, sr)
-            elif node < last:
-                sr = _kernels.hash_interior(sr, next(nodes))
-            node //= 2
-            last //= 2
-        while last:
-            sr = _kernels.hash_interior(sr, next(nodes))
-            last //= 2
-    except StopIteration:
-        return False
+        fr = _kernels.fold_path(seed, [step for step in path if not step[1]])
+        sr = _kernels.fold_path(seed, path)
     except (TypeError, ValueError):
-        # Malformed proof elements are rejections, not errors.
-        return False
-    if next(nodes, None) is not None:
         return False
     return fr == old_root.value and sr == new_root.value
 

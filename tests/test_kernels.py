@@ -84,17 +84,28 @@ class TestBackend:
         data = b"payload"
         assert kern.hash_leaf(data) == oracle_leaf(data)
         left, right = oracle_leaf(b"a"), oracle_leaf(b"b")
-        assert kern.hash_interior(left, right) == oracle_interior(left, right)
+        # one fold step is one interior hash, the sibling on the given side
+        assert kern.fold_path(right, [(left, 0)]) == oracle_interior(left, right)
+        assert kern.fold_path(left, [(right, 1)]) == oracle_interior(left, right)
         # leaf and interior prefixes differ, so a leaf can never be replayed
         # as an interior node
-        assert kern.hash_leaf(left + right) != kern.hash_interior(left, right)
+        assert kern.hash_leaf(left + right) != kern.fold_path(left, [(right, 1)])
 
     def test_interior_rejects_bad_digest_length(self, kern):
         good = oracle_leaf(b"x")
+        for node, path in (
+            (good[:31], [(good, 0)]),
+            (good + b"\x00", []),
+            (good, [(good, 0), (good[:31], 1)]),
+            (good, [(good + b"\x00", 0)]),
+        ):
+            with pytest.raises(ValueError):
+                kern.fold_path(node, path)
+        # only 0 and 1 are sides, and a sibling is bytes-like
         with pytest.raises(ValueError):
-            kern.hash_interior(good[:31], good)
-        with pytest.raises(ValueError):
-            kern.hash_interior(good, good + b"\x00")
+            kern.fold_path(good, [(good, 2)])
+        with pytest.raises(TypeError):
+            kern.fold_path(good, [(good.hex()[:32], 0)])
 
     def test_hash_leaves_matches_single_calls(self, kern, tmp_path):
         log, _ = log_with(tmp_path, 9)
@@ -270,18 +281,23 @@ def test_ops_counter_counts_tree_work_only():
     assert kern.ops() == 0
     hashes = [kern.hash_leaf(d) for d in leaves_for(4)]
     assert kern.ops() == 4
-    # the 3 interior nodes of a 4-leaf tree
-    kern.hash_interior(kern.hash_interior(*hashes[:2]), kern.hash_interior(*hashes[2:]))
+    # the 3 interior nodes of a 4-leaf tree: the path of leaf 0 and one more
+    kern.fold_path(hashes[0], [(hashes[1], 1), (oracle_interior(*hashes[2:]), 1)])
+    assert kern.ops() == 6
+    kern.fold_path(hashes[2], [(hashes[3], 1)])
     assert kern.ops() == 7
     kern.chain_update(bytes(32), hashes[0])
     assert kern.ops() == 8
+    # a refused path counts the hashes made before the element it refused
+    with pytest.raises(ValueError):
+        kern.fold_path(hashes[0], [(hashes[1], 1), (hashes[2], 1), (hashes[3], 2)])
+    assert kern.ops() == 10
 
 
 def test_selected_backend_exports_everything():
     for name in (
         "sha256",
         "hash_leaf",
-        "hash_interior",
         "chain_update",
         "fold_path",
         "push_peak",

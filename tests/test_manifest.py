@@ -1,8 +1,10 @@
 """Canonical encoding and digest tests."""
 
+import copy
 import hashlib
 import json
 import math
+import pickle
 import sys
 
 import pytest
@@ -308,6 +310,17 @@ class TestEncodedOnce:
         assert canonical_encode(m) == reference_encode(m)
         assert digest(m).value == hashlib.sha256(reference_encode(m)).digest()
         assert encoding_stats(m).size_bytes == len(reference_encode(m))
+
+    @settings(max_examples=200)
+    @given(_awkward_manifests)
+    def test_pickle_and_deepcopy_rebuild_an_equal_manifest(self, m):
+        for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+            assert copied == m
+            assert digest(copied) == digest(m)
+            assert canonical_encode(copied) == canonical_encode(m)
+            assert dict(copied.user_fields) == dict(m.user_fields)
+            with pytest.raises(TypeError):
+                copied.user_fields["injected"] = 1
 
     def test_stored_encoding_is_not_a_field(self):
         m = sample_manifest()

@@ -4,7 +4,9 @@ The engine must evaluate every rule (no short-circuit on first failure) and a
 manifest passes only when no blocking rule failed.
 """
 
+import copy
 import json
+import pickle
 import re
 
 import pytest
@@ -452,6 +454,23 @@ class TestCompiledMatchesReference:
         ]
         for m in manifests:
             assert evaluate(m, policy, NOW) == oracle_evaluate(m, policy, NOW)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_policies(), _policy_manifests())
+    def test_pickle_and_deepcopy_rebuild_an_equal_policy(self, policy, m):
+        from manifestd.harness import WorkloadConfig, default_policy_set
+
+        default = default_policy_set(WorkloadConfig())
+        for original in (policy, default):
+            for copied in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+                # repr as well as ==: a NaN bound is never equal to itself
+                assert copied == original or repr(copied) == repr(original)
+                assert evaluate(m, copied, NOW) == evaluate(m, original, NOW)
+                assert evaluate(m, copied, NOW) == oracle_evaluate(m, copied, NOW)
+        assert pickle.loads(pickle.dumps(default)) == default
+        for rule_ in default.rules:
+            assert copy.deepcopy(rule_) == rule_
+            assert pickle.loads(pickle.dumps(rule_)).params == rule_.params
 
     def test_params_are_read_only(self):
         r = rule("r", RuleKind.VALUE_RANGE, field="priority", max=5)

@@ -188,6 +188,72 @@ class TestAppendAndRoots:
         expected = json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
         assert LogEntry(index, dig, signature, key_id, appended_at).to_record() == expected
 
+    @settings(max_examples=300)
+    @given(
+        key_id=st.text(
+            alphabet=st.one_of(
+                st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\U0001f600"]),
+                st.characters(blacklist_categories=("Cs",)),
+            )
+        ),
+        index=st.integers(0, 2**80),
+        appended_at=st.integers(-(2**80), 2**80),
+        signature=st.binary(max_size=80),
+    )
+    def test_decoding_inverts_encoding(self, key_id, index, appended_at, signature):
+        entry = LogEntry(index, ManifestDigest.from_hex("a7" * 32), signature, key_id, appended_at)
+        record = entry.to_record()
+        decoded = LogEntry.from_record(record)
+        assert decoded == entry
+        assert type(decoded.manifest_digest) is ManifestDigest
+        assert decoded.to_record() == record
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b'{"index":12,"manifest_digest"', b'{"manifest_digest"'),  # reordered keys
+            (b'"index":12', b'"index": 12'),
+            (b'","signature"', b'", "signature"'),
+            (b"ab12", b"AB12"),  # uppercase hex in the digest
+            (b'"signature":"abcd"', b'"signature":"ABCD"'),
+            (b'"index":12', b'"index":012'),
+            (b'"index":12', b'"index":+12'),
+            (b'"index":12', b'"index":-12'),
+            (b'"index":12', b'"index":12.0'),
+            (b'"index":12', b'"index":"12"'),
+            (b'"appended_at":5', b'"appended_at":-0'),
+            (b'"appended_at":5', b'"appended_at":+5'),
+            (b'"appended_at":5', b'"appended_at":05'),
+            (b'"appended_at":5', b'"appended_at":5e0'),
+            (b'"kA"', b'"k\\u0041"'),  # an escape where json writes the character
+            (b'"kA"', b'"k\\/"'),
+            (b'"kA"', b'"k\\ud800"'),  # an escaped lone surrogate
+            (b'"kA"', b'"k\\ud83d"'),
+            (b'"kA"', b'"k\xff"'),  # invalid UTF-8
+            (b'"kA"', b'"k\xed\xa0\x80"'),  # a UTF-8-encoded surrogate
+            (b'"kA"', b'"k\x01"'),  # a raw control byte
+            (b'"kA"', b'"k\\x"'),
+            (b'"kA"', b'"k\\"'),
+            (b'"signature":"abcd"', b'"signature":"abc"'),  # odd-length hex
+            (b'"signature":"abcd"', b'"signature":"abcg"'),
+            (b"ab12", b"ab1"),  # a short digest
+            (b"}", b"}\n"),  # a trailing newline
+            (b"}", b"} "),
+            (b"{", b" {"),
+            (b'"appended_at":5}', b'"appended_at":5,"extra":1}'),
+            (b',"appended_at":5', b""),
+        ],
+    )
+    def test_only_the_record_layout_is_read(self, old, new):
+        good = LogEntry(
+            12, ManifestDigest.from_hex("ab12" * 16), b"\xab\xcd", "kA", 5
+        ).to_record()
+        assert LogEntry.from_record(good).to_record() == good
+        assert old in good
+        bad = good.replace(old, new, 1)
+        with pytest.raises(StorageError):
+            LogEntry.from_record(bad)
+
     def test_oversized_record_refused_before_write(self, tmp_path):
         m = Manifest({"q": "x"}, {}, 1, "t")
         with TransparencyLog(tmp_path) as log:
@@ -372,6 +438,19 @@ def test_log_files_match_the_golden_digests(tmp_path):
     assert {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES
     } == GOLDEN_FILES
+
+
+def test_every_golden_record_reads_back_in_its_one_layout(tmp_path):
+    # the strict decoder takes every record append wrote, awkward key ids too
+    golden_log(tmp_path)
+    with TransparencyLog(tmp_path) as log:
+        for index, record in enumerate(naive_records(tmp_path)):
+            entry = log.entry(index)
+            assert entry.to_record() == record
+            assert entry == LogEntry(
+                index, entry.manifest_digest, entry.signature, entry.key_id, entry.appended_at
+            )
+            assert entry.key_id == GOLDEN_KEY_IDS[index % len(GOLDEN_KEY_IDS)]
 
 
 class TestInclusionProofs:
