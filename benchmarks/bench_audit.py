@@ -40,14 +40,13 @@ import argparse
 import json
 import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-from bench_reopen import build_log, git_commit, machine
+from bench_reopen import build_log, git_commit, machine, spread
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -167,12 +166,6 @@ def run_once(src: Path, log_dir: Path, seed: int) -> dict:
         text=True,
     )
     return json.loads(done.stdout)
-
-
-def spread(values: list[float]) -> dict:
-    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
-    return {"median": statistics.median(values), "q1": quartiles[0], "q3": quartiles[2],
-            "runs": values}
 
 
 def query_s(sample: dict, query: str) -> float:

@@ -26,6 +26,7 @@ and leaf hashes they are given are 32-byte digests the log made itself.
 from __future__ import annotations
 
 import hashlib
+import struct
 
 BACKEND = "pure-python"
 
@@ -33,6 +34,10 @@ LEAF_PREFIX = b"\x00"
 INTERIOR_PREFIX = b"\x01"
 
 HASH_SIZE = 32
+
+#: One packed digest, and one packed pair of digests, read out as ``bytes``.
+_DIGEST = struct.Struct(f"{HASH_SIZE}s")
+_PAIR = struct.Struct(f"{2 * HASH_SIZE}s")
 
 _ops = 0
 
@@ -70,19 +75,22 @@ def hash_pairs(nodes) -> bytes:
     """Interior hash of each pair of consecutive 32-byte nodes, packed.
 
     ``nodes`` is any bytes-like object holding whole pairs; one hash per
-    pair, so the result is half its length.
+    pair, so the result is half its length.  Each pair is read out whole by
+    ``struct.iter_unpack`` and hashed on a copy of a state that has already
+    taken the interior prefix.
     """
-    pair = 2 * HASH_SIZE
-    if len(nodes) % pair:
+    if len(nodes) % _PAIR.size:
         raise ValueError("hash_pairs needs whole pairs of 32-byte digests")
-    sha256 = hashlib.sha256
-    out = b"".join(
-        [sha256(INTERIOR_PREFIX + nodes[at : at + pair]).digest()
-         for at in range(0, len(nodes), pair)]
-    )
+    prefixed = hashlib.sha256(INTERIOR_PREFIX).copy
+    out = []
+    digest = out.append
+    for (pair,) in _PAIR.iter_unpack(nodes):
+        node = prefixed()
+        node.update(pair)
+        digest(node.digest())
     global _ops
-    _ops += len(nodes) // pair
-    return out
+    _ops += len(out)
+    return b"".join(out)
 
 
 def fold_chain(prev: bytes, leaves) -> bytes:
@@ -90,8 +98,8 @@ def fold_chain(prev: bytes, leaves) -> bytes:
     if len(prev) != HASH_SIZE or len(leaves) % HASH_SIZE:
         raise ValueError("chain inputs must be 32-byte digests")
     sha256 = hashlib.sha256
-    for at in range(0, len(leaves), HASH_SIZE):
-        prev = sha256(prev + leaves[at : at + HASH_SIZE]).digest()
+    for (leaf,) in _DIGEST.iter_unpack(leaves):
+        prev = sha256(prev + leaf).digest()
     global _ops
     _ops += len(leaves) // HASH_SIZE
     return prev

@@ -131,8 +131,16 @@ class PolicyRule:
             return matches
         if params.get("min") is None and params.get("max") is None:
             raise ConfigError(f"rule {self.rule_id}: need at least one of min/max")
-        lo = -math.inf if params.get("min") is None else need("min", (int, float))
-        hi = math.inf if params.get("max") is None else need("max", (int, float))
+        def bound(name: str, absent: float) -> Any:
+            if params.get(name) is None:
+                return absent
+            value = need(name, (int, float))
+            # a NaN bound compares false both ways, so its side would pass every value
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"rule {self.rule_id}: param {name!r} must be finite")
+            return value
+
+        lo, hi = bound("min", -math.inf), bound("max", math.inf)
         if lo > hi:
             raise ConfigError(f"rule {self.rule_id}: min exceeds max")
         def in_range(m: Manifest, now: int, p: PolicySet) -> bool:

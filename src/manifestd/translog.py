@@ -52,6 +52,14 @@ inside any checkpoint line but the last, does not fail reopening.  ``entry``
 refuses such a record, and ``check_integrity``, which reads only the records
 and checkpoints, reports it.
 
+One framer, ``_chunks``, applies the framing rules a read at a time, for
+reopening and ``check_integrity`` alike, and gives the record ends of each
+read.  Reopening reads only the length prefix of a record the index covers:
+it neither slices out nor hashes its body, so a warm reopen's Python work
+per record is one prefix check next to its two hashes.  The batch kernels
+that rebuild the levels and fold the chain walk the packed leaf hashes with
+``struct.iter_unpack``.
+
 ``check_integrity`` compares every checkpoint's root and chain with a full
 replay, O(n log n) hashes, and reports the first entry that fails; its
 memory does not grow with the log.  It works a tile of ``TILE_LEAVES``
@@ -589,23 +597,29 @@ class TransparencyLog:
         """Frame every record; return the leaf hashes and the record offsets.
 
         Leaves before ``start`` come from the index, the rest are hashed from
-        their records; ``start`` may exceed the number of records.
+        their records; ``start`` may exceed the number of records.  A record
+        the index covers is framed by its length prefix alone: its body is
+        neither hashed nor sliced out of its chunk.
         """
         leaves = bytearray(start * _kernels.HASH_SIZE)
         offsets = array("q", [0])
-        hash_leaf, append = _kernels.hash_leaf, offsets.append
-        end = 0
+        hash_leaf = _kernels.hash_leaf
+        done = start
         try:
             if start:
                 with open(self._leaves_path, "rb") as fh:
                     if fh.readinto(leaves) != len(leaves):
                         raise OSError(f"{LEAVES_NAME} shrank while it was read")
             with open(self._records_path, "rb") as records:
-                for index, record in enumerate(_frames(records)):
-                    end += _LEN.size + len(record)
-                    append(end)
-                    if index >= start:
-                        leaves += hash_leaf(record)
+                for data, base in _chunks(records, offsets):
+                    framed = len(offsets) - 1
+                    if framed > done:
+                        view = memoryview(data)
+                        for i in range(done, framed):
+                            leaves += hash_leaf(
+                                view[offsets[i] - base + _LEN.size : offsets[i + 1] - base]
+                            )
+                        done = framed
         except OSError as exc:
             raise LogDamage(None, f"cannot read log files in {self._dir}: {exc}") from exc
         del leaves[(len(offsets) - 1) * _kernels.HASH_SIZE :]
@@ -743,42 +757,77 @@ _CHECKPOINT_LINE = re.compile(
 _MAX_LINE = 256
 
 
-def _frames(records, index: int = 0) -> Iterator[memoryview]:
-    """Yield the body of every record of an open records file, in order.
+def _chunks(records, ends, index: int = 0) -> Iterator[tuple[bytes, int]]:
+    """Frame the records of an open records file, one read at a time.
 
     The file is positioned at record ``index``.  Record i is a 4-byte
     big-endian length, at most ``MAX_RECORD_BYTES``, and that many bytes, and
     the last record ends at the end of the file; any breach raises
-    ``LogDamage`` at the first record it affects.  The file is read
-    ``_CHUNK`` bytes at a time, or one record's worth when a record is
-    longer, so memory does not grow with the log.  A yielded body is a view
-    into the chunk that holds it.
+    ``LogDamage`` at the first record it affects, once the records before it
+    have been given.  The file is read ``_CHUNK`` bytes at a time, or one
+    record's worth when a record is longer, so memory does not grow with the
+    log.
+
+    Each chunk begins with a record's length prefix.  For every record a
+    chunk holds whole, the offset where the record ends, counted from the
+    file's starting position, is appended to ``ends``; then the chunk is
+    yielded with the offset it starts at.  Only length prefixes are read
+    here: what to do with the bodies is the caller's.
     """
+    append, unpack_from, prefix = ends.append, _LEN.unpack_from, _LEN.size
     data = b""
-    view = memoryview(data)
-    pos = 0
+    base = pos = 0
     while True:
-        end = pos + _LEN.size
-        if end <= len(data):
-            (length,) = _LEN.unpack_from(data, pos)
+        size = len(data)
+        before = len(ends)
+        oversized = False
+        while True:
+            end = pos + prefix
+            if end > size:
+                break
+            (length,) = unpack_from(data, pos)
             if length > MAX_RECORD_BYTES:
-                raise LogDamage(index, f"truncated or oversized record {index}")
+                oversized = True
+                break
             end += length
-            if end <= len(data):
-                yield view[pos + _LEN.size : end]
-                pos = end
-                index += 1
-                continue
-        more = records.read(max(_CHUNK, end - len(data)))
+            if end > size:
+                break
+            append(base + end)
+            pos = end
+        framed = len(ends) - before
+        index += framed
+        if framed:
+            yield data, base
+        if oversized:
+            raise LogDamage(index, f"truncated or oversized record {index}")
+        more = records.read(max(_CHUNK, end - size))
         if not more:
-            if pos == len(data):
+            if pos == size:
                 return
-            if len(data) - pos < _LEN.size:
+            if size - pos < prefix:
                 raise LogDamage(index, f"truncated length prefix at record {index}")
             raise LogDamage(index, f"truncated or oversized record {index}")
+        base += pos
         data = data[pos:] + more
-        view = memoryview(data)
         pos = 0
+
+
+def _frames(records, index: int = 0) -> Iterator[memoryview]:
+    """Yield the body of every record of an open records file, in order.
+
+    The file is positioned at record ``index``; the records are framed by
+    ``_chunks``.  A yielded body is a view into the chunk that holds it.
+    """
+    prefix = _LEN.size
+    ends: list[int] = []
+    for data, base in _chunks(records, ends, index):
+        view = memoryview(data)
+        start = prefix
+        for end in ends:
+            end -= base
+            yield view[start:end]
+            start = end + prefix
+        ends.clear()
 
 
 def _checkpoints_size(size: int) -> int:

@@ -221,18 +221,27 @@ def test_push_peak_hashes_once_per_merge():
     assert len(nodes) == 4 and nodes[-1] == peaks[0]
 
 
+#: The bytes-like types the batch kernels take: bytes, and the bytearray
+#: levels of the log and views into them.
+PACKED_TYPES = (bytes, bytearray, memoryview)
+
+
 @pytest.mark.parametrize("pairs", [0, 1, 2, 7])
 def test_hash_pairs_matches_single_interior_hashes(pairs):
     hashes = [_kernels.sha256(d) for d in leaves_for(2 * pairs)]
     packed = b"".join(hashes)
-    _kernels.reset_ops()
-    for nodes in (packed, bytearray(packed), memoryview(packed)):
-        assert _kernels.hash_pairs(nodes) == b"".join(
-            oracle_interior(hashes[i], hashes[i + 1]) for i in range(0, 2 * pairs, 2)
-        )
-    assert _kernels.ops() == 3 * pairs
-    with pytest.raises(ValueError):
-        _kernels.hash_pairs(packed + bytes(32))
+    expected = b"".join(
+        oracle_interior(hashes[i], hashes[i + 1]) for i in range(0, 2 * pairs, 2)
+    )
+    for packed_type in PACKED_TYPES:
+        before = _kernels.ops()
+        assert _kernels.hash_pairs(packed_type(packed)) == expected, packed_type
+        assert _kernels.ops() - before == pairs, packed_type
+        for partial in (packed + bytes(32), packed + bytes(65)):
+            before = _kernels.ops()
+            with pytest.raises(ValueError):
+                _kernels.hash_pairs(packed_type(partial))
+            assert _kernels.ops() == before, packed_type
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5])
@@ -241,14 +250,16 @@ def test_fold_chain_matches_chain_updates(n):
     expected = bytes(32)
     for leaf in hashes:
         expected = hashlib.sha256(expected + leaf).digest()
-    _kernels.reset_ops()
-    for leaves in (b"".join(hashes), memoryview(b"".join(hashes))):
-        assert _kernels.fold_chain(bytes(32), leaves) == expected
-    assert _kernels.ops() == 2 * n
-    with pytest.raises(ValueError):
-        _kernels.fold_chain(bytes(32), bytes(31))
-    with pytest.raises(ValueError):
-        _kernels.fold_chain(bytes(31), b"")
+    packed = b"".join(hashes)
+    for packed_type in PACKED_TYPES:
+        before = _kernels.ops()
+        assert _kernels.fold_chain(bytes(32), packed_type(packed)) == expected, packed_type
+        assert _kernels.ops() - before == n, packed_type
+        for prev, partial in ((bytes(32), packed + bytes(31)), (bytes(31), b"")):
+            before = _kernels.ops()
+            with pytest.raises(ValueError):
+                _kernels.fold_chain(prev, packed_type(partial))
+            assert _kernels.ops() == before, packed_type
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 7, 8, 255, 256])

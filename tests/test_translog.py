@@ -18,6 +18,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -1277,6 +1278,81 @@ def reference_check(directory):
     if checkpoints.read(1):
         return False, index
     return diverged is None, diverged
+
+
+#: Entries of the log that the reopen framing property damages.
+FRAMED = 40
+
+
+@pytest.fixture(scope="module")
+def framed_log(tmp_path_factory):
+    """A closed FRAMED-entry log's files, and what reopening it restores."""
+    directory = tmp_path_factory.mktemp("framed")
+    with TransparencyLog(directory) as log:
+        fill(log, FRAMED)
+    files = {
+        name: (directory / name).read_bytes()
+        for name in (RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME)
+    }
+    with TransparencyLog(directory) as log:
+        restored = (log.storage_bytes, log.growth_series(), log.current_root())
+        starts = [start for _, start in log.growth_series(range(FRAMED))]
+    return files, restored, starts
+
+
+class TestReopenFraming:
+    """Reopen frames damaged records exactly as the reference framer does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_one_damage_fails_at_the_reference_index(self, framed_log, data):
+        files, restored, starts = framed_log
+        records = bytearray(files[RECORDS_NAME])
+        kind = data.draw(st.sampled_from(["cut", "prefix flip", "garbage"]), label="kind")
+        if kind == "cut":
+            del records[data.draw(st.integers(0, len(records)), label="at") :]
+        elif kind == "prefix flip":
+            at = data.draw(st.sampled_from(starts), label="record") + data.draw(
+                st.integers(0, _LEN.size - 1), label="byte"
+            )
+            records[at] ^= data.draw(st.integers(1, 255), label="mask")
+        else:
+            records += data.draw(st.binary(min_size=1, max_size=2 * _LEN.size), label="garbage")
+        leaves = files[LEAVES_NAME]
+        index = data.draw(st.sampled_from(["complete", "cut", "absent"]), label="index")
+        if index == "cut":
+            leaves = leaves[: data.draw(st.integers(0, len(leaves) - 1), label="index cut")]
+        # small chunks put record ends and length prefixes across chunk reads
+        chunk = data.draw(st.sampled_from([7, 64, 200, translog._CHUNK]), label="chunk")
+        try:
+            for _ in _reference_frames(bytes(records)):
+                pass
+        except _Damaged as exc:
+            damaged_at = exc.index
+        else:
+            damaged_at = None
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(translog, "_CHUNK", chunk):
+            directory = Path(tmp)
+            (directory / RECORDS_NAME).write_bytes(records)
+            (directory / CHECKPOINTS_NAME).write_bytes(files[CHECKPOINTS_NAME])
+            if index != "absent":
+                (directory / LEAVES_NAME).write_bytes(leaves)
+            if damaged_at is not None:
+                with pytest.raises(translog.LogDamage) as raised:
+                    TransparencyLog(directory)
+                assert raised.value.index == damaged_at
+                # a refused reopen leaves the index as it was
+                assert (directory / LEAVES_NAME).exists() == (index != "absent")
+                if index != "absent":
+                    assert (directory / LEAVES_NAME).read_bytes() == leaves
+            elif records == files[RECORDS_NAME]:
+                with TransparencyLog(directory) as log:
+                    assert (log.storage_bytes, log.growth_series(), log.current_root()) == restored
+            else:
+                # frames cleanly into other records: the checkpoints disagree
+                with pytest.raises(StorageError) as raised:
+                    TransparencyLog(directory)
+                assert not isinstance(raised.value, translog.LogDamage)
 
 
 #: Three tiles and a few entries more.
