@@ -4,48 +4,21 @@
 Times ``Manifest()``, ``digest``, ``evaluate``, ``select_key``, ``sign`` and
 ``verify`` over the well-formed manifests of one harness batch
 (``generate_batch`` with ``--seed``, one batch per size in ``--sizes``, in
-requests, and the default policy, rotation and keys), with two source trees: this checkout, and a
-checkout of the commit to compare against (``--parent``, the ``src``
-directory of any checkout, for example one made with ``git archive``).
-Every measurement runs in a fresh interpreter that imports only the source
-tree it measures, and the two trees take turns, each going first in every
-other pair, so both see the same phases of a shared host.
-
-Each interpreter times every stage as one loop over all the manifests, five
-times, and keeps the best loop; a side's figure is the median of its
-interpreters' figures (``--repeats`` of them), with the quartiles and every
-run.  ``admission`` is one more such loop that builds each manifest from its
-fields, digests it and evaluates it: the construction and ``pipeline.admit``
-work of the secure pass.  ``admission_s`` is the best of these passes over the
-whole batch, and ``hashes`` the SHA-256 digests one pass makes, one per
-manifest.
+requests, and the default policy, rotation and keys), parent against change
+through ``_compare``.  Each interpreter times every stage as one loop over
+all the manifests, ``LOOPS`` times, and keeps the best loop.  ``admission``
+is one more such loop that builds each manifest from its fields, digests it
+and evaluates it: the construction and ``pipeline.admit`` work of the secure
+pass.  ``admission_s`` is that loop over the whole batch, and ``hashes`` the
+SHA-256 digests it makes, one per manifest.
 
 Both trees must produce the same digests, the same compliance reports and,
-from the same RNG stream, the same key choices: the script exits 1 if the
-SHA-256 over any of these differs between runs or sides.  The output,
-``BENCH_admission.json`` by default, also records the pairs the change won
-on ``admission_s``, the seed, loop count, signature scheme (the harness
-default), kernel backend, Python and ``cryptography`` versions and the
-machine.  Run from the root of a checkout:
-
-    python3 benchmarks/bench_admission.py --parent ../parent/src
+from the same RNG stream, the same key choices (each compared as a SHA-256).
+``BENCH_admission.json`` also records the pairs the change won on
+``admission_s`` and the signature scheme (the harness default).
 """
 
-from __future__ import annotations
-
-import argparse
-import json
-import platform
-import statistics
-import subprocess
-import sys
-from pathlib import Path
-
-from bench_reopen import git_commit, machine
-
-ROOT = Path(__file__).resolve().parent.parent
-
-STAGES = ("construct", "digest", "evaluate", "admission", "select_key", "sign", "verify")
+from _compare import main, spread, won
 
 #: Timed loops per stage and interpreter; the best is kept.
 LOOPS = 5
@@ -54,13 +27,12 @@ LOOPS = 5
 _CHILD = r"""
 import hashlib, json, sys, time
 import numpy as np
-sys.path.insert(0, sys.argv[1])
 from manifestd.errors import EncodingError
 from manifestd.harness import WorkloadConfig, _Streams, default_policy_set, generate_batch
 from manifestd.keystore import Keystore, RotationPolicy
 from manifestd.manifest import Manifest, digest
 from manifestd.policy import evaluate
-seed, requests, loops = int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4])
+seed, requests, loops = given["seed"], given["size"], given["loops"]
 cfg = WorkloadConfig(sizes=(requests,), seed=seed)
 batch = generate_batch(cfg, requests, _Streams(seed, requests).fresh()["gen"])
 good = []
@@ -116,6 +88,7 @@ def fingerprint(items):
     return hashlib.sha256("\n".join(items).encode("utf-8")).hexdigest()
 print(json.dumps({
     "us": out,
+    "admission_s": out["admission"] * len(good) / 1e6,
     "manifests": len(good),
     "digests": hashlib.sha256(b"".join(d.value for d in digests)).hexdigest(),
     "reports": fingerprint(
@@ -127,123 +100,34 @@ print(json.dumps({
 """
 
 
-def run_once(src: Path, seed: int, requests: int) -> dict:
-    done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(src), str(seed), str(requests), str(LOOPS)],
-        check=True,
-        capture_output=True,
-        text=True,
-    )
-    return json.loads(done.stdout)
-
-
-def spread(values: list[float]) -> dict:
-    quartiles = statistics.quantiles(values, n=4) if len(values) > 1 else [values[0]] * 3
-    return {"median": statistics.median(values), "q1": quartiles[0], "q3": quartiles[2],
-            "runs": values}
-
-
-def admission_s(sample: dict) -> float:
-    """Seconds of the best timed admission pass over the batch: construct, digest, evaluate."""
-    return sample["us"]["admission"] * sample["manifests"] / 1e6
-
-
-def summary(samples: list[dict]) -> dict:
-    return {
-        "admission_s": spread([admission_s(s) for s in samples]),
-        "us_per_manifest": {name: spread([s["us"][name] for s in samples]) for name in STAGES},
-        # the admission pass digests each well-formed manifest once
-        "hashes": samples[0]["manifests"],
+def summarize(runs: dict[str, list[dict]], _traced: dict) -> dict:
+    row = {
+        side: {
+            "admission_s": spread([s["admission_s"] for s in samples]),
+            "us_per_manifest": {name: spread([s["us"][name] for s in samples])
+                                for name in samples[0]["us"]},
+            # the admission pass digests each well-formed manifest once
+            "hashes": samples[0]["manifests"],
+        }
+        for side, samples in runs.items()
     }
-
-
-def measure(sides: dict[str, Path], requests: int, args) -> tuple[dict, list[str]]:
-    """Alternating runs of each side on one batch size; the row and any mismatches."""
-    samples: dict[str, list[dict]] = {side: [] for side in sides}
-    order = list(sides)
-    for pair in range(args.repeats):
-        for side in order if pair % 2 == 0 else order[::-1]:
-            samples[side].append(run_once(sides[side], args.seed, requests))
-    mismatches = []
-    for key in ("manifests", "digests", "reports", "picks"):
-        seen = {str(s[key]) for side in sides for s in samples[side]}
-        if len(seen) != 1:
-            mismatches.append(f"{requests} requests: the {key} differ: {sorted(seen)}")
-    row = {side: summary(samples[side]) for side in sides}
-    row["manifests"] = samples["parent"][0]["manifests"]
-    first = samples["parent"][0]
+    first = runs["parent"][0]
+    row["manifests"] = first["manifests"]
     row["fingerprints"] = {key: first[key] for key in ("digests", "reports", "picks")}
     parent, change = row["parent"], row["change"]
     change["ratio_to_parent"] = {
         name: change["us_per_manifest"][name]["median"] / parent["us_per_manifest"][name]["median"]
         for name in parent["us_per_manifest"]
     }
-    change["pairs_won"] = sum(
-        admission_s(c) < admission_s(p) for c, p in zip(samples["change"], samples["parent"])
-    )
-    return row, mismatches
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, type=Path,
-                        help="src directory of the checkout to compare against")
-    parser.add_argument("--parent-rev", help="label or commit of that checkout, for the record")
-    parser.add_argument("--sizes", default="2000", help="requests per batch, comma-separated")
-    parser.add_argument("--repeats", type=int, default=10, help="interpreter pairs per size")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_admission.json")
-    args = parser.parse_args()
-    change_src = ROOT / "src"
-    sys.path.insert(0, str(change_src))
-    from manifestd import kernel_backend
-    from manifestd.harness import WorkloadConfig
-
-    try:
-        from cryptography import __version__ as cryptography_version
-    except ImportError:
-        cryptography_version = None
-
-    rows, mismatches = [], []
-    sides = {"parent": args.parent, "change": change_src}
-    for requests in (int(s) for s in args.sizes.split(",")):
-        row, differ = measure(sides, requests, args)
-        rows.append({"entries": requests, **row})
-        mismatches += differ
-        print(f"{requests} requests, {row['manifests']} manifests", file=sys.stderr)
-        for name in STAGES:
-            p, c = (row[side]["us_per_manifest"][name]["median"] for side in sides)
-            print(f"  {name:11} parent {p:8.2f} us  change {c:8.2f} us  x{c / p:.2f}",
-                  file=sys.stderr)
-
-    result = {
-        "benchmark": "admission",
-        "sizes": args.sizes,
-        "what": "us per well-formed manifest of one generate_batch batch (entries = requests), "
-                "each stage timed as one loop over the batch, best of `loops` loops per fresh "
-                "interpreter, parent and change alternating; admission = one timed loop that "
-                "constructs, digests and evaluates each manifest, admission_s = that loop over "
-                "the whole batch; hashes = SHA-256 digests of one admission pass",
-        "seed": args.seed,
-        "repeats": args.repeats,
-        "loops": LOOPS,
-        "scheme": WorkloadConfig.scheme,
-        "kernel_backend": kernel_backend,
-        "python": platform.python_version(),
-        "cryptography": cryptography_version,
-        "machine": machine(),
-        "commits": {
-            "change": git_commit(ROOT),
-            "parent": args.parent_rev or git_commit(args.parent),
-        },
-        "mismatches": mismatches,
-        "rows": rows,
-    }
-    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    for line in mismatches:
-        print(line, file=sys.stderr)
-    return 1 if mismatches else 0
+    change["pairs_won"] = won(change["admission_s"], parent["admission_s"])
+    return row
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from manifestd.harness import WorkloadConfig
+
+    main(
+        "admission", __doc__, _CHILD, summarize, sizes="2000", repeats=10,
+        same=("manifests", "digests", "reports", "picks"),
+        params={"loops": LOOPS, "scheme": WorkloadConfig.scheme},
+    )

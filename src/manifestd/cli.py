@@ -124,7 +124,7 @@ def _read_manifests(path: Path) -> list[Manifest]:
     """One JSON document per file, or one per line."""
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read manifest file {path}: {exc}") from exc
     try:
         return [manifest_from_dict(json.loads(text))]
@@ -197,7 +197,7 @@ def cmd_verify(args) -> int:
     keystore = Keystore.load(args.keystore, passphrase=_passphrase(args))
     try:
         text = Path(args.infile).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.infile}: {exc}") from exc
     now = _now_ms(args)
     receipts = []

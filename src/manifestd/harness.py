@@ -365,7 +365,7 @@ def config_from_dict(obj: Mapping) -> WorkloadConfig:
 def load_config_file(path: Union[str, Path]) -> WorkloadConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         obj = json.loads(text)

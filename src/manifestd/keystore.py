@@ -295,7 +295,7 @@ class Keystore:
     def load(cls, path: Union[str, Path], passphrase: Optional[str] = None) -> "Keystore":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise StorageError(f"cannot read keystore {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise StorageError(f"keystore {path} is not valid JSON: {exc}") from exc

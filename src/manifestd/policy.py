@@ -282,7 +282,7 @@ def policy_from_dict(obj: object) -> PolicySet:
 def load_policy_file(path: Union[str, Path]) -> PolicySet:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read policy file {path}: {exc}") from exc
     try:
         obj = json.loads(text)

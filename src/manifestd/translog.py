@@ -354,7 +354,11 @@ class TransparencyLog:
         key_id: str,
         appended_at: Optional[int] = None,
     ) -> tuple[int, MerkleRoot]:
-        """Durably append one entry; returns its index and the new root.
+        """Append one entry; returns its index and the new root.
+
+        The record and its checkpoint line are flushed to the operating
+        system, not fsynced, so a crash of the machine can lose them; crash
+        durability (an fsync policy, torn-tail recovery) is open in ROADMAP.md.
 
         ``appended_at`` defaults to now, in milliseconds.  An entry that would
         not read back as given (a ``manifest_digest`` that is not a

@@ -482,6 +482,29 @@ class TestUsage:
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["key-list", "--bogus"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "argv, code, reading",
+        [
+            (["sign", "--manifest", "{bad}", "--policy", "{ws}/policy.json", "--keystore",
+              "{ws}/keys.pem", "--key-id", "op-1"], EXIT_CONFIG, "manifest file"),
+            (["verify", "--in", "{bad}", "--keystore", "{ws}/keys.pem", "--log-dir", "{ws}/log"],
+             EXIT_CONFIG, ""),
+            (["sign", "--manifest", "{ws}/manifests.ndjson", "--policy", "{bad}", "--keystore",
+              "{ws}/keys.pem", "--key-id", "op-1"], EXIT_CONFIG, "policy file"),
+            (["bench", "--out", "{ws}/bench", "--config", "{bad}"], EXIT_CONFIG, "config"),
+            (["key-list", "--keystore", "{bad}"], EXIT_STORAGE, "keystore"),
+        ],
+        ids=["manifest", "verify-in", "policy", "config", "keystore"],
+    )
+    def test_input_that_is_not_utf8_is_an_error_line(self, workspace, capsys, argv, code,
+                                                     reading):
+        bad = workspace / "bad.json"
+        bad.write_bytes(b"\xff" + json.dumps(manifest_obj()).encode("utf-8"))
+        assert main([arg.format(bad=bad, ws=workspace) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {reading}".rstrip()), err
+        assert "can't decode byte 0xff" in err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

@@ -73,6 +73,55 @@ def test_benchmark_script_runs_and_records_both_sides(script, tmp_path):
             assert row[side]["hashes"] > 0
 
 
+#: For each script, a one-line fault to plant in a copy of src, and the field it must trip.
+LEAF_COUNT = ("_kernels.py", "def hash_leaf(data: bytes) -> bytes:\n    global _ops\n    _ops += 1",
+              "def hash_leaf(data: bytes) -> bytes:\n    global _ops\n    _ops += 2", "hashes")
+PLANTED = {
+    "bench_admission.py": ("manifest.py", "_kernels.sha256(manifest._encoded)",
+                           "_kernels.sha256(manifest._encoded + b' ')", "digests"),
+}
+
+
+def key_paths(obj, prefix=()):
+    """Every path of dict keys in ``obj``, a list standing for each of its items."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            yield from key_paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from key_paths(value, prefix + ("[]",))
+
+
+@pytest.mark.skipif(not (ROOT / "benchmarks").is_dir(), reason="needs the benchmarks directory")
+@pytest.mark.parametrize("script", BENCH_SCRIPTS)
+def test_benchmark_script_exits_1_when_the_trees_differ(script, tmp_path):
+    # a parent tree with a planted fault: the run fails, names the field and
+    # still writes every key of the committed BENCH layout
+    module, before, after, field = PLANTED.get(script, LEAF_COUNT)
+    parent = tmp_path / "src"
+    shutil.copytree(ROOT / "src", parent, ignore=shutil.ignore_patterns("__pycache__"))
+    path = parent / "manifestd" / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(before) == 1
+    path.write_text(text.replace(before, after), encoding="utf-8")
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, f"benchmarks/{script}", "--parent", str(parent), "--sizes", "300",
+         "--repeats", "1", "--out", str(out)],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 1, done.stdout[-2000:] + done.stderr[-2000:]
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert any(f"the {field} differ" in line for line in result["mismatches"]), result
+    committed = ROOT / f"BENCH_{script.removeprefix('bench_').removesuffix('.py')}.json"
+    missing = set(key_paths(json.loads(committed.read_text(encoding="utf-8"))))
+    assert missing - set(key_paths(result)) == set()
+
+
 def test_every_kernel_has_a_caller_in_the_package():
     package = ROOT / "src" / "manifestd"
     used = set()
