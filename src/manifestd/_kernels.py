@@ -4,23 +4,29 @@ All digests are SHA-256 from ``hashlib``.  Leaf and interior hashes are
 domain-separated with one-byte prefixes so a leaf can never be reinterpreted
 as an interior node.  A growing tree is tracked by its peaks, the roots of
 its perfect subtrees from left to right, one per set bit of the leaf count
-(the "compact range" of a transparency log): ``push_peak`` adds a leaf and
-``right_edge`` folds the peaks from the right into the tree root, keeping
-every partial fold.  ``fold_path`` folds a node up a path of siblings, each
-on a given side: the check of an inclusion or consistency proof, and the
-fold of an older tree's peaks.  ``hash_pairs`` and ``fold_chain`` are batch
-forms of the interior hash and ``chain_update`` over packed 32-byte hashes,
-for rebuilding a whole tree from its leaf hashes; ``prefix_roots`` is the
-batch form of ``chain_update``, ``push_peak`` and ``right_edge`` together,
-giving the root and chain value at every size while leaves are added.
+(the "compact range" of a transparency log).  Each peak is held as a SHA-256
+state that has already taken the interior prefix and the peak, so merging
+or folding it with a right child is a ``copy``, an ``update`` and a
+``digest``, with no 65-byte concatenation.  ``push_node``, the one
+incremental kernel, adds a leaf to those states and returns the nodes it
+completes and the tree's right edge: every partial fold of the peaks from
+the right, the first being the root.  ``fold_path`` folds a node up a path
+of siblings, each on a given side: the check of an inclusion or consistency
+proof, and the fold of an older tree's peaks.  ``hash_pairs`` and
+``fold_chain`` are batch forms of the interior hash and ``chain_update``
+over packed 32-byte hashes, for rebuilding a whole tree from its leaf
+hashes; ``prefix_roots`` is the batch form of ``chain_update`` and
+``push_node`` together, giving the root and chain value at every size while
+leaves are added.
 
 Every kernel counts its hashes in ``ops``, one per SHA-256 of a leaf, an
 interior node or a chain step; the kernels that loop add their count once
-per call.  Input lengths are checked where digests may come from outside
-the tree code: ``chain_update`` and ``fold_path`` take only 32-byte
-digests, ``hash_pairs`` and ``fold_chain`` only whole packed ones.
-``push_peak``, ``right_edge`` and ``prefix_roots`` check nothing: the peaks
-and leaf hashes they are given are 32-byte digests the log made itself.
+per call.  Starting a peak's state is not counted: its hash is finished only
+by the merge or fold that copies it.  Input lengths are checked where
+digests may come from outside the tree code: ``chain_update`` and
+``fold_path`` take only 32-byte digests, ``hash_pairs`` and ``fold_chain``
+only whole packed ones.  ``push_node`` and ``prefix_roots`` check nothing:
+the states and leaf hashes they are given are ones the log made itself.
 """
 
 from __future__ import annotations
@@ -136,63 +142,56 @@ def fold_path(node: bytes, path) -> bytes:
     return node
 
 
-def push_peak(peaks: list[bytes], count: int, leaf: bytes) -> list[bytes]:
-    """Add a leaf, in place, to the peaks of a tree holding ``count`` leaves.
+def push_node(states: list, count: int, node: bytes) -> tuple[list[bytes], list[bytes]]:
+    """Add a node, in place, to the peak states of a tree of ``count`` such nodes.
 
-    Each trailing one-bit of ``count`` is a peak as large as the running
-    node, so the new leaf merges with that many peaks from the right.
-    Returns the nodes the leaf completes, bottom-up: element k is the root
-    of the perfect subtree of 2^k leaves that now ends with this leaf.
+    ``states`` holds one SHA-256 state per peak, left to right, each having
+    taken the interior prefix and its peak; a leaf is a node of level 0 and
+    ``count`` the leaf count.  Each trailing one-bit of ``count`` is a peak as
+    large as the running node, so the node merges with that many peaks from
+    the right, and the new peak's state is added.  A merge or a fold copies a
+    state and adds the right child: no state is changed, so a copy of the
+    list taken before the call still holds the old tree.
+
+    Returns the nodes the push completes, bottom-up, and the right edge.
+    Node k is the root of the perfect subtree of 2^k pushed nodes that now
+    ends with this one.  Element j of the edge is the fold of the peaks from
+    j on, so element 0 is the tree root: one hash per merge, and one per
+    peak but the last to fold the edge.
     """
-    sha256 = hashlib.sha256
-    nodes = [leaf]
-    node = leaf
+    nodes = [node]
     while count & 1:
-        node = sha256(INTERIOR_PREFIX + peaks.pop() + node).digest()
+        merge = states.pop().copy()
+        merge.update(node)
+        node = merge.digest()
         nodes.append(node)
         count >>= 1
-    peaks.append(node)
-    global _ops
-    _ops += len(nodes) - 1
-    return nodes
-
-
-def right_edge(peaks: list[bytes]) -> list[bytes]:
-    """The folds of every suffix of the peaks, longest first.
-
-    Element j is the root of the leaves that ``peaks[j:]`` cover, so element
-    0 is the tree root; ``len(peaks) - 1`` hashes, an empty list for no peaks.
-    """
-    if not peaks:
-        return []
-    sha256 = hashlib.sha256
-    nodes = reversed(peaks)
-    node = next(nodes)
     edge = [node]
-    for peak in nodes:
-        node = sha256(INTERIOR_PREFIX + peak + node).digest()
+    for state in reversed(states):
+        fold = state.copy()
+        fold.update(node)
+        node = fold.digest()
         edge.append(node)
     edge.reverse()
+    states.append(hashlib.sha256(INTERIOR_PREFIX + nodes[-1]))
     global _ops
-    _ops += len(edge) - 1
-    return edge
+    _ops += len(nodes) + len(edge) - 2
+    return nodes, edge
 
 
 def prefix_roots(
-    peaks: list[bytes], count: int, chain: bytes, leaves: list[bytes]
+    states: list, count: int, chain: bytes, leaves: list[bytes]
 ) -> tuple[list[bytes], list[bytes]]:
     """The tree root and the chain value after each of ``leaves``, added in order.
 
-    ``peaks`` are those of a tree holding ``count`` leaves, as ``push_peak``
-    keeps them, and are updated in place; ``chain`` is the chain value at
-    ``count``.  Each leaf costs exactly the hashes of ``chain_update``,
-    ``push_peak`` and ``right_edge``: one chain hash, one per merge, and
-    popcount(size) - 1 to fold the root.  Each peak is also held as a SHA-256
-    state that has taken the interior prefix and the peak, so a merge or fold
-    copies that state and adds the right child.
+    ``states`` are the peak states of a tree holding ``count`` leaves, as
+    ``push_node`` keeps them, and are updated in place the same way;
+    ``chain`` is the chain value at ``count``.  Each leaf costs exactly the
+    hashes of ``chain_update`` and ``push_node``: one chain hash, one per
+    merge, and popcount(size) - 1 to fold the root.  Only the root of the
+    edge is kept, so the fold runs here rather than through ``push_node``.
     """
     sha256 = hashlib.sha256
-    left = [sha256(INTERIOR_PREFIX + peak) for peak in peaks]
     roots, chains = [], []
     # a chain hash per leaf, and the merges: a tree of m leaves has merged
     # m - popcount(m) times
@@ -203,20 +202,18 @@ def prefix_roots(
         node = leaf
         trailing = count
         while trailing & 1:
-            peaks.pop()
-            merge = left.pop().copy()
+            merge = states.pop().copy()
             merge.update(node)
             node = merge.digest()
             trailing >>= 1
         count += 1
         root = node
-        for peak in reversed(left):
+        for peak in reversed(states):
             fold = peak.copy()
             fold.update(root)
             root = fold.digest()
-        hashes += len(left)
-        peaks.append(node)
-        left.append(sha256(INTERIOR_PREFIX + node))
+        hashes += len(states)
+        states.append(sha256(INTERIOR_PREFIX + node))
         roots.append(root)
         chains.append(chain)
     global _ops

@@ -10,6 +10,7 @@ no whitespace, UTF-8, shortest round-trip float form, no NaN/Inf.
 
 from __future__ import annotations
 
+import collections.abc
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,7 +34,8 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False, allow_nan
 
 
 def _normalized(partition: str, fields: Mapping[str, Scalar]) -> dict[str, Scalar]:
-    if not isinstance(fields, Mapping):
+    # collections.abc, not typing: typing.Mapping's isinstance is about 3x slower
+    if not isinstance(fields, collections.abc.Mapping):
         raise EncodingError(f"{partition} must be a mapping, got {type(fields).__name__}")
     items = list(fields.items())
     for key, value in items:

@@ -15,6 +15,9 @@ append merges the new leaf with the right-edge subtree roots ("peaks", one
 per set bit of the entry count) and records exactly the nodes it completes:
 O(log n) hashes.  The fold of the peaks from the right gives the root, and
 the log keeps every partial fold of the current tree (its "right edge").
+Each peak is also kept as a SHA-256 state that has taken the interior prefix
+and the peak, and ``_kernels.push_node`` does the merges and the fold on
+copies of those states.
 An inclusion proof (RFC 9162 format) walks up from the leaf: its siblings
 are stored nodes, except at most one, the fold of the peaks below some
 level, which at the current size is an element of the right edge.  A
@@ -31,6 +34,17 @@ a 4-byte big-endian length and that many bytes in one fixed JSON layout,
 holds level 0 of the stored hashes, 32 bytes per entry in append order; it
 is derived data, buffered one 256-leaf tile at a time and written out by
 ``close``, so it may lag behind the other two files.
+
+An open log writes the records and checkpoints files through one
+``O_WRONLY | O_APPEND`` descriptor each, with no buffer in between: an
+append is one ``os.write`` of the length prefix and the record, then one of
+the checkpoint line.  A failed or short write cuts both files back to their
+lengths before the append (``os.ftruncate``) and raises ``StorageError``,
+so a failed append leaves the files and the handle as they were.  If the
+cut fails too, the handle refuses every later append, naming that first
+failure, and its reads keep serving the entries appended before it.  A
+failed write of the index fails no append: the handle stops writing the
+index, which then lags, and reopening extends it.
 
 An open log holds one read-only descriptor on the records file; ``entry``
 reads a record with one ``os.pread`` at its stored offset and checks it
@@ -76,6 +90,7 @@ and chain, to name the first bad entry.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -87,7 +102,7 @@ from dataclasses import dataclass, field
 from itertools import count, islice
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NoReturn, Optional, Sequence, Union
 
 from . import _kernels
 from .errors import EncodingError, OutOfRange, StorageError
@@ -280,20 +295,27 @@ class TransparencyLog:
         # _offsets[i] is the file offset where record i starts; the final
         # element is the current end of file.
         self._offsets = array("q", [0])
-        self._peaks: list[bytes] = []
-        # _edge is _kernels.right_edge(_peaks): the roots of the suffixes of
-        # the current tree's peaks, kept by every append at no extra hash.
+        # _states and _edge are what _kernels.push_node keeps and returns: a
+        # SHA-256 state per peak of the current tree, and the roots of the
+        # suffixes of its peaks, the first being the tree root.
+        self._states: list = []
         self._edge: list[bytes] = []
         self._chain: bytes = CHAIN_GENESIS
         self._reopened: Optional[ReopenReport] = None
+        # why appends are refused: the log is closed, or a failed append
+        # could not be undone
+        self._refused: Optional[str] = None
         if self._records_path.exists():
             self._reopened = self._reopen()
         elif self._checkpoints_path.exists():
             raise StorageError(f"{self._dir}: checkpoint file present without records file")
         opened = []
         try:
-            opened.append(open(self._records_path, "ab"))
-            opened.append(open(self._checkpoints_path, "ab"))
+            # append takes one os.write on each of these two descriptors; an
+            # unbuffered file object owns each one and closes it
+            for path in (self._records_path, self._checkpoints_path):
+                flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+                opened.append(open(os.open(path, flags, 0o666), "ab", buffering=0))
             # the index holds exactly the verified leaves now, or is started afresh
             opened.append(
                 open(self._leaves_path, "ab" if self.size else "wb",
@@ -305,7 +327,9 @@ class TransparencyLog:
             for fh in opened:
                 fh.close()
             raise StorageError(f"cannot open log files in {self._dir}: {exc}") from exc
-        self._records_fh, self._checkpoints_fh, self._leaves_fh, self._reader = opened
+        records, checkpoints, self._leaves_fh, self._reader = opened
+        self._records_out, self._checkpoints_out = records, checkpoints
+        self._records_fd, self._checkpoints_fd = records.fileno(), checkpoints.fileno()
 
     # -- state ------------------------------------------------------------
 
@@ -333,11 +357,13 @@ class TransparencyLog:
         return self._reopened
 
     def close(self) -> None:
-        self._records_fh.close()
-        self._checkpoints_fh.close()
+        # a closed descriptor's number can be reused by another file
+        self._refused = f"{self._dir}: the log is closed"
+        self._records_out.close()
+        self._checkpoints_out.close()
         self._reader.close()
         # last: writing out the buffered tail of the index can fail
-        self._leaves_fh.close()
+        self._stop_index()
 
     def __enter__(self) -> "TransparencyLog":
         return self
@@ -356,9 +382,18 @@ class TransparencyLog:
     ) -> tuple[int, MerkleRoot]:
         """Append one entry; returns its index and the new root.
 
-        The record and its checkpoint line are flushed to the operating
-        system, not fsynced, so a crash of the machine can lose them; crash
-        durability (an fsync policy, torn-tail recovery) is open in ROADMAP.md.
+        The length-prefixed record reaches the operating system in one
+        ``os.write`` on ``log.records``, then its checkpoint line in one on
+        ``log.checkpoints``; neither is fsynced, so a crash of the machine
+        can lose them (crash durability is open in ROADMAP.md).  The leaf
+        hash goes to the index's buffer, which a failed write only stops:
+        the append still succeeds, the index lags, and reopening extends it.
+
+        A failed or short write to either file cuts both back to their
+        lengths before the append and raises ``StorageError``, leaving the
+        log as it was.  If that cut fails too, the handle takes no more
+        appends: each raises ``StorageError`` naming the first failure, while
+        reads keep serving the entries appended before it.
 
         ``appended_at`` defaults to now, in milliseconds.  An entry that would
         not read back as given (a ``manifest_digest`` that is not a
@@ -367,6 +402,8 @@ class TransparencyLog:
         that is not an ``int`` or is a ``bool``) raises ``EncodingError``
         before anything is written.
         """
+        if self._refused is not None:
+            raise StorageError(self._refused)
         if not isinstance(manifest_digest, ManifestDigest):
             raise EncodingError(
                 f"manifest digest must be a ManifestDigest, not {type(manifest_digest).__name__}"
@@ -379,7 +416,7 @@ class TransparencyLog:
             raise EncodingError(f"key id must be a str, not {type(key_id).__name__}")
         if not isinstance(signature, bytes):
             raise EncodingError(f"signature must be bytes, not {type(signature).__name__}")
-        index = self.size
+        index = len(self._offsets) - 1
         try:
             record = _record_bytes(index, manifest_digest, signature, key_id, appended_at)
         except UnicodeEncodeError as exc:
@@ -391,26 +428,29 @@ class TransparencyLog:
             )
         leaf = _kernels.hash_leaf(record)
         chain = _kernels.chain_update(self._chain, leaf)
-        peaks = list(self._peaks)
-        nodes = _kernels.push_peak(peaks, index, leaf)
-        edge = _kernels.right_edge(peaks)
-        merkle = MerkleRoot(edge[0], index + 1)
+        states = list(self._states)
+        nodes, edge = _kernels.push_node(states, index, leaf)
+        framed = _LEN.pack(len(record)) + record
+        line = _CHECKPOINT % (index + 1, hexlify(edge[0]), hexlify(chain))
         try:
-            self._records_fh.write(_LEN.pack(len(record)) + record)
-            self._records_fh.flush()
-            self._checkpoints_fh.write(_CHECKPOINT % (index + 1, hexlify(edge[0]), hexlify(chain)))
-            self._checkpoints_fh.flush()
-            # derived data, never flushed here: reopening checks what it holds
-            self._leaves_fh.write(leaf)
+            if os.write(self._records_fd, framed) != len(framed):
+                raise OSError(f"short write to {RECORDS_NAME}")
+            if os.write(self._checkpoints_fd, line) != len(line):
+                raise OSError(f"short write to {CHECKPOINTS_NAME}")
         except OSError as exc:
-            raise StorageError(f"append to {self._dir} failed: {exc}") from exc
+            self._roll_back(index, exc)
+        if self._leaves_fh is not None:
+            try:
+                self._leaves_fh.write(leaf)
+            except OSError:
+                self._stop_index()
         # Commit in-memory state only after the files took the write.
         self._store(nodes)
-        self._offsets.append(self._offsets[-1] + _LEN.size + len(record))
-        self._peaks = peaks
+        self._offsets.append(self._offsets[-1] + len(framed))
+        self._states = states
         self._edge = edge
         self._chain = chain
-        return index, merkle
+        return index, MerkleRoot(edge[0], index + 1)
 
     def _store(self, nodes: list[bytes]) -> None:
         """Record the subtree roots one leaf completed; ``nodes[k]`` is on level k."""
@@ -420,6 +460,30 @@ class TransparencyLog:
             levels.append(bytearray())
         for level, node in enumerate(nodes):
             levels[level] += node
+
+    def _roll_back(self, index: int, failure: OSError) -> NoReturn:
+        """Cut both files back to their first ``index`` entries and raise ``StorageError``.
+
+        If the cut fails, the log's files may hold part of the failed entry,
+        so the handle refuses every later append.
+        """
+        reason = f"append of entry {index} to {self._dir} failed: {failure}"
+        try:
+            os.ftruncate(self._records_fd, self._offsets[-1])
+            os.ftruncate(self._checkpoints_fd, _checkpoints_size(index))
+        except OSError as exc:
+            self._refused = f"{reason}; cutting the files back failed too: {exc}"
+            raise StorageError(self._refused) from failure
+        raise StorageError(reason) from failure
+
+    def _stop_index(self) -> None:
+        """Close the index and write it no more: it lags, and reopening extends it."""
+        leaves, self._leaves_fh = self._leaves_fh, None
+        if leaves is not None:
+            try:
+                leaves.close()
+            except OSError:
+                pass  # the buffered leaves are dropped
 
     # -- reading ----------------------------------------------------------
 
@@ -570,8 +634,7 @@ class TransparencyLog:
                 line = _final_checkpoint(self._checkpoints_path, size)
             levels = _levels_over(leaves)
             self._levels, self._offsets = levels, offsets
-            peaks = _peaks_below(levels, size, size.bit_length())[::-1]
-            edge = _kernels.right_edge(peaks)
+            states, edge = _peak_states(levels, size)
             chain = _kernels.fold_chain(CHAIN_GENESIS, leaves)
             if line is None or (
                 line["root"] == edge[0].hex().encode() and line["chain"] == chain.hex().encode()
@@ -582,7 +645,7 @@ class TransparencyLog:
                 f"{self._dir}: replayed state disagrees with final checkpoint; "
                 "run an integrity check"
             )
-        self._peaks, self._edge, self._chain = peaks, edge, chain
+        self._states, self._edge, self._chain = states, edge, chain
         from_index = min(start, size)
         if start != stored:
             action = "rebuilt"
@@ -659,6 +722,21 @@ def _peaks_below(levels: list[bytearray], tree_size: int, below: int) -> list[by
         for level in range(below)
         if tree_size >> level & 1
     ]
+
+
+def _peak_states(levels: list[bytearray], tree_size: int) -> tuple[list, list[bytes]]:
+    """The peak states and right edge of the tree at ``tree_size``, from its stored peaks.
+
+    The lowest peak, on level k, is pushed onto the states of the others as
+    node ``(tree_size >> k) - 1`` of its level, an even count, so it merges
+    with none and only the edge is folded: popcount(tree_size) - 1 hashes.
+    """
+    if not tree_size:
+        return [], []
+    lowest, *higher = _peaks_below(levels, tree_size, tree_size.bit_length())
+    states = [hashlib.sha256(_kernels.INTERIOR_PREFIX + peak) for peak in reversed(higher)]
+    low = (tree_size & -tree_size).bit_length() - 1
+    return states, _kernels.push_node(states, (tree_size >> low) - 1, lowest)[1]
 
 
 def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
@@ -936,11 +1014,11 @@ def _check_tiles(records, checkpoints) -> IntegrityReport:
     """``check_integrity`` over the open log files, a tile at a time."""
     hash_leaf, prefix_roots = _kernels.hash_leaf, _kernels.prefix_roots
     frames = _frames(records)
-    peaks: list[bytes] = []
+    states: list = []
     chain = CHAIN_GENESIS
     size = records_at = 0
     while True:
-        tile_peaks = list(peaks)
+        tile_states = list(states)
         leaves = []
         spanned = 0
         try:
@@ -949,7 +1027,7 @@ def _check_tiles(records, checkpoints) -> IntegrityReport:
                 spanned += _LEN.size + len(record)
         except LogDamage:
             break
-        roots, chains = prefix_roots(peaks, size, chain, leaves)
+        roots, chains = prefix_roots(states, size, chain, leaves)
         expected = b"".join(
             [
                 _CHECKPOINT % (tree_size, hexlify(root), hexlify(value))
@@ -967,20 +1045,21 @@ def _check_tiles(records, checkpoints) -> IntegrityReport:
         chain = chains[-1]
     records.seek(records_at)
     checkpoints.seek(_checkpoints_size(size))
-    return _check_entries(records, checkpoints, size, tile_peaks, chain)
+    return _check_entries(records, checkpoints, size, tile_states, chain)
 
 
 def _check_entries(
-    records, checkpoints, size: int, peaks: list[bytes], chain: bytes
+    records, checkpoints, size: int, states: list, chain: bytes
 ) -> IntegrityReport:
     """``check_integrity`` entry by entry, from entry ``size`` of the open files on.
 
-    ``peaks`` and ``chain`` are the tree's and chain's state at ``size``.
-    The first ``LogDamage`` outranks a divergence, so the files are read to
-    the end.
+    ``states`` and ``chain`` are the tree's peak states and chain value at
+    ``size``, and each entry goes through ``_kernels.push_node`` as in
+    ``append``.  The first ``LogDamage`` outranks a divergence, so the files
+    are read to the end.
     """
-    hash_leaf, chain_update, push_peak, right_edge = (
-        _kernels.hash_leaf, _kernels.chain_update, _kernels.push_peak, _kernels.right_edge
+    hash_leaf, chain_update, push_node = (
+        _kernels.hash_leaf, _kernels.chain_update, _kernels.push_node
     )
     diverged: Optional[int] = None
     try:
@@ -989,11 +1068,8 @@ def _check_entries(
                 continue
             leaf = hash_leaf(record)
             chain = chain_update(chain, leaf)
-            push_peak(peaks, size - 1, leaf)
-            if (
-                line["chain"] != chain.hex().encode()
-                or line["root"] != right_edge(peaks)[0].hex().encode()
-            ):
+            root = push_node(states, size - 1, leaf)[1][0]
+            if line["chain"] != chain.hex().encode() or line["root"] != root.hex().encode():
                 diverged = size - 1
     except LogDamage as exc:
         return IntegrityReport(False, exc.index, str(exc))

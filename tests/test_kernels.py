@@ -178,28 +178,38 @@ class TestBackend:
         assert sum(counts) == 4
 
 
+def peak_digests(states):
+    """What each peak state has taken: the interior prefix and its peak."""
+    return [state.digest() for state in states]
+
+
 @pytest.mark.parametrize("n", list(range(0, 40)) + [63, 64, 65])
 def test_peaks_fold_to_the_oracle_root(n):
     hashes = [_kernels.hash_leaf(d) for d in leaves_for(n)]
-    peaks = []
+    states, edge = [], []
     for count, leaf in enumerate(hashes):
-        _kernels.push_peak(peaks, count, leaf)
-    assert len(peaks) == bin(n).count("1")
-    # element j of the right edge folds peaks[j:], the leaves after the larger
-    # peaks, so element 0 is the root
-    _kernels.reset_ops()
-    edge = _kernels.right_edge(peaks)
-    assert _kernels.ops() == max(len(peaks) - 1, 0)
+        before = _kernels.ops()
+        _, edge = _kernels.push_node(states, count, leaf)
+        # the merges, then one fold per peak but the last
+        merges = (count + 1 & -(count + 1)).bit_length() - 1
+        assert _kernels.ops() - before == merges + len(states) - 1
+    assert len(states) == bin(n).count("1")
     # the peak on level k starts where n's bits above k end
     starts = [n >> k + 1 << k + 1 for k in range(n.bit_length() - 1, -1, -1) if n >> k & 1]
+    ends = starts[1:] + [n]
+    assert peak_digests(states) == [
+        hashlib.sha256(b"\x01" + oracle_root(hashes[s:e])).digest() for s, e in zip(starts, ends)
+    ]
+    # element j of the right edge folds peaks[j:], the leaves after the larger
+    # peaks, so element 0 is the root
     assert edge == [oracle_root(hashes[start:]) for start in starts]
 
 
-def test_push_peak_returns_the_subtrees_each_leaf_completes():
+def test_push_node_returns_the_subtrees_each_leaf_completes():
     hashes = [_kernels.hash_leaf(d) for d in leaves_for(70)]
-    peaks = []
+    states = []
     for count, leaf in enumerate(hashes):
-        nodes = _kernels.push_peak(peaks, count, leaf)
+        nodes, _ = _kernels.push_node(states, count, leaf)
         end = count + 1
         # node k is the root of the 2^k leaves ending here, and those are
         # exactly the perfect subtrees that end at this leaf
@@ -208,17 +218,25 @@ def test_push_peak_returns_the_subtrees_each_leaf_completes():
             assert node == oracle_root(hashes[end - (1 << k) : end])
 
 
-def test_push_peak_hashes_once_per_merge():
-    peaks = []
+def test_push_node_hashes_once_per_merge_and_leaves_old_states_alone():
+    states = []
     for count, leaf in enumerate([_kernels.hash_leaf(d) for d in leaves_for(7)]):
-        _kernels.push_peak(peaks, count, leaf)
+        _kernels.push_node(states, count, leaf)
+    kept = list(states)
+    digests = peak_digests(kept)
     _kernels.reset_ops()
-    # 7 = 0b111: the eighth leaf merges with all three peaks
-    nodes = _kernels.push_peak(peaks, 7, _kernels.sha256(b"eighth"))
+    # 7 = 0b111: the eighth leaf merges with all three peaks, and one peak
+    # is left to fold
+    nodes, edge = _kernels.push_node(states, 7, _kernels.sha256(b"eighth"))
     assert _kernels.ops() == 3
-    assert len(peaks) == 1
+    assert len(states) == 1 and edge == [nodes[-1]]
     # the leaf and the roots of the 2-, 4- and 8-leaf subtrees it completes
-    assert len(nodes) == 4 and nodes[-1] == peaks[0]
+    assert len(nodes) == 4
+    assert peak_digests(states) == [hashlib.sha256(b"\x01" + nodes[-1]).digest()]
+    # a merge copies a state before it adds to it: a list taken before the
+    # push still holds the old tree
+    assert peak_digests(kept) == digests
+    assert _kernels.push_node(kept, 7, _kernels.sha256(b"eighth")) == (nodes, edge)
 
 
 #: The bytes-like types the batch kernels take: bytes, and the bytearray
@@ -266,22 +284,21 @@ def test_fold_chain_matches_chain_updates(n):
 @pytest.mark.parametrize("batch", [0, 1, 2, 9, 256, 257])
 def test_prefix_roots_does_the_hashes_of_a_push_and_fold_per_leaf(count, batch):
     hashes = [_kernels.sha256(d) for d in leaves_for(count + batch)]
-    peaks, chain = [], bytes(32)
+    states, chain = [], bytes(32)
     for size, leaf in enumerate(hashes[:count]):
-        _kernels.push_peak(peaks, size, leaf)
+        _kernels.push_node(states, size, leaf)
         chain = _kernels.chain_update(chain, leaf)
-    start_chain, expected_peaks, roots, chains = chain, list(peaks), [], []
+    start_chain, expected_states, roots, chains = chain, list(states), [], []
     _kernels.reset_ops()
     for size, leaf in enumerate(hashes[count:], count):
         chain = _kernels.chain_update(chain, leaf)
-        _kernels.push_peak(expected_peaks, size, leaf)
-        roots.append(_kernels.right_edge(expected_peaks)[0])
+        roots.append(_kernels.push_node(expected_states, size, leaf)[1][0])
         chains.append(chain)
     per_leaf = _kernels.ops()
     _kernels.reset_ops()
-    assert _kernels.prefix_roots(peaks, count, start_chain, hashes[count:]) == (roots, chains)
+    assert _kernels.prefix_roots(states, count, start_chain, hashes[count:]) == (roots, chains)
     assert _kernels.ops() == per_leaf
-    assert peaks == expected_peaks
+    assert peak_digests(states) == peak_digests(expected_states)
     assert roots == [oracle_root(hashes[:size]) for size in range(count + 1, count + batch + 1)]
 
 
@@ -311,8 +328,7 @@ def test_selected_backend_exports_everything():
         "hash_leaf",
         "chain_update",
         "fold_path",
-        "push_peak",
-        "right_edge",
+        "push_node",
         "hash_pairs",
         "fold_chain",
         "prefix_roots",

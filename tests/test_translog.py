@@ -7,10 +7,12 @@ roots are compared byte for byte with the recursive RFC 9162 oracles of
 ``test_kernels``.
 """
 
+import errno
 import hashlib
 import io
 import json
 import os
+import random
 import re
 import struct
 import subprocess
@@ -406,6 +408,44 @@ class TestAppendCost:
                 log.append(self.DIG, b"\x30" * 71, "k", appended_at=size)
                 assert _kernels.ops() - before == append_hashes(size), size
 
+    @pytest.mark.parametrize("n", [1, 255, 1000, 4097])
+    def test_n_seeded_appends_cost_the_closed_form(self, tmp_path, n):
+        # a leaf and a chain hash each, n - popcount(n) merges in all, and
+        # popcount(k) - 1 folds for the root at every size k
+        rng = random.Random(n)
+        before = _kernels.ops()
+        with TransparencyLog(tmp_path) as log:
+            for i in range(n):
+                log.append(ManifestDigest(rng.randbytes(32)), rng.randbytes(71),
+                           f"key-{i % 4}", appended_at=rng.randrange(1 << 41))
+        folds = sum(k.bit_count() - 1 for k in range(1, n + 1))
+        assert _kernels.ops() - before == 2 * n + (n - n.bit_count()) + folds
+
+    def test_each_append_makes_one_write_per_file(self, tmp_path, monkeypatch):
+        written = []
+        real_write = os.write
+
+        def write(fd, data):
+            written.append((fd, bytes(data)))
+            return real_write(fd, data)
+
+        with TransparencyLog(tmp_path) as log:
+            files = {log._records_fd: RECORDS_NAME, log._checkpoints_fd: CHECKPOINTS_NAME}
+            monkeypatch.setattr(os, "write", write)
+            # past a tile, so the index's buffer is written out on the way
+            for i in range(TILE_LEAVES + 3):
+                log.append(self.DIG, b"\x30" * 71, "k", appended_at=i)
+                assert [files.get(fd) for fd, _ in written[-2:]] == [
+                    RECORDS_NAME, CHECKPOINTS_NAME
+                ]
+                assert len(written) == 2 * (i + 1)
+            monkeypatch.undo()
+        # the writes are the files, byte for byte
+        for fd, name in files.items():
+            assert b"".join(data for to, data in written if to == fd) == (
+                (tmp_path / name).read_bytes()
+            )
+
 
 #: SHA-256 of each log file ``golden_log`` writes, computed when records
 #: were encoded by ``json.dumps``: they pin the on-disk format.
@@ -675,6 +715,19 @@ class TestReadHandle:
         with pytest.raises(StorageError):
             log.entry(1)
 
+    def test_append_after_close_raises_storage_error_and_writes_nothing(self, tmp_path):
+        log = TransparencyLog(tmp_path)
+        fill(log, 2)
+        log.close()
+        before = log_files(tmp_path)
+        # a file opened now may take the closed descriptors' numbers
+        with open(tmp_path / "other", "wb") as other:
+            with pytest.raises(StorageError, match="closed"):
+                fill(log, 1, start=2)
+            other.flush()
+        assert (tmp_path / "other").read_bytes() == b""
+        assert log_files(tmp_path) == before
+
     def test_failed_open_closes_what_it_opened(self, tmp_path, monkeypatch):
         opened = []
 
@@ -755,6 +808,167 @@ class TestConsistencyProofs:
             assert not verify_consistency(log.root_at(7), log.root_at(20), garbage)
 
 
+def fail_write(monkeypatch, fd, at, how):
+    """Make the ``at``-th ``os.write`` on ``fd`` from now on fail.
+
+    ``how`` is an errno to raise, or ``"short"`` to write only half the bytes.
+    """
+    real_write = os.write
+    calls = 0
+
+    def write(target, data):
+        nonlocal calls
+        if target == fd:
+            calls += 1
+            if calls == at:
+                if how == "short":
+                    return real_write(target, bytes(data)[: len(data) // 2])
+                raise OSError(how, os.strerror(how))
+        return real_write(target, data)
+
+    monkeypatch.setattr(os, "write", write)
+
+
+class FailingIndex:
+    """The index's writer, failing at its ``at``-th write, or at close."""
+
+    def __init__(self, fh, at=None):
+        self.fh, self.at, self.calls = fh, at, 0
+
+    def write(self, data):
+        self.calls += 1
+        if self.calls == self.at:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+    def close(self):
+        self.fh.close()
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def assert_log_whole(directory, size, root):
+    """Reopening restores ``size`` and ``root``, and the files check out."""
+    with TransparencyLog(directory) as log:
+        assert (log.size, log.current_root()) == (size, root)
+        assert [entry.index for entry in log.entries()] == list(range(size))
+    report = check_integrity(directory)
+    assert report.ok, report
+
+
+class TestFailedAppend:
+    """A write that fails inside ``append`` leaves the log as it was."""
+
+    DIG = ManifestDigest.from_hex("6d" * 32)
+
+    def test_enospc_on_the_fourth_checkpoint_write_is_rolled_back(self, tmp_path, monkeypatch):
+        with TransparencyLog(tmp_path) as log:
+            fail_write(monkeypatch, log._checkpoints_fd, 4, errno.ENOSPC)
+            fill(log, 3)
+            before, root = log_files(tmp_path), log.current_root()
+            with pytest.raises(StorageError, match="entry 3"):
+                log.append(self.DIG, b"\x01", "k", appended_at=3)
+            assert (log.size, log.current_root()) == (3, root)
+            assert {name: data for name, data in log_files(tmp_path).items()
+                    if name != LEAVES_NAME} == {name: before[name]
+                                                for name in (RECORDS_NAME, CHECKPOINTS_NAME)}
+            index, root = log.append(self.DIG, b"\x01", "k", appended_at=3)
+            assert index == 3 and log.entry(3).manifest_digest == self.DIG
+        assert_log_whole(tmp_path, 4, root)
+
+    def test_a_failed_index_write_fails_no_append(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 1)
+            log._leaves_fh = FailingIndex(log._leaves_fh, at=1)
+            assert log.append(self.DIG, b"\x01", "k", appended_at=1)[0] == 1
+            index, root = log.append(self.DIG, b"\x01", "k", appended_at=2)
+            assert index == 2
+        with TransparencyLog(tmp_path) as log:
+            # the index stopped at the failed write; reopening extended it
+            assert log.reopened == ReopenReport(1, 2, "extended")
+        assert_log_whole(tmp_path, 3, root)
+
+    def test_a_failed_index_write_at_close_is_not_raised(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 5)
+            root = log.current_root()
+            log._leaves_fh = FailingIndex(log._leaves_fh)
+        assert_log_whole(tmp_path, 5, root)
+
+    @pytest.mark.parametrize("name", [RECORDS_NAME, CHECKPOINTS_NAME])
+    @pytest.mark.parametrize("how", [errno.ENOSPC, errno.EIO, "short"])
+    def test_each_failed_write_leaves_the_files_as_they_were(
+        self, tmp_path, monkeypatch, name, how
+    ):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 5)
+            fd = log._records_fd if name == RECORDS_NAME else log._checkpoints_fd
+            before, root = log_files(tmp_path), log.current_root()
+            fail_write(monkeypatch, fd, 1, how)
+            with pytest.raises(StorageError, match="short write" if how == "short" else "failed"):
+                log.append(self.DIG, b"\x01", "k", appended_at=5)
+            assert (log.size, log.current_root()) == (5, root)
+            assert log_files(tmp_path) == before
+            index, root = log.append(self.DIG, b"\x01", "k", appended_at=5)
+            assert index == 5
+        assert_log_whole(tmp_path, 6, root)
+
+    def test_a_failed_roll_back_refuses_later_appends_and_keeps_reads(
+        self, tmp_path, monkeypatch
+    ):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 6)
+            root = log.current_root()
+            proof = log.prove_inclusion(2)
+            fail_write(monkeypatch, log._checkpoints_fd, 1, "short")
+            monkeypatch.setattr(os, "ftruncate", mock.Mock(side_effect=OSError(errno.EIO, "io")))
+            with pytest.raises(StorageError, match="entry 6") as first:
+                log.append(self.DIG, b"\x01", "k", appended_at=6)
+            monkeypatch.undo()
+            for attempt in range(2):
+                with pytest.raises(StorageError) as later:
+                    log.append(self.DIG, b"\x01", "k", appended_at=6)
+                assert str(later.value) == str(first.value)
+            assert "short write" in str(first.value)
+            assert (log.size, log.current_root()) == (6, root)
+            assert log.prove_inclusion(2) == proof
+            assert [entry.index for entry in log.entries()] == list(range(6))
+        # the part-written entry is left on disk, where reopening refuses it
+        with pytest.raises(StorageError):
+            TransparencyLog(tmp_path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.integers(0, 40),
+        name=st.sampled_from([RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME]),
+        at=st.integers(1, 3),
+        how=st.sampled_from([errno.ENOSPC, errno.EIO, "short"]),
+    )
+    def test_any_injected_failure_leaves_a_log_that_reads_back(self, size, name, at, how):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+            directory = Path(tmp)
+            with TransparencyLog(directory) as log:
+                fill(log, size)
+                if name == LEAVES_NAME:
+                    log._leaves_fh = FailingIndex(log._leaves_fh, at=at)
+                else:
+                    fd = log._records_fd if name == RECORDS_NAME else log._checkpoints_fd
+                    fail_write(monkeypatch, fd, at, how)
+                for i in range(3):
+                    committed = (log.size, log.current_root(), log_files(directory))
+                    try:
+                        index, root = log.append(self.DIG, b"\x02", "k", appended_at=i)
+                    except StorageError:
+                        assert name != LEAVES_NAME
+                        assert (log.size, log.current_root(), log_files(directory)) == committed
+                        continue
+                    assert index == committed[0]
+                # the next append after a failure succeeds and reads back
+                index, root = log.append(self.DIG, b"\x03", "k", appended_at=-1)
+                assert log.entry(index).signature == b"\x03"
+            monkeypatch.undo()
+            assert_log_whole(directory, index + 1, root)
+
+
 class TestPersistence:
     def test_reopen_restores_state(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
@@ -831,11 +1045,11 @@ class TestPersistence:
 
 
 def log_state(log):
-    """Everything reopening restores: stored levels, offsets, peaks, edge, chain."""
+    """Everything reopening restores: stored levels, offsets, peak states, edge, chain."""
     return (
         [bytes(level) for level in log._levels],
         list(log._offsets),
-        list(log._peaks),
+        [state.digest() for state in log._states],
         list(log._edge),
         log.chain_value(),
     )
@@ -1267,10 +1481,15 @@ def reference_check(directory):
             if diverged is None:
                 leaf = hashlib.sha256(b"\x00" + record).digest()
                 chain = hashlib.sha256(chain + leaf).digest()
-                _kernels.push_peak(peaks, index, leaf)
-                if (line["root"], line["chain"]) != (
-                    _kernels.right_edge(peaks)[0].hex().encode(), chain.hex().encode()
-                ):
+                node, trailing = leaf, index
+                while trailing & 1:
+                    node = hashlib.sha256(b"\x01" + peaks.pop() + node).digest()
+                    trailing >>= 1
+                peaks.append(node)
+                root = peaks[-1]
+                for peak in reversed(peaks[:-1]):
+                    root = hashlib.sha256(b"\x01" + peak + root).digest()
+                if (line["root"], line["chain"]) != (root.hex().encode(), chain.hex().encode()):
                     diverged = index
             index += 1
     except _Damaged as exc:
