@@ -188,8 +188,9 @@ def prefix_roots(
     ``push_node`` keeps them, and are updated in place the same way;
     ``chain`` is the chain value at ``count``.  Each leaf costs exactly the
     hashes of ``chain_update`` and ``push_node``: one chain hash, one per
-    merge, and popcount(size) - 1 to fold the root.  Only the root of the
-    edge is kept, so the fold runs here rather than through ``push_node``.
+    merge, and popcount(size) - 1 to fold the root.  Only the root of each
+    size is kept, so the loop is ``push_node``'s without its node and edge
+    lists.
     """
     sha256 = hashlib.sha256
     roots, chains = [], []
@@ -208,8 +209,8 @@ def prefix_roots(
             trailing >>= 1
         count += 1
         root = node
-        for peak in reversed(states):
-            fold = peak.copy()
+        for state in reversed(states):
+            fold = state.copy()
             fold.update(root)
             root = fold.digest()
         hashes += len(states)
