@@ -310,12 +310,12 @@ class TransparencyLog:
         elif self._checkpoints_path.exists():
             raise StorageError(f"{self._dir}: checkpoint file present without records file")
         opened = []
+        appending = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
             # append takes one os.write on each of these two descriptors; an
             # unbuffered file object owns each one and closes it
             for path in (self._records_path, self._checkpoints_path):
-                flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
-                opened.append(open(os.open(path, flags, 0o666), "ab", buffering=0))
+                opened.append(open(os.open(path, appending, 0o666), "ab", buffering=0))
             # the index holds exactly the verified leaves now, or is started afresh
             opened.append(
                 open(self._leaves_path, "ab" if self.size else "wb",
@@ -327,9 +327,9 @@ class TransparencyLog:
             for fh in opened:
                 fh.close()
             raise StorageError(f"cannot open log files in {self._dir}: {exc}") from exc
-        records, checkpoints, self._leaves_fh, self._reader = opened
-        self._records_out, self._checkpoints_out = records, checkpoints
-        self._records_fd, self._checkpoints_fd = records.fileno(), checkpoints.fileno()
+        self._records_out, self._checkpoints_out, self._leaves_fh, self._reader = opened
+        self._records_fd = self._records_out.fileno()
+        self._checkpoints_fd = self._checkpoints_out.fileno()
 
     # -- state ------------------------------------------------------------
 
