@@ -84,7 +84,7 @@ def summarize(runs: dict[str, list[dict]], _traced: dict) -> dict:
 
 if __name__ == "__main__":
     main(
-        "append", __doc__, _CHILD, summarize, sizes="10000,100000,1000000", repeats=3,
+        "append", __doc__, _CHILD, summarize, sizes="10000,100000,1000000", repeats=7,
         same=("files", "hashes"),
         params={"entry": ENTRY},
     )

@@ -5,7 +5,9 @@ execution yields an evidence tuple binding the log root and the tree size it
 commits to, the output digest, and the two stage timings into a single
 digest.  The tree size enters as an 8-byte big-endian integer; timings enter
 at fixed millisecond precision (three decimals) so that a tuple serialized
-and re-read reproduces its digest exactly.
+and re-read reproduces its digest exactly.  A line is read back only with an
+integer tree size, finite timings of at least 0 and 32-byte digests, the
+values ``build_evidence`` makes.
 """
 
 from __future__ import annotations
@@ -69,19 +71,48 @@ class EvidenceTuple:
 
     @classmethod
     def from_json_line(cls, line: str) -> "EvidenceTuple":
+        """The evidence of one ``to_json_line`` line.
+
+        ``tree_size`` must be a JSON integer, each timing a finite number of
+        at least 0 and each digest 64 hex digits.  Anything else raises
+        ``EncodingError`` rather than being coerced (``5.9`` or ``true`` to a
+        tree size, ``"12.5"`` to a timing).
+        """
         try:
             obj = json.loads(line)
-            root = MerkleRoot(bytes.fromhex(obj["root"]), int(obj["tree_size"]))
-            tup = cls(
-                merkle_root=root,
-                output_digest=bytes.fromhex(obj["output_digest"]),
-                exec_time_ms=float(obj["exec_ms"]),
-                verify_time_ms=float(obj["verify_ms"]),
-                evidence_digest=bytes.fromhex(obj["evidence_digest"]),
-            )
+            tree_size = obj["tree_size"]
+            if type(tree_size) is not int:
+                raise TypeError(f"tree_size {tree_size!r} is not an integer")
+            timings = [obj["exec_ms"], obj["verify_ms"]]
+            for value in timings:
+                if not _is_timing(value):
+                    raise ValueError(f"timing {value!r} is not a finite number >= 0")
+            digests = [
+                bytes.fromhex(obj[key]) for key in ("root", "output_digest", "evidence_digest")
+            ]
+            if any(len(digest) != _kernels.HASH_SIZE for digest in digests):
+                raise ValueError("a digest is not 32 bytes")
         except (ValueError, KeyError, TypeError) as exc:
             raise EncodingError(f"bad evidence line: {exc}") from exc
-        return tup
+        root, output_digest, evidence_digest = digests
+        return cls(
+            merkle_root=MerkleRoot(root, tree_size),
+            output_digest=output_digest,
+            exec_time_ms=float(timings[0]),
+            verify_time_ms=float(timings[1]),
+            evidence_digest=evidence_digest,
+        )
+
+
+def _is_timing(value) -> bool:
+    """True for a stage timing ``build_evidence`` takes: a finite number of at least 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value) and value >= 0
+    except OverflowError:
+        # an int beyond the float range, which the canonical timing cannot format
+        return False
 
 
 def evidence_digest_of(
@@ -102,7 +133,7 @@ def build_evidence(
     root: MerkleRoot, output: bytes, exec_time_ms: float, verify_time_ms: float
 ) -> EvidenceTuple:
     for value in (exec_time_ms, verify_time_ms):
-        if not math.isfinite(value) or value < 0:
+        if not _is_timing(value):
             raise DomainError("stage timings must be finite and not negative")
     output_digest = _kernels.sha256(output)
     return EvidenceTuple(
@@ -115,7 +146,12 @@ def build_evidence(
 
 
 def recheck_evidence(evidence: EvidenceTuple) -> bool:
-    """True iff the stored digest matches a recomputation from the fields."""
+    """True iff the stored digest matches a recomputation from the fields.
+
+    Timings ``build_evidence`` refuses (non-finite or negative) never recheck.
+    """
+    if not (_is_timing(evidence.exec_time_ms) and _is_timing(evidence.verify_time_ms)):
+        return False
     try:
         expected = evidence_digest_of(
             evidence.merkle_root,

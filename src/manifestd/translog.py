@@ -86,6 +86,19 @@ hashes are exactly those of an entry-by-entry replay.  Only at the first
 tile that fails to frame or compare does the entry-by-entry reader,
 ``_read_log``, take over, from that tile's first entry and with its peaks
 and chain, to name the first bad entry.
+
+Every byte the check reads also goes through one SHA-256 per file.  On an ok
+report this process holds, in memory only and for at most ``HELD_CHECKS``
+directories, what it verified: the entry count m, the records file's length
+at m, both files' SHA-256 digests up to m, and the peak states and chain at
+m (an RFC 9162 §8.3 monitor's last verified tree head).  It is never read from or written to a
+file, and only an ok report of this process makes it.  The next check of
+that directory streams each held prefix through ``hashlib``; if both
+digests match, the tile loop resumes at entry m with the held states, so a
+re-check costs one SHA-256 pass over both files plus the hashes of the
+entries after m.  Otherwise, or if either file is shorter, the full check
+runs and localizes, and a report that is not ok drops the held state.  The
+reports are those of the full check on every input.
 """
 
 from __future__ import annotations
@@ -95,6 +108,7 @@ import json
 import os
 import re
 import struct
+import threading
 import time
 from array import array
 from binascii import hexlify, unhexlify
@@ -126,8 +140,12 @@ MAX_RECORD_BYTES = 1 << 20
 #: Leaves per tile: the index writer buffers one tile, 8 KiB, between writes.
 TILE_LEAVES = 256
 
-#: Bytes of ``log.records`` read per call while framing records.
+#: Bytes of ``log.records`` read per call while framing records, and of
+#: either file while ``check_integrity`` hashes what it verified before.
 _CHUNK = 1 << 16
+
+#: Most log directories whose last ok ``check_integrity`` this process holds.
+HELD_CHECKS = 16
 
 #: Nodes hashed per batch call while rebuilding a level, bounding the
 #: transient memory of one call.
@@ -930,9 +948,13 @@ def _final_checkpoint(path: Path, size: int) -> Optional[re.Match[bytes]]:
     """The last of exactly ``size`` checkpoint lines; None when ``size`` is 0.
 
     Only the file's length and the form of its last line are checked; every
-    other line is ``check_integrity``'s work.
+    other line is ``check_integrity``'s work.  With no records the file may
+    be missing: a first open that stopped after creating ``log.records``
+    left the empty log.
     """
     expected = _checkpoints_size(size)
+    if not size and not path.exists():
+        return None
     try:
         with open(path, "rb") as fh:
             length = os.fstat(fh.fileno()).st_size
@@ -979,6 +1001,30 @@ def _read_log(
         raise LogDamage(index, f"checkpoint line {index} has no record")
 
 
+@dataclass(frozen=True)
+class _Verified:
+    """The first ``size`` entries of a log, as an ok ``check_integrity`` report found them.
+
+    The records file was ``records_bytes`` long up to there and the
+    checkpoints file ``_checkpoints_size(size)``, with these SHA-256 digests;
+    ``states`` and ``chain`` are the peak states and chain value of the tree
+    at ``size``.
+    """
+
+    size: int
+    records_bytes: int
+    records_digest: bytes
+    checkpoints_digest: bytes
+    states: tuple
+    chain: bytes
+
+
+#: The last ok check of each of at most ``HELD_CHECKS`` directories, by
+#: resolved path, least recently checked first.
+_held: dict[str, _Verified] = {}
+_held_lock = threading.Lock()
+
+
 def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     """Replay a log directory and report the first index that fails to verify.
 
@@ -999,24 +1045,102 @@ def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     fail to frame or whose lines differ, the entry-by-entry reader
     ``_read_log`` takes over from the tile's first entry, seeded with its
     peaks and chain, to find and name the first bad entry.
+
+    An ok report leaves this process holding what it verified, in memory
+    only (see the module docstring).  A later check of the same directory
+    whose files still begin with exactly those bytes, checked by one SHA-256
+    pass over each, resumes the tile loop after them: it costs that pass and
+    the hashes of the new entries alone, 0 for an unchanged log.  Any other
+    check is the full one, and a report that is not ok drops the held state.
+    An empty ``log.records`` with no ``log.checkpoints`` is the empty log.
     """
     directory = Path(directory)
+    held_key = os.path.realpath(directory)
+    with _held_lock:
+        held = _held.get(held_key)
+    verified = None
     try:
-        with open(directory / RECORDS_NAME, "rb") as records, open(
-            directory / CHECKPOINTS_NAME, "rb"
-        ) as checkpoints:
-            return _check_tiles(records, checkpoints)
+        with open(directory / RECORDS_NAME, "rb") as records:
+            try:
+                checkpoints = open(directory / CHECKPOINTS_NAME, "rb")
+            except FileNotFoundError:
+                if os.fstat(records.fileno()).st_size:
+                    raise
+                # a first open that stopped after creating log.records
+                report = IntegrityReport(True, None, "0 entries verified")
+            else:
+                with checkpoints:
+                    report, verified = _check_tiles(records, checkpoints, held)
     except OSError as exc:
-        return IntegrityReport(False, None, f"cannot read log files in {directory}: {exc}")
+        report = IntegrityReport(False, None, f"cannot read log files in {directory}: {exc}")
+    with _held_lock:
+        _held.pop(held_key, None)
+        if verified is not None:
+            _held[held_key] = verified
+            if len(_held) > HELD_CHECKS:
+                del _held[next(iter(_held))]
+    return report
 
 
-def _check_tiles(records, checkpoints) -> IntegrityReport:
-    """``check_integrity`` over the open log files, a tile at a time."""
+class _Digesting:
+    """An open file read through ``read`` alone, every byte read also going into ``digest``."""
+
+    def __init__(self, fh, digest) -> None:
+        self._fh, self._digest = fh, digest
+
+    def read(self, size: int) -> bytes:
+        data = self._fh.read(size)
+        self._digest.update(data)
+        return data
+
+
+def _held_prefixes(records, checkpoints, held: _Verified) -> Optional[list]:
+    """SHA-256 states over the bytes of the two open log files that ``held`` verified.
+
+    None unless each file, positioned at 0, is at least as long as it was
+    and its first bytes up to there hash to the held digest; the files are
+    then positioned after those bytes.
+    """
+    buffer = memoryview(bytearray(_CHUNK))
+    states = []
+    for fh, length, digest in (
+        (records, held.records_bytes, held.records_digest),
+        (checkpoints, _checkpoints_size(held.size), held.checkpoints_digest),
+    ):
+        state = hashlib.sha256()
+        while length:
+            got = fh.readinto(buffer[: min(length, len(buffer))])
+            if not got:
+                return None
+            state.update(buffer[:got])
+            length -= got
+        if state.digest() != digest:
+            return None
+        states.append(state)
+    return states
+
+
+def _check_tiles(
+    records, checkpoints, held: Optional[_Verified]
+) -> tuple[IntegrityReport, Optional[_Verified]]:
+    """``check_integrity`` over the open log files, a tile at a time.
+
+    It resumes after ``held`` when both files begin with the bytes it
+    verified, and returns what an ok report verified.
+    """
     hash_leaf, prefix_roots = _kernels.hash_leaf, _kernels.prefix_roots
-    frames = _frames(records)
-    states: list = []
-    chain = CHAIN_GENESIS
-    size = records_at = 0
+    digests = None if held is None else _held_prefixes(records, checkpoints, held)
+    if digests is not None:
+        size, records_at = held.size, held.records_bytes
+        states, chain = list(held.states), held.chain
+    else:
+        records.seek(0)
+        checkpoints.seek(0)
+        digests = [hashlib.sha256(), hashlib.sha256()]
+        size = records_at = 0
+        states, chain = [], CHAIN_GENESIS
+    records_digest, checkpoints_digest = digests
+    frames = _frames(_Digesting(records, records_digest), size)
     while True:
         tile_states = list(states)
         leaves = []
@@ -1036,16 +1160,22 @@ def _check_tiles(records, checkpoints) -> IntegrityReport:
         )
         if checkpoints.read(len(expected)) != expected:
             break
+        checkpoints_digest.update(expected)
         if len(leaves) < TILE_LEAVES:
             if checkpoints.read(1):
                 break
-            return IntegrityReport(True, None, f"{size + len(leaves)} entries verified")
+            size += len(leaves)
+            verified = _Verified(
+                size, records_at + spanned, records_digest.digest(), checkpoints_digest.digest(),
+                tuple(states), chains[-1] if chains else chain,
+            )
+            return IntegrityReport(True, None, f"{size} entries verified"), verified
         size += len(leaves)
         records_at += spanned
         chain = chains[-1]
     records.seek(records_at)
     checkpoints.seek(_checkpoints_size(size))
-    return _check_entries(records, checkpoints, size, tile_states, chain)
+    return _check_entries(records, checkpoints, size, tile_states, chain), None
 
 
 def _check_entries(

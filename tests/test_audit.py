@@ -16,6 +16,7 @@ from manifestd.audit import (
     TradeoffWeights,
     audit_sample,
     build_evidence,
+    evidence_digest_of,
     expected_detection_latency,
     overhead,
     recheck_evidence,
@@ -47,6 +48,45 @@ class TestEvidence:
             EvidenceTuple.from_json_line("{}")
         with pytest.raises(EncodingError):
             EvidenceTuple.from_json_line("not json")
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("tree_size", "5.9"),
+            ("tree_size", "5.0"),
+            ("tree_size", "true"),
+            ("tree_size", '"5"'),
+            ("tree_size", "null"),
+            ("exec_ms", "NaN"),
+            ("exec_ms", "Infinity"),
+            ("verify_ms", "-Infinity"),
+            ("verify_ms", "-0.5"),
+            ("exec_ms", '"12.5"'),
+            ("exec_ms", "1" + "0" * 400),
+            ("verify_ms", "true"),
+            ("root", '"' + "ab" * 31 + '"'),
+            ("output_digest", '"' + "ab" * 33 + '"'),
+            ("evidence_digest", '""'),
+        ],
+    )
+    def test_line_that_is_not_canonical_refused(self, field, text):
+        ev = build_evidence(root(), b"out", 12.5, 1.25)
+        line = ev.to_json_line()
+        obj = json.loads(line)
+        old = json.dumps(obj[field], separators=(",", ":"))
+        edited = line.replace(f'"{field}":{old}', f'"{field}":{text}')
+        assert edited != line
+        with pytest.raises(EncodingError):
+            EvidenceTuple.from_json_line(edited)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_timing_build_evidence_refuses_never_rechecks(self, bad):
+        for exec_ms, verify_ms in ((bad, 1.0), (1.0, bad)):
+            # a digest made over the refused timing's text, as a forger would
+            digest = evidence_digest_of(root(), bytes(32), exec_ms, verify_ms)
+            assert not recheck_evidence(
+                EvidenceTuple(root(), bytes(32), exec_ms, verify_ms, digest)
+            )
 
     def test_digest_binds_every_field(self):
         base = build_evidence(root(), b"out", 10.0, 2.0)

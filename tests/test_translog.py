@@ -1003,6 +1003,41 @@ class TestPersistence:
         with pytest.raises(StorageError):
             TransparencyLog(tmp_path)
 
+    @pytest.mark.parametrize("code", [errno.EMFILE, errno.ENOSPC])
+    def test_a_first_open_that_stopped_after_the_records_file_left_the_empty_log(
+        self, tmp_path, monkeypatch, code
+    ):
+        real_open = os.open
+
+        def failing_open(path, *args, **kwargs):
+            if Path(path).name == CHECKPOINTS_NAME:
+                raise OSError(code, os.strerror(code))
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", failing_open)
+        with pytest.raises(StorageError):
+            TransparencyLog(tmp_path)
+        monkeypatch.undo()
+        assert (tmp_path / RECORDS_NAME).read_bytes() == b""
+        assert not (tmp_path / CHECKPOINTS_NAME).exists()
+        report = check_integrity(tmp_path)
+        assert (report.ok, report.tampered_at, report.detail) == (True, None, "0 entries verified")
+        with TransparencyLog(tmp_path) as log:
+            assert (log.size, log.current_root()) == (0, empty_root())
+            roots = fill(log, 3)
+        with TransparencyLog(tmp_path) as log:
+            assert (log.size, log.current_root()) == (3, roots[-1])
+        assert check_integrity(tmp_path).ok
+
+    def test_a_missing_checkpoints_file_next_to_records_stays_an_error(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 2)
+        (tmp_path / CHECKPOINTS_NAME).unlink()
+        with pytest.raises(translog.LogDamage):
+            TransparencyLog(tmp_path)
+        report = check_integrity(tmp_path)
+        assert not report.ok and "cannot read log files" in report.detail
+
     def test_reopen_rejects_truncated_records(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
             fill(log, 5)
@@ -1619,6 +1654,10 @@ def damaged(records, lines, kind, entry, at):
     elif kind == "record swap":
         other = entry + 1 if entry + 1 < len(framed) else entry - 1
         framed[entry], framed[other] = framed[other], framed[entry]
+    elif kind in GARBAGE_KINDS:
+        # one to eight bytes after the last entry: four zero bytes frame an empty record
+        garbage = (at & 0xFF).to_bytes(1, "big") * (at % 8 + 1)
+        (framed if kind == "records garbage" else lines).append(garbage)
     else:
         raise AssertionError(kind)
     return b"".join(framed), b"".join(lines)
@@ -1629,12 +1668,38 @@ DAMAGE_KINDS = (
     "record swap",
 )
 
+#: Bytes appended to either file; ``damaged`` ignores the entry for these.
+GARBAGE_KINDS = ("records garbage", "checkpoints garbage")
+
+
+def write_log(directory, records_blob, checkpoints_blob):
+    (directory / RECORDS_NAME).write_bytes(records_blob)
+    (directory / CHECKPOINTS_NAME).write_bytes(checkpoints_blob)
+
+
+def clean_files(records, lines, n):
+    """The two files of the first ``n`` entries of a log of ``records`` and ``lines``."""
+    return b"".join(_LEN.pack(len(r)) + r for r in records[:n]), b"".join(lines[:n])
+
+
+def full_check_hashes(n):
+    """The hashes of a full check of n entries.
+
+    A leaf and a chain hash per entry, n - popcount(n) merges in all, and
+    popcount(m) - 1 folds for the root at every size m.
+    """
+    return 3 * n - n.bit_count() + sum(m.bit_count() - 1 for m in range(1, n + 1))
+
+
+def report_of(directory):
+    report = check_integrity(directory)
+    return report.ok, report.tampered_at, report.detail
+
 
 def check_both(records_blob, checkpoints_blob):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        (directory / RECORDS_NAME).write_bytes(records_blob)
-        (directory / CHECKPOINTS_NAME).write_bytes(checkpoints_blob)
+        write_log(directory, records_blob, checkpoints_blob)
         report = check_integrity(directory)
         return (report.ok, report.tampered_at), reference_check(directory)
 
@@ -1650,10 +1715,7 @@ class TestTileCheck:
                 log.append(dig, b"\x30" * 71, "k", appended_at=i)
         before = _kernels.ops()
         assert check_integrity(tmp_path).ok
-        # a leaf and a chain hash per entry, n - popcount(n) merges in all,
-        # and popcount(m) - 1 folds for the root at every size m
-        folds = sum(m.bit_count() - 1 for m in range(1, n + 1))
-        assert _kernels.ops() - before == 3 * n - n.bit_count() + folds
+        assert _kernels.ops() - before == full_check_hashes(n)
 
     @pytest.mark.parametrize("n", [0, 1, TILE_LEAVES - 1, TILE_LEAVES, TILE_LEAVES + 1, TILED])
     def test_clean_prefixes_verify(self, tiled_log, n):
@@ -1706,3 +1768,90 @@ class TestTileCheck:
         del before[LEAVES_NAME]
         after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
         assert after == before
+
+
+class TestResumedCheck:
+    """A re-check resumes after the last ok check of its directory, reporting as a full check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_resumed_check_reports_as_a_full_check(self, tiled_log, data):
+        records, lines = tiled_log
+        kind = data.draw(st.sampled_from(DAMAGE_KINDS + GARBAGE_KINDS), label="kind")
+        # a swap needs two records
+        n = data.draw(st.integers(2 if kind == "record swap" else 1, TILED), label="entries")
+        held = data.draw(st.integers(0, n), label="held")
+        # damage on either side of the held size
+        sides = [st.integers(0, held - 1)] if held else []
+        if held < n:
+            sides.append(st.integers(held, n - 1))
+        entry = data.draw(st.one_of(sides), label="entry")
+        at = data.draw(st.integers(0, 1 << 16), label="at")
+        blobs = damaged(records[:n], lines[:n], kind, entry, at)
+        with tempfile.TemporaryDirectory() as tmp, tempfile.TemporaryDirectory() as fresh:
+            directory = Path(tmp)
+            write_log(directory, *clean_files(records, lines, held))
+            assert report_of(directory) == (True, None, f"{held} entries verified")
+            write_log(directory, *blobs)
+            got = report_of(directory)
+            assert got[:2] == reference_check(directory)
+            write_log(Path(fresh), *blobs)
+            assert got == report_of(Path(fresh))
+            assert not got[0]
+
+    @pytest.mark.parametrize(
+        "held, n",
+        [(0, 0), (0, 1), (5, 5), (1, TILE_LEAVES), (TILE_LEAVES - 1, TILE_LEAVES + 1),
+         (TILE_LEAVES, 2 * TILE_LEAVES), (300, TILED), (TILED, TILED)],
+    )
+    def test_a_clean_resumed_check_costs_the_new_entries_hashes(
+        self, tiled_log, tmp_path, held, n
+    ):
+        records, lines = tiled_log
+        write_log(tmp_path, *clean_files(records, lines, held))
+        assert check_integrity(tmp_path).ok
+        write_log(tmp_path, *clean_files(records, lines, n))
+        for cost in (full_check_hashes(n) - full_check_hashes(held), 0):
+            before = _kernels.ops()
+            assert report_of(tmp_path) == (True, None, f"{n} entries verified")
+            assert _kernels.ops() - before == cost
+
+    def test_a_log_grown_by_appends_is_rechecked_at_the_new_entries_cost(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 300)
+            assert check_integrity(tmp_path).ok
+            fill(log, 200, start=300)
+            before = _kernels.ops()
+            assert check_integrity(tmp_path).ok
+            assert _kernels.ops() - before == full_check_hashes(500) - full_check_hashes(300)
+
+    @pytest.mark.parametrize("name, at", [(RECORDS_NAME, 10), (RECORDS_NAME, -10),
+                                          (CHECKPOINTS_NAME, 5), (CHECKPOINTS_NAME, -5)])
+    def test_a_damaged_then_restored_log_is_checked_exactly(self, tmp_path, name, at):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, TILE_LEAVES + 9)
+        path = tmp_path / name
+        clean = path.read_bytes()
+        assert check_integrity(tmp_path).ok
+        broken = bytearray(clean)
+        broken[at] ^= 0x01
+        path.write_bytes(broken)
+        report = check_integrity(tmp_path)
+        assert (report.ok, report.tampered_at) == reference_check(tmp_path)
+        assert not report.ok
+        path.write_bytes(clean)
+        # the failed check dropped the held state: the full check runs, then holds again
+        for cost in (full_check_hashes(TILE_LEAVES + 9), 0):
+            before = _kernels.ops()
+            assert check_integrity(tmp_path).ok
+            assert _kernels.ops() - before == cost
+
+    def test_at_most_held_checks_directories_are_held(self, tmp_path):
+        directories = [tmp_path / str(i) for i in range(translog.HELD_CHECKS + 3)]
+        for directory in directories:
+            TransparencyLog(directory).close()
+            assert check_integrity(directory).ok
+        assert list(translog._held)[-translog.HELD_CHECKS:] == [
+            os.path.realpath(d) for d in directories[-translog.HELD_CHECKS:]
+        ]
+        assert len(translog._held) == translog.HELD_CHECKS
