@@ -3,21 +3,16 @@
 Canonical manifest encoding and digests, fail-closed policy evaluation,
 a software keystore with rotation and revocation, an append-only Merkle
 transparency log with inclusion proofs and hash-chain checkpoints, audit
-sampling with evidence tuples, workload statistics, and a benchmark harness
-driving the whole pipeline.
+evidence tuples, workload statistics, and a benchmark harness driving the
+whole pipeline.
 """
 
 from ._kernels import BACKEND as kernel_backend
 from .audit import (
-    AuditConfig,
     EvidenceTuple,
-    TradeoffWeights,
-    audit_sample,
     build_evidence,
-    expected_detection_latency,
     overhead,
     recheck_evidence,
-    tradeoff,
     undetected_probability,
 )
 from .errors import (
@@ -26,7 +21,6 @@ from .errors import (
     DisjointnessViolation,
     DomainError,
     DuplicateKeyId,
-    EmptyEncoding,
     EncodingError,
     KeyRevoked,
     ManifestdError,
@@ -59,14 +53,11 @@ from .keystore import (
     VerifyResult,
 )
 from .manifest import (
-    EncodingStats,
     Manifest,
     ManifestDigest,
     UserView,
-    canonical_decode,
     canonical_encode,
     digest,
-    encoding_stats,
     parse_manifest,
     redact_for_user,
 )
@@ -77,7 +68,6 @@ from .policy import (
     RuleKind,
     Severity,
     evaluate,
-    pass_probability,
 )
 from .stats import (
     ChiSquareResult,
@@ -87,7 +77,6 @@ from .stats import (
     entropy_elasticity,
     error_density,
     fairness_index,
-    key_balance_index,
     linear_fit,
     loglog_fit,
     report_from_rows,

@@ -220,10 +220,3 @@ def prefix_roots(
     global _ops
     _ops += hashes
     return roots, chains
-
-
-def byte_histogram(data: bytes) -> list[int]:
-    counts = [0] * 256
-    for b in data:
-        counts[b] += 1
-    return counts

@@ -1,13 +1,15 @@
-"""Bernoulli audit sampling, evidence tuples, and overhead/trade-off math.
+"""Audit evidence tuples, the chance that audits miss, and pipeline overhead.
 
-Each execution can be sampled for audit with probability p.  A sampled
-execution yields an evidence tuple binding the log root and the tree size it
-commits to, the output digest, and the two stage timings into a single
-digest.  The tree size enters as an 8-byte big-endian integer; timings enter
-at fixed millisecond precision (three decimals) so that a tuple serialized
-and re-read reproduces its digest exactly.  A line is read back only with an
-integer tree size, finite timings of at least 0 and 32-byte digests, the
-values ``build_evidence`` makes.
+Each execution can be sampled for audit with probability p (the harness and
+``manifestd audit`` draw the samples); ``undetected_probability`` is the
+chance that n sampled violations all escape.  A sampled execution yields an
+evidence tuple binding the log root and the tree size it commits to, the
+output digest, and the two stage timings into a single digest.  The tree
+size enters as an 8-byte big-endian integer; timings enter at fixed
+millisecond precision (three decimals) so that a tuple serialized and re-read
+reproduces its digest exactly.  A line is read back only with an integer tree
+size, finite timings of at least 0 and 32-byte digests, the values
+``build_evidence`` makes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 from . import _kernels
 from .errors import DomainError, EncodingError
@@ -26,24 +27,6 @@ TIMING_DECIMALS = 3
 
 def _canonical_timing(value_ms: float) -> bytes:
     return format(value_ms, f".{TIMING_DECIMALS}f").encode("ascii")
-
-
-@dataclass(frozen=True)
-class AuditConfig:
-    """Sampling parameters: per-execution probability and audit cadence."""
-
-    detection_probability: float
-    audits_per_second: float = 1.0
-
-    def __post_init__(self) -> None:
-        p = self.detection_probability
-        if isinstance(p, bool) or not isinstance(p, (int, float)) or not math.isfinite(p):
-            raise DomainError("detection probability must be a finite number")
-        if not 0.0 < p <= 1.0:
-            raise DomainError(f"detection probability {p} outside (0, 1]")
-        f = self.audits_per_second
-        if not isinstance(f, (int, float)) or not math.isfinite(f) or f <= 0:
-            raise DomainError("audit frequency must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -165,22 +148,6 @@ def recheck_evidence(evidence: EvidenceTuple) -> bool:
     return expected == evidence.evidence_digest
 
 
-def audit_sample(
-    executions: Iterable[tuple[MerkleRoot, bytes, float, float]],
-    config: AuditConfig,
-    rng,
-) -> Iterator[tuple[int, EvidenceTuple]]:
-    """Independently sample executions with probability p; yields (position, evidence).
-
-    One uniform draw is consumed per execution whether or not it is sampled,
-    so the set of audited positions depends only on the rng stream.
-    """
-    p = config.detection_probability
-    for position, (root, output, exec_ms, verify_ms) in enumerate(executions):
-        if rng.random() < p:
-            yield position, build_evidence(root, output, exec_ms, verify_ms)
-
-
 def undetected_probability(detection_probability: float, rounds: int) -> float:
     """Chance that n independently sampled violations all escape audit."""
     p = detection_probability
@@ -193,11 +160,6 @@ def undetected_probability(detection_probability: float, rounds: int) -> float:
     return (1.0 - p) ** rounds
 
 
-def expected_detection_latency(config: AuditConfig) -> float:
-    """Mean time to first detection, in seconds, for a persistent violator."""
-    return 1.0 / (config.detection_probability * config.audits_per_second)
-
-
 def overhead(baseline_ms: float, secure_ms: float) -> float:
     """Relative slowdown of the full pipeline over the stripped baseline."""
     if not math.isfinite(baseline_ms) or baseline_ms <= 0:
@@ -205,28 +167,3 @@ def overhead(baseline_ms: float, secure_ms: float) -> float:
     if not math.isfinite(secure_ms) or secure_ms < 0:
         raise DomainError("secure time must not be negative")
     return (secure_ms - baseline_ms) / baseline_ms
-
-
-@dataclass(frozen=True)
-class TradeoffWeights:
-    """Relative importance of overhead versus residual error."""
-
-    overhead_weight: float
-    error_weight: float
-
-    def __post_init__(self) -> None:
-        for value in (self.overhead_weight, self.error_weight):
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value < 0:
-                raise DomainError("trade-off weights must be non-negative and finite")
-        if self.overhead_weight + self.error_weight <= 0:
-            raise DomainError("at least one trade-off weight must be positive")
-
-
-def tradeoff(overhead_delta: float, error_probability: float, weights: TradeoffWeights) -> float:
-    """Scalar cost combining overhead and residual error probability."""
-    if not math.isfinite(overhead_delta) or overhead_delta < 0:
-        raise DomainError("overhead delta must be non-negative")
-    if not 0.0 <= error_probability <= 1.0:
-        raise DomainError(f"error probability {error_probability} outside [0, 1]")
-    return weights.overhead_weight * overhead_delta + weights.error_weight * error_probability
-

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .audit import AuditConfig, build_evidence
+from .audit import build_evidence
 from .errors import (
     ConfigError,
     DomainError,
@@ -37,7 +37,6 @@ from .errors import (
 from .harness import (
     WorkloadConfig,
     atomic_write_text,
-    config_to_dict,
     load_config_file,
     read_outcome_rows,
     revocation_preset,
@@ -255,7 +254,6 @@ def cmd_audit(args) -> int:
         receipt_lines: list[str] = []
         sampled = 0
         if probability > 0.0 and size > 0:
-            AuditConfig(probability, args.frequency)
             seeds = np.random.SeedSequence([int(args.seed)]).spawn(3)
             rng_pick = np.random.Generator(np.random.Philox(seeds[0]))
             rng_content = np.random.Generator(np.random.Philox(seeds[1]))
@@ -332,7 +330,10 @@ def _bench_config(args) -> WorkloadConfig:
 def cmd_bench(args) -> int:
     cfg = _bench_config(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StorageError(f"cannot write {out_dir}: {exc}") from exc
     result = run_pipeline(cfg, out_dir=out_dir)
     write_outcomes_csv(result.outcomes, out_dir / "outcomes.csv")
     write_metrics_csv(result.scale_reports, out_dir / "metrics.csv")
@@ -510,7 +511,6 @@ def build_parser() -> _Parser:
     p.add_argument("--log-dir", help=f"log directory (default: ${LOG_DIR_ENV})")
     p.add_argument("--probability", required=True, type=float)
     p.add_argument("--seed", required=True, type=int)
-    p.add_argument("--frequency", type=float, default=1.0, help="audits per second (metadata)")
     p.add_argument("--out", required=True, help="evidence NDJSON output")
     p.add_argument("--receipts", help="write per-sample receipts to this file")
     p.set_defaults(func=cmd_audit)

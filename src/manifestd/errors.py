@@ -13,10 +13,6 @@ class DisjointnessViolation(EncodingError):
     """A key appears in both the user and the model field partitions."""
 
 
-class EmptyEncoding(ManifestdError):
-    """Byte-level statistics were requested for an empty encoding."""
-
-
 class DomainError(ManifestdError, ValueError):
     """Numeric argument outside the documented domain of a function."""
 

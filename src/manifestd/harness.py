@@ -911,8 +911,33 @@ def write_outcomes_csv(outcomes: Iterable[ExecutionOutcome], path: Union[str, Pa
 
 
 def read_outcome_rows(path: Union[str, Path]) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+    """The rows of an outcomes CSV that ``write_outcomes_csv`` wrote, as strings.
+
+    The header must be ``OUTCOME_COLUMNS`` and each row must hold one value
+    per column, with an integer ``scale`` and a numeric ``timestamp``.  A
+    file that cannot be read, or any other content, raises ``ConfigError``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            lines = [(reader.line_num, values) for values in reader if values]
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read outcomes file {path}: {exc}") from exc
+    if header != OUTCOME_COLUMNS:
+        raise ConfigError(f"outcomes file {path}: header is not {','.join(OUTCOME_COLUMNS)}")
+    rows = []
+    for line, values in lines:
+        row = dict(zip(OUTCOME_COLUMNS, values))
+        try:
+            if len(values) != len(OUTCOME_COLUMNS):
+                raise ValueError(f"{len(values)} values for {len(OUTCOME_COLUMNS)} columns")
+            int(row["scale"])
+            float(row["timestamp"])
+        except ValueError as exc:
+            raise ConfigError(f"outcomes file {path}, line {line}: {exc}") from exc
+        rows.append(row)
+    return rows
 
 
 def write_metrics_csv(reports: Iterable[ScaleReport], path: Union[str, Path]) -> None:

@@ -21,7 +21,6 @@ from cryptography.hazmat.primitives.asymmetric import ec, ed25519
 
 from .errors import (
     ConfigError,
-    DomainError,
     DuplicateKeyId,
     KeyRevoked,
     NoUsableKey,
@@ -67,44 +66,23 @@ class KeyHandle:
 
 @dataclass(frozen=True)
 class RotationPolicy:
-    """Per-key selection weights: uniform base 1/K plus zero-sum offsets."""
+    """The signing keys ``Keystore.select_key`` draws from, each with weight 1/K."""
 
     key_ids: tuple[str, ...]
-    offsets: tuple[float, ...]
     _weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         key_ids = tuple(self.key_ids)
-        offsets = tuple(float(o) for o in self.offsets)
         object.__setattr__(self, "key_ids", key_ids)
-        object.__setattr__(self, "offsets", offsets)
         if not key_ids:
             raise ConfigError("rotation policy needs at least one key")
         if len(set(key_ids)) != len(key_ids):
             raise ConfigError("rotation policy key ids must be unique")
-        if len(offsets) != len(key_ids):
-            raise ConfigError("one offset per key id required")
-        if abs(sum(offsets)) > 1e-9:
-            raise ConfigError("offsets must sum to zero")
-        weights = tuple(1.0 / len(key_ids) + o for o in offsets)
-        for w in weights:
-            if not 0.0 <= w <= 1.0:
-                raise ConfigError(f"selection weight {w} outside [0, 1]")
-        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_weights", (1.0 / len(key_ids),) * len(key_ids))
 
     @classmethod
     def uniform(cls, key_ids: Sequence[str]) -> "RotationPolicy":
-        ids = tuple(key_ids)
-        return cls(key_ids=ids, offsets=(0.0,) * len(ids))
-
-    @classmethod
-    def weighted(cls, weights: dict[str, float]) -> "RotationPolicy":
-        ids = tuple(weights)
-        k = len(ids)
-        total = sum(weights.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ConfigError("weights must sum to 1")
-        return cls(key_ids=ids, offsets=tuple(weights[i] - 1.0 / k for i in ids))
+        return cls(key_ids=tuple(key_ids))
 
     def weights(self) -> tuple[float, ...]:
         return self._weights
@@ -285,11 +263,8 @@ class Keystore:
                 }
             )
         payload = json.dumps({"version": 1, "scheme": self._scheme.name, "keys": keys}, indent=2)
-        try:
-            # the file holds the private keys: owner-only, whatever was there before
-            atomic_write_bytes(path, (payload + "\n").encode("utf-8"), mode=0o600)
-        except OSError as exc:
-            raise StorageError(f"cannot write keystore {path}: {exc}") from exc
+        # the file holds the private keys: owner-only, whatever was there before
+        atomic_write_bytes(path, (payload + "\n").encode("utf-8"), mode=0o600)
 
     @classmethod
     def load(cls, path: Union[str, Path], passphrase: Optional[str] = None) -> "Keystore":
@@ -334,16 +309,3 @@ class Keystore:
                 raise StorageError(f"keystore {path}: duplicate key id {record.key_id!r}")
             store._keys[record.key_id] = record
         return store
-
-
-def rotation_frequencies(selections: Sequence[str], key_ids: Sequence[str]) -> dict[str, float]:
-    """Empirical selection frequency per key id."""
-    if not selections:
-        raise DomainError("no selections to summarize")
-    counts = {key_id: 0 for key_id in key_ids}
-    for choice in selections:
-        if choice not in counts:
-            raise DomainError(f"selection {choice!r} not in key id list")
-        counts[choice] += 1
-    total = len(selections)
-    return {key_id: counts[key_id] / total for key_id in key_ids}

@@ -18,14 +18,11 @@ from types import MappingProxyType
 from typing import Mapping, Union
 
 from . import _kernels
-from .errors import DisjointnessViolation, EmptyEncoding, EncodingError
+from .errors import DisjointnessViolation, EncodingError
 
 Scalar = Union[str, int, float, bool]
 
 DIGEST_SIZE = 32
-
-#: Maximum per-byte entropy of the encoding alphabet, in bits.
-MAX_ENTROPY_BITS = 8.0
 
 _FIELD_TYPES = (str, int, float, bool)
 
@@ -136,14 +133,6 @@ class ManifestDigest:
     def hex(self) -> str:
         return self.value.hex()
 
-    @classmethod
-    def from_hex(cls, text: str) -> "ManifestDigest":
-        try:
-            raw = bytes.fromhex(text)
-        except ValueError as exc:
-            raise EncodingError(f"invalid digest hex: {exc}") from exc
-        return cls(raw)
-
 
 @dataclass(frozen=True)
 class UserView:
@@ -157,15 +146,6 @@ class UserView:
         payload = {"user_fields": dict(self.user_fields),
                    "timestamp": self.timestamp, "tool_id": self.tool_id}
         return _ENCODER.encode(payload).encode("utf-8")
-
-
-@dataclass(frozen=True)
-class EncodingStats:
-    """Byte-level statistics of one canonical encoding."""
-
-    size_bytes: int
-    entropy_bits: float
-    redundancy: float
 
 
 def manifest_to_dict(manifest: Manifest) -> dict:
@@ -212,18 +192,6 @@ def parse_manifest(text: Union[str, bytes]) -> Manifest:
     return manifest_from_dict(obj)
 
 
-def canonical_decode(data: bytes) -> Manifest:
-    """Strict inverse of ``canonical_encode``.
-
-    Rejects any byte sequence that is not already in canonical form, so
-    decode(encode(m)) == m and encode(decode(b)) == b both hold.
-    """
-    manifest = parse_manifest(data)
-    if manifest._encoded != data:
-        raise EncodingError("byte sequence is not a canonical manifest encoding")
-    return manifest
-
-
 def digest(manifest: Manifest) -> ManifestDigest:
     return ManifestDigest(_kernels.sha256(manifest._encoded))
 
@@ -233,31 +201,4 @@ def redact_for_user(manifest: Manifest) -> UserView:
         user_fields=manifest.user_fields,
         timestamp=manifest.timestamp,
         tool_id=manifest.tool_id,
-    )
-
-
-def byte_entropy_bits(data: bytes) -> float:
-    """Shannon entropy of the byte distribution, in bits per byte."""
-    if not data:
-        raise EmptyEncoding("cannot compute entropy of an empty byte sequence")
-    total = len(data)
-    entropy = 0.0
-    for count in _kernels.byte_histogram(data):
-        if count:
-            p = count / total
-            entropy -= p * math.log2(p)
-    return min(max(entropy, 0.0), MAX_ENTROPY_BITS)
-
-
-def encoding_stats(manifest: Manifest) -> EncodingStats:
-    """Size, entropy, and redundancy of the canonical encoding.
-
-    Redundancy is measured against the full byte alphabet: 1 - H/8.
-    """
-    data = manifest._encoded
-    entropy = byte_entropy_bits(data)
-    return EncodingStats(
-        size_bytes=len(data),
-        entropy_bits=entropy,
-        redundancy=1.0 - entropy / MAX_ENTROPY_BITS,
     )

@@ -16,9 +16,9 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, Union
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .manifest import Manifest, canonical_encode
 
 
@@ -217,32 +217,6 @@ def evaluate(manifest: Manifest, policy: PolicySet, now_ms: int) -> ComplianceRe
     )
 
 
-def pass_probability(rule_pass_rates: Sequence[float]) -> float:
-    """Joint pass probability for independently failing rules."""
-    for rate in rule_pass_rates:
-        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not math.isfinite(rate):
-            raise DomainError("pass rates must be finite numbers")
-        if not 0.0 <= rate <= 1.0:
-            raise DomainError(f"pass rate {rate} outside [0, 1]")
-    return math.prod(rule_pass_rates)
-
-
-def policy_to_dict(policy: PolicySet) -> dict:
-    return {
-        "epoch_ms": policy.epoch_ms,
-        "clock_skew_ms": policy.clock_skew_ms,
-        "rules": [
-            {
-                "rule_id": rule.rule_id,
-                "kind": rule.kind.value,
-                "params": {k: list(v) if isinstance(v, tuple) else v for k, v in rule.params.items()},
-                "severity_on_fail": rule.severity_on_fail.value,
-            }
-            for rule in policy.rules
-        ],
-    }
-
-
 def policy_from_dict(obj: object) -> PolicySet:
     if not isinstance(obj, dict):
         raise ConfigError("policy document must be a JSON object")
@@ -291,7 +265,3 @@ def load_policy_file(path: Union[str, Path]) -> PolicySet:
             f"policy file {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     return policy_from_dict(obj)
-
-
-def save_policy_file(policy: PolicySet, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(policy_to_dict(policy), indent=2) + "\n", encoding="utf-8")

@@ -1,10 +1,10 @@
 """Statistical summaries of pipeline runs.
 
 Estimators here operate on plain sequences so they can be fed either from
-in-process run results or from exported CSV rows.  Fairness and balance
-indices are distance-from-uniform measures on probability vectors; the
-scaling estimators are least-squares fits in log-log space (base-10 logs;
-slopes are base-invariant).
+in-process run results or from exported CSV rows.  The fairness index, of
+backend use and of signing-key use alike, is a distance-from-uniform measure
+on probability vectors; the scaling estimators are least-squares fits in
+log-log space (base-10 logs; slopes are base-invariant).
 """
 
 from __future__ import annotations
@@ -92,11 +92,6 @@ def fairness_index(probabilities: Sequence[float]) -> float:
     probs = _check_probability_vector(probabilities)
     k = len(probs)
     return 1.0 - 0.5 * sum(abs(p - 1.0 / k) for p in probs)
-
-
-def key_balance_index(key_frequencies: Sequence[float]) -> float:
-    """Fairness of signing-key usage; same distance-from-uniform measure."""
-    return fairness_index(key_frequencies)
 
 
 def selection_variance(probabilities: Sequence[float]) -> float:
@@ -282,7 +277,7 @@ def report_from_rows(rows: Sequence[Mapping]) -> StatsReport:
         [n_success / k] * k,
     )
     if key_counts:
-        balance = key_balance_index(list(frequencies(key_counts).values()))
+        balance = fairness_index(list(frequencies(key_counts).values()))
     else:
         balance = 0.0
 

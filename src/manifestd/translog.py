@@ -366,9 +366,6 @@ class TransparencyLog:
     def current_root(self) -> MerkleRoot:
         return self.root_at(self.size)
 
-    def chain_value(self) -> bytes:
-        return self._chain
-
     @property
     def reopened(self) -> Optional[ReopenReport]:
         """What opening this log did with its index; None for a new log."""
@@ -546,11 +543,6 @@ class TransparencyLog:
             raise StorageError(f"record at position {index} claims index {entry.index}")
         return entry
 
-    def entries(self, start: int = 0, end: Optional[int] = None) -> Iterator[LogEntry]:
-        end = self.size if end is None else end
-        for index in range(start, end):
-            yield self.entry(index)
-
     def root_at(self, tree_size: int) -> MerkleRoot:
         if not 0 <= tree_size <= self.size:
             raise OutOfRange(f"tree size {tree_size} outside log of size {self.size}")
@@ -672,10 +664,7 @@ class TransparencyLog:
         else:
             action = "extended" if from_index < size else "trimmed"
         if action != "kept":
-            try:
-                atomic_write_bytes(self._leaves_path, leaves)
-            except OSError as exc:
-                raise StorageError(f"cannot rewrite {self._leaves_path}: {exc}") from exc
+            atomic_write_bytes(self._leaves_path, leaves)
         return ReopenReport(from_index, size - from_index, action)
 
     def _leaf_level(self, start: int) -> tuple[bytearray, array]:
@@ -762,17 +751,21 @@ def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
 
     The temp file is created afresh with ``mode`` (less the umask): a stale
     one left by an earlier crash is removed first, so its mode, and so the
-    mode of ``path``, is never inherited from it.
+    mode of ``path``, is never inherited from it.  Any failure, a missing
+    directory or a full disk, raises ``StorageError``.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        os.unlink(tmp)
-    except FileNotFoundError:
-        pass
-    with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+        try:
+            os.unlink(tmp)
+        except FileNotFoundError:
+            pass
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
 def verify_inclusion(leaf_hash: bytes, proof: MerkleProof, root: MerkleRoot) -> bool:

@@ -1,7 +1,7 @@
-"""Audit sampling and evidence tests.
+"""Audit evidence, escape-probability and overhead tests.
 
 The closed-form escape probability is cross-checked by direct Monte Carlo
-simulation, so the formula and the sampler are validated against each other.
+simulation.
 """
 
 import hashlib
@@ -11,16 +11,11 @@ import numpy as np
 import pytest
 
 from manifestd.audit import (
-    AuditConfig,
     EvidenceTuple,
-    TradeoffWeights,
-    audit_sample,
     build_evidence,
     evidence_digest_of,
-    expected_detection_latency,
     overhead,
     recheck_evidence,
-    tradeoff,
     undetected_probability,
 )
 from manifestd.errors import DomainError, EncodingError
@@ -153,36 +148,6 @@ class TestEvidence:
         assert len(seen) == 100_000
 
 
-class TestSampling:
-    def executions(self, n):
-        return [(root(b"%d" % i, i + 1), b"out-%d" % i, float(i), 0.5) for i in range(n)]
-
-    def test_probability_one_samples_everything(self):
-        rng = np.random.Generator(np.random.Philox(1))
-        sampled = list(audit_sample(self.executions(50), AuditConfig(1.0), rng))
-        assert [pos for pos, _ in sampled] == list(range(50))
-
-    def test_sampled_evidence_matches_positions(self):
-        rng = np.random.Generator(np.random.Philox(2))
-        for pos, ev in audit_sample(self.executions(200), AuditConfig(0.3), rng):
-            assert ev.merkle_root.tree_size == pos + 1
-            assert recheck_evidence(ev)
-
-    def test_sampling_is_reproducible(self):
-        runs = []
-        for _ in range(2):
-            rng = np.random.Generator(np.random.Philox(99))
-            runs.append([pos for pos, _ in audit_sample(self.executions(500), AuditConfig(0.2), rng)])
-        assert runs[0] == runs[1]
-
-    def test_sampling_rate_matches_probability(self):
-        rng = np.random.Generator(np.random.Philox(3))
-        n = 40_000
-        sampled = list(audit_sample(self.executions(n), AuditConfig(0.1), rng))
-        rate = len(sampled) / n
-        assert rate == pytest.approx(0.1, abs=0.01)
-
-
 class TestEscapeProbability:
     def test_hand_values(self):
         assert undetected_probability(0.5, 1) == 0.5
@@ -208,12 +173,8 @@ class TestEscapeProbability:
         # binomial standard error ~ sqrt(q(1-q)/trials) ~ 0.0008
         assert escaped == pytest.approx(expected, abs=0.004)
 
-    def test_latency_formula(self):
-        assert expected_detection_latency(AuditConfig(0.9, 1.0)) == pytest.approx(1.1111, rel=1e-3)
-        assert expected_detection_latency(AuditConfig(0.1, 2.0)) == pytest.approx(5.0)
 
-
-class TestOverheadAndTradeoff:
+class TestOverhead:
     def test_overhead_hand_values(self):
         assert overhead(10.0, 15.0) == pytest.approx(0.5)
         assert overhead(100.0, 100.0) == 0.0
@@ -223,20 +184,3 @@ class TestOverheadAndTradeoff:
             overhead(0.0, 5.0)
         with pytest.raises(DomainError):
             overhead(-1.0, 5.0)
-
-    def test_tradeoff_combines_weighted_terms(self):
-        w = TradeoffWeights(overhead_weight=2.0, error_weight=1.0)
-        assert tradeoff(0.1, 0.01, w) == pytest.approx(2.0 * 0.1 + 1.0 * 0.01)
-
-    def test_tradeoff_domain(self):
-        w = TradeoffWeights(1.0, 1.0)
-        with pytest.raises(DomainError):
-            tradeoff(-0.1, 0.5, w)
-        with pytest.raises(DomainError):
-            tradeoff(0.1, 1.5, w)
-
-    def test_weights_validation(self):
-        with pytest.raises(DomainError):
-            TradeoffWeights(overhead_weight=-1.0, error_weight=1.0)
-        with pytest.raises(DomainError):
-            TradeoffWeights(overhead_weight=0.0, error_weight=0.0)

@@ -15,7 +15,7 @@ from manifestd.cli import (
     LOG_DIR_ENV,
     main,
 )
-from manifestd.policy import PolicyRule, PolicySet, RuleKind, Severity, save_policy_file
+from manifestd.harness import OUTCOME_COLUMNS
 from manifestd.translog import LEAVES_NAME, RECORDS_NAME, TransparencyLog
 
 NOW = 1_755_000_000_000
@@ -28,18 +28,29 @@ def emitted(capsys):
 
 
 def write_policy(path):
-    policy = PolicySet(
-        (
-            PolicyRule("needs-query", RuleKind.REQUIRED_FIELD, {"field": "query", "partition": "user"}),
-            PolicyRule("query-shape", RuleKind.FIELD_PATTERN,
-                       {"field": "query", "pattern": r"[\w\- ]{1,64}"}, Severity.WARN),
-            PolicyRule("known-tool", RuleKind.TOOL_ALLOWLIST, {"tools": ["demo-tool"]}),
-            PolicyRule("fresh", RuleKind.FRESHNESS_WINDOW, {}),
-        ),
-        epoch_ms=60_000,
-        clock_skew_ms=2_000,
-    )
-    save_policy_file(policy, path)
+    policy = {
+        "epoch_ms": 60_000,
+        "clock_skew_ms": 2_000,
+        "rules": [
+            {"rule_id": "needs-query", "kind": "required-field",
+             "params": {"field": "query", "partition": "user"}},
+            {"rule_id": "query-shape", "kind": "field-pattern",
+             "params": {"field": "query", "pattern": r"[\w\- ]{1,64}"}, "severity_on_fail": "warn"},
+            {"rule_id": "known-tool", "kind": "tool-allowlist", "params": {"tools": ["demo-tool"]}},
+            {"rule_id": "fresh", "kind": "freshness-window"},
+        ],
+    }
+    path.write_text(json.dumps(policy), encoding="utf-8")
+
+
+def write_outcomes(path, scale="10"):
+    """Two successful outcome rows on two backends: the least `stats` summarizes."""
+    rows = [
+        ["w", scale, str(i), f"b{i}", "k1", "success", "", "ok", "1.0", "1.0", "10", "1.0", str(i)]
+        for i in range(2)
+    ]
+    path.write_text("".join(",".join(row) + "\n" for row in [OUTCOME_COLUMNS, *rows]),
+                    encoding="utf-8")
 
 
 def manifest_obj(query="find the train schedule", timestamp=NOW - 1_000):
@@ -396,6 +407,13 @@ class TestAudit:
             assert rc == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_frequency_is_refused(self, logged):
+        out = logged.parent / "x.ndjson"
+        rc = main(["audit", "--log-dir", str(logged), "--probability", "1",
+                   "--seed", "1", "--frequency", "2", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
     def test_bad_probability_exits_1(self, logged):
         out = logged.parent / "x.ndjson"
         rc = main(["audit", "--log-dir", str(logged), "--probability", "1.5",
@@ -493,8 +511,9 @@ class TestUsage:
               "{ws}/keys.pem", "--key-id", "op-1"], EXIT_CONFIG, "policy file"),
             (["bench", "--out", "{ws}/bench", "--config", "{bad}"], EXIT_CONFIG, "config"),
             (["key-list", "--keystore", "{bad}"], EXIT_STORAGE, "keystore"),
+            (["stats", "--outcomes", "{bad}"], EXIT_CONFIG, "outcomes file"),
         ],
-        ids=["manifest", "verify-in", "policy", "config", "keystore"],
+        ids=["manifest", "verify-in", "policy", "config", "keystore", "outcomes"],
     )
     def test_input_that_is_not_utf8_is_an_error_line(self, workspace, capsys, argv, code,
                                                      reading):
@@ -504,6 +523,50 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {reading}".rstrip()), err
         assert "can't decode byte 0xff" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sign", "--manifest", "{ws}/manifests.ndjson", "--policy", "{ws}/policy.json",
+             "--keystore", "{ws}/keys.pem", "--key-id", "op-1", "--now", str(NOW),
+             "--out", "{missing}"],
+            ["verify", "--in", "{ws}/signed.ndjson", "--keystore", "{ws}/keys.pem",
+             "--log-dir", "{ws}/log", "--now", str(NOW), "--receipts", "{missing}"],
+            ["audit", "--log-dir", "{ws}/log", "--probability", "1", "--seed", "9",
+             "--out", "{missing}"],
+            ["audit", "--log-dir", "{ws}/log", "--probability", "1", "--seed", "9",
+             "--out", "{ws}/evidence.ndjson", "--receipts", "{missing}"],
+            ["stats", "--outcomes", "{ws}/outcomes.csv", "--out", "{missing}"],
+            # a directory cannot be made where a file is
+            ["bench", "--sizes", "50", "--out", "{ws}/policy.json"],
+        ],
+        ids=["sign-out", "verify-receipts", "audit-out", "audit-receipts", "stats-out",
+             "bench-out"],
+    )
+    def test_output_that_cannot_be_written_is_an_error_line(self, logged, capsys, argv):
+        workspace = logged.parent
+        write_outcomes(workspace / "outcomes.csv")
+        missing = workspace / "no-such-dir" / "out.ndjson"
+        assert main([arg.format(ws=workspace, missing=missing) for arg in argv]) == EXIT_STORAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write "), err
+
+    @pytest.mark.parametrize(
+        "write, reading",
+        [
+            (lambda path: None, "cannot read outcomes file"),
+            (lambda path: path.write_text("scale,status\n10,success\n"), "header is not"),
+            (lambda path: write_outcomes(path, scale="ten"), "line 2: invalid literal for int()"),
+        ],
+        ids=["missing", "no-outcome-columns", "scale-not-a-number"],
+    )
+    def test_outcomes_that_do_not_parse_are_an_error_line(self, tmp_path, capsys, write,
+                                                          reading):
+        path = tmp_path / "outcomes.csv"
+        write(path)
+        assert main(["stats", "--outcomes", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reading in err, err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

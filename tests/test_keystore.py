@@ -1,15 +1,20 @@
 """Keystore, signature, and rotation tests."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from manifestd.errors import DuplicateKeyId, KeyRevoked, NoUsableKey, StorageError, UnknownKey
-from manifestd.keystore import (
-    Keystore,
-    RejectReason,
-    RotationPolicy,
-    rotation_frequencies,
+from manifestd.errors import (
+    ConfigError,
+    DuplicateKeyId,
+    KeyRevoked,
+    NoUsableKey,
+    StorageError,
+    UnknownKey,
 )
+from manifestd.keystore import Keystore, RejectReason, RotationPolicy
 from manifestd.manifest import Manifest, digest
 
 SCHEMES = ["ecdsa-p256", "ed25519"]
@@ -135,13 +140,10 @@ class TestRotation:
         policy = RotationPolicy.uniform(["a", "b", "c", "d"])
         assert policy.weights() == pytest.approx((0.25,) * 4)
 
-    def test_offsets_must_sum_to_zero(self):
-        with pytest.raises(Exception):
-            RotationPolicy(("a", "b"), (0.2, 0.2))
-
-    def test_weighted_constructor(self):
-        policy = RotationPolicy.weighted({"a": 0.8, "b": 0.2})
-        assert policy.weights() == pytest.approx((0.8, 0.2))
+    @pytest.mark.parametrize("key_ids", [(), ("a", "b", "a")], ids=["empty", "repeated"])
+    def test_key_ids_must_be_present_and_unique(self, key_ids):
+        with pytest.raises(ConfigError):
+            RotationPolicy.uniform(key_ids)
 
     def test_uniform_selection_frequencies(self):
         ks = Keystore()
@@ -149,39 +151,22 @@ class TestRotation:
         ks.keygen("b")
         policy = RotationPolicy.uniform(["a", "b"])
         rng = np.random.Generator(np.random.Philox(42))
-        picks = [ks.select_key(policy, rng) for _ in range(20_000)]
-        freqs = rotation_frequencies(picks, ["a", "b"])
-        assert freqs["a"] == pytest.approx(0.5, abs=0.015)
-        assert freqs["b"] == pytest.approx(0.5, abs=0.015)
-
-    def test_weighted_selection_frequencies(self):
-        ks = Keystore()
-        ks.keygen("a")
-        ks.keygen("b")
-        policy = RotationPolicy.weighted({"a": 0.8, "b": 0.2})
-        rng = np.random.Generator(np.random.Philox(43))
-        picks = [ks.select_key(policy, rng) for _ in range(20_000)]
-        freqs = rotation_frequencies(picks, ["a", "b"])
-        assert freqs["a"] == pytest.approx(0.8, abs=0.015)
+        counts = Counter(ks.select_key(policy, rng) for _ in range(20_000))
+        assert counts["a"] / 20_000 == pytest.approx(0.5, abs=0.015)
+        assert counts["b"] / 20_000 == pytest.approx(0.5, abs=0.015)
 
     @pytest.mark.parametrize(
-        "policy",
-        [
-            RotationPolicy.uniform(["a", "b", "c"]),
-            RotationPolicy.weighted({"a": 0.7, "b": 0.1, "c": 0.2}),
-            RotationPolicy(("a", "b", "c"), (0.1, -1 / 3, 1 / 3 - 0.1)),
-        ],
-        ids=["uniform", "weighted", "zero-weight"],
+        "key_ids", [("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d")], ids=["2", "3", "4"]
     )
-    def test_stored_weights_draw_the_keys_recomputed_weights_draw(self, policy):
+    def test_stored_weights_draw_the_keys_recomputed_weights_draw(self, key_ids):
         # the weights are computed once, with the per-call arithmetic, so one
         # RNG stream picks the same keys either way
-        base = 1.0 / len(policy.key_ids)
-        assert policy.weights() == tuple(base + o for o in policy.offsets)
+        policy = RotationPolicy.uniform(key_ids)
+        base = 1.0 / len(key_ids)
+        assert policy.weights() == (base,) * len(key_ids)
 
         def reference_pick(revoked, rng):
-            usable = [(k, base + o) for k, o in zip(policy.key_ids, policy.offsets)
-                      if k not in revoked]
+            usable = [(k, base) for k in key_ids if k not in revoked]
             r = rng.random() * sum(w for _, w in usable)
             acc = 0.0
             for key_id, weight in usable:
@@ -191,7 +176,7 @@ class TestRotation:
             return usable[-1][0]
 
         ks = Keystore()
-        for kid in policy.key_ids:
+        for kid in key_ids:
             ks.keygen(kid)
         for revoked in ((), ("b",)):
             for kid in revoked:
@@ -199,6 +184,25 @@ class TestRotation:
             rng, ref_rng = (np.random.Generator(np.random.Philox(45)) for _ in range(2))
             picks = [ks.select_key(policy, rng) for _ in range(2_000)]
             assert picks == [reference_pick(revoked, ref_rng) for _ in range(2_000)]
+
+    def test_draws_are_pinned(self):
+        # the first 1,000 draws at seed 7 from four keys, dev-k2 revoked after
+        # 400: any change to the weights or to select_key's arithmetic shows
+        key_ids = ("dev-k1", "dev-k2", "dev-k3", "dev-k4")
+        ks = Keystore()
+        for kid in key_ids:
+            ks.keygen(kid)
+        policy = RotationPolicy.uniform(key_ids)
+        rng = np.random.Generator(np.random.Philox(7))
+        picks = []
+        for draw in range(1_000):
+            if draw == 400:
+                ks.revoke("dev-k2")
+            picks.append(ks.select_key(policy, rng))
+        assert "dev-k2" not in picks[400:]
+        assert hashlib.sha256(",".join(picks).encode()).hexdigest() == (
+            "06fefaf913154c00b72969f8c7516d453f88d3e7eb8c5e61f0fae36bd4898556"
+        )
 
     def test_selection_renormalizes_after_revocation(self):
         ks = Keystore()
@@ -217,10 +221,6 @@ class TestRotation:
         rng = np.random.Generator(np.random.Philox(45))
         with pytest.raises(NoUsableKey):
             ks.select_key(RotationPolicy.uniform(["a"]), rng)
-
-    def test_rotation_frequencies_cover_unpicked_keys(self):
-        freqs = rotation_frequencies(["a", "a"], ["a", "b"])
-        assert freqs == {"a": 1.0, "b": 0.0}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

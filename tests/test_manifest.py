@@ -3,7 +3,6 @@
 import copy
 import hashlib
 import json
-import math
 import pickle
 import sys
 
@@ -11,16 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manifestd.errors import DisjointnessViolation, EmptyEncoding, EncodingError
+from manifestd.errors import DisjointnessViolation, EncodingError
 from manifestd.manifest import (
-    MAX_ENTROPY_BITS,
     Manifest,
     ManifestDigest,
-    byte_entropy_bits,
-    canonical_decode,
     canonical_encode,
     digest,
-    encoding_stats,
     manifest_from_dict,
     manifest_to_dict,
     parse_manifest,
@@ -227,7 +222,7 @@ class TestCanonicalEncoding:
     @settings(max_examples=200)
     @given(_manifests)
     def test_round_trip(self, m):
-        assert canonical_decode(canonical_encode(m)) == m
+        assert parse_manifest(canonical_encode(m)) == m
 
     @settings(max_examples=200)
     @given(_manifests)
@@ -239,18 +234,6 @@ class TestCanonicalEncoding:
             m.tool_id,
         )
         assert canonical_encode(m) == canonical_encode(clone)
-
-    def test_decode_rejects_non_canonical_bytes(self):
-        data = canonical_encode(sample_manifest())
-        spaced = data.replace(b":", b": ", 1)
-        with pytest.raises(EncodingError):
-            canonical_decode(spaced)
-        reordered = json.dumps(
-            {k: json.loads(data)[k] for k in ("tool_id", "timestamp", "model_fields", "user_fields")},
-            separators=(",", ":"),
-        ).encode()
-        with pytest.raises(EncodingError):
-            canonical_decode(reordered)
 
     def test_parse_manifest_is_lenient(self):
         obj = manifest_to_dict(sample_manifest())
@@ -309,7 +292,6 @@ class TestEncodedOnce:
     def test_stored_encoding_matches_the_reference(self, m):
         assert canonical_encode(m) == reference_encode(m)
         assert digest(m).value == hashlib.sha256(reference_encode(m)).digest()
-        assert encoding_stats(m).size_bytes == len(reference_encode(m))
 
     @settings(max_examples=200)
     @given(_awkward_manifests)
@@ -381,9 +363,7 @@ class TestDigest:
 
     def test_digest_hex_round_trip(self):
         d = digest(sample_manifest())
-        assert ManifestDigest.from_hex(d.hex) == d
-        with pytest.raises(EncodingError):
-            ManifestDigest.from_hex("zz")
+        assert ManifestDigest(bytes.fromhex(d.hex)) == d
         with pytest.raises(EncodingError):
             ManifestDigest(b"short")
 
@@ -405,35 +385,3 @@ class TestRedaction:
         encoded = redact_for_user(loaded).encode().decode("utf-8")
         assert secret not in encoded
         assert "m_secret" not in encoded
-
-
-class TestEntropy:
-    def test_hand_values(self):
-        assert byte_entropy_bits(b"aabb") == pytest.approx(1.0)
-        assert byte_entropy_bits(b"\x07" * 100) == 0.0
-        assert byte_entropy_bits(bytes(range(256))) == pytest.approx(MAX_ENTROPY_BITS)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(EmptyEncoding):
-            byte_entropy_bits(b"")
-
-    def test_quarter_split(self):
-        # four symbols at equal frequency carry exactly 2 bits each
-        assert byte_entropy_bits(b"abcdabcd") == pytest.approx(2.0)
-
-    @settings(max_examples=100)
-    @given(st.binary(min_size=1, max_size=512))
-    def test_entropy_bounds(self, blob):
-        h = byte_entropy_bits(blob)
-        assert 0.0 <= h <= MAX_ENTROPY_BITS
-        distinct = len(set(blob))
-        assert h <= math.log2(distinct) + 1e-9 if distinct > 1 else h == 0.0
-
-    def test_encoding_stats(self):
-        m = sample_manifest()
-        stats = encoding_stats(m)
-        data = canonical_encode(m)
-        assert stats.size_bytes == len(data)
-        assert stats.entropy_bits == pytest.approx(byte_entropy_bits(data))
-        assert stats.redundancy == pytest.approx(1.0 - stats.entropy_bits / MAX_ENTROPY_BITS)
-        assert 0.0 <= stats.redundancy <= 1.0

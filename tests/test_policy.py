@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from manifestd.errors import ConfigError, DomainError
+from manifestd.errors import ConfigError
 from manifestd.manifest import Manifest, canonical_encode
 from manifestd.policy import (
     ComplianceReport,
@@ -23,10 +23,7 @@ from manifestd.policy import (
     Severity,
     evaluate,
     load_policy_file,
-    pass_probability,
     policy_from_dict,
-    policy_to_dict,
-    save_policy_file,
 )
 
 NOW = 1_755_000_000_000
@@ -205,24 +202,6 @@ class TestConfigValidation:
             PolicySet((), clock_skew_ms=-1)
 
 
-class TestPassProbability:
-    def test_product_of_rates(self):
-        assert pass_probability([0.9, 0.8, 0.7]) == pytest.approx(0.504)
-
-    def test_empty_is_certain(self):
-        assert pass_probability([]) == 1.0
-
-    @pytest.mark.parametrize("bad", [[1.1], [-0.01], [0.5, 2.0]])
-    def test_out_of_range_rates_rejected(self, bad):
-        with pytest.raises(DomainError):
-            pass_probability(bad)
-
-    @settings(max_examples=50)
-    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=8))
-    def test_result_stays_in_unit_interval(self, rates):
-        assert 0.0 <= pass_probability(rates) <= 1.0
-
-
 class TestSerialization:
     def policy(self):
         return PolicySet(
@@ -235,14 +214,26 @@ class TestSerialization:
             clock_skew_ms=500,
         )
 
-    def test_dict_round_trip(self):
-        p = self.policy()
-        clone = policy_from_dict(policy_to_dict(p))
-        assert clone == p
+    def document(self):
+        """``policy()`` as a policy file writes it."""
+        return {
+            "epoch_ms": 30_000,
+            "clock_skew_ms": 500,
+            "rules": [
+                {"rule_id": "needs-query", "kind": "required-field",
+                 "params": {"field": "query", "partition": "user"}},
+                {"rule_id": "shape", "kind": "field-pattern", "severity_on_fail": "warn",
+                 "params": {"field": "query", "pattern": r"^\w+$"}},
+                {"rule_id": "fresh", "kind": "freshness-window"},
+            ],
+        }
+
+    def test_document_builds_the_policy(self):
+        assert policy_from_dict(self.document()) == self.policy()
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "policy.json"
-        save_policy_file(self.policy(), path)
+        path.write_text(json.dumps(self.document()), encoding="utf-8")
         loaded = load_policy_file(path)
         assert loaded == self.policy()
         # behavior equality on a borderline manifest
@@ -272,14 +263,10 @@ class TestSerialization:
         assert evaluate(big, finite, NOW).passed == (side == "min")
 
     def test_unknown_kind_rejected(self):
-        obj = policy_to_dict(self.policy())
+        obj = self.document()
         obj["rules"][0]["kind"] = "made-up"
         with pytest.raises(ConfigError):
             policy_from_dict(obj)
-
-    def test_json_shape_is_plain(self):
-        text = json.dumps(policy_to_dict(self.policy()))
-        assert "needs-query" in text and "freshness-window" in text
 
 
 # -- reference evaluator ------------------------------------------------------

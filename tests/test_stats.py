@@ -17,7 +17,6 @@ from manifestd.stats import (
     error_density,
     fairness_index,
     frequencies,
-    key_balance_index,
     linear_fit,
     loglog_fit,
     report_from_rows,
@@ -103,7 +102,10 @@ class TestDistributionMeasures:
         assert fairness_index([1.0, 0.0, 0.0]) == pytest.approx(1 / 3)
 
     def test_key_balance_is_the_same_measure(self):
-        assert key_balance_index([0.8, 0.2]) == pytest.approx(0.7)
+        rows = [row for row in synthetic_rows() if row["scale"] == 1000]
+        share = sum(row["key_id"] == "k1" for row in rows) / len(rows)
+        balance = report_from_rows(rows).key_balance
+        assert balance == pytest.approx(fairness_index([share, 1 - share]))
 
     def test_selection_variance_hand_values(self):
         assert selection_variance([0.5, 0.5]) == 0.0
