@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from manifestd.audit import recheck_evidence
 from manifestd.errors import ConfigError
 from manifestd.harness import (
+    OUTCOME_COLUMNS,
     AttackKind,
     ErrorKind,
     Status,
@@ -343,6 +345,63 @@ class TestArtifacts:
         assert len(lines) == len(result.audits)
         for line in lines:
             assert recheck_evidence(EvidenceTuple.from_json_line(line))
+
+
+def outcome_row(index, scale="10", timestamp="1.0"):
+    return ["w", scale, str(index), "b0", "k1", "success", "", "ok", "1.0", "1.0", "10",
+            timestamp, str(index)]
+
+
+def write_csv(path, lines):
+    path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+
+
+class TestReadOutcomeRows:
+    @pytest.mark.parametrize(
+        "write",
+        [lambda path: None, lambda path: path.write_bytes(b"\xff" + b",".join(
+            name.encode() for name in OUTCOME_COLUMNS) + b"\n")],
+        ids=["missing", "not-utf8"],
+    )
+    def test_file_that_cannot_be_read_is_a_config_error(self, tmp_path, write):
+        path = tmp_path / "outcomes.csv"
+        write(path)
+        with pytest.raises(ConfigError, match="cannot read outcomes file"):
+            read_outcome_rows(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [None, ["scale", "status"], OUTCOME_COLUMNS[::-1]],
+        ids=["empty-file", "other-columns", "reordered"],
+    )
+    def test_header_must_be_the_outcome_columns(self, tmp_path, header):
+        path = tmp_path / "outcomes.csv"
+        write_csv(path, [] if header is None else [header, outcome_row(0)])
+        with pytest.raises(ConfigError, match="header is not"):
+            read_outcome_rows(path)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (outcome_row(1)[:-1], "12 values for 13 columns"),
+            (outcome_row(1) + ["extra"], "14 values for 13 columns"),
+            (outcome_row(1, scale="1.5"), "invalid literal for int()"),
+            (outcome_row(1, timestamp="soon"), "could not convert string to float"),
+        ],
+        ids=["short-row", "long-row", "scale", "timestamp"],
+    )
+    def test_value_that_does_not_parse_names_its_line(self, tmp_path, bad, message):
+        path = tmp_path / "outcomes.csv"
+        write_csv(path, [OUTCOME_COLUMNS, outcome_row(0), bad, outcome_row(2)])
+        with pytest.raises(ConfigError, match=f"line 3: {re.escape(message)}"):
+            read_outcome_rows(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "outcomes.csv"
+        write_csv(path, [OUTCOME_COLUMNS, outcome_row(0), [], outcome_row(1), []])
+        rows = read_outcome_rows(path)
+        assert [row["request_index"] for row in rows] == ["0", "1"]
+        assert rows[0] == dict(zip(OUTCOME_COLUMNS, outcome_row(0)))
 
 
 class TestRevocationScenario:

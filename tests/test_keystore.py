@@ -296,6 +296,14 @@ class TestPersistence:
         with pytest.raises(StorageError):
             ks.save(tmp_path / "keys.json")
 
+    def test_save_into_missing_directory_is_a_storage_error(self, tmp_path):
+        path = tmp_path / "no-such-dir" / "keys.json"
+        ks = Keystore()
+        ks.keygen("k1")
+        with pytest.raises(StorageError, match="cannot write"):
+            ks.save(path)
+        assert not path.parent.exists()
+
     def test_passphrase_round_trip(self, tmp_path):
         path = tmp_path / "keys.pem"
         ks = Keystore("ed25519")

@@ -44,6 +44,7 @@ from manifestd.translog import (
     MerkleRoot,
     ReopenReport,
     TransparencyLog,
+    atomic_write_bytes,
     check_integrity,
     empty_root,
     verify_consistency,
@@ -1144,6 +1145,39 @@ def reopen_with_index(files, index):
             restored = (log_state(log), log_reads(log))
             report = log.reopened
         return restored, report, (directory / LEAVES_NAME).read_bytes(), check_integrity(directory)
+
+
+class TestAtomicWrite:
+    """``atomic_write_bytes``, the one writer of whole files, and its one error."""
+
+    def test_writes_the_bytes_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"first")
+        atomic_write_bytes(path, b"second")
+        assert path.read_bytes() == b"second"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin"]
+
+    def test_stale_temp_file_is_replaced(self, tmp_path):
+        path = tmp_path / "out.bin"
+        (tmp_path / "out.bin.tmp").write_bytes(b"left by a crash, and longer than the data")
+        atomic_write_bytes(path, b"data")
+        assert path.read_bytes() == b"data"
+        assert not (tmp_path / "out.bin.tmp").exists()
+
+    def test_missing_directory_is_a_storage_error(self, tmp_path):
+        path = tmp_path / "no-such-dir" / "out.bin"
+        with pytest.raises(StorageError, match=f"cannot write {re.escape(str(path))}: "):
+            atomic_write_bytes(path, b"data")
+        assert not (tmp_path / "no-such-dir").exists()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write_bytes(path, b"old")
+        # a directory where the temp file goes can be neither removed nor opened
+        (tmp_path / "out.bin.tmp").mkdir()
+        with pytest.raises(StorageError, match="cannot write"):
+            atomic_write_bytes(path, b"new")
+        assert path.read_bytes() == b"old"
 
 
 class TestLeafIndex:
