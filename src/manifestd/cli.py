@@ -75,6 +75,16 @@ class _UsageError(Exception):
     pass
 
 
+# The exit code of each error, by the first entry its class matches: the
+# ManifestdError catch-all comes last, after StorageError and the key errors.
+_EXIT_CODES = (
+    ((_UsageError, ConfigError, EncodingError, DomainError, OutOfRange), EXIT_CONFIG),
+    ((DuplicateKeyId, UnknownKey, KeyRevoked, NoUsableKey), EXIT_KEY),
+    (StorageError, EXIT_STORAGE),
+    (ManifestdError, EXIT_CONFIG),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument errors map to the config exit code, not argparse's 2."""
 
@@ -199,6 +209,9 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.infile}: {exc}") from exc
     now = _now_ms(args)
+    if args.receipts:
+        # an unwritable receipts path fails here, before anything is logged
+        atomic_write_text(args.receipts, "")
     receipts = []
     rejected = 0
     with TransparencyLog(_log_dir(args)) as log:
@@ -316,10 +329,8 @@ def _bench_config(args) -> WorkloadConfig:
     if args.audit_probability is not None:
         overrides["audit_probability"] = args.audit_probability
     if overrides:
-        from dataclasses import replace
-
         try:
-            cfg = replace(cfg, **overrides)
+            cfg = dataclasses.replace(cfg, **overrides)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
     if args.scenario == "revocation":
@@ -569,29 +580,12 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ManifestdError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ConfigError, EncodingError, DomainError, OutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DuplicateKeyId, UnknownKey, KeyRevoked, NoUsableKey) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KEY
-    except StorageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STORAGE
-    except ManifestdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ import json
 import math
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -38,7 +38,15 @@ from .errors import ConfigError, EncodingError
 from .keystore import Keystore, RejectReason, RotationPolicy
 from .manifest import Manifest, digest as manifest_digest
 from .pipeline import accept, admit
-from .policy import PolicyRule, PolicySet, RuleKind, Severity
+from .policy import (
+    DEFAULT_CLOCK_SKEW_MS,
+    DEFAULT_EPOCH_MS,
+    PolicyRule,
+    PolicySet,
+    RuleKind,
+    Severity,
+    read_json_file,
+)
 from .translog import TransparencyLog, atomic_write_bytes
 
 BASELINE_DEFINITION = (
@@ -51,6 +59,18 @@ DEFAULT_KEY_IDS = ("dev-k1", "dev-k2")
 
 FRESHNESS_RULE_ID = "fresh-window"
 PRIORITY_RULE_ID = "priority-soft-cap"
+
+# The fixed shape of every generated batch.  Valid requests carry a priority
+# in [1, MAX_PRIORITY]; a share WARN_BASE + WARN_STEP * rank of them exceed
+# it and trip the soft cap.  Requests are scheduled ARRIVAL_SPACING_MS apart.
+MAX_PRIORITY = 5
+WARN_BASE = 0.02
+WARN_STEP = 0.01
+ARRIVAL_SPACING_MS = 1.0
+# Dispersion variance c * N^g; c is large enough that the jitter floor
+# does not mask the growth law at the smallest ladder rung.
+BURST_COEFF = 5e-3
+BURST_EXPONENT = 1.3
 
 # Requests per turn when the baseline and secure passes alternate: small
 # enough that both passes see the same host load, large enough that the
@@ -161,20 +181,10 @@ class WorkloadConfig:
     scheme: str = "ecdsa-p256"
     jitter_epsilon_ms: float = 0.5
     audit_probability: float = 0.1
-    epoch_ms: int = 60_000
-    clock_skew_ms: int = 2_000
-    warn_base: float = 0.02
-    warn_step: float = 0.01
     base_time_ms: int = 1_755_000_000_000
-    arrival_spacing_ms: float = 1.0
-    # Dispersion variance c * N^g; c is large enough that the jitter floor
-    # does not mask the growth law at the smallest ladder rung.
-    burst_coeff: float = 5e-3
-    burst_exponent: float = 1.3
     revoke_key: Optional[str] = "dev-k2"
     revoke_at_fraction: float = 0.4
     invalid_ramp: Optional[tuple[float, float]] = None
-    max_priority: int = 5
 
     def __post_init__(self) -> None:
         sizes = tuple(int(s) for s in self.sizes)
@@ -210,10 +220,6 @@ class WorkloadConfig:
             raise ConfigError("jitter epsilon must be non-negative")
         if not 0.0 <= self.audit_probability <= 1.0:
             raise ConfigError("audit probability outside [0, 1]")
-        if self.arrival_spacing_ms <= 0:
-            raise ConfigError("arrival spacing must be positive")
-        if self.burst_coeff < 0 or self.burst_exponent < 0:
-            raise ConfigError("burst parameters must be non-negative")
         if not 0.0 <= self.revoke_at_fraction < 1.0:
             raise ConfigError("revoke_at_fraction outside [0, 1)")
         if self.revoke_key is not None and self.revoke_key not in key_ids:
@@ -225,10 +231,6 @@ class WorkloadConfig:
                 f = base + step * rank
                 if not 0.0 <= f <= 1.0:
                     raise ConfigError("invalid_ramp leaves [0, 1] over the size ladder")
-        if self.warn_base < 0 or self.warn_step < 0:
-            raise ConfigError("warn ramp must be non-negative")
-        if self.max_priority < 1:
-            raise ConfigError("max_priority must be at least 1")
         mix_has_revoked = any(k is AttackKind.REVOKED_KEY_USE and w > 0 for k, w in mix)
         if mix_has_revoked and self.invalid_fraction_at(0) > 0 and self.revoke_key is None:
             raise ConfigError("revoked-key-use traffic requires revoke_key to be set")
@@ -246,9 +248,6 @@ class WorkloadConfig:
             return self.invalid_fraction
         base, step = self.invalid_ramp
         return base + step * rank
-
-    def warn_fraction_at(self, rank: int) -> float:
-        return self.warn_base + self.warn_step * rank
 
 
 def revocation_preset(base: Optional[WorkloadConfig] = None) -> WorkloadConfig:
@@ -272,90 +271,75 @@ def revocation_preset(base: Optional[WorkloadConfig] = None) -> WorkloadConfig:
 # -- config (de)serialization ---------------------------------------------
 
 
+_BACKEND_MODELS = {"exec_latency": LatencyModel, "verify_latency": LatencyModel,
+                   "output": OutputModel}
+
+
+def _backend_to_json(backend: SimulatedBackend) -> dict:
+    models = {name: list(astuple(getattr(backend, name))) for name in _BACKEND_MODELS}
+    return {"backend_id": backend.backend_id, **models}
+
+
+def _backend_from_json(raw) -> SimulatedBackend:
+    models = {name: model(*raw[name]) for name, model in _BACKEND_MODELS.items()}
+    return SimulatedBackend(backend_id=raw["backend_id"], **models)
+
+
+def _listed(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError("must be a list")
+    return value
+
+
+def _mix_from_json(value) -> tuple:
+    if not isinstance(value, Mapping):
+        raise TypeError("must map attack kind to weight")
+    return tuple((AttackKind(k), float(w)) for k, w in value.items())
+
+
+def _ramp_from_json(value) -> Optional[list]:
+    if value is not None and not (isinstance(value, list) and len(value) == 2):
+        raise TypeError("must be [base, step] or null")
+    return value
+
+
+# (to JSON, from JSON) for the fields JSON cannot hold as they are; every
+# other field is written and read unchanged.  WorkloadConfig turns the lists
+# read back into tuples.
+_CODECS = {
+    "sizes": (list, _listed),
+    "adversary_mix": (lambda mix: {kind.value: w for kind, w in mix}, _mix_from_json),
+    "backends": (lambda backends: [_backend_to_json(b) for b in backends],
+                 lambda value: [_backend_from_json(raw) for raw in _listed(value)]),
+    "key_ids": (list, _listed),
+    "invalid_ramp": (lambda ramp: None if ramp is None else list(ramp), _ramp_from_json),
+}
+
+
 def config_to_dict(cfg: WorkloadConfig) -> dict:
-    return {
-        "sizes": list(cfg.sizes),
-        "invalid_fraction": cfg.invalid_fraction,
-        "adversary_mix": {k.value: w for k, w in cfg.adversary_mix},
-        "seed": cfg.seed,
-        "backends": [
-            {
-                "backend_id": b.backend_id,
-                "exec_latency": [b.exec_latency.base_ms, b.exec_latency.spread_ms,
-                                 b.exec_latency.init_overhead_ms],
-                "verify_latency": [b.verify_latency.base_ms, b.verify_latency.spread_ms,
-                                   b.verify_latency.init_overhead_ms],
-                "output": [b.output.mean_bytes, b.output.spread_bytes, b.output.variance_decay],
-            }
-            for b in cfg.backends
-        ],
-        "key_ids": list(cfg.key_ids),
-        "scheme": cfg.scheme,
-        "jitter_epsilon_ms": cfg.jitter_epsilon_ms,
-        "audit_probability": cfg.audit_probability,
-        "epoch_ms": cfg.epoch_ms,
-        "clock_skew_ms": cfg.clock_skew_ms,
-        "warn_base": cfg.warn_base,
-        "warn_step": cfg.warn_step,
-        "base_time_ms": cfg.base_time_ms,
-        "arrival_spacing_ms": cfg.arrival_spacing_ms,
-        "burst_coeff": cfg.burst_coeff,
-        "burst_exponent": cfg.burst_exponent,
-        "revoke_key": cfg.revoke_key,
-        "revoke_at_fraction": cfg.revoke_at_fraction,
-        "invalid_ramp": list(cfg.invalid_ramp) if cfg.invalid_ramp else None,
-        "max_priority": cfg.max_priority,
-    }
+    """The JSON object of ``cfg``: one key per field, in field order."""
+    out = {}
+    for f in fields(WorkloadConfig):
+        value = getattr(cfg, f.name)
+        out[f.name] = _CODECS[f.name][0](value) if f.name in _CODECS else value
+    return out
 
 
 def config_from_dict(obj: Mapping) -> WorkloadConfig:
+    """The config a JSON object describes; a key that is not a field is refused."""
     if not isinstance(obj, Mapping):
         raise ConfigError("workload config must be a JSON object")
-    kwargs: dict = {}
-    simple = (
-        "invalid_fraction", "seed", "scheme", "jitter_epsilon_ms", "audit_probability",
-        "epoch_ms", "clock_skew_ms", "warn_base", "warn_step", "base_time_ms",
-        "arrival_spacing_ms", "burst_coeff", "burst_exponent", "revoke_key",
-        "revoke_at_fraction", "max_priority",
-    )
-    for name in simple:
-        if name in obj:
-            kwargs[name] = obj[name]
-    for name in ("sizes", "key_ids", "backends"):
-        if name in obj and not isinstance(obj[name], list):
-            raise ConfigError(f"{name} must be a list")
-    if "sizes" in obj:
-        kwargs["sizes"] = tuple(obj["sizes"])
-    if "key_ids" in obj:
-        kwargs["key_ids"] = tuple(obj["key_ids"])
-    if "invalid_ramp" in obj and obj["invalid_ramp"] is not None:
-        ramp = obj["invalid_ramp"]
-        if not isinstance(ramp, (list, tuple)) or len(ramp) != 2:
-            raise ConfigError("invalid_ramp must be [base, step]")
-        kwargs["invalid_ramp"] = (ramp[0], ramp[1])
-    if "adversary_mix" in obj:
-        mix = obj["adversary_mix"]
-        if not isinstance(mix, Mapping):
-            raise ConfigError("adversary_mix must map attack kind to weight")
-        try:
-            kwargs["adversary_mix"] = tuple((AttackKind(k), float(w)) for k, w in mix.items())
-        except ValueError as exc:
-            raise ConfigError(f"bad adversary_mix: {exc}") from exc
-    if "backends" in obj:
-        backends = []
-        for raw in obj["backends"]:
+    names = {f.name for f in fields(WorkloadConfig)}
+    kwargs = {}
+    for name, value in obj.items():
+        if name not in names:
+            raise ConfigError(f"unknown workload config key {name!r}")
+        if name in _CODECS:
             try:
-                backends.append(
-                    SimulatedBackend(
-                        backend_id=raw["backend_id"],
-                        exec_latency=LatencyModel(*raw["exec_latency"]),
-                        verify_latency=LatencyModel(*raw["verify_latency"]),
-                        output=OutputModel(*raw["output"]),
-                    )
-                )
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"bad backend entry: {exc}") from exc
-        kwargs["backends"] = tuple(backends)
+                value = _CODECS[name][1](value)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"bad {name}: {exc}") from exc
+        kwargs[name] = value
     try:
         return WorkloadConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -363,17 +347,7 @@ def config_from_dict(obj: Mapping) -> WorkloadConfig:
 
 
 def load_config_file(path: Union[str, Path]) -> WorkloadConfig:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
-    return config_from_dict(obj)
+    return config_from_dict(read_json_file(path, "config"))
 
 
 # -- request generation ----------------------------------------------------
@@ -467,7 +441,7 @@ def generate_batch(cfg: WorkloadConfig, scale: int, rng) -> list[Request]:
             cursor += 1
 
     n_valid = scale - n_invalid
-    n_warn = min(n_valid, round(cfg.warn_fraction_at(rank) * scale))
+    n_warn = min(n_valid, round((WARN_BASE + WARN_STEP * rank) * scale))
     warn_positions = set()
     for i in perm:
         if len(warn_positions) == n_warn:
@@ -479,14 +453,14 @@ def generate_batch(cfg: WorkloadConfig, scale: int, rng) -> list[Request]:
     requests: list[Request] = []
     malformed_parity = 0
     for index in range(scale):
-        scheduled = cfg.base_time_ms + index * cfg.arrival_spacing_ms
+        scheduled = cfg.base_time_ms + index * ARRIVAL_SPACING_MS
         kind = kind_of.get(index)
         tool_id = select_backend(backend_ids, rng)
         timestamp = int(scheduled)
         if index in warn_positions:
-            priority = cfg.max_priority + 1 + int(rng.integers(0, 3))
+            priority = MAX_PRIORITY + 1 + int(rng.integers(0, 3))
         else:
-            priority = 1 + int(rng.integers(0, cfg.max_priority))
+            priority = 1 + int(rng.integers(0, MAX_PRIORITY))
         user_fields: dict[str, object] = {
             "query": f"task {rng.integers(0, 1 << 48):012x}",
             "priority": priority,
@@ -499,7 +473,7 @@ def generate_batch(cfg: WorkloadConfig, scale: int, rng) -> list[Request]:
         pinned_key: Optional[str] = None
         corrupt = False
         if kind is AttackKind.EXPIRED_TIMESTAMP:
-            timestamp = int(scheduled) - (cfg.epoch_ms + cfg.clock_skew_ms + 10_000)
+            timestamp = int(scheduled) - (DEFAULT_EPOCH_MS + DEFAULT_CLOCK_SKEW_MS + 10_000)
         elif kind is AttackKind.FORGED_SIGNATURE:
             corrupt = True
         elif kind is AttackKind.MALFORMED_MANIFEST:
@@ -540,7 +514,7 @@ def default_policy_set(cfg: WorkloadConfig) -> PolicySet:
                         "pattern": r"[\w\- ]{1,64}"}),
             PolicyRule(PRIORITY_RULE_ID, RuleKind.VALUE_RANGE,
                        {"field": "priority", "partition": "user",
-                        "min": 1, "max": cfg.max_priority},
+                        "min": 1, "max": MAX_PRIORITY},
                        severity_on_fail=Severity.WARN),
             PolicyRule("context-window-range", RuleKind.VALUE_RANGE,
                        {"field": "context_window", "partition": "model",
@@ -551,8 +525,6 @@ def default_policy_set(cfg: WorkloadConfig) -> PolicySet:
                        {"tools": list(cfg.backend_ids())}),
             PolicyRule(FRESHNESS_RULE_ID, RuleKind.FRESHNESS_WINDOW, {}),
         ),
-        epoch_ms=cfg.epoch_ms,
-        clock_skew_ms=cfg.clock_skew_ms,
     )
 
 
@@ -593,11 +565,7 @@ class ExecutionOutcome:
         }
 
 
-OUTCOME_COLUMNS = [
-    "workload_id", "scale", "request_index", "backend_id", "key_id", "status",
-    "error_kind", "severity", "exec_time_ms", "verify_time_ms", "output_bytes",
-    "timestamp", "log_index",
-]
+OUTCOME_COLUMNS = [f.name for f in fields(ExecutionOutcome)]
 
 
 @dataclass(frozen=True)
@@ -745,7 +713,7 @@ def _run_scale(
         k is AttackKind.REVOKED_KEY_USE and w > 0 for k, w in cfg.adversary_mix
     ):
         revoke_at = math.ceil(cfg.revoke_at_fraction * scale)
-    burst_sd = math.sqrt(cfg.burst_coeff * scale ** cfg.burst_exponent)
+    burst_sd = math.sqrt(BURST_COEFF * scale ** BURST_EXPONENT)
 
     base_rngs = streams.fresh()
     base_calls = {b: 0 for b in backends}
@@ -906,7 +874,7 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def write_outcomes_csv(outcomes: Iterable[ExecutionOutcome], path: Union[str, Path]) -> None:
-    rows = ([row[c] for c in OUTCOME_COLUMNS] for row in map(ExecutionOutcome.to_row, outcomes))
+    rows = (list(outcome.to_row().values()) for outcome in outcomes)
     atomic_write_text(path, _csv_text(OUTCOME_COLUMNS, rows))
 
 

@@ -66,10 +66,9 @@ class KeyHandle:
 
 @dataclass(frozen=True)
 class RotationPolicy:
-    """The signing keys ``Keystore.select_key`` draws from, each with weight 1/K."""
+    """The signing keys ``Keystore.select_key`` draws from, uniformly."""
 
     key_ids: tuple[str, ...]
-    _weights: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         key_ids = tuple(self.key_ids)
@@ -78,14 +77,10 @@ class RotationPolicy:
             raise ConfigError("rotation policy needs at least one key")
         if len(set(key_ids)) != len(key_ids):
             raise ConfigError("rotation policy key ids must be unique")
-        object.__setattr__(self, "_weights", (1.0 / len(key_ids),) * len(key_ids))
 
     @classmethod
     def uniform(cls, key_ids: Sequence[str]) -> "RotationPolicy":
         return cls(key_ids=tuple(key_ids))
-
-    def weights(self) -> tuple[float, ...]:
-        return self._weights
 
 
 class _Ecdsa:
@@ -222,24 +217,15 @@ class Keystore:
         return ACCEPT
 
     def select_key(self, policy: RotationPolicy, rng) -> str:
-        """Draw one unrevoked key id; weights renormalized over usable keys."""
-        usable: list[tuple[str, float]] = []
-        for key_id, weight in zip(policy.key_ids, policy.weights()):
+        """Draw one key id uniformly from the policy's unrevoked keys in this keystore."""
+        usable = []
+        for key_id in policy.key_ids:
             record = self._keys.get(key_id)
             if record is not None and not record.revoked:
-                usable.append((key_id, weight))
+                usable.append(key_id)
         if not usable:
             raise NoUsableKey("rotation policy has no unrevoked key in this keystore")
-        total = sum(w for _, w in usable)
-        if total <= 0:
-            raise NoUsableKey("usable keys all have zero selection weight")
-        r = rng.random() * total
-        acc = 0.0
-        for key_id, weight in usable:
-            acc += weight
-            if r < acc:
-                return key_id
-        return usable[-1][0]
+        return usable[int(rng.random() * len(usable))]
 
     def save(self, path: Union[str, Path], passphrase: Optional[str] = None) -> None:
         if passphrase:

@@ -40,6 +40,11 @@ class RuleKind(enum.Enum):
 
 _PARTITIONS = ("user", "model", "any")
 
+#: The freshness window of a ``PolicySet`` that sets none: a manifest older
+#: than the epoch, or ahead of the verifier clock by more than the skew, fails.
+DEFAULT_EPOCH_MS = 60_000
+DEFAULT_CLOCK_SKEW_MS = 2_000
+
 #: What a field lookup returns for a field the manifest does not have.
 _ABSENT = object()
 
@@ -158,8 +163,8 @@ class PolicySet:
     """Ordered rules plus the freshness parameters shared by them."""
 
     rules: tuple[PolicyRule, ...]
-    epoch_ms: int = 60_000
-    clock_skew_ms: int = 2_000
+    epoch_ms: int = DEFAULT_EPOCH_MS
+    clock_skew_ms: int = DEFAULT_CLOCK_SKEW_MS
     # (rule_id, severity, check) per rule, in rule order; built here, once
     _checks: tuple = field(init=False, repr=False, compare=False)
 
@@ -248,20 +253,24 @@ def policy_from_dict(obj: object) -> PolicySet:
         )
     return PolicySet(
         rules=tuple(rules),
-        epoch_ms=obj.get("epoch_ms", 60_000),
-        clock_skew_ms=obj.get("clock_skew_ms", 2_000),
+        epoch_ms=obj.get("epoch_ms", DEFAULT_EPOCH_MS),
+        clock_skew_ms=obj.get("clock_skew_ms", DEFAULT_CLOCK_SKEW_MS),
     )
 
 
-def load_policy_file(path: Union[str, Path]) -> PolicySet:
+def read_json_file(path: Union[str, Path], what: str) -> Any:
+    """The JSON document in ``path``; any failure raises ``ConfigError`` naming ``what``."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read policy file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
-            f"policy file {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            f"{what} {path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    return policy_from_dict(obj)
+
+
+def load_policy_file(path: Union[str, Path]) -> PolicySet:
+    return policy_from_dict(read_json_file(path, "policy file"))

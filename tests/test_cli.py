@@ -1,5 +1,6 @@
 """Command-line interface tests, driven through main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -277,6 +278,17 @@ class TestVerify:
         receipts = [json.loads(l) for l in receipts_path.read_text().splitlines()]
         assert [(r["line"], r["index"]) for r in receipts] == [(1, 0), (4, 1)]
 
+    def test_unwritable_receipts_path_exits_5_before_logging(self, logged, capsys):
+        workspace = logged.parent
+        rc = main(["verify", "--in", str(workspace / "signed.ndjson"),
+                   "--keystore", str(workspace / "keys.pem"),
+                   "--log-dir", str(logged), "--now", str(NOW),
+                   "--receipts", str(workspace / "nodir" / "r.ndjson")])
+        assert rc == EXIT_STORAGE
+        assert "nodir" in capsys.readouterr().err
+        with TransparencyLog(logged) as log:
+            assert log.size == 5
+
     def test_log_dir_env_fallback(self, workspace, monkeypatch, capsys):
         log_dir = workspace / "env-log"
         monkeypatch.setenv(LOG_DIR_ENV, str(log_dir))
@@ -469,9 +481,10 @@ class TestBenchAndStats:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"sizes": 5}, {"sizes": ["a"]}, {"key_ids": 5}, {"backends": 5}, {"seed": "x"}],
+        [{"sizes": 5}, {"sizes": ["a"]}, {"key_ids": 5}, {"backends": 5}, {"seed": "x"},
+         {"invalid_fracton": 0.5}],
         ids=["sizes-not-list", "size-not-number", "key-ids-not-list", "backends-not-list",
-             "seed-not-integer"],
+             "seed-not-integer", "unknown-key"],
     )
     def test_malformed_config_field_exits_1(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"
@@ -480,6 +493,27 @@ class TestBenchAndStats:
         assert rc == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "scenario, outcomes_sha, stats_sha",
+        [
+            ("default",
+             "c6c89ee7f831037a6e3d09574bb6af6c042aa8b7f265e6e4524d61e35eb5fba9",
+             "0481db8404642f3eeeac6da59fae9f818c43f35c11481d3bef1da49e623ad6f2"),
+            ("revocation",
+             "0ba9bd02dbc999cc71dcad69cf89b0f4c621571bdb175966abb1a597a78b3d4b",
+             "4973f5f655749b979e34375bcb85db11fa0ccdfbcb979995e4367c0c5a5137d0"),
+        ],
+    )
+    def test_bench_outputs_are_pinned(self, tmp_path, capsys, scenario, outcomes_sha, stats_sha):
+        # the two seeded outputs of `bench --sizes 100,500 --seed 7`: any change
+        # to request generation, the policy, key selection or the CSV and
+        # stats formats shows
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), "--sizes", "100,500", "--seed", "7",
+                     "--scenario", scenario]) == EXIT_OK
+        assert hashlib.sha256((out / "outcomes.csv").read_bytes()).hexdigest() == outcomes_sha
+        assert hashlib.sha256((out / "stats.json").read_bytes()).hexdigest() == stats_sha
 
     def test_stats_over_outcomes(self, tmp_path, capsys):
         out = tmp_path / "bench"

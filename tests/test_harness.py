@@ -3,13 +3,17 @@
 import json
 import math
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manifestd.audit import recheck_evidence
 from manifestd.errors import ConfigError
 from manifestd.harness import (
+    ARRIVAL_SPACING_MS,
     OUTCOME_COLUMNS,
     AttackKind,
     ErrorKind,
@@ -59,12 +63,10 @@ class TestConfigValidation:
             {"invalid_fraction": 1.5},
             {"jitter_epsilon_ms": -1.0},
             {"audit_probability": -0.1},
-            {"arrival_spacing_ms": 0.0},
             {"revoke_at_fraction": 1.0},
             {"revoke_key": "not-a-key"},
             {"key_ids": ()},
             {"key_ids": ("a", "a")},
-            {"max_priority": 0},
             {"invalid_ramp": (0.9, 0.2)},
             {"adversary_mix": ((AttackKind.FORGED_SIGNATURE, 0.5),)},
         ],
@@ -88,6 +90,39 @@ class TestConfigValidation:
         cfg = revocation_preset(WorkloadConfig(sizes=(10, 20), seed=5))
         clone = config_from_dict(config_to_dict(cfg))
         assert clone == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 10**6), min_size=1, max_size=6, unique=True).map(sorted),
+        invalid_fraction=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**63),
+        key_ids=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4, unique=True),
+        jitter=st.floats(0.0, 1e3),
+        audit_probability=st.floats(0.0, 1.0),
+        revoke_at_fraction=st.floats(0.0, 0.99),
+        preset=st.booleans(),
+    )
+    def test_round_trip_through_json(self, sizes, invalid_fraction, seed, key_ids, jitter,
+                                     audit_probability, revoke_at_fraction, preset):
+        cfg = WorkloadConfig(
+            sizes=tuple(sizes), invalid_fraction=invalid_fraction, seed=seed,
+            key_ids=tuple(key_ids), jitter_epsilon_ms=jitter,
+            audit_probability=audit_probability, revoke_key=key_ids[-1],
+            revoke_at_fraction=revoke_at_fraction,
+        )
+        if preset:
+            cfg = revocation_preset(cfg)
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_json_object_has_one_key_per_field(self):
+        assert list(config_to_dict(WorkloadConfig())) == [f.name for f in fields(WorkloadConfig)]
+
+    @pytest.mark.parametrize("key", ["invalid_fracton", "burst_coef", "max_priority"])
+    def test_unknown_key_is_refused_by_name(self, key):
+        obj = config_to_dict(WorkloadConfig())
+        obj[key] = 0.5
+        with pytest.raises(ConfigError, match=key):
+            config_from_dict(obj)
 
     def test_round_trip_through_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -162,7 +197,7 @@ class TestBatchGeneration:
             round(b.scheduled_ms - a.scheduled_ms, 9)
             for a, b in zip(batch, batch[1:])
         }
-        assert diffs == {cfg.arrival_spacing_ms}
+        assert diffs == {ARRIVAL_SPACING_MS}
 
 
 class TestPrimitives:
