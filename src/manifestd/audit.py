@@ -39,22 +39,19 @@ class EvidenceTuple:
     verify_time_ms: float
     evidence_digest: bytes
 
-    def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "root": self.merkle_root.hex,
-                "tree_size": self.merkle_root.tree_size,
-                "output_digest": self.output_digest.hex(),
-                "exec_ms": self.exec_time_ms,
-                "verify_ms": self.verify_time_ms,
-                "evidence_digest": self.evidence_digest.hex(),
-            },
-            separators=(",", ":"),
-        )
+    def to_json_dict(self) -> dict:
+        return {
+            "root": self.merkle_root.hex,
+            "tree_size": self.merkle_root.tree_size,
+            "output_digest": self.output_digest.hex(),
+            "exec_ms": self.exec_time_ms,
+            "verify_ms": self.verify_time_ms,
+            "evidence_digest": self.evidence_digest.hex(),
+        }
 
     @classmethod
     def from_json_line(cls, line: str) -> "EvidenceTuple":
-        """The evidence of one ``to_json_line`` line.
+        """The evidence of one JSON line holding a ``to_json_dict`` object.
 
         ``tree_size`` must be a JSON integer, each timing a finite number of
         at least 0 and each digest 64 hex digits.  Anything else raises

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _kernels
 from .audit import build_evidence
 from .errors import (
     ConfigError,
@@ -35,18 +35,20 @@ from .errors import (
     UnknownKey,
 )
 from .harness import (
+    ExecutionOutcome,
+    ScaleReport,
     WorkloadConfig,
     atomic_write_text,
+    audit_receipt,
+    json_line,
     load_config_file,
     read_outcome_rows,
     revocation_preset,
     run_pipeline,
     run_report_dict,
-    write_audit_receipts,
-    write_evidence_ndjson,
     write_growth_csv,
-    write_metrics_csv,
-    write_outcomes_csv,
+    write_ndjson,
+    write_records_csv,
 )
 from .keystore import Keystore
 from .manifest import (
@@ -94,6 +96,11 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj, separators=(",", ":")))
+
+
+def _json_text(obj) -> str:
+    """The indented JSON of a summary file."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _now_ms(args) -> int:
@@ -160,7 +167,7 @@ def cmd_sign(args) -> int:
     keystore = Keystore.load(args.keystore, passphrase=_passphrase(args))
     manifests = _read_manifests(Path(args.manifest))
     now = _now_ms(args)
-    lines = []
+    signed = []
     rejected = 0
     for position, manifest in enumerate(manifests):
         dig, report = admit(manifest, policy, now)
@@ -179,26 +186,19 @@ def cmd_sign(args) -> int:
                 }
             )
             continue
-        signature = keystore.sign(dig, args.key_id)
-        lines.append(
-            json.dumps(
-                {
-                    "manifest": manifest_to_dict(manifest),
-                    "digest": dig.hex,
-                    "signature": signature.hex(),
-                    "key_id": args.key_id,
-                },
-                separators=(",", ":"),
-                ensure_ascii=False,
-            )
-        )
+        signed.append({
+            "manifest": manifest_to_dict(manifest),
+            "digest": dig.hex,
+            "signature": keystore.sign(dig, args.key_id).hex(),
+            "key_id": args.key_id,
+        })
     if args.out:
-        atomic_write_text(args.out, "".join(line + "\n" for line in lines))
+        write_ndjson(args.out, signed)
     else:
-        for line in lines:
-            print(line)
+        for obj in signed:
+            print(json_line(obj))
     _emit({"status": "ok" if not rejected else "partial",
-           "signed": len(lines), "rejected": rejected})
+           "signed": len(signed), "rejected": rejected})
     return EXIT_POLICY if rejected else EXIT_OK
 
 
@@ -211,7 +211,7 @@ def cmd_verify(args) -> int:
     now = _now_ms(args)
     if args.receipts:
         # an unwritable receipts path fails here, before anything is logged
-        atomic_write_text(args.receipts, "")
+        write_ndjson(args.receipts, [])
     receipts = []
     rejected = 0
     with TransparencyLog(_log_dir(args)) as log:
@@ -247,10 +247,7 @@ def cmd_verify(args) -> int:
             receipts.append(receipt)
             _emit(receipt)
     if args.receipts:
-        atomic_write_text(
-            args.receipts,
-            "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in receipts),
-        )
+        write_ndjson(args.receipts, receipts)
     _emit({"status": "ok" if not rejected else "partial",
            "accepted": len(receipts), "rejected": rejected})
     return EXIT_VERIFY if rejected else EXIT_OK
@@ -263,9 +260,7 @@ def cmd_audit(args) -> int:
     with _existing_log(args) as log:
         size = log.size
         root = log.current_root()
-        evidence_lines: list[str] = []
-        receipt_lines: list[str] = []
-        sampled = 0
+        sampled = []
         if probability > 0.0 and size > 0:
             seeds = np.random.SeedSequence([int(args.seed)]).spawn(3)
             rng_pick = np.random.Generator(np.random.Philox(seeds[0]))
@@ -274,35 +269,23 @@ def cmd_audit(args) -> int:
             for index in range(size):
                 if rng_pick.random() >= probability:
                     continue
-                sampled += 1
                 entry = log.entry(index)
                 # Simulated re-execution: output bytes and stage timings are
                 # drawn deterministically from the audit seed.
                 output = entry.manifest_digest.value + rng_content.bytes(224)
                 exec_ms = 50.0 + abs(rng_times.normal(0.0, 5.0))
                 verify_ms = 3.0 + abs(rng_times.normal(0.0, 0.5))
-                evidence = build_evidence(root, output, exec_ms, verify_ms)
-                evidence_lines.append(evidence.to_json_line())
-                receipt_lines.append(
-                    json.dumps(
-                        {
-                            "log_index": index,
-                            "tree_size": root.tree_size,
-                            "evidence_digest": evidence.evidence_digest.hex(),
-                        },
-                        separators=(",", ":"),
-                    )
-                )
-    atomic_write_text(args.out, "".join(line + "\n" for line in evidence_lines))
+                sampled.append((index, build_evidence(root, output, exec_ms, verify_ms)))
+    write_ndjson(args.out, (evidence.to_json_dict() for _, evidence in sampled))
     if args.receipts:
-        atomic_write_text(args.receipts, "".join(line + "\n" for line in receipt_lines))
+        write_ndjson(args.receipts, (audit_receipt(i, evidence) for i, evidence in sampled))
     _emit(
         {
             "status": "ok",
             "seed": int(args.seed),
             "probability": probability,
             "tree_size": size,
-            "sampled": sampled,
+            "sampled": len(sampled),
             "out": str(args.out),
         }
     )
@@ -345,18 +328,18 @@ def cmd_bench(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StorageError(f"cannot write {out_dir}: {exc}") from exc
-    result = run_pipeline(cfg, out_dir=out_dir)
-    write_outcomes_csv(result.outcomes, out_dir / "outcomes.csv")
-    write_metrics_csv(result.scale_reports, out_dir / "metrics.csv")
-    write_growth_csv(result.growth, out_dir / "growth.csv")
-    write_evidence_ndjson(result.audits, out_dir / "evidence.ndjson")
-    write_audit_receipts(result.audits, out_dir / "receipts.ndjson")
-    rows = [outcome.to_row() for outcome in result.outcomes]
-    report = report_from_rows(rows)
-    atomic_write_text(out_dir / "stats.json", json.dumps(report.to_json_dict(), indent=2) + "\n")
-    atomic_write_text(
-        out_dir / "run-report.json", json.dumps(run_report_dict(result), indent=2) + "\n"
+    result = run_pipeline(cfg, out_dir)
+    write_records_csv(out_dir / "outcomes.csv", ExecutionOutcome, result.outcomes)
+    write_records_csv(out_dir / "metrics.csv", ScaleReport, result.scale_reports)
+    write_growth_csv(out_dir / "growth.csv", result.scale_reports)
+    write_ndjson(out_dir / "evidence.ndjson", (a.evidence.to_json_dict() for a in result.audits))
+    write_ndjson(
+        out_dir / "receipts.ndjson",
+        ({"scale": a.scale, **audit_receipt(a.log_index, a.evidence)} for a in result.audits),
     )
+    report = report_from_rows([outcome.to_row() for outcome in result.outcomes])
+    atomic_write_text(out_dir / "stats.json", _json_text(dataclasses.asdict(report)))
+    atomic_write_text(out_dir / "run-report.json", _json_text(run_report_dict(result)))
     for scale_report in result.scale_reports:
         _emit(
             {
@@ -374,7 +357,7 @@ def cmd_bench(args) -> int:
             "status": "ok",
             "seed": cfg.seed,
             "scenario": args.scenario,
-            "kernel_backend": result.kernel_backend,
+            "kernel_backend": _kernels.BACKEND,
             "out": str(out_dir),
             "wall_ms_total": round(result.wall_ms_total, 3),
         }
@@ -384,8 +367,7 @@ def cmd_bench(args) -> int:
 
 def cmd_stats(args) -> int:
     rows = read_outcome_rows(args.outcomes)
-    report = report_from_rows(rows)
-    text = json.dumps(report.to_json_dict(), indent=2) + "\n"
+    text = _json_text(dataclasses.asdict(report_from_rows(rows)))
     if args.out:
         atomic_write_text(args.out, text)
         _emit({"status": "ok", "out": str(args.out)})

@@ -24,9 +24,8 @@ import enum
 import io
 import json
 import math
-import tempfile
 import time
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -107,8 +106,8 @@ class LatencyModel:
     init_overhead_ms: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_ms < 0 or self.spread_ms < 0 or self.init_overhead_ms < 0:
-            raise ConfigError("latency model parameters must be non-negative")
+        if not all(0 <= value < math.inf for value in astuple(self)):
+            raise ConfigError("latency model parameters must be finite and non-negative")
 
     def draw(self, rng, call_index: int) -> float:
         warmup = self.init_overhead_ms / math.sqrt(call_index + 1.0)
@@ -124,8 +123,9 @@ class OutputModel:
     variance_decay: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.mean_bytes <= 0 or self.spread_bytes < 0 or self.variance_decay < 0:
-            raise ConfigError("output model parameters invalid")
+        spreads = (self.spread_bytes, self.variance_decay)
+        if not (0 < self.mean_bytes < math.inf and all(0 <= v < math.inf for v in spreads)):
+            raise ConfigError("output model parameters must be finite, the mean positive")
 
     def draw(self, rng, scale_rank: int) -> int:
         spread = self.spread_bytes * math.exp(-self.variance_decay * scale_rank / 2.0)
@@ -168,6 +168,15 @@ def _uniform_mix() -> tuple[tuple[AttackKind, float], ...]:
     return tuple((kind, 1.0 / len(kinds)) for kind in kinds)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _unique_names(names: Sequence) -> bool:
+    """True if every name is a non-empty string and none repeats."""
+    return all(isinstance(n, str) and n for n in names) and len(set(names)) == len(names)
+
+
 @dataclass(frozen=True)
 class WorkloadConfig:
     """Everything a run depends on; (config, seed) determines the outcome list."""
@@ -195,29 +204,32 @@ class WorkloadConfig:
             raise ConfigError("sizes must increase, without repeats")
         if not 0.0 <= self.invalid_fraction <= 1.0:
             raise ConfigError("invalid_fraction outside [0, 1]")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError("seed must be a non-negative integer")
+        if not _is_int(self.base_time_ms):
+            raise ConfigError("base_time_ms must be an integer")
+        Keystore(self.scheme)  # refuses an unknown scheme
         mix = tuple((AttackKind(k), float(w)) for k, w in self.adversary_mix)
         object.__setattr__(self, "adversary_mix", mix)
         if len({k for k, _ in mix}) != len(mix):
             raise ConfigError("duplicate attack kind in adversary mix")
-        if any(w < 0 for _, w in mix):
-            raise ConfigError("adversary mix weights must be non-negative")
+        if not all(0 <= w < math.inf for _, w in mix):
+            raise ConfigError("adversary mix weights must be finite and non-negative")
         if mix and abs(sum(w for _, w in mix) - 1.0) > 1e-9:
             raise ConfigError("adversary mix weights must sum to 1")
         backends = tuple(self.backends)
         object.__setattr__(self, "backends", backends)
-        if not backends:
-            raise ConfigError("need at least one backend")
+        if len(backends) < 2:
+            raise ConfigError("need at least two backends, for the fairness summary")
         ids = [b.backend_id for b in backends]
-        if len(set(ids)) != len(ids):
-            raise ConfigError("backend ids must be unique")
+        if not _unique_names(ids):
+            raise ConfigError("backend ids must be unique non-empty strings")
         key_ids = tuple(self.key_ids)
         object.__setattr__(self, "key_ids", key_ids)
-        if not key_ids or len(set(key_ids)) != len(key_ids):
-            raise ConfigError("key ids must be non-empty and unique")
-        if self.jitter_epsilon_ms < 0:
-            raise ConfigError("jitter epsilon must be non-negative")
+        if not key_ids or not _unique_names(key_ids):
+            raise ConfigError("key ids must be unique non-empty strings, at least one")
+        if not 0 <= self.jitter_epsilon_ms < math.inf:
+            raise ConfigError("jitter epsilon must be finite and non-negative")
         if not 0.0 <= self.audit_probability <= 1.0:
             raise ConfigError("audit probability outside [0, 1]")
         if not 0.0 <= self.revoke_at_fraction < 1.0:
@@ -531,6 +543,11 @@ def default_policy_set(cfg: WorkloadConfig) -> PolicySet:
 # -- outcomes ---------------------------------------------------------------
 
 
+# The decimals a float field is written with in a CSV export (see ``_cells``).
+_3DP = {"decimals": 3}
+_6DP = {"decimals": 6}
+
+
 @dataclass(frozen=True)
 class ExecutionOutcome:
     workload_id: str
@@ -541,28 +558,15 @@ class ExecutionOutcome:
     status: Status
     error_kind: Optional[ErrorKind]
     severity: Severity
-    exec_time_ms: float
-    verify_time_ms: float
+    exec_time_ms: float = field(metadata=_6DP)
+    verify_time_ms: float = field(metadata=_6DP)
     output_bytes: int
-    timestamp: float
+    timestamp: float = field(metadata=_6DP)
     log_index: int
 
     def to_row(self) -> dict:
-        return {
-            "workload_id": self.workload_id,
-            "scale": self.scale,
-            "request_index": self.request_index,
-            "backend_id": self.backend_id,
-            "key_id": self.key_id,
-            "status": self.status.value,
-            "error_kind": self.error_kind.value if self.error_kind else "",
-            "severity": self.severity.value,
-            "exec_time_ms": f"{self.exec_time_ms:.6f}",
-            "verify_time_ms": f"{self.verify_time_ms:.6f}",
-            "output_bytes": self.output_bytes,
-            "timestamp": f"{self.timestamp:.6f}",
-            "log_index": self.log_index,
-        }
+        """This outcome's cells of ``outcomes.csv``, by column."""
+        return dict(zip(OUTCOME_COLUMNS, _cells(self)))
 
 
 OUTCOME_COLUMNS = [f.name for f in fields(ExecutionOutcome)]
@@ -574,8 +578,17 @@ class AuditRecord:
 
     scale: int
     log_index: int
-    tree_size: int
     evidence: EvidenceTuple
+
+
+def audit_receipt(log_index: int, evidence: EvidenceTuple) -> dict:
+    """The receipt of one audited log entry: its index, the tree size its
+    evidence commits to, and the evidence digest."""
+    return {
+        "log_index": log_index,
+        "tree_size": evidence.merkle_root.tree_size,
+        "evidence_digest": evidence.evidence_digest.hex(),
+    }
 
 
 @dataclass(frozen=True)
@@ -586,11 +599,11 @@ class ScaleReport:
     successes: int
     failures: int
     logged_entries: int
-    baseline_wall_ms: float
-    secure_wall_ms: float
-    overhead_delta: float
-    modeled_exec_ms: float
-    modeled_verify_ms: float
+    baseline_wall_ms: float = field(metadata=_3DP)
+    secure_wall_ms: float = field(metadata=_3DP)
+    overhead_delta: float = field(metadata=_6DP)
+    modeled_exec_ms: float = field(metadata=_3DP)
+    modeled_verify_ms: float = field(metadata=_3DP)
     log_bytes: int
     final_root_hex: str
     hash_ops: int
@@ -603,10 +616,8 @@ class RunResult:
     outcomes: list[ExecutionOutcome]
     scale_reports: list[ScaleReport]
     audits: list[AuditRecord]
-    growth: list[tuple[int, int]]
-    kernel_backend: str
     wall_ms_total: float
-    out_dir: Optional[Path]
+    out_dir: Path
 
 
 class _Streams:
@@ -631,61 +642,38 @@ def _corrupt(signature: bytes) -> bytes:
     return signature[:-1] + bytes([signature[-1] ^ 0x01])
 
 
-def run_pipeline(
-    cfg: WorkloadConfig,
-    out_dir: Optional[Union[str, Path]] = None,
-    warmup: bool = True,
-) -> RunResult:
-    """Run the full ladder; returns outcomes, per-scale metrics, and audits."""
+def run_pipeline(cfg: WorkloadConfig, out_dir: Union[str, Path]) -> RunResult:
+    """Run the full ladder; returns outcomes, per-scale metrics, and audits.
+
+    A warm-up scale of 256 requests, on the next seed, runs first and is
+    dropped.  Each scale's log is kept under ``out_dir/logs``.
+    """
     t_start = time.perf_counter()
-    tmp_holder: Optional[tempfile.TemporaryDirectory] = None
-    if out_dir is None:
-        tmp_holder = tempfile.TemporaryDirectory(prefix="manifestd-run-")
-        base_dir = Path(tmp_holder.name)
-        result_dir: Optional[Path] = None
-    else:
-        base_dir = Path(out_dir)
-        result_dir = base_dir
-    logs_dir = base_dir / "logs"
+    out_dir = Path(out_dir)
+    logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
+    _run_scale(replace(cfg, sizes=(256,), seed=cfg.seed + 1), 256, logs_dir / "warmup")
 
-    try:
-        if warmup:
-            _run_scale(replace(cfg, sizes=(256,), seed=cfg.seed + 1), 256,
-                       logs_dir / "warmup", collect=False)
-
-        outcomes: list[ExecutionOutcome] = []
-        reports: list[ScaleReport] = []
-        audits: list[AuditRecord] = []
-        growth: list[tuple[int, int]] = []
-        for scale in cfg.sizes:
-            scale_outcomes, report, scale_audits = _run_scale(
-                cfg, scale, logs_dir / f"w{scale}", collect=True
-            )
-            outcomes.extend(scale_outcomes)
-            reports.append(report)
-            audits.extend(scale_audits)
-            growth.append((scale, report.log_bytes))
-        return RunResult(
-            config=cfg,
-            outcomes=outcomes,
-            scale_reports=reports,
-            audits=audits,
-            growth=growth,
-            kernel_backend=_kernels.BACKEND,
-            wall_ms_total=(time.perf_counter() - t_start) * 1e3,
-            out_dir=result_dir,
-        )
-    finally:
-        if tmp_holder is not None:
-            tmp_holder.cleanup()
+    outcomes: list[ExecutionOutcome] = []
+    reports: list[ScaleReport] = []
+    audits: list[AuditRecord] = []
+    for scale in cfg.sizes:
+        scale_outcomes, report, scale_audits = _run_scale(cfg, scale, logs_dir / f"w{scale}")
+        outcomes.extend(scale_outcomes)
+        reports.append(report)
+        audits.extend(scale_audits)
+    return RunResult(
+        config=cfg,
+        outcomes=outcomes,
+        scale_reports=reports,
+        audits=audits,
+        wall_ms_total=(time.perf_counter() - t_start) * 1e3,
+        out_dir=out_dir,
+    )
 
 
 def _run_scale(
-    cfg: WorkloadConfig,
-    scale: int,
-    log_dir: Path,
-    collect: bool,
+    cfg: WorkloadConfig, scale: int, log_dir: Path
 ) -> tuple[list[ExecutionOutcome], ScaleReport, list[AuditRecord]]:
     workload_id = f"w{scale}"
     rank = cfg.scale_rank(scale)
@@ -800,11 +788,7 @@ def _run_scale(
         if rngs["audit"].random() < cfg.audit_probability:
             output = rngs["content"].bytes(output_bytes)
             evidence = build_evidence(root, output, exec_ms, verify_ms)
-            audits.append(
-                AuditRecord(
-                    scale=scale, log_index=log_index, tree_size=root.tree_size, evidence=evidence
-                )
-            )
+            audits.append(AuditRecord(scale=scale, log_index=log_index, evidence=evidence))
         return replace(
             failed,
             key_id=key_id,
@@ -852,8 +836,6 @@ def _run_scale(
         hash_ops=hash_ops,
         audited=len(audits),
     )
-    if not collect:
-        return [], report_row, []
     return outcomes, report_row, audits
 
 
@@ -865,6 +847,22 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _cells(record) -> list:
+    """One CSV cell per field of a dataclass: an enum as its value, None as
+    empty, and a number at the decimals its field's metadata names."""
+    cells = []
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif value is None:
+            value = ""
+        elif "decimals" in f.metadata:
+            value = f"{value:.{f.metadata['decimals']}f}"
+        cells.append(value)
+    return cells
+
+
 def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -873,13 +871,19 @@ def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def write_outcomes_csv(outcomes: Iterable[ExecutionOutcome], path: Union[str, Path]) -> None:
-    rows = (list(outcome.to_row().values()) for outcome in outcomes)
-    atomic_write_text(path, _csv_text(OUTCOME_COLUMNS, rows))
+def write_records_csv(path: Union[str, Path], record_type: type, records: Iterable) -> None:
+    """A header of ``record_type``'s field names, then the cells of each record."""
+    header = [f.name for f in fields(record_type)]
+    atomic_write_text(path, _csv_text(header, (_cells(record) for record in records)))
+
+
+def write_growth_csv(path: Union[str, Path], reports: Iterable[ScaleReport]) -> None:
+    rows = ((report.scale, report.log_bytes) for report in reports)
+    atomic_write_text(path, _csv_text(["entries", "bytes"], rows))
 
 
 def read_outcome_rows(path: Union[str, Path]) -> list[dict]:
-    """The rows of an outcomes CSV that ``write_outcomes_csv`` wrote, as strings.
+    """The rows of an outcomes CSV that ``write_records_csv`` wrote, as strings.
 
     The header must be ``OUTCOME_COLUMNS`` and each row must hold one value
     per column, with an integer ``scale`` and a numeric ``timestamp``.  A
@@ -908,69 +912,22 @@ def read_outcome_rows(path: Union[str, Path]) -> list[dict]:
     return rows
 
 
-def write_metrics_csv(reports: Iterable[ScaleReport], path: Union[str, Path]) -> None:
-    columns = [
-        "workload_id", "scale", "requests", "successes", "failures", "logged_entries",
-        "baseline_wall_ms", "secure_wall_ms", "overhead_delta", "modeled_exec_ms",
-        "modeled_verify_ms", "log_bytes", "final_root_hex", "hash_ops", "audited",
-    ]
-    rows = (
-        [
-            r.workload_id, r.scale, r.requests, r.successes, r.failures,
-            r.logged_entries, f"{r.baseline_wall_ms:.3f}", f"{r.secure_wall_ms:.3f}",
-            f"{r.overhead_delta:.6f}", f"{r.modeled_exec_ms:.3f}",
-            f"{r.modeled_verify_ms:.3f}", r.log_bytes, r.final_root_hex,
-            r.hash_ops, r.audited,
-        ]
-        for r in reports
-    )
-    atomic_write_text(path, _csv_text(columns, rows))
+def json_line(obj: Mapping) -> str:
+    """``obj`` as one line of compact JSON; text outside ASCII is written as it is."""
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=False)
 
 
-def write_growth_csv(growth: Iterable[tuple[int, int]], path: Union[str, Path]) -> None:
-    atomic_write_text(path, _csv_text(["entries", "bytes"], growth))
-
-
-def write_evidence_ndjson(audits: Iterable[AuditRecord], path: Union[str, Path]) -> None:
-    atomic_write_text(path, "".join(record.evidence.to_json_line() + "\n" for record in audits))
-
-
-def write_audit_receipts(audits: Iterable[AuditRecord], path: Union[str, Path]) -> None:
-    lines = (
-        json.dumps({
-            "scale": record.scale,
-            "log_index": record.log_index,
-            "tree_size": record.tree_size,
-            "evidence_digest": record.evidence.evidence_digest.hex(),
-        }, separators=(",", ":")) + "\n"
-        for record in audits
-    )
-    atomic_write_text(path, "".join(lines))
+def write_ndjson(path: Union[str, Path], objects: Iterable[Mapping]) -> None:
+    """Write one ``json_line`` per object."""
+    atomic_write_text(path, "".join(json_line(obj) + "\n" for obj in objects))
 
 
 def run_report_dict(result: RunResult) -> dict:
     return {
         "seed": result.config.seed,
-        "kernel_backend": result.kernel_backend,
+        "kernel_backend": _kernels.BACKEND,
         "baseline_definition": BASELINE_DEFINITION,
         "wall_ms_total": result.wall_ms_total,
         "config": config_to_dict(result.config),
-        "scales": [
-            {
-                "workload_id": r.workload_id,
-                "scale": r.scale,
-                "requests": r.requests,
-                "successes": r.successes,
-                "failures": r.failures,
-                "logged_entries": r.logged_entries,
-                "baseline_wall_ms": r.baseline_wall_ms,
-                "secure_wall_ms": r.secure_wall_ms,
-                "overhead_delta": r.overhead_delta,
-                "log_bytes": r.log_bytes,
-                "final_root": r.final_root_hex,
-                "hash_ops": r.hash_ops,
-                "audited": r.audited,
-            }
-            for r in result.scale_reports
-        ],
+        "scales": [asdict(report) for report in result.scale_reports],
     }

@@ -206,27 +206,6 @@ class StatsReport:
     backend_counts: Mapping[str, int] = field(default_factory=dict)
     key_counts: Mapping[str, int] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "scales": list(self.scales),
-            "backend_fairness": self.backend_fairness,
-            "backend_selection_variance": self.backend_selection_variance,
-            "backend_chi_square": {
-                "statistic": self.backend_chi_square.statistic,
-                "dof": self.backend_chi_square.dof,
-                "cramers_v": self.backend_chi_square.cramers_v,
-            },
-            "key_balance": self.key_balance,
-            "success_rates": [list(x) for x in self.success_rates],
-            "success_rate_slope": self.success_rate_slope,
-            "error_densities": [list(x) for x in self.error_densities],
-            "severity_entropy_bits": self.severity_entropy_bits,
-            "entropy_elasticity": self.entropy_elasticity,
-            "timestamp_variance_exponent": self.timestamp_variance_exponent,
-            "backend_counts": dict(self.backend_counts),
-            "key_counts": dict(self.key_counts),
-        }
-
 
 def report_from_rows(rows: Sequence[Mapping]) -> StatsReport:
     """Build the summary from outcome rows.

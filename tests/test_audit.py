@@ -19,6 +19,7 @@ from manifestd.audit import (
     undetected_probability,
 )
 from manifestd.errors import DomainError, EncodingError
+from manifestd.harness import json_line
 from manifestd.translog import MerkleRoot
 
 
@@ -34,7 +35,7 @@ class TestEvidence:
 
     def test_json_line_round_trip(self):
         ev = build_evidence(root(), b"payload", 3.125, 0.5)
-        clone = EvidenceTuple.from_json_line(ev.to_json_line())
+        clone = EvidenceTuple.from_json_line(json_line(ev.to_json_dict()))
         assert clone == ev
         assert recheck_evidence(clone)
 
@@ -66,7 +67,7 @@ class TestEvidence:
     )
     def test_line_that_is_not_canonical_refused(self, field, text):
         ev = build_evidence(root(), b"out", 12.5, 1.25)
-        line = ev.to_json_line()
+        line = json_line(ev.to_json_dict())
         obj = json.loads(line)
         old = json.dumps(obj[field], separators=(",", ":"))
         edited = line.replace(f'"{field}":{old}', f'"{field}":{text}')
@@ -98,7 +99,7 @@ class TestEvidence:
     @pytest.mark.parametrize("tree_size", [4, 6, 0, 1 << 40, -1, 1 << 64])
     def test_edited_tree_size_fails_recheck(self, tree_size):
         ev = build_evidence(root(size=5), b"out", 10.0, 2.0)
-        obj = json.loads(ev.to_json_line())
+        obj = ev.to_json_dict()
         obj["tree_size"] = tree_size
         edited = EvidenceTuple.from_json_line(json.dumps(obj))
         assert edited.merkle_root.tree_size == tree_size

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from manifestd import _kernels
+from manifestd.audit import build_evidence
 from manifestd.cli import (
     EXIT_CONFIG,
     EXIT_KEY,
@@ -16,10 +17,28 @@ from manifestd.cli import (
     LOG_DIR_ENV,
     main,
 )
-from manifestd.harness import OUTCOME_COLUMNS
-from manifestd.translog import LEAVES_NAME, RECORDS_NAME, TransparencyLog
+from manifestd.harness import (
+    OUTCOME_COLUMNS,
+    AuditRecord,
+    ErrorKind,
+    ExecutionOutcome,
+    RunResult,
+    ScaleReport,
+    Status,
+    WorkloadConfig,
+    config_to_dict,
+)
+from manifestd.manifest import ManifestDigest
+from manifestd.policy import Severity
+from manifestd.translog import LEAVES_NAME, RECORDS_NAME, MerkleRoot, TransparencyLog
 
 NOW = 1_755_000_000_000
+DEFAULT_BACKENDS = config_to_dict(WorkloadConfig())["backends"]
+
+
+def first_backend(**models):
+    """The default backends as config JSON, with models of the first one replaced."""
+    return [{**DEFAULT_BACKENDS[0], **models}, *DEFAULT_BACKENDS[1:]]
 
 
 def emitted(capsys):
@@ -482,9 +501,21 @@ class TestBenchAndStats:
     @pytest.mark.parametrize(
         "bad",
         [{"sizes": 5}, {"sizes": ["a"]}, {"key_ids": 5}, {"backends": 5}, {"seed": "x"},
-         {"invalid_fracton": 0.5}],
+         {"invalid_fracton": 0.5},
+         {"jitter_epsilon_ms": float("nan")}, {"jitter_epsilon_ms": float("inf")},
+         {"base_time_ms": "x"}, {"base_time_ms": True}, {"base_time_ms": 1.5e12},
+         {"adversary_mix": {"expired-timestamp": float("nan"), "forged-signature": 0.5,
+                            "malformed-manifest": 0.25, "revoked-key-use": 0.25}},
+         {"backends": first_backend(exec_latency=[float("nan"), 6.0, 12.0])},
+         {"backends": first_backend(output=[float("inf"), 96.0, 0.15])},
+         {"key_ids": [1, 2], "revoke_key": 2}, {"scheme": "rsa-1024"},
+         {"backends": DEFAULT_BACKENDS[:1], "sizes": [50]},
+         {"backends": [{**b, "backend_id": i} for i, b in enumerate(DEFAULT_BACKENDS)]}],
         ids=["sizes-not-list", "size-not-number", "key-ids-not-list", "backends-not-list",
-             "seed-not-integer", "unknown-key"],
+             "seed-not-integer", "unknown-key", "jitter-nan", "jitter-inf",
+             "base-time-not-number", "base-time-bool", "base-time-float", "mix-weight-nan",
+             "latency-nan", "output-inf", "key-ids-not-strings", "unknown-scheme",
+             "one-backend", "backend-ids-not-strings"],
     )
     def test_malformed_config_field_exits_1(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"
@@ -607,3 +638,89 @@ class TestUsage:
             main(["--version"])
         assert exc.value.code == 0
         assert "manifestd" in capsys.readouterr().out
+
+
+def golden_run(out_dir):
+    """A hand-built two-scale run: fixed outcomes, reports and audit evidence."""
+    outcomes = []
+    for scale in (4, 8):
+        for i in range(scale):
+            ok = i % 4 != 3
+            outcomes.append(ExecutionOutcome(
+                workload_id=f"w{scale}", scale=scale, request_index=i,
+                backend_id=f"b{i % 3}", key_id="" if i % 8 == 7 else f"k{i % 2}",
+                status=Status.SUCCESS if ok else Status.FAILURE,
+                error_kind=None if ok else ErrorKind.KEY_REVOKED,
+                severity=Severity.WARN if i == 1 else Severity.OK if ok else Severity.BLOCK,
+                exec_time_ms=50.0 + i / 7 if ok else 0.0, verify_time_ms=2.0 + i / 9,
+                output_bytes=500 + i if ok else 0,
+                timestamp=1_755_000_000_000.0 + i + (i * i) / 13,
+                log_index=i - i // 4 if ok else -1,
+            ))
+    reports = [
+        ScaleReport(workload_id=f"w{scale}", scale=scale, requests=scale,
+                    successes=scale * 3 // 4, failures=scale // 4,
+                    logged_entries=scale * 3 // 4, baseline_wall_ms=scale / 3,
+                    secure_wall_ms=scale / 2.9, overhead_delta=1 / 29 + scale / 7e4,
+                    modeled_exec_ms=scale * 50.123456, modeled_verify_ms=scale * 2.0987654,
+                    log_bytes=scale * 211, final_root_hex=bytes([scale] * 32).hex(),
+                    hash_ops=scale * 5, audited=1)
+        for scale in (4, 8)
+    ]
+    audits = []
+    for scale, log_index, size in ((4, 1, 3), (8, 4, 6)):
+        root = MerkleRoot(bytes(range(size, size + 32)), size)
+        evidence = build_evidence(root, b"output %d" % scale, 51.0 + 1 / 3, 2.5 / 3)
+        audits.append(AuditRecord(scale=scale, log_index=log_index, evidence=evidence))
+    return RunResult(
+        config=WorkloadConfig(sizes=(4, 8)), outcomes=outcomes, scale_reports=reports,
+        audits=audits, wall_ms_total=12.5, out_dir=out_dir,
+    )
+
+
+class TestExportBytes:
+    """The bytes of every export, from fixed inputs through the CLI's writers."""
+
+    BENCH_SHA = {
+        "outcomes.csv":
+            "c0890e12f240341aa7e4cf9b2ebd2e022d0747fb48a63fc9c4dd68585e972e1c",
+        "metrics.csv":
+            "5bf7fd7986064322f02bc3761788f6e69f8aeeb001edd76da4fe50e0d865f1f2",
+        "growth.csv":
+            "d18f7170f8737d380e0ca344c30713aa7c0b6a548db5af85b83873bb3396a32e",
+        "evidence.ndjson":
+            "944be6f12fc62c03cb1257922420e1e067b4a7638655d3b458e7d40e37c8eba1",
+        "receipts.ndjson":
+            "ca8d2add4e4208a458886f5174c7707c1f4b65a562d4ed853f09eb4dd405aca7",
+        "stats.json":
+            "f9de80ab10cfad8f738394fc7642830c852c66fabd8a8dd51001db98e62af83f",
+    }
+    AUDIT_SHA = {
+        "evidence.ndjson":
+            "0ea2001ae4bd79d8c61812ed27112a79e1a7d53ca3159d1f2ea8d724e4a29524",
+        "receipts.ndjson":
+            "76a5d3ec418f040c281cc5cfb45dacdcd3f263c6c1c6bde076ca11890ea5d1f3",
+    }
+
+    def test_bench_exports_are_pinned(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "bench"
+        run = golden_run(out)
+        monkeypatch.setattr("manifestd.cli.run_pipeline", lambda cfg, out_dir: run)
+        assert main(["bench", "--out", str(out), "--sizes", "4,8"]) == EXIT_OK
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.BENCH_SHA}
+        assert digests == self.BENCH_SHA
+
+    def test_audit_exports_are_pinned(self, tmp_path, capsys):
+        log_dir = tmp_path / "log"
+        with TransparencyLog(log_dir) as log:
+            for i in range(8):
+                log.append(ManifestDigest(bytes([i] * 32)), bytes([0xA0 + i] * 64),
+                           f"op-{i % 2}", NOW + i)
+        out, receipts = tmp_path / "evidence.ndjson", tmp_path / "receipts.ndjson"
+        assert main(["audit", "--log-dir", str(log_dir), "--probability", "0.5", "--seed", "4",
+                     "--out", str(out), "--receipts", str(receipts)]) == EXIT_OK
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, receipts)}
+        assert digests == self.AUDIT_SHA
+        assert out.read_text() and receipts.read_text()

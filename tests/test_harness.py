@@ -3,7 +3,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,18 +12,25 @@ from hypothesis import strategies as st
 
 from manifestd.audit import recheck_evidence
 from manifestd.errors import ConfigError
+from manifestd import _kernels
 from manifestd.harness import (
     ARRIVAL_SPACING_MS,
     OUTCOME_COLUMNS,
     AttackKind,
     ErrorKind,
+    ExecutionOutcome,
+    LatencyModel,
+    OutputModel,
+    ScaleReport,
     Status,
     WorkloadConfig,
     _largest_remainder,
+    _run_scale,
     _Streams,
     apply_jitter,
     config_from_dict,
     config_to_dict,
+    default_backends,
     default_policy_set,
     generate_batch,
     load_config_file,
@@ -32,10 +39,9 @@ from manifestd.harness import (
     run_pipeline,
     run_report_dict,
     select_backend,
-    write_evidence_ndjson,
+    write_records_csv,
     write_growth_csv,
-    write_metrics_csv,
-    write_outcomes_csv,
+    write_ndjson,
 )
 from manifestd.audit import EvidenceTuple
 from manifestd.policy import Severity, evaluate
@@ -44,12 +50,19 @@ from manifestd.stats import report_from_rows
 from manifestd.translog import TransparencyLog, check_integrity, verify_inclusion
 
 SMALL = WorkloadConfig(sizes=(100, 200, 500), seed=1234, audit_probability=0.2)
+# passes the weight checks one by one, NaN comparing false both ways
+NAN_WEIGHT_MIX = (
+    (AttackKind.EXPIRED_TIMESTAMP, math.nan),
+    (AttackKind.FORGED_SIGNATURE, 0.5),
+    (AttackKind.MALFORMED_MANIFEST, 0.25),
+    (AttackKind.REVOKED_KEY_USE, 0.25),
+)
 
 
 @pytest.fixture(scope="module")
 def small_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    return run_pipeline(SMALL, out_dir=out, warmup=False), out
+    return run_pipeline(SMALL, out), out
 
 
 class TestConfigValidation:
@@ -69,11 +82,38 @@ class TestConfigValidation:
             {"key_ids": ("a", "a")},
             {"invalid_ramp": (0.9, 0.2)},
             {"adversary_mix": ((AttackKind.FORGED_SIGNATURE, 0.5),)},
+            {"jitter_epsilon_ms": math.nan},
+            {"jitter_epsilon_ms": math.inf},
+            {"base_time_ms": "x"},
+            {"base_time_ms": 1.5e12},
+            {"base_time_ms": True},
+            {"adversary_mix": NAN_WEIGHT_MIX},
+            {"key_ids": (1, 2), "revoke_key": 2},
+            {"key_ids": ("dev-k1", ""), "revoke_key": "dev-k1"},
+            {"scheme": "rsa-1024"},
+            {"backends": default_backends()[:1]},
+            {"backends": [replace(b, backend_id="") for b in default_backends()]},
         ],
     )
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             WorkloadConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            (LatencyModel, (math.nan, 1.0)),
+            (LatencyModel, (1.0, math.inf)),
+            (LatencyModel, (1.0, 1.0, -math.inf)),
+            (OutputModel, (math.inf, 1.0)),
+            (OutputModel, (100.0, math.nan)),
+            (OutputModel, (100.0, 1.0, math.inf)),
+        ],
+    )
+    def test_non_finite_model_parameters_rejected(self, model, params):
+        # a backend model refuses them itself, before any config holds it
+        with pytest.raises(ConfigError):
+            model(*params)
 
     def test_revoked_traffic_requires_revoke_key(self):
         with pytest.raises(ConfigError):
@@ -254,20 +294,24 @@ class TestPipeline:
             # every default size is divisible by 5, so the rate is exact
             assert report.successes / report.requests == 0.8
 
-    def test_outcomes_are_reproducible(self, small_run):
+    def test_outcomes_are_reproducible(self, small_run, tmp_path):
         result, _ = small_run
-        again = run_pipeline(SMALL, warmup=False)
+        again = run_pipeline(SMALL, tmp_path / "again")
         assert again.outcomes == result.outcomes
         other_seed = run_pipeline(
             WorkloadConfig(sizes=SMALL.sizes, seed=4321, audit_probability=0.2),
-            warmup=False,
+            tmp_path / "other-seed",
         )
         assert other_seed.outcomes != result.outcomes
 
-    def test_warmup_does_not_touch_measured_streams(self, small_run):
+    def test_warmup_does_not_touch_measured_streams(self, small_run, tmp_path):
+        # each scale run alone, with no warm-up before it, gives the outcomes
+        # run_pipeline reported for it
         result, _ = small_run
-        warmed = run_pipeline(SMALL, warmup=True)
-        assert warmed.outcomes == result.outcomes
+        alone = []
+        for scale in SMALL.sizes:
+            alone += _run_scale(SMALL, scale, tmp_path / f"w{scale}")[0]
+        assert alone == result.outcomes
 
     def test_attack_kinds_map_to_error_kinds(self, small_run):
         result, _ = small_run
@@ -316,8 +360,9 @@ class TestPipeline:
         for scale, audits in by_scale.items():
             with TransparencyLog(out / "logs" / f"w{scale}") as log:
                 for audit in audits:
-                    proof = log.prove_inclusion(audit.log_index, audit.tree_size)
-                    root = log.root_at(audit.tree_size)
+                    tree_size = audit.evidence.merkle_root.tree_size
+                    proof = log.prove_inclusion(audit.log_index, tree_size)
+                    root = log.root_at(tree_size)
                     assert verify_inclusion(log.leaf_hash(audit.log_index), proof, root)
                     assert audit.evidence.merkle_root == root
 
@@ -332,8 +377,8 @@ class TestPipeline:
 
     def test_growth_tracks_log_bytes(self, small_run):
         result, _ = small_run
-        assert [scale for scale, _ in result.growth] == list(SMALL.sizes)
-        totals = [b for _, b in result.growth]
+        assert [r.scale for r in result.scale_reports] == list(SMALL.sizes)
+        totals = [r.log_bytes for r in result.scale_reports]
         assert totals == sorted(totals)
 
     def test_run_report_shape(self, small_run):
@@ -341,15 +386,17 @@ class TestPipeline:
         report = run_report_dict(result)
         blob = json.dumps(report)
         assert str(SMALL.seed) in blob
-        assert report["kernel_backend"] == result.kernel_backend
+        assert report["kernel_backend"] == _kernels.BACKEND
         assert [r["scale"] for r in report["scales"]] == list(SMALL.sizes)
+        for entry in report["scales"]:
+            assert list(entry) == [f.name for f in fields(ScaleReport)]
 
 
 class TestArtifacts:
     def test_outcomes_csv_round_trip_feeds_stats(self, small_run, tmp_path):
         result, _ = small_run
         path = tmp_path / "outcomes.csv"
-        write_outcomes_csv(result.outcomes, path)
+        write_records_csv(path, ExecutionOutcome, result.outcomes)
         rows = read_outcome_rows(path)
         assert len(rows) == len(result.outcomes)
         report = report_from_rows(rows)
@@ -359,7 +406,7 @@ class TestArtifacts:
     def test_metrics_csv(self, small_run, tmp_path):
         result, _ = small_run
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(result.scale_reports, path)
+        write_records_csv(path, ScaleReport, result.scale_reports)
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + len(SMALL.sizes)
         assert lines[0].startswith("workload_id,scale,")
@@ -367,15 +414,15 @@ class TestArtifacts:
     def test_growth_csv(self, small_run, tmp_path):
         result, _ = small_run
         path = tmp_path / "growth.csv"
-        write_growth_csv(result.growth, path)
+        write_growth_csv(path, result.scale_reports)
         lines = path.read_text().splitlines()
         assert lines[0] == "entries,bytes"
-        assert len(lines) == 1 + len(result.growth)
+        assert lines[1:] == [f"{r.scale},{r.log_bytes}" for r in result.scale_reports]
 
     def test_evidence_ndjson_round_trips(self, small_run, tmp_path):
         result, _ = small_run
         path = tmp_path / "evidence.ndjson"
-        write_evidence_ndjson(result.audits, path)
+        write_ndjson(path, (audit.evidence.to_json_dict() for audit in result.audits))
         lines = path.read_text().splitlines()
         assert len(lines) == len(result.audits)
         for line in lines:
@@ -451,7 +498,7 @@ class TestRevocationScenario:
 
     def test_revoked_key_fails_after_cutover(self, tmp_path):
         cfg = revocation_preset(WorkloadConfig(sizes=(200,), seed=11))
-        result = run_pipeline(cfg, out_dir=tmp_path, warmup=False)
+        result = run_pipeline(cfg, tmp_path)
         revoked = [
             o for o in result.outcomes if o.error_kind is ErrorKind.KEY_REVOKED
         ]

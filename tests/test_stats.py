@@ -219,7 +219,8 @@ class TestReportFromRows:
 
     def test_json_dict_is_serializable(self):
         import json
+        from dataclasses import asdict
 
         report = report_from_rows(synthetic_rows())
-        blob = json.dumps(report.to_json_dict())
+        blob = json.dumps(asdict(report))
         assert "backend_fairness" in blob
