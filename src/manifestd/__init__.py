@@ -2,9 +2,9 @@
 
 Canonical manifest encoding and digests, fail-closed policy evaluation,
 a software keystore with rotation and revocation, an append-only Merkle
-transparency log with inclusion proofs and hash-chain checkpoints, audit
-evidence tuples, workload statistics, and a benchmark harness driving the
-whole pipeline.
+transparency log with inclusion and consistency proofs and a checkpoint of
+its size and root per append, audit evidence tuples, workload statistics,
+and a benchmark harness driving the whole pipeline.
 """
 
 from ._kernels import BACKEND as kernel_backend

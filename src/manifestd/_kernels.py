@@ -1,4 +1,4 @@
-"""Hash kernels: the tree and chain primitives of the transparency log.
+"""Hash kernels: the tree primitives of the transparency log.
 
 All digests are SHA-256 from ``hashlib``.  Leaf and interior hashes are
 domain-separated with one-byte prefixes so a leaf can never be reinterpreted
@@ -12,21 +12,19 @@ incremental kernel, adds a leaf to those states and returns the nodes it
 completes and the tree's right edge: every partial fold of the peaks from
 the right, the first being the root.  ``fold_path`` folds a node up a path
 of siblings, each on a given side: the check of an inclusion or consistency
-proof, and the fold of an older tree's peaks.  ``hash_pairs`` and
-``fold_chain`` are batch forms of the interior hash and ``chain_update``
-over packed 32-byte hashes, for rebuilding a whole tree from its leaf
-hashes; ``prefix_roots`` is the batch form of ``chain_update`` and
-``push_node`` together, giving the root and chain value at every size while
-leaves are added.
+proof, and the fold of an older tree's peaks.  ``hash_pairs`` is the batch
+form of the interior hash over packed 32-byte hashes, for rebuilding a whole
+tree from its leaf hashes; ``prefix_roots`` is the batch form of
+``push_node``, giving the root at every size while leaves are added.
 
-Every kernel counts its hashes in ``ops``, one per SHA-256 of a leaf, an
-interior node or a chain step; the kernels that loop add their count once
-per call.  Starting a peak's state is not counted: its hash is finished only
-by the merge or fold that copies it.  Input lengths are checked where
-digests may come from outside the tree code: ``chain_update`` and
-``fold_path`` take only 32-byte digests, ``hash_pairs`` and ``fold_chain``
-only whole packed ones.  ``push_node`` and ``prefix_roots`` check nothing:
-the states and leaf hashes they are given are ones the log made itself.
+Every kernel counts its hashes in ``ops``, one per SHA-256 of a leaf or an
+interior node; the kernels that loop add their count once per call.
+Starting a peak's state is not counted: its hash is finished only by the
+merge or fold that copies it.  Input lengths are checked where digests may
+come from outside the tree code: ``fold_path`` takes only 32-byte digests,
+``hash_pairs`` only whole packed ones.  ``push_node`` and ``prefix_roots``
+check nothing: the states and leaf hashes they are given are ones the log
+made itself.
 """
 
 from __future__ import annotations
@@ -41,15 +39,14 @@ INTERIOR_PREFIX = b"\x01"
 
 HASH_SIZE = 32
 
-#: One packed digest, and one packed pair of digests, read out as ``bytes``.
-_DIGEST = struct.Struct(f"{HASH_SIZE}s")
+#: One packed pair of digests, read out as ``bytes``.
 _PAIR = struct.Struct(f"{2 * HASH_SIZE}s")
 
 _ops = 0
 
 
 def ops() -> int:
-    """Cumulative count of tree-hash operations (leaf, interior, chain)."""
+    """Cumulative count of tree-hash operations (leaf and interior)."""
     return _ops
 
 
@@ -67,14 +64,6 @@ def hash_leaf(data: bytes) -> bytes:
     global _ops
     _ops += 1
     return hashlib.sha256(LEAF_PREFIX + data).digest()
-
-
-def chain_update(prev: bytes, leaf_hash: bytes) -> bytes:
-    if len(prev) != HASH_SIZE or len(leaf_hash) != HASH_SIZE:
-        raise ValueError("chain inputs must be 32-byte digests")
-    global _ops
-    _ops += 1
-    return hashlib.sha256(prev + leaf_hash).digest()
 
 
 def hash_pairs(nodes) -> bytes:
@@ -97,18 +86,6 @@ def hash_pairs(nodes) -> bytes:
     global _ops
     _ops += len(out)
     return b"".join(out)
-
-
-def fold_chain(prev: bytes, leaves) -> bytes:
-    """``chain_update`` applied to each 32-byte leaf hash packed in ``leaves``, in order."""
-    if len(prev) != HASH_SIZE or len(leaves) % HASH_SIZE:
-        raise ValueError("chain inputs must be 32-byte digests")
-    sha256 = hashlib.sha256
-    for (leaf,) in _DIGEST.iter_unpack(leaves):
-        prev = sha256(prev + leaf).digest()
-    global _ops
-    _ops += len(leaves) // HASH_SIZE
-    return prev
 
 
 def fold_path(node: bytes, path) -> bytes:
@@ -179,27 +156,21 @@ def push_node(states: list, count: int, node: bytes) -> tuple[list[bytes], list[
     return nodes, edge
 
 
-def prefix_roots(
-    states: list, count: int, chain: bytes, leaves: list[bytes]
-) -> tuple[list[bytes], list[bytes]]:
-    """The tree root and the chain value after each of ``leaves``, added in order.
+def prefix_roots(states: list, count: int, leaves: list[bytes]) -> list[bytes]:
+    """The tree root after each of ``leaves``, added in order.
 
     ``states`` are the peak states of a tree holding ``count`` leaves, as
-    ``push_node`` keeps them, and are updated in place the same way;
-    ``chain`` is the chain value at ``count``.  Each leaf costs exactly the
-    hashes of ``chain_update`` and ``push_node``: one chain hash, one per
-    merge, and popcount(size) - 1 to fold the root.  Only the root of each
-    size is kept, so the loop is ``push_node``'s without its node and edge
-    lists.
+    ``push_node`` keeps them, and are updated in place the same way.  Each
+    leaf costs exactly the hashes of ``push_node``: one per merge, and
+    popcount(size) - 1 to fold the root.  Only the root of each size is
+    kept, so the loop is ``push_node``'s without its node and edge lists.
     """
     sha256 = hashlib.sha256
-    roots, chains = [], []
-    # a chain hash per leaf, and the merges: a tree of m leaves has merged
-    # m - popcount(m) times
+    roots = []
+    # the merges: a tree of m leaves has merged m - popcount(m) times
     end = count + len(leaves)
-    hashes = len(leaves) + (end - end.bit_count()) - (count - count.bit_count())
+    hashes = (end - end.bit_count()) - (count - count.bit_count())
     for leaf in leaves:
-        chain = sha256(chain + leaf).digest()
         node = leaf
         trailing = count
         while trailing & 1:
@@ -216,7 +187,6 @@ def prefix_roots(
         hashes += len(states)
         states.append(sha256(INTERIOR_PREFIX + node))
         roots.append(root)
-        chains.append(chain)
     global _ops
     _ops += hashes
-    return roots, chains
+    return roots

@@ -46,7 +46,6 @@ from .harness import (
     revocation_preset,
     run_pipeline,
     run_report_dict,
-    write_growth_csv,
     write_ndjson,
     write_records_csv,
 )
@@ -329,15 +328,15 @@ def cmd_bench(args) -> int:
     except OSError as exc:
         raise StorageError(f"cannot write {out_dir}: {exc}") from exc
     result = run_pipeline(cfg, out_dir)
+    # the statistics can still fail; exports are written only once they exist
+    report = report_from_rows([outcome.to_row() for outcome in result.outcomes])
     write_records_csv(out_dir / "outcomes.csv", ExecutionOutcome, result.outcomes)
     write_records_csv(out_dir / "metrics.csv", ScaleReport, result.scale_reports)
-    write_growth_csv(out_dir / "growth.csv", result.scale_reports)
     write_ndjson(out_dir / "evidence.ndjson", (a.evidence.to_json_dict() for a in result.audits))
     write_ndjson(
         out_dir / "receipts.ndjson",
         ({"scale": a.scale, **audit_receipt(a.log_index, a.evidence)} for a in result.audits),
     )
-    report = report_from_rows([outcome.to_row() for outcome in result.outcomes])
     atomic_write_text(out_dir / "stats.json", _json_text(dataclasses.asdict(report)))
     atomic_write_text(out_dir / "run-report.json", _json_text(run_report_dict(result)))
     for scale_report in result.scale_reports:

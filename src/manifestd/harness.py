@@ -196,10 +196,10 @@ class WorkloadConfig:
     invalid_ramp: Optional[tuple[float, float]] = None
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(self.sizes)
         object.__setattr__(self, "sizes", sizes)
-        if not sizes or any(s <= 0 for s in sizes):
-            raise ConfigError("sizes must be positive")
+        if not sizes or not all(_is_int(s) and s > 0 for s in sizes):
+            raise ConfigError("sizes must be positive integers")
         if list(sizes) != sorted(set(sizes)):
             raise ConfigError("sizes must increase, without repeats")
         if not 0.0 <= self.invalid_fraction <= 1.0:
@@ -875,11 +875,6 @@ def write_records_csv(path: Union[str, Path], record_type: type, records: Iterab
     """A header of ``record_type``'s field names, then the cells of each record."""
     header = [f.name for f in fields(record_type)]
     atomic_write_text(path, _csv_text(header, (_cells(record) for record in records)))
-
-
-def write_growth_csv(path: Union[str, Path], reports: Iterable[ScaleReport]) -> None:
-    rows = ((report.scale, report.log_bytes) for report in reports)
-    atomic_write_text(path, _csv_text(["entries", "bytes"], rows))
 
 
 def read_outcome_rows(path: Union[str, Path]) -> list[dict]:

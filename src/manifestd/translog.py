@@ -1,11 +1,10 @@
-"""Append-only Merkle transparency log with dual integrity tracking.
+"""Append-only Merkle transparency log.
 
 Every accepted manifest becomes a length-prefixed record in an append-only
-file.  Two structures are maintained over the records:
-
-* a Merkle tree (leaf/interior hashes domain-separated) whose root commits
-  to the whole history and supports O(log n) inclusion proofs, and
-* a sequential hash chain, giving cheap forward integrity.
+file.  A Merkle tree over the records (leaf and interior hashes
+domain-separated) commits to the whole history with its root, and supports
+O(log n) inclusion and consistency proofs.  After each append the log
+records the tree size and root, the one commitment to the entries so far.
 
 The log keeps the hash of every complete subtree in memory, in the layout of
 Cox's "Transparent Logs for Skeptical Clients": ``_levels[k]`` holds 32 bytes
@@ -29,11 +28,11 @@ once: at most popcount(m) - 1 hashes.  Both verifiers are
 
 A log directory holds three files.  ``log.records`` holds the records, each
 a 4-byte big-endian length and that many bytes in one fixed JSON layout,
-``_RECORD``.  ``log.checkpoints`` holds one line ``<tree_size> <root hex>
-<chain hex>`` per append, ``_CHECKPOINT``.  ``log.leaves``, the index,
-holds level 0 of the stored hashes, 32 bytes per entry in append order; it
-is derived data, buffered one 256-leaf tile at a time and written out by
-``close``, so it may lag behind the other two files.
+``_RECORD``.  ``log.checkpoints`` holds one line ``<tree_size> <root hex>``
+per append, ``_CHECKPOINT``.  ``log.leaves``, the index, holds level 0 of
+the stored hashes, 32 bytes per entry in append order; it is derived data,
+buffered one 256-leaf tile at a time and written out by ``close``, so it
+may lag behind the other two files.
 
 An open log writes the records and checkpoints files through one
 ``O_WRONLY | O_APPEND`` descriptor each, with no buffer in between: an
@@ -56,43 +55,42 @@ Reopening frames every record (each length prefix, the record size cap, and
 that the records end exactly at the end of the file), checks that the
 checkpoints file is exactly as long as that many lines, and parses its last
 line.  It takes the leaf hashes the index holds, hashes only the records
-after them, rebuilds every level and the chain from the leaves (n - 1
-interior and n chain hashes) and compares the root and chain with the last
-line.  If they differ it retries once without the index, and if that agrees
-the index was at fault and is rewritten.  So reopening trusts nothing it
-has not checked against the last checkpoint, but it does not re-hash a
-record the index covers: a same-size change inside such a record body, or
-inside any checkpoint line but the last, does not fail reopening.  ``entry``
-refuses such a record, and ``check_integrity``, which reads only the records
-and checkpoints, reports it.
+after them, rebuilds every level from the leaves (n - 1 interior hashes)
+and compares the root with the last line.  If they differ it retries once
+without the index, and if that agrees the index was at fault and is
+rewritten.  So reopening trusts nothing it has not checked against the last
+checkpoint, but it does not re-hash a record the index covers: a same-size
+change inside such a record body, or inside any checkpoint line but the
+last, does not fail reopening.  ``entry`` refuses such a record, and
+``check_integrity``, which reads only the records and checkpoints, reports
+it.
 
 One framer, ``_chunks``, applies the framing rules a read at a time, for
 reopening and ``check_integrity`` alike, and gives the record ends of each
 read.  Reopening reads only the length prefix of a record the index covers:
 it neither slices out nor hashes its body, so a warm reopen's Python work
-per record is one prefix check next to its two hashes.  The batch kernels
-that rebuild the levels and fold the chain walk the packed leaf hashes with
+per record is one prefix check next to its one interior hash.  The batch
+kernel that rebuilds the levels walks the packed leaf hashes with
 ``struct.iter_unpack``.
 
-``check_integrity`` compares every checkpoint's root and chain with a full
-replay, O(n log n) hashes, and reports the first entry that fails; its
-memory does not grow with the log.  It works a tile of ``TILE_LEAVES``
-entries at a time: it frames and hashes the tile's records, computes the
-root and chain at every size in the tile in one ``_kernels.prefix_roots``
-call, and compares the checkpoint lines ``append`` would have written with
-the same bytes of the checkpoints file.  A line has exactly one valid form,
-so one byte compare checks every line's form, size, root and chain, and the
-hashes are exactly those of an entry-by-entry replay.  Only at the first
-tile that fails to frame or compare does the entry-by-entry reader,
-``_read_log``, take over, from that tile's first entry and with its peaks
-and chain, to name the first bad entry.
+``check_integrity`` compares every checkpoint's root with a full replay,
+O(n log n) hashes, and reports the first entry that fails; its memory does
+not grow with the log.  It works a tile of ``TILE_LEAVES`` entries at a
+time: it frames and hashes the tile's records, computes the root at every
+size in the tile in one ``_kernels.prefix_roots`` call, and compares the
+checkpoint lines ``append`` would have written with the same bytes of the
+checkpoints file.  A line has exactly one valid form, so one byte compare
+checks every line's form, size and root, and the hashes are exactly those
+of an entry-by-entry replay.  Only at the first tile that fails to frame or
+compare does the entry-by-entry reader, ``_read_log``, take over, from that
+tile's first entry and with its peaks, to name the first bad entry.
 
 Every byte the check reads also goes through one SHA-256 per file.  On an ok
 report this process holds, in memory only and for at most ``HELD_CHECKS``
 directories, what it verified: the entry count m, the records file's length
-at m, both files' SHA-256 digests up to m, and the peak states and chain at
-m (an RFC 9162 §8.3 monitor's last verified tree head).  It is never read from or written to a
-file, and only an ok report of this process makes it.  The next check of
+at m, both files' SHA-256 digests up to m, and the peak states at m (an
+RFC 9162 §8.3 monitor's last verified tree head).  It is never read from
+or written to a file, and only an ok report of this process makes it.  The next check of
 that directory streams each held prefix through ``hashlib``; if both
 digests match, the tile loop resumes at entry m with the held states, so a
 re-check costs one SHA-256 pass over both files plus the hashes of the
@@ -125,8 +123,6 @@ from .manifest import ManifestDigest
 RECORDS_NAME = "log.records"
 CHECKPOINTS_NAME = "log.checkpoints"
 LEAVES_NAME = "log.leaves"
-
-CHAIN_GENESIS = bytes(32)
 
 _LEN = struct.Struct(">I")
 
@@ -165,8 +161,8 @@ _RECORD_FORM = re.compile(
     rb'"appended_at":(0|-?[1-9][0-9]*)\}'
 )
 
-#: One checkpoint line: tree size, root hex and chain hex.
-_CHECKPOINT = b"%d %s %s\n"
+#: One checkpoint line: tree size and root hex.
+_CHECKPOINT = b"%d %s\n"
 
 
 @dataclass(frozen=True)
@@ -318,7 +314,6 @@ class TransparencyLog:
         # suffixes of its peaks, the first being the tree root.
         self._states: list = []
         self._edge: list[bytes] = []
-        self._chain: bytes = CHAIN_GENESIS
         self._reopened: Optional[ReopenReport] = None
         # why appends are refused: the log is closed, or a failed append
         # could not be undone
@@ -442,11 +437,10 @@ class TransparencyLog:
                 f"record of {len(record)} bytes exceeds the {MAX_RECORD_BYTES} byte limit"
             )
         leaf = _kernels.hash_leaf(record)
-        chain = _kernels.chain_update(self._chain, leaf)
         states = list(self._states)
         nodes, edge = _kernels.push_node(states, index, leaf)
         framed = _LEN.pack(len(record)) + record
-        line = _CHECKPOINT % (index + 1, hexlify(edge[0]), hexlify(chain))
+        line = _CHECKPOINT % (index + 1, hexlify(edge[0]))
         try:
             if os.write(self._records_fd, framed) != len(framed):
                 raise OSError(f"short write to {RECORDS_NAME}")
@@ -464,7 +458,6 @@ class TransparencyLog:
         self._offsets.append(self._offsets[-1] + len(framed))
         self._states = states
         self._edge = edge
-        self._chain = chain
         return index, MerkleRoot(edge[0], index + 1)
 
     def _store(self, nodes: list[bytes]) -> None:
@@ -645,17 +638,14 @@ class TransparencyLog:
             levels = _levels_over(leaves)
             self._levels, self._offsets = levels, offsets
             states, edge = _peak_states(levels, size)
-            chain = _kernels.fold_chain(CHAIN_GENESIS, leaves)
-            if line is None or (
-                line["root"] == edge[0].hex().encode() and line["chain"] == chain.hex().encode()
-            ):
+            if line is None or line["root"] == hexlify(edge[0]):
                 break
         else:
             raise StorageError(
                 f"{self._dir}: replayed state disagrees with final checkpoint; "
                 "run an integrity check"
             )
-        self._states, self._edge, self._chain = states, edge, chain
+        self._states, self._edge = states, edge
         from_index = min(start, size)
         if start != stored:
             action = "rebuilt"
@@ -841,9 +831,7 @@ class LogDamage(StorageError):
 
 
 #: One checkpoint line exactly as ``append`` writes it with ``_CHECKPOINT``.
-_CHECKPOINT_LINE = re.compile(
-    rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64}) (?P<chain>[0-9a-f]{64})\n"
-)
+_CHECKPOINT_LINE = re.compile(rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64})\n")
 
 
 #: Longer than any checkpoint line, so a line is read in one bounded call.
@@ -926,10 +914,10 @@ def _frames(records, index: int = 0) -> Iterator[memoryview]:
 def _checkpoints_size(size: int) -> int:
     """Length of the first ``size`` checkpoint lines.
 
-    Line i is the decimal i + 1, a space, 64 hex digits, a space, 64 hex
-    digits and a newline: 131 bytes and the digits of i + 1.
+    Line i is the decimal i + 1, a space, the 64 hex digits of the root and
+    a newline: 66 bytes and the digits of i + 1.
     """
-    total = (2 * 2 * _kernels.HASH_SIZE + 3) * size
+    total = (2 * _kernels.HASH_SIZE + 2) * size
     low = 1
     while low <= size:
         total += size - low + 1  # one more digit for every count from low on
@@ -954,7 +942,8 @@ def _final_checkpoint(path: Path, size: int) -> Optional[re.Match[bytes]]:
             if length != expected:
                 raise StorageError(
                     f"{path} holds {length} bytes, not the {expected} of {size} "
-                    "checkpoint lines; run an integrity check"
+                    "checkpoint lines of the form '<tree size> <root hex>'; "
+                    "run an integrity check"
                 )
             if not size:
                 return None
@@ -975,12 +964,12 @@ def _read_log(
 
     Both files are positioned at entry ``index``, which the first yielded
     pair belongs to.  Records are framed by ``_frames``.  Checkpoint line i
-    is exactly ``{i+1} {root hex} {chain hex}`` and a newline, in lowercase
-    hex with single spaces, so no substitution can leave a line that still
-    parses to the same values.  Both files hold the same number of entries.
-    Any breach raises ``LogDamage`` at the first entry it affects; comparing
-    the root and chain groups of a line with the replay is left to the
-    caller.  Both files are streamed, so memory does not grow with the log.
+    is exactly ``{i+1} {root hex}`` and a newline, in lowercase hex with a
+    single space, so no substitution can leave a line that still parses to
+    the same values.  Both files hold the same number of entries.  Any
+    breach raises ``LogDamage`` at the first entry it affects; comparing the
+    root group of a line with the replay is left to the caller.  Both files
+    are streamed, so memory does not grow with the log.
     """
     for record in _frames(records, index):
         raw = checkpoints.readline(_MAX_LINE)
@@ -1000,8 +989,7 @@ class _Verified:
 
     The records file was ``records_bytes`` long up to there and the
     checkpoints file ``_checkpoints_size(size)``, with these SHA-256 digests;
-    ``states`` and ``chain`` are the peak states and chain value of the tree
-    at ``size``.
+    ``states`` are the peak states of the tree at ``size``.
     """
 
     size: int
@@ -1009,7 +997,6 @@ class _Verified:
     records_digest: bytes
     checkpoints_digest: bytes
     states: tuple
-    chain: bytes
 
 
 #: The last ok check of each of at most ``HELD_CHECKS`` directories, by
@@ -1021,23 +1008,23 @@ _held_lock = threading.Lock()
 def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     """Replay a log directory and report the first index that fails to verify.
 
-    Recomputes every leaf hash, chain value and per-append root from the raw
-    records and compares each with its checkpoint line, keeping only the
-    peaks.  Damage to the framing, the line form or the entry count is
-    reported first, at the entry where it starts; otherwise the first entry
-    whose stored root or chain differs.  Any single-byte change to either
+    Recomputes every leaf hash and per-append root from the raw records and
+    compares each root with its checkpoint line, keeping only the peaks.
+    Damage to the framing, the line form or the entry count is reported
+    first, at the entry where it starts; otherwise the first entry whose
+    stored root differs.  Any single-byte change to either
     file (including truncation) surfaces as a non-ok report.
 
     The check runs a tile of ``TILE_LEAVES`` entries at a time: it frames
-    and hashes the tile's records, computes the root and chain at every size
-    in the tile with ``_kernels.prefix_roots``, builds the checkpoint lines
+    and hashes the tile's records, computes the root at every size in the
+    tile with ``_kernels.prefix_roots``, builds the checkpoint lines
     ``append`` would have written for them and compares those bytes with the
     same range of the checkpoints file.  A line has one valid form, so equal
-    bytes check the form, the size, the root and the chain at once, with the
-    same hashes as an entry-by-entry replay.  At the first tile whose records
+    bytes check the form, the size and the root at once, with the same
+    hashes as an entry-by-entry replay.  At the first tile whose records
     fail to frame or whose lines differ, the entry-by-entry reader
     ``_read_log`` takes over from the tile's first entry, seeded with its
-    peaks and chain, to find and name the first bad entry.
+    peaks, to find and name the first bad entry.
 
     An ok report leaves this process holding what it verified, in memory
     only (see the module docstring).  A later check of the same directory
@@ -1125,13 +1112,13 @@ def _check_tiles(
     digests = None if held is None else _held_prefixes(records, checkpoints, held)
     if digests is not None:
         size, records_at = held.size, held.records_bytes
-        states, chain = list(held.states), held.chain
+        states = list(held.states)
     else:
         records.seek(0)
         checkpoints.seek(0)
         digests = [hashlib.sha256(), hashlib.sha256()]
         size = records_at = 0
-        states, chain = [], CHAIN_GENESIS
+        states = []
     records_digest, checkpoints_digest = digests
     frames = _frames(_Digesting(records, records_digest), size)
     while True:
@@ -1144,12 +1131,9 @@ def _check_tiles(
                 spanned += _LEN.size + len(record)
         except LogDamage:
             break
-        roots, chains = prefix_roots(states, size, chain, leaves)
+        roots = prefix_roots(states, size, leaves)
         expected = b"".join(
-            [
-                _CHECKPOINT % (tree_size, hexlify(root), hexlify(value))
-                for tree_size, root, value in zip(count(size + 1), roots, chains)
-            ]
+            [_CHECKPOINT % (n, hexlify(root)) for n, root in zip(count(size + 1), roots)]
         )
         if checkpoints.read(len(expected)) != expected:
             break
@@ -1160,42 +1144,34 @@ def _check_tiles(
             size += len(leaves)
             verified = _Verified(
                 size, records_at + spanned, records_digest.digest(), checkpoints_digest.digest(),
-                tuple(states), chains[-1] if chains else chain,
+                tuple(states),
             )
             return IntegrityReport(True, None, f"{size} entries verified"), verified
         size += len(leaves)
         records_at += spanned
-        chain = chains[-1]
     records.seek(records_at)
     checkpoints.seek(_checkpoints_size(size))
-    return _check_entries(records, checkpoints, size, tile_states, chain), None
+    return _check_entries(records, checkpoints, size, tile_states), None
 
 
-def _check_entries(
-    records, checkpoints, size: int, states: list, chain: bytes
-) -> IntegrityReport:
+def _check_entries(records, checkpoints, size: int, states: list) -> IntegrityReport:
     """``check_integrity`` entry by entry, from entry ``size`` of the open files on.
 
-    ``states`` and ``chain`` are the tree's peak states and chain value at
-    ``size``, and each entry goes through ``_kernels.push_node`` as in
-    ``append``.  The first ``LogDamage`` outranks a divergence, so the files
-    are read to the end.
+    ``states`` are the tree's peak states at ``size``, and each entry goes
+    through ``_kernels.push_node`` as in ``append``.  The first ``LogDamage``
+    outranks a divergence, so the files are read to the end.
     """
-    hash_leaf, chain_update, push_node = (
-        _kernels.hash_leaf, _kernels.chain_update, _kernels.push_node
-    )
+    hash_leaf, push_node = _kernels.hash_leaf, _kernels.push_node
     diverged: Optional[int] = None
     try:
         for size, (record, line) in enumerate(_read_log(records, checkpoints, size), size + 1):
             if diverged is not None:
                 continue
-            leaf = hash_leaf(record)
-            chain = chain_update(chain, leaf)
-            root = push_node(states, size - 1, leaf)[1][0]
-            if line["chain"] != chain.hex().encode() or line["root"] != root.hex().encode():
+            root = push_node(states, size - 1, hash_leaf(record))[1][0]
+            if line["root"] != hexlify(root):
                 diverged = size - 1
     except LogDamage as exc:
         return IntegrityReport(False, exc.index, str(exc))
     if diverged is not None:
-        return IntegrityReport(False, diverged, "stored root or chain value diverges from replay")
+        return IntegrityReport(False, diverged, "stored root diverges from replay")
     return IntegrityReport(True, None, f"{size} entries verified")

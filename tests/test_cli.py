@@ -458,7 +458,7 @@ class TestBenchAndStats:
         rc = main(["bench", "--out", str(out), "--sizes", "50,100",
                    "--seed", "99", "--audit-probability", "0.3"])
         assert rc == EXIT_OK
-        for name in ("outcomes.csv", "metrics.csv", "growth.csv",
+        for name in ("outcomes.csv", "metrics.csv",
                      "evidence.ndjson", "receipts.ndjson", "stats.json", "run-report.json"):
             assert (out / name).exists(), name
         report = json.loads((out / "run-report.json").read_text())
@@ -510,12 +510,13 @@ class TestBenchAndStats:
          {"backends": first_backend(output=[float("inf"), 96.0, 0.15])},
          {"key_ids": [1, 2], "revoke_key": 2}, {"scheme": "rsa-1024"},
          {"backends": DEFAULT_BACKENDS[:1], "sizes": [50]},
-         {"backends": [{**b, "backend_id": i} for i, b in enumerate(DEFAULT_BACKENDS)]}],
+         {"backends": [{**b, "backend_id": i} for i, b in enumerate(DEFAULT_BACKENDS)]},
+         {"sizes": [50.7]}, {"sizes": [True]}],
         ids=["sizes-not-list", "size-not-number", "key-ids-not-list", "backends-not-list",
              "seed-not-integer", "unknown-key", "jitter-nan", "jitter-inf",
              "base-time-not-number", "base-time-bool", "base-time-float", "mix-weight-nan",
              "latency-nan", "output-inf", "key-ids-not-strings", "unknown-scheme",
-             "one-backend", "backend-ids-not-strings"],
+             "one-backend", "backend-ids-not-strings", "size-float", "size-bool"],
     )
     def test_malformed_config_field_exits_1(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"
@@ -524,6 +525,17 @@ class TestBenchAndStats:
         assert rc == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "b").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--sizes", "50", "--invalid-fraction", "1"], ["--sizes", "1"]],
+        ids=["no-successes", "one-outcome"],
+    )
+    def test_a_run_whose_statistics_fail_writes_no_export(self, tmp_path, capsys, args):
+        out = tmp_path / "bench"
+        assert main(["bench", "--out", str(out), *args]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["logs"]
 
     @pytest.mark.parametrize(
         "scenario, outcomes_sha, stats_sha",
@@ -686,8 +698,6 @@ class TestExportBytes:
             "c0890e12f240341aa7e4cf9b2ebd2e022d0747fb48a63fc9c4dd68585e972e1c",
         "metrics.csv":
             "5bf7fd7986064322f02bc3761788f6e69f8aeeb001edd76da4fe50e0d865f1f2",
-        "growth.csv":
-            "d18f7170f8737d380e0ca344c30713aa7c0b6a548db5af85b83873bb3396a32e",
         "evidence.ndjson":
             "944be6f12fc62c03cb1257922420e1e067b4a7638655d3b458e7d40e37c8eba1",
         "receipts.ndjson":

@@ -40,7 +40,6 @@ from manifestd.harness import (
     run_report_dict,
     select_backend,
     write_records_csv,
-    write_growth_csv,
     write_ndjson,
 )
 from manifestd.audit import EvidenceTuple
@@ -73,6 +72,8 @@ class TestConfigValidation:
             {"sizes": (100, 100)},
             {"sizes": (500, 100)},
             {"sizes": (0,)},
+            {"sizes": (50.7,)},
+            {"sizes": (True,)},
             {"invalid_fraction": 1.5},
             {"jitter_epsilon_ms": -1.0},
             {"audit_probability": -0.1},
@@ -410,14 +411,6 @@ class TestArtifacts:
         lines = path.read_text().splitlines()
         assert len(lines) == 1 + len(SMALL.sizes)
         assert lines[0].startswith("workload_id,scale,")
-
-    def test_growth_csv(self, small_run, tmp_path):
-        result, _ = small_run
-        path = tmp_path / "growth.csv"
-        write_growth_csv(path, result.scale_reports)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "entries,bytes"
-        assert lines[1:] == [f"{r.scale},{r.log_bytes}" for r in result.scale_reports]
 
     def test_evidence_ndjson_round_trips(self, small_run, tmp_path):
         result, _ = small_run

@@ -137,14 +137,6 @@ class TestBackend:
         bad = [(kern.sha256(b"evil"), side) for _, side in path]
         assert kern.fold_path(hashes[3], bad) != root
 
-    def test_chain_update_is_prefix_hash(self, kern):
-        state = bytes(32)
-        leaf = oracle_leaf(b"first")
-        expected = hashlib.sha256(state + leaf).digest()
-        assert kern.chain_update(state, leaf) == expected
-        with pytest.raises(ValueError):
-            kern.chain_update(state[:-1], leaf)
-
     def test_verify_checkpoints_accepts_honest_sequence(self, kern, tmp_path):
         log, hashes = log_with(tmp_path, 24)
         log.close()
@@ -159,17 +151,13 @@ class TestBackend:
         log, _ = log_with(tmp_path, 24)
         log.close()
         path = tmp_path / CHECKPOINTS_NAME
-        honest = path.read_text().splitlines()
-        # field 1 is the root, field 2 the chain value
-        for field in (1, 2):
-            lines = list(honest)
-            parts = lines[bad_at].split()
-            parts[field] = kern.sha256(b"forged %d" % field).hex()
-            lines[bad_at] = " ".join(parts)
-            path.write_text("\n".join(lines) + "\n")
-            report = check_integrity(tmp_path)
-            assert not report.ok
-            assert report.tampered_at == bad_at
+        lines = path.read_text().splitlines()
+        size, _ = lines[bad_at].split()
+        lines[bad_at] = f"{size} {kern.sha256(b'forged').hex()}"
+        path.write_text("\n".join(lines) + "\n")
+        report = check_integrity(tmp_path)
+        assert not report.ok
+        assert report.tampered_at == bad_at
 
 
 def peak_digests(states):
@@ -256,41 +244,20 @@ def test_hash_pairs_matches_single_interior_hashes(pairs):
             assert _kernels.ops() == before, packed_type
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5])
-def test_fold_chain_matches_chain_updates(n):
-    hashes = [_kernels.sha256(d) for d in leaves_for(n)]
-    expected = bytes(32)
-    for leaf in hashes:
-        expected = hashlib.sha256(expected + leaf).digest()
-    packed = b"".join(hashes)
-    for packed_type in PACKED_TYPES:
-        before = _kernels.ops()
-        assert _kernels.fold_chain(bytes(32), packed_type(packed)) == expected, packed_type
-        assert _kernels.ops() - before == n, packed_type
-        for prev, partial in ((bytes(32), packed + bytes(31)), (bytes(31), b"")):
-            before = _kernels.ops()
-            with pytest.raises(ValueError):
-                _kernels.fold_chain(prev, packed_type(partial))
-            assert _kernels.ops() == before, packed_type
-
-
 @pytest.mark.parametrize("count", [0, 1, 5, 7, 8, 255, 256])
 @pytest.mark.parametrize("batch", [0, 1, 2, 9, 256, 257])
 def test_prefix_roots_does_the_hashes_of_a_push_and_fold_per_leaf(count, batch):
     hashes = [_kernels.sha256(d) for d in leaves_for(count + batch)]
-    states, chain = [], bytes(32)
+    states = []
     for size, leaf in enumerate(hashes[:count]):
         _kernels.push_node(states, size, leaf)
-        chain = _kernels.chain_update(chain, leaf)
-    start_chain, expected_states, roots, chains = chain, list(states), [], []
+    expected_states, roots = list(states), []
     _kernels.reset_ops()
     for size, leaf in enumerate(hashes[count:], count):
-        chain = _kernels.chain_update(chain, leaf)
         roots.append(_kernels.push_node(expected_states, size, leaf)[1][0])
-        chains.append(chain)
     per_leaf = _kernels.ops()
     _kernels.reset_ops()
-    assert _kernels.prefix_roots(states, count, start_chain, hashes[count:]) == (roots, chains)
+    assert _kernels.prefix_roots(states, count, hashes[count:]) == roots
     assert _kernels.ops() == per_leaf
     assert peak_digests(states) == peak_digests(expected_states)
     assert roots == [oracle_root(hashes[:size]) for size in range(count + 1, count + batch + 1)]
@@ -308,23 +275,19 @@ def test_ops_counter_counts_tree_work_only():
     assert kern.ops() == 6
     kern.fold_path(hashes[2], [(hashes[3], 1)])
     assert kern.ops() == 7
-    kern.chain_update(bytes(32), hashes[0])
-    assert kern.ops() == 8
     # a refused path counts the hashes made before the element it refused
     with pytest.raises(ValueError):
         kern.fold_path(hashes[0], [(hashes[1], 1), (hashes[2], 1), (hashes[3], 2)])
-    assert kern.ops() == 10
+    assert kern.ops() == 9
 
 
 def test_selected_backend_exports_everything():
     for name in (
         "sha256",
         "hash_leaf",
-        "chain_update",
         "fold_path",
         "push_node",
         "hash_pairs",
-        "fold_chain",
         "prefix_roots",
         "ops",
         "reset_ops",

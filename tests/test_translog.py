@@ -33,7 +33,6 @@ from manifestd import _kernels
 from manifestd.errors import EncodingError, OutOfRange, StorageError
 from manifestd.manifest import Manifest, ManifestDigest, digest
 from manifestd.translog import (
-    CHAIN_GENESIS,
     CHECKPOINTS_NAME,
     LEAVES_NAME,
     MAX_RECORD_BYTES,
@@ -84,16 +83,10 @@ def naive_root(records):
     return node([leaf(r) for r in records])
 
 
-def naive_chain(records):
-    state = bytes(32)
-    for r in records:
-        state = hashlib.sha256(state + hashlib.sha256(b"\x00" + r).digest()).digest()
-    return state
-
-
-def last_chain(directory):
-    """The chain field of the last checkpoint line in ``directory``."""
-    return bytes.fromhex((directory / CHECKPOINTS_NAME).read_text().split()[-1])
+def last_line(directory):
+    """The last checkpoint line in ``directory``, as ``(size, root)``."""
+    size, root_hex = (directory / CHECKPOINTS_NAME).read_text().splitlines()[-1].split(" ")
+    return int(size), bytes.fromhex(root_hex)
 
 
 def fill(log, n, start=0):
@@ -135,10 +128,10 @@ class TestAppendAndRoots:
             assert log.current_root().value == expected
             assert log.current_root().tree_size == n
 
-    def test_chain_matches_naive_rebuild(self, tmp_path):
+    def test_last_line_matches_naive_rebuild(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
             fill(log, 17)
-            assert last_chain(tmp_path) == naive_chain(naive_records(tmp_path))
+            assert last_line(tmp_path) == (17, naive_root(naive_records(tmp_path)))
 
     def test_intermediate_roots_match_prefix_rebuilds(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
@@ -155,10 +148,7 @@ class TestAppendAndRoots:
             lines = (tmp_path / CHECKPOINTS_NAME).read_text().splitlines()
             assert len(lines) == 5
             for i, line in enumerate(lines):
-                size, root_hex, chain_hex = line.split()
-                assert int(size) == i + 1
-                assert root_hex == roots[i].hex
-                assert len(chain_hex) == 64
+                assert line == f"{i + 1} {roots[i].hex}"
 
     def test_entry_round_trip(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
@@ -384,11 +374,11 @@ class TestAppendInputs:
 def append_hashes(size):
     """Tree hashes of the append that takes a log from ``size`` to ``size + 1`` entries.
 
-    A leaf and a chain hash, a merge per trailing one-bit of ``size``, and
+    A leaf hash, a merge per trailing one-bit of ``size``, and
     popcount(size + 1) - 1 folds for the new root.
     """
     trailing_ones = (~size & (size + 1)).bit_length() - 1
-    return 2 + trailing_ones + (size + 1).bit_count() - 1
+    return 1 + trailing_ones + (size + 1).bit_count() - 1
 
 
 #: Every append up to this size is counted hash by hash.
@@ -415,7 +405,7 @@ class TestAppendCost:
 
     @pytest.mark.parametrize("n", [1, 255, 1000, 4097])
     def test_n_seeded_appends_cost_the_closed_form(self, tmp_path, n):
-        # a leaf and a chain hash each, n - popcount(n) merges in all, and
+        # a leaf hash each, n - popcount(n) merges in all, and
         # popcount(k) - 1 folds for the root at every size k
         rng = random.Random(n)
         before = _kernels.ops()
@@ -424,7 +414,7 @@ class TestAppendCost:
                 log.append(ManifestDigest(rng.randbytes(32)), rng.randbytes(71),
                            f"key-{i % 4}", appended_at=rng.randrange(1 << 41))
         folds = sum(k.bit_count() - 1 for k in range(1, n + 1))
-        assert _kernels.ops() - before == 2 * n + (n - n.bit_count()) + folds
+        assert _kernels.ops() - before == n + (n - n.bit_count()) + folds
 
     def test_each_append_makes_one_write_per_file(self, tmp_path, monkeypatch):
         written = []
@@ -453,10 +443,12 @@ class TestAppendCost:
 
 
 #: SHA-256 of each log file ``golden_log`` writes, computed when records
-#: were encoded by ``json.dumps``: they pin the on-disk format.
+#: were encoded by ``json.dumps``: they pin the on-disk format.  The
+#: checkpoints digest is that of the file as written when each line also
+#: held a chain value, with that third field cut from every line.
 GOLDEN_FILES = {
     RECORDS_NAME: "f874caa90c55deb96103177c2da9e8787551564cfee7a3e13a9d3a82ea8fe308",
-    CHECKPOINTS_NAME: "1b0bc32eb5b225b000ade3571fd669a706c1f37277875479a06d3c808fdec8cf",
+    CHECKPOINTS_NAME: "3de7b1b6090536a6b1764897f6c49ddc6ad267d0b9a2b3a5cfe045c5069dbc39",
     LEAVES_NAME: "9a8f9a0fc04a110541935dc5bd16efcc0b6eaea618c9ab673bce648a1b7c5225",
 }
 
@@ -982,9 +974,9 @@ class TestPersistence:
             assert reopened.size == size
             assert reopened.current_root() == root
             assert reopened.entry(7).index == 7
-            # the chain goes on from the value reopening restored
+            # the tree goes on from the peaks reopening restored
             fill(reopened, 1, start=size)
-            assert last_chain(tmp_path) == naive_chain(naive_records(tmp_path))
+            assert last_line(tmp_path) == (size + 1, naive_root(naive_records(tmp_path)))
 
     def test_appends_after_restart_extend_the_same_tree(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
@@ -1003,12 +995,29 @@ class TestPersistence:
             fill(log, 5)
         path = tmp_path / CHECKPOINTS_NAME
         lines = path.read_text().splitlines()
-        head, root_hex, chain_hex = lines[-1].split()
+        head, root_hex = lines[-1].split()
         forged = root_hex[:-1] + ("0" if root_hex[-1] != "0" else "1")
-        lines[-1] = f"{head} {forged} {chain_hex}"
+        lines[-1] = f"{head} {forged}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(StorageError):
             TransparencyLog(tmp_path)
+
+    def test_a_log_with_three_field_lines_is_refused(self, tmp_path):
+        # lines that also carry a running hash chain after the root,
+        # chain_i = SHA-256(chain_{i-1} || leaf_i), as logs once held
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 5)
+        records = naive_records(tmp_path)
+        chain, lines = bytes(32), []
+        for size, record in enumerate(records, 1):
+            chain = hashlib.sha256(chain + oracle_leaf(record)).digest()
+            lines.append(f"{size} {naive_root(records[:size]).hex()} {chain.hex()}\n")
+        (tmp_path / CHECKPOINTS_NAME).write_text("".join(lines))
+        with pytest.raises(StorageError, match="<tree size> <root hex>"):
+            TransparencyLog(tmp_path)
+        report = check_integrity(tmp_path)
+        assert (report.ok, report.tampered_at) == (False, 0)
+        assert "checkpoint line 0 malformed" in report.detail
 
     @pytest.mark.parametrize("code", [errno.EMFILE, errno.ENOSPC])
     def test_a_first_open_that_stopped_after_the_records_file_left_the_empty_log(
@@ -1085,13 +1094,12 @@ class TestPersistence:
 
 
 def log_state(log):
-    """Everything reopening restores: stored levels, offsets, peak states, edge, chain."""
+    """Everything reopening restores: stored levels, offsets, peak states, edge."""
     return (
         [bytes(level) for level in log._levels],
         list(log._offsets),
         [state.digest() for state in log._states],
         list(log._edge),
-        log._chain,
     )
 
 
@@ -1287,7 +1295,7 @@ class TestLeafIndex:
     @pytest.mark.parametrize("n", [1, 2, 3, TILE_LEAVES - 1, TILE_LEAVES, TILE_LEAVES + 1, 1000])
     def test_reopen_hash_costs(self, tmp_path, monkeypatch, n):
         # with a complete index no record is hashed: n - 1 interior hashes
-        # rebuild the tree and n chain hashes the chain
+        # rebuild the tree
         with TransparencyLog(tmp_path) as log:
             fill(log, n)
         hash_leaf = _kernels.hash_leaf
@@ -1295,13 +1303,13 @@ class TestLeafIndex:
         monkeypatch.setattr(_kernels, "hash_leaf", lambda d: leaf_hashes.append(d) or hash_leaf(d))
         before = _kernels.ops()
         with TransparencyLog(tmp_path) as log:
-            assert _kernels.ops() - before == (n - 1) + n
+            assert _kernels.ops() - before == n - 1
             assert log.reopened == ReopenReport(n, 0, "kept")
         assert leaf_hashes == []
         (tmp_path / LEAVES_NAME).unlink()
         before = _kernels.ops()
         with TransparencyLog(tmp_path) as log:
-            assert _kernels.ops() - before == n + (n - 1) + n
+            assert _kernels.ops() - before == n + (n - 1)
         assert len(leaf_hashes) == n
 
     def test_same_size_record_change_reopens_but_is_refused(self, tmp_path):
@@ -1412,16 +1420,13 @@ class TestTamperDetection:
         original = path.read_text()
         lines = original.splitlines()
         for lineno in (0, 4, 9):
-            for field in (1, 2):
-                parts = lines[lineno].split()
-                value = parts[field]
-                parts[field] = ("0" if value[0] != "0" else "1") + value[1:]
-                doctored = list(lines)
-                doctored[lineno] = " ".join(parts)
-                path.write_text("\n".join(doctored) + "\n")
-                report = check_integrity(tmp_path)
-                assert not report.ok
-                assert report.tampered_at == lineno
+            size, root_hex = lines[lineno].split()
+            doctored = list(lines)
+            doctored[lineno] = f"{size} {'0' if root_hex[0] != '0' else '1'}{root_hex[1:]}"
+            path.write_text("\n".join(doctored) + "\n")
+            report = check_integrity(tmp_path)
+            assert not report.ok
+            assert report.tampered_at == lineno
         path.write_text(original)
         assert check_integrity(tmp_path).ok
 
@@ -1504,14 +1509,14 @@ class TestTamperDetection:
         with TransparencyLog(tmp_path) as log:
             fill(log, 1024)
         per_append = _kernels.ops() / 1024
-        # leaf + chain + peak merges amortize to ~2 + popcount churn; root
+        # leaf + peak merges amortize to ~2 + popcount churn; root
         # folding adds the peak count. A naive rebuild would cost ~n per
         # append, three orders of magnitude more at this size.
         assert per_append < 15
 
 
 #: A checkpoint line exactly as ``append`` writes it, for the reference replay.
-_REFERENCE_LINE = re.compile(rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64}) (?P<chain>[0-9a-f]{64})\n")
+_REFERENCE_LINE = re.compile(rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64})\n")
 
 
 class _Damaged(Exception):
@@ -1537,24 +1542,23 @@ def _reference_frames(data):
 def reference_check(directory):
     """``(ok, tampered_at)`` of the entry-by-entry replay ``check_integrity`` was before tiles.
 
-    Each record is framed, its line parsed and its root and chain compared in
-    step; the first framing or line damage outranks the first divergence.
+    Each record is framed, its line parsed and its root compared in step;
+    the first framing or line damage outranks the first divergence.
     """
     try:
         records = (directory / RECORDS_NAME).read_bytes()
         checkpoints = io.BytesIO((directory / CHECKPOINTS_NAME).read_bytes())
     except OSError:
         return False, None
-    chain, peaks, diverged, index = CHAIN_GENESIS, [], None, 0
+    peaks, diverged, index = [], None, 0
     try:
         for record in _reference_frames(records):
             line = _REFERENCE_LINE.fullmatch(checkpoints.readline(256))
             if line is None or int(line[1]) != index + 1:
                 return False, index
             if diverged is None:
-                leaf = hashlib.sha256(b"\x00" + record).digest()
-                chain = hashlib.sha256(chain + leaf).digest()
-                node, trailing = leaf, index
+                node = hashlib.sha256(b"\x00" + record).digest()
+                trailing = index
                 while trailing & 1:
                     node = hashlib.sha256(b"\x01" + peaks.pop() + node).digest()
                     trailing >>= 1
@@ -1562,7 +1566,7 @@ def reference_check(directory):
                 root = peaks[-1]
                 for peak in reversed(peaks[:-1]):
                     root = hashlib.sha256(b"\x01" + peak + root).digest()
-                if (line["root"], line["chain"]) != (root.hex().encode(), chain.hex().encode()):
+                if line["root"] != root.hex().encode():
                     diverged = index
             index += 1
     except _Damaged as exc:
@@ -1725,10 +1729,10 @@ def clean_files(records, lines, n):
 def full_check_hashes(n):
     """The hashes of a full check of n entries.
 
-    A leaf and a chain hash per entry, n - popcount(n) merges in all, and
+    A leaf hash per entry, n - popcount(n) merges in all, and
     popcount(m) - 1 folds for the root at every size m.
     """
-    return 3 * n - n.bit_count() + sum(m.bit_count() - 1 for m in range(1, n + 1))
+    return 2 * n - n.bit_count() + sum(m.bit_count() - 1 for m in range(1, n + 1))
 
 
 def report_of(directory):
