@@ -74,8 +74,9 @@ links = [prove_consistency(m, n) for m in olds]
 fingerprint = hashlib.sha256(current.value)
 for record, proof in zip(records, proofs):
     fingerprint.update(record)
-    for sibling, side in proof.path:
-        fingerprint.update(sibling + bytes([side]))
+    # the sibling hashes only: trees that still pair each with its side agree too
+    for step in proof.path:
+        fingerprint.update(step if isinstance(step, bytes) else step[0])
 for root, link in zip(roots, links):
     fingerprint.update(root.value + b"".join(link))
 

@@ -11,11 +11,12 @@ or folding it with a right child is a ``copy``, an ``update`` and a
 incremental kernel, adds a leaf to those states and returns the nodes it
 completes and the tree's right edge: every partial fold of the peaks from
 the right, the first being the root.  ``fold_path`` folds a node up a path
-of siblings, each on a given side: the check of an inclusion or consistency
-proof, and the fold of an older tree's peaks.  ``hash_pairs`` is the batch
-form of the interior hash over packed 32-byte hashes, for rebuilding a whole
-tree from its leaf hashes; ``prefix_roots`` is the batch form of
-``push_node``, giving the root at every size while leaves are added.
+of sibling hashes, each on the side a bit of a mask gives: the check of an
+inclusion or consistency proof, and the fold of an older tree's peaks.
+``hash_pairs`` is the batch form of the interior hash over packed 32-byte
+hashes, for rebuilding a whole tree from its leaf hashes; ``prefix_roots``
+is the batch form of ``push_node``, giving the root at every size while
+leaves are added.
 
 Every kernel counts its hashes in ``ops``, one per SHA-256 of a leaf or an
 interior node; the kernels that loop add their count once per call.
@@ -88,14 +89,14 @@ def hash_pairs(nodes) -> bytes:
     return b"".join(out)
 
 
-def fold_path(node: bytes, path) -> bytes:
-    """The root that ``node`` folds to up ``path``, a sequence of ``(sibling, side)``.
+def fold_path(node: bytes, path, right: int) -> bytes:
+    """The root that ``node`` folds to up ``path``, a sequence of sibling hashes.
 
-    Side 0 puts the sibling left of the running node, side 1 right; each step
-    is one interior hash.  The node and every sibling must be 32-byte digests
-    and every side 0 or 1.  Each element is checked as the fold reaches it: a
-    bad one raises ``ValueError`` (``TypeError`` for a sibling that is not
-    bytes-like), and only the hashes made before it are counted.
+    Bit k of ``right`` puts sibling k right of the running node, a clear bit
+    left; each step is one interior hash.  The node and every sibling must
+    be 32-byte digests.  Each sibling is checked as the fold reaches it: a
+    bad one raises ``ValueError`` (``TypeError`` if it is not bytes-like),
+    and only the hashes made before it are counted.
     """
     if len(node) != HASH_SIZE:
         raise ValueError("fold_path takes only 32-byte digests")
@@ -103,15 +104,13 @@ def fold_path(node: bytes, path) -> bytes:
     global _ops
     done = 0
     try:
-        for done, (sibling, side) in enumerate(path):
+        for done, sibling in enumerate(path):
             if len(sibling) != HASH_SIZE:
                 raise ValueError("fold_path takes only 32-byte digests")
-            if side == 0:
-                node = sha256(INTERIOR_PREFIX + sibling + node).digest()
-            elif side == 1:
+            if right >> done & 1:
                 node = sha256(INTERIOR_PREFIX + node + sibling).digest()
             else:
-                raise ValueError(f"a path side is 0 or 1, not {side!r}")
+                node = sha256(INTERIOR_PREFIX + sibling + node).digest()
     except (TypeError, ValueError):
         _ops += done
         raise

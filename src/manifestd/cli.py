@@ -444,7 +444,7 @@ def cmd_log_prove(args) -> int:
             "tree_size": proof.tree_size,
             "leaf_hash": leaf.hex(),
             "root": root.hex,
-            "path": [[sibling.hex(), side] for sibling, side in proof.path],
+            "path": [sibling.hex() for sibling in proof.path],
         }
     )
     return EXIT_OK

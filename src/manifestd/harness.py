@@ -26,6 +26,7 @@ import json
 import math
 import time
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -70,6 +71,9 @@ ARRIVAL_SPACING_MS = 1.0
 # does not mask the growth law at the smallest ladder rung.
 BURST_COEFF = 5e-3
 BURST_EXPONENT = 1.3
+
+# Requests in the warm-up batch that run_pipeline runs first and drops.
+WARMUP_SIZE = 256
 
 # Requests per turn when the baseline and secure passes alternate: small
 # enough that both passes see the same host load, large enough that the
@@ -243,9 +247,9 @@ class WorkloadConfig:
                 f = base + step * rank
                 if not 0.0 <= f <= 1.0:
                     raise ConfigError("invalid_ramp leaves [0, 1] over the size ladder")
-        mix_has_revoked = any(k is AttackKind.REVOKED_KEY_USE and w > 0 for k, w in mix)
-        if mix_has_revoked and self.invalid_fraction_at(0) > 0 and self.revoke_key is None:
-            raise ConfigError("revoked-key-use traffic requires revoke_key to be set")
+        # every batch of a run, the warm-up too, can place its revoked-key requests
+        for rank, size in [*enumerate(sizes), (0, WARMUP_SIZE)]:
+            self._attack_counts(size, rank)
 
     def backend_ids(self) -> tuple[str, ...]:
         return tuple(b.backend_id for b in self.backends)
@@ -260,6 +264,25 @@ class WorkloadConfig:
             return self.invalid_fraction
         base, step = self.invalid_ramp
         return base + step * rank
+
+    def _attack_counts(self, scale: int, rank: int) -> dict[AttackKind, int]:
+        """Requests of each ``adversary_mix`` kind in a batch of ``scale`` at ``rank``.
+
+        Revoked-key requests need a ``revoke_key`` and room after the first
+        ``revoke_at_fraction`` of the batch, where the key is revoked.
+        """
+        n_invalid = round(self.invalid_fraction_at(rank) * scale)
+        kinds = [k for k, _ in self.adversary_mix]
+        weights = [w for _, w in self.adversary_mix]
+        counts = dict(zip(kinds, _largest_remainder(n_invalid, weights)))
+        revoked = counts.get(AttackKind.REVOKED_KEY_USE, 0)
+        revoke_at = math.ceil(self.revoke_at_fraction * scale)
+        if revoked and self.revoke_key is None:
+            raise ConfigError("revoked-key-use traffic requires revoke_key to be set")
+        if revoked > scale - revoke_at:
+            raise ConfigError(f"cannot place {revoked} revoked-key requests after index "
+                              f"{revoke_at} in a batch of {scale}")
+        return counts
 
 
 def revocation_preset(base: Optional[WorkloadConfig] = None) -> WorkloadConfig:
@@ -424,42 +447,21 @@ def generate_batch(cfg: WorkloadConfig, scale: int, rng) -> list[Request]:
     if not 0.0 <= fraction <= 1.0:
         raise ConfigError(f"invalid fraction {fraction} at rank {rank}")
     n_invalid = round(fraction * scale)
-    kinds = [k for k, _ in cfg.adversary_mix]
-    weights = [w for _, w in cfg.adversary_mix]
-    alloc = _largest_remainder(n_invalid, weights) if n_invalid else [0] * len(kinds)
+    counts = cfg._attack_counts(scale, rank)
 
-    kind_of: dict[int, AttackKind] = {}
+    # Places are handed out in the order of perm: the revoked-key requests
+    # take the first ones after the revocation, each other kind in turn the
+    # next free ones, and the warnings the free ones after those.
     perm = [int(i) for i in rng.permutation(scale)]
-    n_revoked = sum(a for k, a in zip(kinds, alloc) if k is AttackKind.REVOKED_KEY_USE)
-    cursor_positions = perm
-    if n_revoked:
-        if cfg.revoke_key is None:
-            raise ConfigError("revoked-key-use traffic requires revoke_key")
-        revoke_at = math.ceil(cfg.revoke_at_fraction * scale)
-        tail = [i for i in perm if i >= revoke_at]
-        if len(tail) < n_revoked:
-            raise ConfigError(
-                f"cannot place {n_revoked} revoked-key requests after index {revoke_at}"
-            )
-        for i in tail[:n_revoked]:
-            kind_of[i] = AttackKind.REVOKED_KEY_USE
-        cursor_positions = [i for i in perm if i not in kind_of]
-    cursor = 0
-    for kind, count in zip(kinds, alloc):
-        if kind is AttackKind.REVOKED_KEY_USE:
-            continue
-        for _ in range(count):
-            kind_of[cursor_positions[cursor]] = kind
-            cursor += 1
-
-    n_valid = scale - n_invalid
-    n_warn = min(n_valid, round((WARN_BASE + WARN_STEP * rank) * scale))
-    warn_positions = set()
-    for i in perm:
-        if len(warn_positions) == n_warn:
-            break
-        if i not in kind_of:
-            warn_positions.add(i)
+    revoke_at = math.ceil(cfg.revoke_at_fraction * scale)
+    revoked = [i for i in perm if i >= revoke_at][:counts.get(AttackKind.REVOKED_KEY_USE, 0)]
+    kind_of = dict.fromkeys(revoked, AttackKind.REVOKED_KEY_USE)
+    free = iter([i for i in perm if i not in kind_of])
+    for kind, count in counts.items():
+        if kind is not AttackKind.REVOKED_KEY_USE:
+            kind_of.update((i, kind) for i in islice(free, count))
+    n_warn = min(scale - n_invalid, round((WARN_BASE + WARN_STEP * rank) * scale))
+    warn_positions = set(islice(free, n_warn))
 
     backend_ids = cfg.backend_ids()
     requests: list[Request] = []
@@ -645,14 +647,15 @@ def _corrupt(signature: bytes) -> bytes:
 def run_pipeline(cfg: WorkloadConfig, out_dir: Union[str, Path]) -> RunResult:
     """Run the full ladder; returns outcomes, per-scale metrics, and audits.
 
-    A warm-up scale of 256 requests, on the next seed, runs first and is
-    dropped.  Each scale's log is kept under ``out_dir/logs``.
+    A warm-up scale of ``WARMUP_SIZE`` requests, on the next seed, runs
+    first and is dropped.  Each scale's log is kept under ``out_dir/logs``.
     """
     t_start = time.perf_counter()
     out_dir = Path(out_dir)
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)
-    _run_scale(replace(cfg, sizes=(256,), seed=cfg.seed + 1), 256, logs_dir / "warmup")
+    warmup = replace(cfg, sizes=(WARMUP_SIZE,), seed=cfg.seed + 1)
+    _run_scale(warmup, WARMUP_SIZE, logs_dir / "warmup")
 
     outcomes: list[ExecutionOutcome] = []
     reports: list[ScaleReport] = []

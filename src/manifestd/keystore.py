@@ -185,9 +185,6 @@ class Keystore:
             revoked=record.revoked,
         )
 
-    def handle(self, key_id: str) -> KeyHandle:
-        return self._handle(self._record(key_id))
-
     def list_keys(self) -> list[KeyHandle]:
         return [self._handle(r) for r in self._keys.values()]
 

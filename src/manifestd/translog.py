@@ -17,14 +17,15 @@ the log keeps every partial fold of the current tree (its "right edge").
 Each peak is also kept as a SHA-256 state that has taken the interior prefix
 and the peak, and ``_kernels.push_node`` does the merges and the fold on
 copies of those states.
-An inclusion proof (RFC 9162 format) walks up from the leaf: its siblings
-are stored nodes, except at most one, the fold of the peaks below some
+An inclusion proof (RFC 9162 format) is the sibling hashes from the leaf
+up: stored nodes, except at most one, the fold of the peaks below some
 level, which at the current size is an element of the right edge.  A
 consistency proof is the same walk from the largest perfect subtree that
 ends at the old size.  So a proof or a root at the current size reads
 stored nodes only, 0 hashes, and at an older size m folds m's stored peaks
-once: at most popcount(m) - 1 hashes.  Both verifiers are
-``_kernels.fold_path`` walks.
+once: at most popcount(m) - 1 hashes.  Neither proof carries sides:
+``_sides`` derives them, and both verifiers are ``_kernels.fold_path``
+walks.
 
 A log directory holds three files.  ``log.records`` holds the records, each
 a 4-byte big-endian length and that many bytes in one fixed JSON layout,
@@ -36,14 +37,8 @@ may lag behind the other two files.
 
 An open log writes the records and checkpoints files through one
 ``O_WRONLY | O_APPEND`` descriptor each, with no buffer in between: an
-append is one ``os.write`` of the length prefix and the record, then one of
-the checkpoint line.  A failed or short write cuts both files back to their
-lengths before the append (``os.ftruncate``) and raises ``StorageError``,
-so a failed append leaves the files and the handle as they were.  If the
-cut fails too, the handle refuses every later append, naming that first
-failure, and its reads keep serving the entries appended before it.  A
-failed write of the index fails no append: the handle stops writing the
-index, which then lags, and reopening extends it.
+append is one ``os.write`` on each (``append`` says what a failed write
+leaves).
 
 An open log holds one read-only descriptor on the records file; ``entry``
 reads a record with one ``os.pread`` at its stored offset and checks it
@@ -74,29 +69,19 @@ kernel that rebuilds the levels walks the packed leaf hashes with
 ``struct.iter_unpack``.
 
 ``check_integrity`` compares every checkpoint's root with a full replay,
-O(n log n) hashes, and reports the first entry that fails; its memory does
-not grow with the log.  It works a tile of ``TILE_LEAVES`` entries at a
-time: it frames and hashes the tile's records, computes the root at every
-size in the tile in one ``_kernels.prefix_roots`` call, and compares the
-checkpoint lines ``append`` would have written with the same bytes of the
-checkpoints file.  A line has exactly one valid form, so one byte compare
-checks every line's form, size and root, and the hashes are exactly those
-of an entry-by-entry replay.  Only at the first tile that fails to frame or
-compare does the entry-by-entry reader, ``_read_log``, take over, from that
-tile's first entry and with its peaks, to name the first bad entry.
-
-Every byte the check reads also goes through one SHA-256 per file.  On an ok
-report this process holds, in memory only and for at most ``HELD_CHECKS``
-directories, what it verified: the entry count m, the records file's length
-at m, both files' SHA-256 digests up to m, and the peak states at m (an
-RFC 9162 §8.3 monitor's last verified tree head).  It is never read from
-or written to a file, and only an ok report of this process makes it.  The next check of
-that directory streams each held prefix through ``hashlib``; if both
-digests match, the tile loop resumes at entry m with the held states, so a
+O(n log n) hashes, a tile of ``TILE_LEAVES`` entries at a time, and reports
+the first entry that fails; its memory does not grow with the log.  On an
+ok report this process holds, in memory only and for at most
+``HELD_CHECKS`` directories, what it verified: the entry count m, the
+records file's length at m, the SHA-256 digests of both files up to m, and
+the peak states at m (an RFC 9162 §8.3 monitor's last verified tree head).
+Only an ok report of this process makes it, and no file holds it.  The
+next check of that directory hashes each held prefix; if both digests
+match, the tile loop resumes at entry m with the held states, so a
 re-check costs one SHA-256 pass over both files plus the hashes of the
-entries after m.  Otherwise, or if either file is shorter, the full check
-runs and localizes, and a report that is not ok drops the held state.  The
-reports are those of the full check on every input.
+entries after m.  Otherwise the full check runs and localizes, and a report
+that is not ok drops the held state.  The reports are those of the full
+check on every input.
 """
 
 from __future__ import annotations
@@ -258,14 +243,14 @@ class LogEntry:
 
 @dataclass(frozen=True)
 class MerkleProof:
-    """Inclusion proof: sibling hashes bottom-up with their sides.
+    """Inclusion proof: the sibling hashes from the leaf up, as RFC 9162 §2.1.3.
 
-    Side 0 means the sibling is left of the running node, side 1 right.
+    Where each sibling sits follows from ``leaf_index`` and ``tree_size``.
     """
 
     leaf_index: int
     tree_size: int
-    path: tuple[tuple[bytes, int], ...]
+    path: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -510,7 +495,7 @@ class TransparencyLog:
         if tree_size == len(self._offsets) - 1:
             return self._edge[(tree_size >> below).bit_count()]
         peaks = _peaks_below(self._levels, tree_size, below)
-        return _kernels.fold_path(peaks[0], [(peak, 0) for peak in peaks[1:]])
+        return _kernels.fold_path(peaks[0], peaks[1:], 0)
 
     def entry(self, index: int) -> LogEntry:
         """Entry ``index``, read with one ``pread`` and checked against its leaf hash."""
@@ -554,9 +539,9 @@ class TransparencyLog:
             raise OutOfRange(f"index {index} outside tree of size {tree_size}")
         return MerkleProof(index, tree_size, tuple(self._path(index, 0, tree_size)))
 
-    def _path(self, index: int, level: int, tree_size: int) -> list[tuple[bytes, int]]:
-        """The siblings, bottom-up and with their sides, from stored node ``index``
-        on ``level`` to the root of the tree at ``tree_size``, which holds it.
+    def _path(self, index: int, level: int, tree_size: int) -> list[bytes]:
+        """The siblings, bottom-up, from stored node ``index`` on ``level`` to
+        the root of the tree at ``tree_size``, which holds it.
 
         The node lies in the peak on level ``top``, the highest bit where its
         first leaf and ``tree_size`` differ; below it the siblings are stored
@@ -566,16 +551,15 @@ class TransparencyLog:
         levels, node = self._levels, _NODE.unpack_from
         top = (index << level ^ tree_size).bit_length() - 1
         path = [
-            (node(levels[level + up], (index >> up ^ 1) * _kernels.HASH_SIZE)[0],
-             (index >> up & 1) ^ 1)
+            node(levels[level + up], (index >> up ^ 1) * _kernels.HASH_SIZE)[0]
             for up in range(top - level)
         ]
         if tree_size & ((1 << top) - 1):
-            path.append((self._peaks_root(tree_size, top), 1))
+            path.append(self._peaks_root(tree_size, top))
         for peak in range(top + 1, tree_size.bit_length()):
             if tree_size >> peak & 1:
                 at = ((tree_size >> peak) - 1) * _kernels.HASH_SIZE
-                path.append((node(levels[peak], at)[0], 0))
+                path.append(node(levels[peak], at)[0])
         return path
 
     def growth_series(self, sample_sizes: Optional[Sequence[int]] = None) -> list[tuple[int, int]]:
@@ -609,7 +593,7 @@ class TransparencyLog:
             return ()
         level = (old_size & -old_size).bit_length() - 1
         index = (old_size - 1) >> level
-        nodes = [sibling for sibling, _ in self._path(index, level, new_size)]
+        nodes = self._path(index, level, new_size)
         if index:
             nodes.insert(0, _NODE.unpack_from(self._levels[level], index * _kernels.HASH_SIZE)[0])
         return tuple(nodes)
@@ -758,16 +742,37 @@ def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
         raise StorageError(f"cannot write {path}: {exc}") from exc
 
 
+def _sides(node: int, last: int) -> tuple[int, int]:
+    """The path length from ``node`` to the root over nodes 0 to ``last`` of
+    its level, and a mask whose bit k puts sibling k on the right.
+
+    RFC 9162 §2.1.3.2: below the highest bit where the two differ, each
+    level holds one sibling, on the right where ``node``'s bit is clear;
+    above it, each set bit of ``node`` is a sibling on the left.
+    """
+    differ = (node ^ last).bit_length()
+    return differ + (node >> differ).bit_count(), ~node & ((1 << differ) - 1)
+
+
 def verify_inclusion(leaf_hash: bytes, proof: MerkleProof, root: MerkleRoot) -> bool:
     """Accept iff the proof folds from the leaf hash to exactly this root.
 
-    A malformed proof (an element that is not a 32-byte digest on side 0 or
-    1) is refused, never an error.
+    ``_sides`` gives the path's length and sides from the leaf index and
+    tree size, so a proof holds for its own index only.  A malformed proof
+    (an index or size that is not an ``int``, a path of the wrong length,
+    which costs no hash, or an element that is not a 32-byte digest) is
+    refused, never an error.
     """
-    if proof.tree_size != root.tree_size or not 0 <= proof.leaf_index < proof.tree_size:
+    index, size = proof.leaf_index, proof.tree_size
+    if type(index) is not int or type(size) is not int:
         return False
+    if size != root.tree_size or not 0 <= index < size:
+        return False
+    length, right = _sides(index, size - 1)
     try:
-        return _kernels.fold_path(leaf_hash, proof.path) == root.value
+        if len(proof.path) != length:
+            return False
+        return _kernels.fold_path(leaf_hash, proof.path, right) == root.value
     except (TypeError, ValueError):
         return False
 
@@ -779,40 +784,36 @@ def verify_consistency(
 ) -> bool:
     """Accept iff ``new_root`` extends ``old_root`` per the supplied proof.
 
-    RFC 9162's check, with the role of each proof element worked out from
-    the two sizes alone.  The first element, unless the old size is a power
-    of two (then the old root), seeds two folds: ``fr`` towards the old root
-    and ``sr`` towards the new.  Each later element is a left sibling of
-    both, or a right sibling of ``sr`` only, so the proof is two
-    ``fold_path`` calls with the hashes of the step-by-step check.  A proof
-    of the wrong length or with a malformed element is refused, never an
-    error.
+    RFC 9162's check, with the role of each element worked out from the two
+    sizes alone.  The first element, unless the old size is a power of two
+    (then the old root), seeds two folds: ``fr`` towards the old root and
+    ``sr`` towards the new.  The rest is the inclusion path of the old
+    tree's last perfect subtree in the new tree, sided by ``_sides``: a left
+    sibling is one of both folds, a right one of ``sr`` only, so the proof
+    is two ``fold_path`` calls with the hashes of the step-by-step check.  A
+    size that is not an ``int``, a proof of the wrong length or a malformed
+    element is refused, never an error.
     """
     m, n = old_root.tree_size, new_root.tree_size
+    if type(m) is not int or type(n) is not int:
+        return False
     if m == n:
         return not proof and old_root.value == new_root.value
     if not 0 < m < n:
         return False
-    node, last = m - 1, n - 1
-    # levels where the old tree's last node is a right child hold no element
-    trailing = (~node & (node + 1)).bit_length() - 1
-    node >>= trailing
-    last >>= trailing
-    # After the seed, one element per level below the highest bit where node
-    # and last differ: a left sibling of both folds where node's bit is set,
-    # a right sibling of sr's where it is clear.  Above that bit node and
-    # last agree, and each set bit of node is a left sibling of both.
-    differ = (node ^ last).bit_length()
-    sides = [node >> level & 1 ^ 1 for level in range(differ)]
-    sides += [0] * (node >> differ).bit_count()
+    # the proof starts from the old tree's last perfect subtree, node
+    # (m - 1) >> level on the level of m's lowest set bit (prove_consistency)
+    level = (m & -m).bit_length() - 1
+    node, last = (m - 1) >> level, (n - 1) >> level
+    length, right = _sides(node, last)
     seeded = node != 0
-    if len(proof) != seeded + len(sides):
+    if len(proof) != seeded + length:
         return False
     seed = proof[0] if seeded else old_root.value
-    path = list(zip(proof[seeded:], sides))
+    path = proof[seeded:]
     try:
-        fr = _kernels.fold_path(seed, [step for step in path if not step[1]])
-        sr = _kernels.fold_path(seed, path)
+        fr = _kernels.fold_path(seed, [p for k, p in enumerate(path) if not right >> k & 1], 0)
+        sr = _kernels.fold_path(seed, path, right)
     except (TypeError, ValueError):
         return False
     return fr == old_root.value and sr == new_root.value

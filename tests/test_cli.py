@@ -30,7 +30,14 @@ from manifestd.harness import (
 )
 from manifestd.manifest import ManifestDigest
 from manifestd.policy import Severity
-from manifestd.translog import LEAVES_NAME, RECORDS_NAME, MerkleRoot, TransparencyLog
+from manifestd.translog import (
+    LEAVES_NAME,
+    RECORDS_NAME,
+    MerkleProof,
+    MerkleRoot,
+    TransparencyLog,
+    verify_inclusion,
+)
 
 NOW = 1_755_000_000_000
 DEFAULT_BACKENDS = config_to_dict(WorkloadConfig())["backends"]
@@ -352,10 +359,15 @@ class TestLogCommands:
     def test_log_prove_emits_verifiable_proof(self, logged, capsys):
         assert main(["log-prove", "--log-dir", str(logged), "--index", "2"]) == EXIT_OK
         proof = emitted(capsys)[-1]
-        node = bytes.fromhex(proof["leaf_hash"])
-        path = [(bytes.fromhex(h), side) for h, side in proof["path"]]
-        assert _kernels.fold_path(node, path).hex() == proof["root"]
-        assert proof["tree_size"] == 5
+        # the printed proof is all a verifier needs: hashes, index and size
+        path = tuple(bytes.fromhex(h) for h in proof["path"])
+        size = proof["tree_size"]
+        assert size == 5 and proof["leaf_index"] == 2
+        assert verify_inclusion(
+            bytes.fromhex(proof["leaf_hash"]),
+            MerkleProof(proof["leaf_index"], size, path),
+            MerkleRoot(bytes.fromhex(proof["root"]), size),
+        )
 
     def test_log_prove_out_of_range_exits_1(self, logged):
         assert main(["log-prove", "--log-dir", str(logged), "--index", "99"]) == EXIT_CONFIG
@@ -511,12 +523,16 @@ class TestBenchAndStats:
          {"key_ids": [1, 2], "revoke_key": 2}, {"scheme": "rsa-1024"},
          {"backends": DEFAULT_BACKENDS[:1], "sizes": [50]},
          {"backends": [{**b, "backend_id": i} for i, b in enumerate(DEFAULT_BACKENDS)]},
-         {"sizes": [50.7]}, {"sizes": [True]}],
+         {"sizes": [50.7]}, {"sizes": [True]},
+         {"sizes": [10, 20], "invalid_ramp": [0.0, 0.5], "revoke_key": None},
+         {"sizes": [10, 20], "adversary_mix": {"revoked-key-use": 1.0},
+          "invalid_fraction": 0.9}],
         ids=["sizes-not-list", "size-not-number", "key-ids-not-list", "backends-not-list",
              "seed-not-integer", "unknown-key", "jitter-nan", "jitter-inf",
              "base-time-not-number", "base-time-bool", "base-time-float", "mix-weight-nan",
              "latency-nan", "output-inf", "key-ids-not-strings", "unknown-scheme",
-             "one-backend", "backend-ids-not-strings", "size-float", "size-bool"],
+             "one-backend", "backend-ids-not-strings", "size-float", "size-bool",
+             "revoked-traffic-at-rank-1-without-key", "revoked-tail-too-short"],
     )
     def test_malformed_config_field_exits_1(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"

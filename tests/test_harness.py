@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from manifestd.audit import recheck_evidence
@@ -16,6 +16,7 @@ from manifestd import _kernels
 from manifestd.harness import (
     ARRIVAL_SPACING_MS,
     OUTCOME_COLUMNS,
+    WARMUP_SIZE,
     AttackKind,
     ErrorKind,
     ExecutionOutcome,
@@ -119,6 +120,22 @@ class TestConfigValidation:
     def test_revoked_traffic_requires_revoke_key(self):
         with pytest.raises(ConfigError):
             WorkloadConfig(revoke_key=None)
+        # at any rank, not only the first
+        with pytest.raises(ConfigError, match="requires revoke_key"):
+            WorkloadConfig(sizes=(10, 20), invalid_ramp=(0.0, 0.5), revoke_key=None)
+
+    @pytest.mark.parametrize(
+        "sizes, fraction, batch",
+        [((10, 20), 0.9, 10), ((1000,), 0.6, WARMUP_SIZE)],
+        ids=["listed-size", "warm-up"],
+    )
+    def test_revoked_requests_must_fit_after_the_revocation(self, sizes, fraction, batch):
+        # checked for every batch a run makes before any runs; 0.6 of 1000
+        # fits after index 400, but 154 of the 256-request warm-up do not
+        # fit after index 103
+        with pytest.raises(ConfigError, match=f"in a batch of {batch}$"):
+            WorkloadConfig(sizes=sizes, invalid_fraction=fraction,
+                           adversary_mix=((AttackKind.REVOKED_KEY_USE, 1.0),))
 
     def test_fraction_ramp(self):
         cfg = WorkloadConfig(invalid_ramp=(0.1, 0.01))
@@ -145,14 +162,21 @@ class TestConfigValidation:
     )
     def test_round_trip_through_json(self, sizes, invalid_fraction, seed, key_ids, jitter,
                                      audit_probability, revoke_at_fraction, preset):
-        cfg = WorkloadConfig(
-            sizes=tuple(sizes), invalid_fraction=invalid_fraction, seed=seed,
-            key_ids=tuple(key_ids), jitter_epsilon_ms=jitter,
-            audit_probability=audit_probability, revoke_key=key_ids[-1],
-            revoke_at_fraction=revoke_at_fraction,
-        )
-        if preset:
-            cfg = revocation_preset(cfg)
+        try:
+            cfg = WorkloadConfig(
+                sizes=tuple(sizes), invalid_fraction=invalid_fraction, seed=seed,
+                key_ids=tuple(key_ids), jitter_epsilon_ms=jitter,
+                audit_probability=audit_probability, revoke_key=key_ids[-1],
+                revoke_at_fraction=revoke_at_fraction,
+            )
+            if preset:
+                cfg = revocation_preset(cfg)
+        except ConfigError as exc:
+            # a batch with more revoked-key requests than fit after the
+            # revocation is refused; every other drawn config round-trips
+            if "cannot place" not in str(exc):
+                raise
+            reject()
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_json_object_has_one_key_per_field(self):

@@ -13,7 +13,13 @@ import pytest
 
 from manifestd import _kernels
 from manifestd.manifest import Manifest, digest
-from manifestd.translog import CHECKPOINTS_NAME, TransparencyLog, check_integrity
+from manifestd.translog import (
+    CHECKPOINTS_NAME,
+    MerkleRoot,
+    TransparencyLog,
+    check_integrity,
+    verify_inclusion,
+)
 
 
 def oracle_leaf(data: bytes) -> bytes:
@@ -40,6 +46,7 @@ def oracle_root(hashes):
 
 
 def oracle_path(hashes, index):
+    # RFC 9162 §2.1.3.1 PATH: sibling hashes only, bottom-up
     n = len(hashes)
     if n == 1:
         return []
@@ -48,8 +55,8 @@ def oracle_path(hashes, index):
         k *= 2
     if index < k:
         # leaf in the left block, sibling subtree root sits to the right
-        return oracle_path(hashes[:k], index) + [(oracle_root(hashes[k:]), 1)]
-    return oracle_path(hashes[k:], index - k) + [(oracle_root(hashes[:k]), 0)]
+        return oracle_path(hashes[:k], index) + [oracle_root(hashes[k:])]
+    return oracle_path(hashes[k:], index - k) + [oracle_root(hashes[:k])]
 
 
 def leaves_for(n):
@@ -84,28 +91,26 @@ class TestBackend:
         data = b"payload"
         assert kern.hash_leaf(data) == oracle_leaf(data)
         left, right = oracle_leaf(b"a"), oracle_leaf(b"b")
-        # one fold step is one interior hash, the sibling on the given side
-        assert kern.fold_path(right, [(left, 0)]) == oracle_interior(left, right)
-        assert kern.fold_path(left, [(right, 1)]) == oracle_interior(left, right)
+        # one fold step is one interior hash, the sibling on the side its bit gives
+        assert kern.fold_path(right, [left], 0) == oracle_interior(left, right)
+        assert kern.fold_path(left, [right], 1) == oracle_interior(left, right)
         # leaf and interior prefixes differ, so a leaf can never be replayed
         # as an interior node
-        assert kern.hash_leaf(left + right) != kern.fold_path(left, [(right, 1)])
+        assert kern.hash_leaf(left + right) != kern.fold_path(left, [right], 1)
 
     def test_interior_rejects_bad_digest_length(self, kern):
         good = oracle_leaf(b"x")
         for node, path in (
-            (good[:31], [(good, 0)]),
+            (good[:31], [good]),
             (good + b"\x00", []),
-            (good, [(good, 0), (good[:31], 1)]),
-            (good, [(good + b"\x00", 0)]),
+            (good, [good, good[:31]]),
+            (good, [good + b"\x00"]),
         ):
             with pytest.raises(ValueError):
-                kern.fold_path(node, path)
-        # only 0 and 1 are sides, and a sibling is bytes-like
-        with pytest.raises(ValueError):
-            kern.fold_path(good, [(good, 2)])
+                kern.fold_path(node, path, 0b10)
+        # a sibling is bytes-like
         with pytest.raises(TypeError):
-            kern.fold_path(good, [(good.hex()[:32], 0)])
+            kern.fold_path(good, [good.hex()[:32]], 0)
 
     def test_hash_leaves_matches_single_calls(self, kern, tmp_path):
         log, _ = log_with(tmp_path, 9)
@@ -123,19 +128,21 @@ class TestBackend:
     def test_inclusion_paths_match_oracle_and_fold(self, kern, n, tmp_path):
         log, hashes = log_with(tmp_path, n)
         with log:
+            root = MerkleRoot(oracle_root(hashes), n)
             for i in range(n):
-                path = list(log.prove_inclusion(i).path)
-                assert path == oracle_path(hashes, i)
-                assert len(path) <= max(1, n - 1).bit_length()
-                assert kern.fold_path(hashes[i], path) == oracle_root(hashes)
+                proof = log.prove_inclusion(i)
+                assert list(proof.path) == oracle_path(hashes, i)
+                assert len(proof.path) <= max(1, n - 1).bit_length()
+                assert verify_inclusion(hashes[i], proof, root)
 
     def test_fold_rejects_wrong_sibling(self, kern):
         hashes = [kern.hash_leaf(d) for d in leaves_for(8)]
         root = oracle_root(hashes)
         path = oracle_path(hashes, 3)
-        assert kern.fold_path(hashes[3], path) == root
-        bad = [(kern.sha256(b"evil"), side) for _, side in path]
-        assert kern.fold_path(hashes[3], bad) != root
+        # leaf 3 = 0b011 of 8: siblings on the left, the left, then the right
+        assert kern.fold_path(hashes[3], path, 0b100) == root
+        bad = [kern.sha256(b"evil")] * len(path)
+        assert kern.fold_path(hashes[3], bad, 0b100) != root
 
     def test_verify_checkpoints_accepts_honest_sequence(self, kern, tmp_path):
         log, hashes = log_with(tmp_path, 24)
@@ -271,13 +278,13 @@ def test_ops_counter_counts_tree_work_only():
     hashes = [kern.hash_leaf(d) for d in leaves_for(4)]
     assert kern.ops() == 4
     # the 3 interior nodes of a 4-leaf tree: the path of leaf 0 and one more
-    kern.fold_path(hashes[0], [(hashes[1], 1), (oracle_interior(*hashes[2:]), 1)])
+    kern.fold_path(hashes[0], [hashes[1], oracle_interior(*hashes[2:])], 0b11)
     assert kern.ops() == 6
-    kern.fold_path(hashes[2], [(hashes[3], 1)])
+    kern.fold_path(hashes[2], [hashes[3]], 1)
     assert kern.ops() == 7
     # a refused path counts the hashes made before the element it refused
     with pytest.raises(ValueError):
-        kern.fold_path(hashes[0], [(hashes[1], 1), (hashes[2], 1), (hashes[3], 2)])
+        kern.fold_path(hashes[0], [hashes[1], hashes[2], hashes[3][:31]], 0b111)
     assert kern.ops() == 9
 
 

@@ -25,6 +25,11 @@ def make_digest(tag="hello"):
     return digest(m)
 
 
+def handles(ks):
+    """The keystore's key handles by key id, as ``list_keys`` gives them."""
+    return {h.key_id: h for h in ks.list_keys()}
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 class TestSignVerify:
     def test_round_trip(self, scheme):
@@ -109,10 +114,10 @@ class TestLifecycle:
         ks.keygen("k1", created_at=123)
         ks.keygen("k2")
         ks.revoke("k2")
-        handles = {h.key_id: h for h in ks.list_keys()}
-        assert handles["k1"].created_at == 123
-        assert not handles["k1"].revoked
-        assert handles["k2"].revoked
+        listed = handles(ks)
+        assert listed["k1"].created_at == 123
+        assert not listed["k1"].revoked
+        assert listed["k2"].revoked
         assert len(ks) == 2 and "k1" in ks
 
     def test_public_api_never_exposes_private_material(self):
@@ -121,7 +126,6 @@ class TestLifecycle:
         ks.keygen("k1")
         d = make_digest()
         reachable = [
-            ks.handle("k1"),
             ks.list_keys()[0],
             ks.sign(d, "k1"),
             ks.verify(d, ks.sign(d, "k1"), "k1"),
@@ -130,7 +134,7 @@ class TestLifecycle:
             text = repr(value)
             assert "PrivateKey" not in text
             assert "PRIVATE" not in text
-        handle = ks.handle("k1")
+        handle = handles(ks)["k1"]
         assert isinstance(handle.public_key, bytes)
         assert b"PRIVATE" not in handle.public_key
 
@@ -241,7 +245,7 @@ class TestPublicKeyCache:
         loaded = Keystore.load(tmp_path / "keys.json")
         loaded._keys["k1"].private_key = None
         assert loaded.verify(d, sig, "k1").accepted
-        assert loaded.handle("k1").public_key == ks.handle("k1").public_key
+        assert handles(loaded)["k1"].public_key == handles(ks)["k1"].public_key
 
 
 class TestPersistence:
@@ -258,8 +262,8 @@ class TestPersistence:
         loaded = Keystore.load(path)
         assert loaded.scheme == ks.scheme
         assert {h.key_id for h in loaded.list_keys()} == {"k1", "k2"}
-        assert loaded.handle("k2").revoked
-        assert loaded.handle("k1").created_at == 7
+        assert handles(loaded)["k2"].revoked
+        assert handles(loaded)["k1"].created_at == 7
         assert loaded.verify(d, sig, "k1").accepted
         # the reloaded private key must produce verifiable fresh signatures
         assert ks.verify(d, loaded.sign(d, "k1"), "k1").accepted
@@ -282,7 +286,7 @@ class TestPersistence:
         ks.save(path)
         assert (path.stat().st_mode & 0o777) == 0o600
         assert not stale.exists()
-        assert Keystore.load(path).handle("k1").key_id == "k1"
+        assert list(handles(Keystore.load(path))) == ["k1"]
 
     def test_unwritable_temp_path_is_a_storage_error(self, tmp_path):
         (tmp_path / "keys.json.tmp").mkdir()

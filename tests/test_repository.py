@@ -147,7 +147,9 @@ def public_definitions(tree):
 
 def test_every_public_name_has_a_caller_in_the_package():
     # a reference is a name, an attribute or an imported name in any module
-    # but __init__.py, outside the definition it refers to
+    # but __init__.py, outside the definition it refers to; a method is
+    # referred to only by an attribute, so a local variable of the same name
+    # is no caller
     package = ROOT / "src" / "manifestd"
     references = {}
     definitions = []
@@ -165,14 +167,16 @@ def test_every_public_name_has_a_caller_in_the_package():
                 names = [alias.name for alias in node.names]
             else:
                 continue
+            attribute = isinstance(node, ast.Attribute)
             for name in names:
-                references.setdefault(name, []).append((path.name, node.lineno))
+                references.setdefault(name, []).append((path.name, node.lineno, attribute))
     uncalled = {
         qualified
         for module, qualified, node in definitions
         if not any(
-            where != module or not node.lineno <= line <= node.end_lineno
-            for where, line in references.get(node.name, ())
+            (where != module or not node.lineno <= line <= node.end_lineno)
+            and (attribute or "." not in qualified)
+            for where, line, attribute in references.get(node.name, ())
         )
     }
     unexplained = sorted(uncalled - ALLOWED.keys())

@@ -526,8 +526,7 @@ class TestInclusionProofs:
             fill(log, 10)
             proof = log.prove_inclusion(3)
             evil = list(proof.path)
-            sibling, side = evil[0]
-            evil[0] = (hashlib.sha256(b"swap").digest(), side)
+            evil[0] = hashlib.sha256(b"swap").digest()
             forged = MerkleProof(proof.leaf_index, proof.tree_size, tuple(evil))
             assert not verify_inclusion(log.leaf_hash(3), forged, log.current_root())
 

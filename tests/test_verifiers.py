@@ -1,14 +1,15 @@
 """The proof verifiers against their step-by-step reference.
 
-``reference_verify_inclusion`` and ``reference_verify_consistency`` are the
-verifiers as they were written before both folded through
-``_kernels.fold_path``: a validation pass, then one length-checked interior
-hash per step, counted here.  Over honest proofs from a log of up to 2^10
-entries and mutations of them, the verifiers must accept exactly what the
-reference accepts (a reference that raises accepts nothing), and an
-accepted proof must cost the same hashes.
+``reference_verify_inclusion`` is RFC 9162 §2.1.3.2's algorithm, and
+``reference_verify_consistency`` the consistency verifier as it was written
+before it folded through ``_kernels.fold_path``; each makes one
+length-checked interior hash per step, counted here.  Over honest proofs
+from a log of up to 2^10 entries and mutations of them, the verifiers must
+accept exactly what the reference accepts (a reference that raises accepts
+nothing), and an accepted proof must cost the same hashes.
 """
 
+import functools
 import hashlib
 import random
 
@@ -46,19 +47,27 @@ class Counted:
 
 
 def reference_verify_inclusion(leaf_hash, proof, root, counted):
+    # RFC 9162 §2.1.3.2, step by step: fn and sn walk up from the leaf and
+    # from the last leaf, and their bits place each element
     if proof.tree_size != root.tree_size:
         return False
     if not 0 <= proof.leaf_index < proof.tree_size:
         return False
-    if len(leaf_hash) != 32:
-        return False
-    for sibling, side in proof.path:
-        if len(sibling) != 32 or side not in (0, 1):
+    fn, sn = proof.leaf_index, proof.tree_size - 1
+    r = leaf_hash
+    for p in proof.path:
+        if sn == 0:
             return False
-    node = leaf_hash
-    for sibling, side in proof.path:
-        node = counted.interior(sibling, node) if side == 0 else counted.interior(node, sibling)
-    return node == root.value
+        if fn & 1 or fn == sn:
+            r = counted.interior(p, r)
+            while not fn & 1 and fn:
+                fn >>= 1
+                sn >>= 1
+        else:
+            r = counted.interior(r, p)
+        fn >>= 1
+        sn >>= 1
+    return sn == 0 and r == root.value
 
 
 def reference_verify_consistency(old_root, new_root, proof, counted):
@@ -160,7 +169,7 @@ MUTATIONS = ["none", "flip", "drop", "add", "swap", "short", "long", "non-bytes"
 @given(
     size=st.integers(1, LOG_SIZE),
     pick=st.integers(0, LOG_SIZE),
-    kind=st.sampled_from(MUTATIONS + ["side", "tree-size"]),
+    kind=st.sampled_from(MUTATIONS + ["index", "tree-size"]),
     seed=st.integers(0, 2**32),
 )
 def test_inclusion_verdicts_and_costs_match_the_reference(log, size, pick, kind, seed):
@@ -168,18 +177,14 @@ def test_inclusion_verdicts_and_costs_match_the_reference(log, size, pick, kind,
     index = pick % size
     proof = log.prove_inclusion(index, size)
     root = log.root_at(size)
-    path = list(proof.path)
-    if kind == "side" and path:
-        at = rng.randrange(len(path))
-        path[at] = (path[at][0], 2)
+    label, path = index, list(proof.path)
+    if kind == "index":
+        label = rng.randrange(size)
     elif kind == "tree-size":
         root = MerkleRoot(root.value, size + rng.choice([-1, 1]))
-    elif kind != "side":
-        siblings = mutate([sibling for sibling, _ in path], kind, rng)
-        sides = [side for _, side in path]
-        sides += [rng.randrange(2) for _ in range(len(siblings) - len(sides))]
-        path = list(zip(siblings, sides))
-    proof = MerkleProof(proof.leaf_index, proof.tree_size, tuple(path))
+    else:
+        path = mutate(path, kind, rng)
+    proof = MerkleProof(label, size, tuple(path))
     leaf = log.leaf_hash(index)
     expected, hashes = accepts(reference_verify_inclusion, leaf, proof, root)
     verdict, cost = with_cost(verify_inclusion, leaf, proof, root)
@@ -188,6 +193,89 @@ def test_inclusion_verdicts_and_costs_match_the_reference(log, size, pick, kind,
         assert verdict
     if verdict:
         assert cost == hashes == len(path)
+
+
+def test_a_proof_holds_for_its_own_index_only(log):
+    # the honest proof of leaf i, relabelled as any j != i, is refused: every
+    # pair in trees of up to 64 entries, and sampled pairs up to 2^10
+    rng = random.Random(5)
+    triples = [(n, i, j) for n in range(1, 65) for i in range(n) for j in range(n) if i != j]
+    for _ in range(2000):
+        n = rng.randrange(65, LOG_SIZE + 1)
+        i, j = rng.sample(range(n), 2)
+        triples.append((n, i, j))
+    for n, i, j in triples:
+        proof, root, leaf = log.prove_inclusion(i, n), log.root_at(n), log.leaf_hash(i)
+        relabelled = MerkleProof(j, n, proof.path)
+        assert not verify_inclusion(leaf, relabelled, root), (n, i, j)
+        assert not accepts(reference_verify_inclusion, leaf, relabelled, root)[0]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 9, 64, 100, 1023, LOG_SIZE])
+def test_a_path_of_the_wrong_length_costs_no_hash(log, size):
+    root = log.root_at(size)
+    for index in {0, 1, size // 2, size - 2, size - 1} & set(range(size)):
+        proof = log.prove_inclusion(index, size)
+        leaf = log.leaf_hash(index)
+        assert with_cost(verify_inclusion, leaf, proof, root) == (True, len(proof.path))
+        wrong = [proof.path + (hashlib.sha256(b"extra").digest(),)]
+        if proof.path:
+            wrong.append(proof.path[:-1])
+        for path in wrong:
+            forged = MerkleProof(index, size, path)
+            assert with_cost(verify_inclusion, leaf, forged, root) == (False, 0)
+
+
+@pytest.mark.parametrize(
+    "bad", [2.0, True, False, "2", None], ids=["float", "true", "false", "str", "none"]
+)
+def test_an_index_or_size_that_is_not_an_int_is_refused(log, bad):
+    # a float or bool equal to a valid index or size would otherwise pass for
+    # the int it equals, or reach the bit arithmetic and raise
+    proof, root = log.prove_inclusion(2, 8), log.root_at(8)
+    leaf = log.leaf_hash(2)
+    assert not verify_inclusion(leaf, MerkleProof(bad, 8, proof.path), root)
+    assert not verify_inclusion(leaf, MerkleProof(2, bad, proof.path), MerkleRoot(root.value, bad))
+    old = log.root_at(3)
+    link = log.prove_consistency(3, 8)
+    assert not verify_consistency(MerkleRoot(old.value, bad), root, link)
+    assert not verify_consistency(old, MerkleRoot(root.value, bad), link)
+    # True equals 1, so an empty proof between one-entry trees would pass
+    one = log.root_at(1)
+    assert not verify_consistency(MerkleRoot(one.value, bad), one, ())
+
+
+def test_every_inclusion_path_is_the_rfc_9162_path(log):
+    # PATH of RFC 9162 §2.1.3.1 for every leaf of every tree of up to 2^10
+    # entries, from one memoized subtree hash per leaf range
+    leaves = [log.leaf_hash(i) for i in range(LOG_SIZE)]
+
+    @functools.lru_cache(maxsize=None)
+    def mth(start, end):
+        if end - start == 1:
+            return leaves[start]
+        k = 1 << (end - start - 1).bit_length() - 1
+        return hashlib.sha256(b"\x01" + mth(start, start + k) + mth(start + k, end)).digest()
+
+    def paths(start, end):
+        # the paths of leaves start..end-1 in the subtree over that range
+        if end - start == 1:
+            return [()]
+        k = 1 << (end - start - 1).bit_length() - 1
+        left, right = mth(start + k, end), mth(start, start + k)
+        return [path + (left,) for path in perfect(start, start + k)] + [
+            path + (right,) for path in paths(start + k, end)
+        ]
+
+    # the left part of a range is a perfect subtree, shared by many trees
+    perfect = functools.lru_cache(maxsize=None)(paths)
+
+    for n in range(1, LOG_SIZE + 1):
+        expected = paths(0, n)
+        for index in range(n):
+            path = log.prove_inclusion(index, n).path
+            assert path == expected[index], (n, index)
+        assert all(type(h) is bytes and len(h) == 32 for h in path)
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[FIXTURE])
