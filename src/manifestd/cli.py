@@ -40,8 +40,8 @@ from .harness import (
     WorkloadConfig,
     atomic_write_text,
     audit_receipt,
+    config_from_dict,
     json_line,
-    load_config_file,
     read_outcome_rows,
     revocation_preset,
     run_pipeline,
@@ -58,7 +58,7 @@ from .manifest import (
     parse_manifest,
 )
 from .pipeline import accept, admit
-from .policy import load_policy_file
+from .policy import load_policy_file, read_json_file
 from .stats import report_from_rows
 from .translog import LEAVES_NAME, RECORDS_NAME, TransparencyLog, check_integrity
 
@@ -292,14 +292,13 @@ def cmd_audit(args) -> int:
 
 
 def _bench_config(args) -> WorkloadConfig:
-    if args.config:
-        cfg = load_config_file(args.config)
-    else:
-        cfg = WorkloadConfig()
+    # the flags override the file's keys before either is checked, so a flag
+    # can correct a value the file holds
+    obj = read_json_file(args.config, "config") if args.config else {}
     overrides: dict = {}
     if args.sizes:
         try:
-            overrides["sizes"] = tuple(int(s) for s in args.sizes.split(","))
+            overrides["sizes"] = [int(s) for s in args.sizes.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad --sizes value: {exc}") from exc
     if args.invalid_fraction is not None:
@@ -310,11 +309,9 @@ def _bench_config(args) -> WorkloadConfig:
         overrides["jitter_epsilon_ms"] = args.jitter
     if args.audit_probability is not None:
         overrides["audit_probability"] = args.audit_probability
-    if overrides:
-        try:
-            cfg = dataclasses.replace(cfg, **overrides)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+    if isinstance(obj, dict):  # config_from_dict refuses anything else
+        obj.update(overrides)
+    cfg = config_from_dict(obj)
     if args.scenario == "revocation":
         cfg = revocation_preset(cfg)
     return cfg

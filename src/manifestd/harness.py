@@ -45,7 +45,6 @@ from .policy import (
     PolicySet,
     RuleKind,
     Severity,
-    read_json_file,
 )
 from .translog import TransparencyLog, atomic_write_bytes
 
@@ -379,10 +378,6 @@ def config_from_dict(obj: Mapping) -> WorkloadConfig:
         return WorkloadConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad workload config: {exc}") from exc
-
-
-def load_config_file(path: Union[str, Path]) -> WorkloadConfig:
-    return config_from_dict(read_json_file(path, "config"))
 
 
 # -- request generation ----------------------------------------------------

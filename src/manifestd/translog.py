@@ -70,7 +70,9 @@ kernel that rebuilds the levels walks the packed leaf hashes with
 
 ``check_integrity`` compares every checkpoint's root with a full replay,
 O(n log n) hashes, a tile of ``TILE_LEAVES`` entries at a time, and reports
-the first entry that fails; its memory does not grow with the log.  On an
+the first entry that fails, whether its record does not frame or its line
+differs from the one ``append`` wrote; its memory does not grow with the
+log.  One loop does both, with no second reader for a damaged log.  On an
 ok report this process holds, in memory only and for at most
 ``HELD_CHECKS`` directories, what it verified: the entry count m, the
 records file's length at m, the SHA-256 digests of both files up to m, and
@@ -255,6 +257,13 @@ class MerkleProof:
 
 @dataclass(frozen=True)
 class IntegrityReport:
+    """What ``check_integrity`` found.
+
+    ``tampered_at`` is the first entry whose record fails to frame or whose
+    checkpoint line differs from what ``append`` wrote, None when ``ok`` or
+    when the files cannot be read; ``detail`` says which.
+    """
+
     ok: bool
     tampered_at: Optional[int] = None
     detail: str = ""
@@ -958,32 +967,6 @@ def _final_checkpoint(path: Path, size: int) -> Optional[re.Match[bytes]]:
     return line
 
 
-def _read_log(
-    records, checkpoints, index: int
-) -> Iterator[tuple[memoryview, re.Match[bytes]]]:
-    """Yield every record of the open log files with its checkpoint line, in step.
-
-    Both files are positioned at entry ``index``, which the first yielded
-    pair belongs to.  Records are framed by ``_frames``.  Checkpoint line i
-    is exactly ``{i+1} {root hex}`` and a newline, in lowercase hex with a
-    single space, so no substitution can leave a line that still parses to
-    the same values.  Both files hold the same number of entries.  Any
-    breach raises ``LogDamage`` at the first entry it affects; comparing the
-    root group of a line with the replay is left to the caller.  Both files
-    are streamed, so memory does not grow with the log.
-    """
-    for record in _frames(records, index):
-        raw = checkpoints.readline(_MAX_LINE)
-        line = _CHECKPOINT_LINE.fullmatch(raw)
-        if line is None or int(line[1]) != index + 1:
-            state = "malformed" if raw else "missing"
-            raise LogDamage(index, f"checkpoint line {index} {state}")
-        yield record, line
-        index += 1
-    if checkpoints.read(1):
-        raise LogDamage(index, f"checkpoint line {index} has no record")
-
-
 @dataclass(frozen=True)
 class _Verified:
     """The first ``size`` entries of a log, as an ok ``check_integrity`` report found them.
@@ -1007,25 +990,24 @@ _held_lock = threading.Lock()
 
 
 def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
-    """Replay a log directory and report the first index that fails to verify.
+    """Replay a log directory and report the first entry that fails to verify.
 
     Recomputes every leaf hash and per-append root from the raw records and
     compares each root with its checkpoint line, keeping only the peaks.
-    Damage to the framing, the line form or the entry count is reported
-    first, at the entry where it starts; otherwise the first entry whose
-    stored root differs.  Any single-byte change to either
-    file (including truncation) surfaces as a non-ok report.
+    Entry i fails when its record does not frame, or when checkpoint line i
+    is missing, malformed or holds another root; a line after the last
+    record fails at its own index.  The first entry that fails, of any
+    kind, is reported, so any single-byte change to either file (including
+    truncation, an inserted or a deleted byte) is reported where it is.
 
     The check runs a tile of ``TILE_LEAVES`` entries at a time: it frames
     and hashes the tile's records, computes the root at every size in the
     tile with ``_kernels.prefix_roots``, builds the checkpoint lines
     ``append`` would have written for them and compares those bytes with the
     same range of the checkpoints file.  A line has one valid form, so equal
-    bytes check the form, the size and the root at once, with the same
-    hashes as an entry-by-entry replay.  At the first tile whose records
-    fail to frame or whose lines differ, the entry-by-entry reader
-    ``_read_log`` takes over from the tile's first entry, seeded with its
-    peaks, to find and name the first bad entry.
+    bytes check the form, the size and the root at once, with the hashes of
+    an entry-at-a-time replay.  Only a tile that fails is looked at line by
+    line, to name its first bad entry.
 
     An ok report leaves this process holding what it verified, in memory
     only (see the module docstring).  A later check of the same directory
@@ -1107,7 +1089,11 @@ def _check_tiles(
     """``check_integrity`` over the open log files, a tile at a time.
 
     It resumes after ``held`` when both files begin with the bytes it
-    verified, and returns what an ok report verified.
+    verified, and returns what an ok report verified.  A tile's records are
+    framed and hashed up to the first that fails to frame; its lines are
+    compared with those ``append`` wrote for them in one compare, and only
+    when they differ does ``_first_bad_line`` look for the one that does.
+    If every line matches, the framing damage is the first failure.
     """
     hash_leaf, prefix_roots = _kernels.hash_leaf, _kernels.prefix_roots
     digests = None if held is None else _held_prefixes(records, checkpoints, held)
@@ -1123,56 +1109,54 @@ def _check_tiles(
     records_digest, checkpoints_digest = digests
     frames = _frames(_Digesting(records, records_digest), size)
     while True:
-        tile_states = list(states)
         leaves = []
         spanned = 0
+        damage = None
         try:
             for record in islice(frames, TILE_LEAVES):
                 leaves.append(hash_leaf(record))
                 spanned += _LEN.size + len(record)
-        except LogDamage:
-            break
+        except LogDamage as exc:
+            damage = exc
         roots = prefix_roots(states, size, leaves)
         expected = b"".join(
             [_CHECKPOINT % (n, hexlify(root)) for n, root in zip(count(size + 1), roots)]
         )
-        if checkpoints.read(len(expected)) != expected:
-            break
+        got = checkpoints.read(len(expected))
+        if got != expected:
+            return _first_bad_line(got, roots, size), None
+        if damage is not None:
+            return IntegrityReport(False, damage.index, str(damage)), None
         checkpoints_digest.update(expected)
+        size += len(leaves)
+        records_at += spanned
         if len(leaves) < TILE_LEAVES:
             if checkpoints.read(1):
-                break
-            size += len(leaves)
+                return IntegrityReport(False, size, f"checkpoint line {size} has no record"), None
             verified = _Verified(
-                size, records_at + spanned, records_digest.digest(), checkpoints_digest.digest(),
+                size, records_at, records_digest.digest(), checkpoints_digest.digest(),
                 tuple(states),
             )
             return IntegrityReport(True, None, f"{size} entries verified"), verified
-        size += len(leaves)
-        records_at += spanned
-    records.seek(records_at)
-    checkpoints.seek(_checkpoints_size(size))
-    return _check_entries(records, checkpoints, size, tile_states), None
 
 
-def _check_entries(records, checkpoints, size: int, states: list) -> IntegrityReport:
-    """``check_integrity`` entry by entry, from entry ``size`` of the open files on.
+def _first_bad_line(got: bytes, roots: list[bytes], size: int) -> IntegrityReport:
+    """The report on the first line, from entry ``size`` on, that ``got`` does not hold.
 
-    ``states`` are the tree's peak states at ``size``, and each entry goes
-    through ``_kernels.push_node`` as in ``append``.  The first ``LogDamage``
-    outranks a divergence, so the files are read to the end.
+    ``got`` is what the checkpoints file holds where ``append`` wrote the
+    lines of the roots ``roots``.  A line of the one valid form and the
+    right size holds another root; anything else there is malformed, and
+    nothing at all is a missing line.
     """
-    hash_leaf, push_node = _kernels.hash_leaf, _kernels.push_node
-    diverged: Optional[int] = None
-    try:
-        for size, (record, line) in enumerate(_read_log(records, checkpoints, size), size + 1):
-            if diverged is not None:
-                continue
-            root = push_node(states, size - 1, hash_leaf(record))[1][0]
-            if line["root"] != hexlify(root):
-                diverged = size - 1
-    except LogDamage as exc:
-        return IntegrityReport(False, exc.index, str(exc))
-    if diverged is not None:
-        return IntegrityReport(False, diverged, "stored root diverges from replay")
-    return IntegrityReport(True, None, f"{size} entries verified")
+    pos = 0
+    for index, root in enumerate(roots, size):
+        line = _CHECKPOINT % (index + 1, hexlify(root))
+        end = pos + len(line)
+        if not got.startswith(line, pos):
+            break
+        pos = end
+    parsed = _CHECKPOINT_LINE.fullmatch(got, pos, end)
+    if parsed is not None and int(parsed[1]) == index + 1:
+        return IntegrityReport(False, index, "stored root diverges from replay")
+    state = "malformed" if pos < len(got) else "missing"
+    return IntegrityReport(False, index, f"checkpoint line {index} {state}")

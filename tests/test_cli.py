@@ -502,6 +502,19 @@ class TestBenchAndStats:
         report = json.loads((out / "run-report.json").read_text())
         assert report["seed"] == 3
 
+    def test_a_flag_overrides_a_config_value_refused_on_its_own(self, tmp_path, capsys):
+        # 0.9 of ten requests cannot all be revoked-key traffic; 0.1 can
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sizes": [10, 20], "invalid_fraction": 0.9,
+                                        "adversary_mix": {"revoked-key-use": 1.0}}))
+        out = tmp_path / "bench"
+        rc = main(["bench", "--out", str(out), "--config", str(cfg_path),
+                   "--invalid-fraction", "0.1"])
+        assert rc == EXIT_OK
+        report = json.loads((out / "run-report.json").read_text())
+        assert report["config"]["invalid_fraction"] == 0.1
+        assert report["config"]["sizes"] == [10, 20]
+
     def test_bad_config_file_exits_1(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{oops", encoding="utf-8")

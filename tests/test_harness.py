@@ -34,7 +34,6 @@ from manifestd.harness import (
     default_backends,
     default_policy_set,
     generate_batch,
-    load_config_file,
     read_outcome_rows,
     revocation_preset,
     run_pipeline,
@@ -44,7 +43,7 @@ from manifestd.harness import (
     write_ndjson,
 )
 from manifestd.audit import EvidenceTuple
-from manifestd.policy import Severity, evaluate
+from manifestd.policy import Severity, evaluate, read_json_file
 from manifestd.manifest import Manifest
 from manifestd.stats import report_from_rows
 from manifestd.translog import TransparencyLog, check_integrity, verify_inclusion
@@ -193,13 +192,13 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         cfg = WorkloadConfig(sizes=(50,), seed=9)
         path.write_text(json.dumps(config_to_dict(cfg)), encoding="utf-8")
-        assert load_config_file(path) == cfg
+        assert config_from_dict(read_json_file(path, "config")) == cfg
 
     def test_malformed_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{bad", encoding="utf-8")
         with pytest.raises(ConfigError) as err:
-            load_config_file(path)
+            config_from_dict(read_json_file(path, "config"))
         assert "line" in str(err.value)
 
 

@@ -1539,40 +1539,41 @@ def _reference_frames(data):
 
 
 def reference_check(directory):
-    """``(ok, tampered_at)`` of the entry-by-entry replay ``check_integrity`` was before tiles.
+    """``(ok, tampered_at)`` of an entry-by-entry replay: the first entry that fails.
 
-    Each record is framed, its line parsed and its root compared in step;
-    the first framing or line damage outranks the first divergence.
+    Entry i fails when its record does not frame, when line i is missing or
+    not exactly as ``append`` writes it for size i + 1, or when its root
+    differs from the replay's; a line after the last record fails at its
+    own index.
     """
     try:
         records = (directory / RECORDS_NAME).read_bytes()
         checkpoints = io.BytesIO((directory / CHECKPOINTS_NAME).read_bytes())
     except OSError:
         return False, None
-    peaks, diverged, index = [], None, 0
+    peaks, index = [], 0
     try:
         for record in _reference_frames(records):
             line = _REFERENCE_LINE.fullmatch(checkpoints.readline(256))
             if line is None or int(line[1]) != index + 1:
                 return False, index
-            if diverged is None:
-                node = hashlib.sha256(b"\x00" + record).digest()
-                trailing = index
-                while trailing & 1:
-                    node = hashlib.sha256(b"\x01" + peaks.pop() + node).digest()
-                    trailing >>= 1
-                peaks.append(node)
-                root = peaks[-1]
-                for peak in reversed(peaks[:-1]):
-                    root = hashlib.sha256(b"\x01" + peak + root).digest()
-                if line["root"] != root.hex().encode():
-                    diverged = index
+            node = hashlib.sha256(b"\x00" + record).digest()
+            trailing = index
+            while trailing & 1:
+                node = hashlib.sha256(b"\x01" + peaks.pop() + node).digest()
+                trailing >>= 1
+            peaks.append(node)
+            root = peaks[-1]
+            for peak in reversed(peaks[:-1]):
+                root = hashlib.sha256(b"\x01" + peak + root).digest()
+            if line["root"] != root.hex().encode():
+                return False, index
             index += 1
     except _Damaged as exc:
         return False, exc.index
     if checkpoints.read(1):
         return False, index
-    return diverged is None, diverged
+    return True, None
 
 
 #: Entries of the log that the reopen framing property damages.
@@ -1678,6 +1679,15 @@ def damaged(records, lines, kind, entry, at):
         blob = bytearray(framed[entry])
         blob[at % len(blob)] ^= 0x01
         framed[entry] = bytes(blob)
+    elif kind == "byte inserted":
+        blob = framed[entry]
+        pos = at % len(blob)
+        # unlike the byte it precedes, so the entry's own record changes
+        framed[entry] = blob[:pos] + bytes([blob[pos] ^ (at % 255 + 1)]) + blob[pos:]
+    elif kind == "byte deleted":
+        blob = framed[entry]
+        pos = at % len(blob)
+        framed[entry] = blob[:pos] + blob[pos + 1 :]
     elif kind == "record cut":
         framed[entry] = framed[entry][: at % len(framed[entry])]
         del framed[entry + 1 :]
@@ -1708,8 +1718,12 @@ def damaged(records, lines, kind, entry, at):
 
 DAMAGE_KINDS = (
     "record flip", "record cut", "line cut", "line byte", "line removed", "line doubled",
-    "record swap",
+    "record swap", "byte inserted", "byte deleted",
 )
+
+#: Kinds that change bytes of the entry's own framed record, length prefix
+#: included, and nothing before it: the check names that entry.
+RECORD_DAMAGE = ("record flip", "byte inserted", "byte deleted")
 
 #: Bytes appended to either file; ``damaged`` ignores the entry for these.
 GARBAGE_KINDS = ("records garbage", "checkpoints garbage")
@@ -1776,6 +1790,8 @@ class TestTileCheck:
                 got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
                 assert got == want, (kind, entry, at)
                 assert not got[0]
+                if kind in RECORD_DAMAGE:
+                    assert got[1] == entry, (kind, entry, at)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -1799,6 +1815,8 @@ class TestTileCheck:
         got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
         assert got == want
         assert not got[0]
+        if kind in RECORD_DAMAGE:
+            assert got[1] == entry
 
     def test_reads_only_the_records_and_checkpoints_and_writes_nothing(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
@@ -1841,6 +1859,8 @@ class TestResumedCheck:
             write_log(Path(fresh), *blobs)
             assert got == report_of(Path(fresh))
             assert not got[0]
+            if kind in RECORD_DAMAGE:
+                assert got[1] == entry
 
     @pytest.mark.parametrize(
         "held, n",
