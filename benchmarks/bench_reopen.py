@@ -4,11 +4,13 @@
 Builds one synthetic log per size (default 10^4, 10^5 and 10^6 entries) with
 ``_compare.build_log`` and reopens it, parent against change through
 ``_compare``.  Each tree reopens the log with its complete ``log.leaves``
-index ("warm index") and with the index deleted first ("no index", which
-also pays for writing the index back), so four sides take turns.  It records
-the reopen wall time, the tree-hash operations one reopen costs
-(``_kernels.ops()``), the root it restores, and the peak of Python
-allocations during one more reopen per side under ``tracemalloc``.  The two
+index ("warm index") and with the index moved aside for the reopen and put
+back after ``close`` ("no index"), so four sides take turns on one log.
+Reopening writes no file; a parent tree older than that rule also writes
+the index back on its "no index" side.  It records the reopen wall time,
+the tree-hash operations one reopen costs (``_kernels.ops()``), the root it
+restores, and the peak of Python allocations during one more reopen per
+side under ``tracemalloc``.  The two
 trees' hash counts are also put side by side for each index state, with the
 change's ratio to the parent and the pairs it won.
 
@@ -26,8 +28,9 @@ from manifestd import _kernels
 from manifestd.translog import TransparencyLog
 log_dir, drop_index, traced = Path(given["log"]), given["drop_index"], given["traced"]
 index = log_dir / "log.leaves"
-if drop_index and index.exists():
-    index.unlink()
+aside = log_dir / "log.leaves.aside"
+if drop_index:
+    index.replace(aside)
 if traced:
     tracemalloc.start()
 before = _kernels.ops()
@@ -38,6 +41,8 @@ hashes = _kernels.ops() - before
 peak = tracemalloc.get_traced_memory()[1] if traced else None
 root = log.current_root().hex
 log.close()
+if drop_index:
+    aside.replace(index)
 print(json.dumps({"seconds": elapsed, "hashes": hashes, "traced_peak_bytes": peak,
                   "root": root}))
 """

@@ -128,7 +128,7 @@ def _log_dir(args) -> Path:
 
 
 def _existing_log(args) -> TransparencyLog:
-    """The log a read-only command reads; refused, creating nothing, if absent."""
+    """The log a read-only command reads, writing no file; refused if absent."""
     directory = _log_dir(args)
     if not (directory / RECORDS_NAME).is_file():
         raise StorageError(f"no log in {directory}: {RECORDS_NAME} is missing")
@@ -372,16 +372,13 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def _load_or_new_keystore(path: Path, scheme: str, passphrase: Optional[str]) -> Keystore:
-    if path.exists():
-        return Keystore.load(path, passphrase=passphrase)
-    return Keystore(scheme)
-
-
 def cmd_key_gen(args) -> int:
     path = Path(args.keystore)
     passphrase = _passphrase(args)
-    keystore = _load_or_new_keystore(path, args.scheme, passphrase)
+    if path.exists():
+        keystore = Keystore.load(path, passphrase=passphrase)
+    else:
+        keystore = Keystore(args.scheme)
     handle = keystore.keygen(args.key_id, created_at=_now_ms(args))
     keystore.save(path, passphrase=passphrase)
     _emit(
@@ -456,13 +453,17 @@ def cmd_log_stats(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad --samples value: {exc}") from exc
         series = log.growth_series(samples)
+        try:
+            index_bytes = (_log_dir(args) / LEAVES_NAME).stat().st_size
+        except FileNotFoundError:
+            index_bytes = 0  # only close() after an append writes the index
         _emit(
             {
                 "tree_size": log.size,
                 "bytes": log.storage_bytes,
                 "root": log.current_root().hex,
                 "growth": [[n, b] for n, b in series],
-                "index_bytes": (log.directory / LEAVES_NAME).stat().st_size,
+                "index_bytes": index_bytes,
                 "reopen": dataclasses.asdict(log.reopened),
             }
         )

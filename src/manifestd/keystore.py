@@ -91,6 +91,11 @@ class _Ecdsa:
         return ec.generate_private_key(ec.SECP256R1())
 
     @staticmethod
+    def fits(private_key) -> bool:
+        # only an EC key has a curve
+        return isinstance(getattr(private_key, "curve", None), ec.SECP256R1)
+
+    @staticmethod
     def sign(private_key, data: bytes) -> bytes:
         return private_key.sign(data, _ECDSA_SHA256)
 
@@ -105,6 +110,10 @@ class _Ed25519:
     @staticmethod
     def generate():
         return ed25519.Ed25519PrivateKey.generate()
+
+    @staticmethod
+    def fits(private_key) -> bool:
+        return isinstance(private_key, ed25519.Ed25519PrivateKey)
 
     @staticmethod
     def sign(private_key, data: bytes) -> bytes:
@@ -276,11 +285,14 @@ class Keystore:
                     f"keystore {path}: key entry {position} needs string key_id and private_pem"
                 )
             try:
+                private_key = serialization.load_pem_private_key(
+                    raw["private_pem"].encode("ascii"), password=password
+                )
+                if not store._scheme.fits(private_key):
+                    raise ValueError(f"not a {store.scheme} key")
                 record = _KeyRecord(
                     key_id=raw["key_id"],
-                    private_key=serialization.load_pem_private_key(
-                        raw["private_pem"].encode("ascii"), password=password
-                    ),
+                    private_key=private_key,
                     created_at=int(raw.get("created_at", 0)),
                     revoked=bool(raw.get("revoked", False)),
                 )

@@ -176,6 +176,11 @@ class PolicySet:
             if rule.rule_id in seen:
                 raise ConfigError(f"duplicate rule_id {rule.rule_id!r}")
             seen.add(rule.rule_id)
+        # a NaN window from a policy file compares false and passes every timestamp
+        for name in ("epoch_ms", "clock_skew_ms"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, not {type(value).__name__}")
         if self.epoch_ms <= 0:
             raise ConfigError("epoch_ms must be positive")
         if self.clock_skew_ms < 0:
@@ -243,13 +248,13 @@ def policy_from_dict(obj: object) -> PolicySet:
             severity = Severity(raw.get("severity_on_fail", "block"))
         except ValueError:
             raise ConfigError(f"rule #{i}: unknown severity {raw.get('severity_on_fail')!r}") from None
+        rule_id, params = raw.get("rule_id", ""), raw.get("params", {})
+        if not isinstance(rule_id, str):
+            raise ConfigError(f"rule #{i}: rule_id must be a string")
+        if not isinstance(params, dict):
+            raise ConfigError(f"rule #{i}: params must be a JSON object")
         rules.append(
-            PolicyRule(
-                rule_id=str(raw.get("rule_id", "")),
-                kind=kind,
-                params=raw.get("params", {}),
-                severity_on_fail=severity,
-            )
+            PolicyRule(rule_id=rule_id, kind=kind, params=params, severity_on_fail=severity)
         )
     return PolicySet(
         rules=tuple(rules),

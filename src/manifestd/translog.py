@@ -32,19 +32,12 @@ a 4-byte big-endian length and that many bytes in one fixed JSON layout,
 ``_RECORD``.  ``log.checkpoints`` holds one line ``<tree_size> <root hex>``
 per append, ``_CHECKPOINT``.  ``log.leaves``, the index, holds level 0 of
 the stored hashes, 32 bytes per entry in append order; it is derived data,
-buffered one 256-leaf tile at a time and written out by ``close``, so it
-may lag behind the other two files.
+written only by ``close`` of a handle that appended, so it lags behind the
+other two files while that handle is open, or when it died unclosed.
 
-An open log writes the records and checkpoints files through one
-``O_WRONLY | O_APPEND`` descriptor each, with no buffer in between: an
-append is one ``os.write`` on each (``append`` says what a failed write
-leaves).
-
-An open log holds one read-only descriptor on the records file; ``entry``
-reads a record with one ``os.pread`` at its stored offset and checks it
-against its stored leaf hash, so a record changed after open is refused.
-``LogEntry.from_record`` reads only ``_RECORD``'s layout, so decoding and
-encoding are inverses.
+An open log holds one ``O_WRONLY | O_APPEND`` descriptor on each of the
+records and checkpoints files, for ``append``, and one read-only descriptor
+on the records file, for ``entry``.
 
 Reopening frames every record (each length prefix, the record size cap, and
 that the records end exactly at the end of the file), checks that the
@@ -52,38 +45,27 @@ checkpoints file is exactly as long as that many lines, and parses its last
 line.  It takes the leaf hashes the index holds, hashes only the records
 after them, rebuilds every level from the leaves (n - 1 interior hashes)
 and compares the root with the last line.  If they differ it retries once
-without the index, and if that agrees the index was at fault and is
-rewritten.  So reopening trusts nothing it has not checked against the last
-checkpoint, but it does not re-hash a record the index covers: a same-size
+without the index, and if that agrees the index was at fault; either way
+it mends the index in memory only.  So reopening trusts nothing it has not
+checked against the last checkpoint, but it does not re-hash a record the
+index covers, and frames it by its length prefix alone: a same-size
 change inside such a record body, or inside any checkpoint line but the
 last, does not fail reopening.  ``entry`` refuses such a record, and
 ``check_integrity``, which reads only the records and checkpoints, reports
 it.
 
-One framer, ``_chunks``, applies the framing rules a read at a time, for
-reopening and ``check_integrity`` alike, and gives the record ends of each
-read.  Reopening reads only the length prefix of a record the index covers:
-it neither slices out nor hashes its body, so a warm reopen's Python work
-per record is one prefix check next to its one interior hash.  The batch
-kernel that rebuilds the levels walks the packed leaf hashes with
-``struct.iter_unpack``.
-
-``check_integrity`` compares every checkpoint's root with a full replay,
-O(n log n) hashes, a tile of ``TILE_LEAVES`` entries at a time, and reports
-the first entry that fails, whether its record does not frame or its line
-differs from the one ``append`` wrote; its memory does not grow with the
-log.  One loop does both, with no second reader for a damaged log.  On an
-ok report this process holds, in memory only and for at most
-``HELD_CHECKS`` directories, what it verified: the entry count m, the
-records file's length at m, the SHA-256 digests of both files up to m, and
-the peak states at m (an RFC 9162 §8.3 monitor's last verified tree head).
-Only an ok report of this process makes it, and no file holds it.  The
-next check of that directory hashes each held prefix; if both digests
-match, the tile loop resumes at entry m with the held states, so a
-re-check costs one SHA-256 pass over both files plus the hashes of the
-entries after m.  Otherwise the full check runs and localizes, and a report
-that is not ok drops the held state.  The reports are those of the full
-check on every input.
+``check_integrity`` replays the whole log against every checkpoint line, as
+its docstring says.  On an ok report this process holds, in memory only and
+for at most ``HELD_CHECKS`` directories, what it verified: the entry count
+m, the records file's length at m, the SHA-256 digests of both files up to
+m, and the peak states at m (an RFC 9162 §8.3 monitor's last verified tree
+head).  Only an ok report of this process makes it, and no file holds it.
+The next check of that directory hashes each held prefix; if both digests
+match, the tile loop resumes at entry m with the held states, so a re-check
+costs one SHA-256 pass over both files plus the hashes of the entries after
+m.  Otherwise the full check runs and localizes, and a report that is not ok
+drops the held state.  The reports are those of the full check on every
+input.
 """
 
 from __future__ import annotations
@@ -120,7 +102,8 @@ _NODE = struct.Struct(f"{_kernels.HASH_SIZE}s")
 #: Hard cap on one record's size; a length prefix above this is corruption.
 MAX_RECORD_BYTES = 1 << 20
 
-#: Leaves per tile: the index writer buffers one tile, 8 KiB, between writes.
+#: Entries per tile: ``check_integrity`` frames, hashes and compares one
+#: tile of records and checkpoint lines at a time.
 TILE_LEAVES = 256
 
 #: Bytes of ``log.records`` read per call while framing records, and of
@@ -276,8 +259,9 @@ class ReopenReport:
     ``index`` is ``"kept"`` when the file held exactly the verified leaves,
     ``"extended"`` when it held fewer (missing, cut or behind the records),
     ``"trimmed"`` when it held them and more, and ``"rebuilt"`` when its
-    leaves failed the check against the last checkpoint.  In every case but
-    the first the file has been rewritten to the verified leaves.
+    leaves failed the check against the last checkpoint.  Reopening writes
+    no file: ``leaves_from_index`` leading leaves of the file are verified,
+    and ``close`` of a handle that appends writes level 0 after them.
     """
 
     leaves_from_index: int
@@ -312,6 +296,8 @@ class TransparencyLog:
         # why appends are refused: the log is closed, or a failed append
         # could not be undone
         self._refused: Optional[str] = None
+        # close() writes the index only after this handle appended
+        self._appended = False
         if self._records_path.exists():
             self._reopened = self._reopen()
         elif self._checkpoints_path.exists():
@@ -323,26 +309,17 @@ class TransparencyLog:
             # unbuffered file object owns each one and closes it
             for path in (self._records_path, self._checkpoints_path):
                 opened.append(open(os.open(path, appending, 0o666), "ab", buffering=0))
-            # the index holds exactly the verified leaves now, or is started afresh
-            opened.append(
-                open(self._leaves_path, "ab" if self.size else "wb",
-                     buffering=TILE_LEAVES * _kernels.HASH_SIZE)
-            )
             # the one read handle: entry() reads its descriptor with os.pread
             opened.append(open(self._records_path, "rb", buffering=0))
         except OSError as exc:
             for fh in opened:
                 fh.close()
             raise StorageError(f"cannot open log files in {self._dir}: {exc}") from exc
-        self._records_out, self._checkpoints_out, self._leaves_fh, self._reader = opened
+        self._records_out, self._checkpoints_out, self._reader = opened
         self._records_fd = self._records_out.fileno()
         self._checkpoints_fd = self._checkpoints_out.fileno()
 
     # -- state ------------------------------------------------------------
-
-    @property
-    def directory(self) -> Path:
-        return self._dir
 
     @property
     def size(self) -> int:
@@ -361,13 +338,31 @@ class TransparencyLog:
         return self._reopened
 
     def close(self) -> None:
+        """Close the log; the one writer of ``log.leaves``, after an append only.
+
+        It writes level 0 after the leaves the file holds as verified
+        (``ReopenReport.leaves_from_index``) and cuts the file there; a
+        failure is dropped, leaving an index that reopening extends.
+        """
         # a closed descriptor's number can be reused by another file
         self._refused = f"{self._dir}: the log is closed"
         self._records_out.close()
         self._checkpoints_out.close()
         self._reader.close()
-        # last: writing out the buffered tail of the index can fail
-        self._stop_index()
+        if not self._appended:
+            return
+        self._appended = False
+        start = self._reopened.leaves_from_index if self._reopened else 0
+        start *= _kernels.HASH_SIZE
+        try:
+            # O_CREAT without O_TRUNC: the verified leaves before start stay
+            with open(os.open(self._leaves_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+                fh.seek(start)
+                with memoryview(self._levels[0]) as leaves:
+                    fh.write(leaves[start:])
+                fh.truncate()
+        except OSError:
+            pass  # the index lags, and reopening extends it
 
     def __enter__(self) -> "TransparencyLog":
         return self
@@ -390,8 +385,9 @@ class TransparencyLog:
         ``os.write`` on ``log.records``, then its checkpoint line in one on
         ``log.checkpoints``; neither is fsynced, so a crash of the machine
         can lose them (crash durability is open in ROADMAP.md).  The leaf
-        hash goes to the index's buffer, which a failed write only stops:
-        the append still succeeds, the index lags, and reopening extends it.
+        hash is kept in memory only until ``close`` writes the index: a
+        handle that dies unclosed leaves its leaves out of the index, and
+        reopening hashes their records again.
 
         A failed or short write to either file cuts both back to their
         lengths before the append and raises ``StorageError``, leaving the
@@ -442,16 +438,12 @@ class TransparencyLog:
                 raise OSError(f"short write to {CHECKPOINTS_NAME}")
         except OSError as exc:
             self._roll_back(index, exc)
-        if self._leaves_fh is not None:
-            try:
-                self._leaves_fh.write(leaf)
-            except OSError:
-                self._stop_index()
         # Commit in-memory state only after the files took the write.
         self._store(nodes)
         self._offsets.append(self._offsets[-1] + len(framed))
         self._states = states
         self._edge = edge
+        self._appended = True
         return index, MerkleRoot(edge[0], index + 1)
 
     def _store(self, nodes: list[bytes]) -> None:
@@ -477,15 +469,6 @@ class TransparencyLog:
             self._refused = f"{reason}; cutting the files back failed too: {exc}"
             raise StorageError(self._refused) from failure
         raise StorageError(reason) from failure
-
-    def _stop_index(self) -> None:
-        """Close the index and write it no more: it lags, and reopening extends it."""
-        leaves, self._leaves_fh = self._leaves_fh, None
-        if leaves is not None:
-            try:
-                leaves.close()
-            except OSError:
-                pass  # the buffered leaves are dropped
 
     # -- reading ----------------------------------------------------------
 
@@ -610,10 +593,10 @@ class TransparencyLog:
     # -- reopen -----------------------------------------------------------
 
     def _reopen(self) -> ReopenReport:
-        """Restore the state of an existing log and bring its index in line.
+        """Restore the state of an existing log and say what its index held.
 
         The index is read up to the number of records the records file can
-        hold at most, so a runaway index costs no memory.
+        hold at most, so a runaway index costs no memory.  No file is written.
         """
         try:
             index_bytes = self._leaves_path.stat().st_size
@@ -646,8 +629,6 @@ class TransparencyLog:
             action = "kept"
         else:
             action = "extended" if from_index < size else "trimmed"
-        if action != "kept":
-            atomic_write_bytes(self._leaves_path, leaves)
         return ReopenReport(from_index, size - from_index, action)
 
     def _leaf_level(self, start: int) -> tuple[bytearray, array]:

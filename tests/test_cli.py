@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import math
+import os
 
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ed25519
 
 from manifestd import _kernels
 from manifestd.audit import build_evidence
@@ -212,6 +216,59 @@ class TestSign:
         assert rc == EXIT_POLICY
         assert len(out.read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"epoch_ms": math.nan},
+            {"clock_skew_ms": math.inf},
+            {"epoch_ms": "60000"},
+            {"epoch_ms": True},
+            {"rules": [{"rule_id": "r", "kind": "required-field", "params": "x"}]},
+            {"rules": [{"rule_id": None, "kind": "freshness-window"}]},
+        ],
+        ids=["epoch-nan", "skew-inf", "epoch-str", "epoch-bool", "params-str", "rule-id-null"],
+    )
+    def test_a_malformed_policy_signs_nothing(self, tmp_path, capsys, change):
+        ks = tmp_path / "keys.pem"
+        policy = tmp_path / "policy.json"
+        manifests = tmp_path / "m.json"
+        out = tmp_path / "signed.ndjson"
+        main(["key-gen", "--keystore", str(ks), "--key-id", "k1"])
+        capsys.readouterr()
+        # json.dumps writes NaN and Infinity as the literals json.loads reads;
+        # a NaN epoch once signed a manifest of any age
+        document = {"rules": [{"rule_id": "fresh", "kind": "freshness-window"}], **change}
+        policy.write_text(json.dumps(document), encoding="utf-8")
+        manifests.write_text(json.dumps(manifest_obj(timestamp=1000)), encoding="utf-8")
+        rc = main(["sign", "--manifest", str(manifests), "--policy", str(policy),
+                   "--keystore", str(ks), "--key-id", "k1", "--now", "99999999999",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_a_key_of_another_scheme_exits_5(self, tmp_path, capsys):
+        ks = tmp_path / "keys.pem"
+        policy = tmp_path / "policy.json"
+        manifests = tmp_path / "m.json"
+        write_policy(policy)
+        main(["key-gen", "--keystore", str(ks), "--key-id", "k1"])
+        obj = json.loads(ks.read_text(encoding="utf-8"))
+        assert obj["scheme"] == "ecdsa-p256"
+        obj["keys"][0]["private_pem"] = ed25519.Ed25519PrivateKey.generate().private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        ).decode("ascii")
+        ks.write_text(json.dumps(obj), encoding="utf-8")
+        capsys.readouterr()
+        manifests.write_text(json.dumps(manifest_obj()), encoding="utf-8")
+        rc = main(["sign", "--manifest", str(manifests), "--policy", str(policy),
+                   "--keystore", str(ks), "--key-id", "k1", "--now", str(NOW)])
+        assert rc == EXIT_STORAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'k1'" in err
+
     def test_missing_manifest_file_exits_1(self, tmp_path):
         ks = tmp_path / "keys.pem"
         policy = tmp_path / "policy.json"
@@ -386,12 +443,49 @@ class TestLogCommands:
         assert stats["index_bytes"] == 5 * _kernels.HASH_SIZE
         assert stats["reopen"] == {"leaves_from_index": 5, "leaves_rehashed": 0, "index": "kept"}
         (logged / LEAVES_NAME).unlink()
-        assert main(["log-stats", "--log-dir", str(logged)]) == EXIT_OK
-        stats = emitted(capsys)[-1]
-        assert stats["reopen"] == {
-            "leaves_from_index": 0, "leaves_rehashed": 5, "index": "extended"
-        }
-        assert stats["index_bytes"] == 5 * _kernels.HASH_SIZE
+        # a read writes no index back, so the second run finds none either
+        for _ in range(2):
+            assert main(["log-stats", "--log-dir", str(logged)]) == EXIT_OK
+            stats = emitted(capsys)[-1]
+            assert stats["reopen"] == {
+                "leaves_from_index": 0, "leaves_rehashed": 5, "index": "extended"
+            }
+            assert stats["index_bytes"] == 0
+        assert not (logged / LEAVES_NAME).exists()
+
+    @pytest.mark.parametrize("index", ["exact", "missing", "cut", "over-long", "flipped"])
+    @pytest.mark.parametrize(
+        "read",
+        [
+            ["log-prove", "--index", "3"],
+            ["log-stats"],
+            ["audit", "--probability", "1", "--seed", "1", "--out", "evidence.ndjson"],
+            "open and close",
+        ],
+    )
+    def test_reads_write_nothing(self, logged, capsys, monkeypatch, read, index):
+        leaves = logged / LEAVES_NAME
+        stored = leaves.read_bytes()
+        if index == "missing":
+            leaves.unlink()
+        elif index == "cut":
+            leaves.write_bytes(stored[:-40])
+        elif index == "over-long":
+            leaves.write_bytes(stored + bytes(40))
+        elif index == "flipped":
+            leaves.write_bytes(stored[:70] + bytes([stored[70] ^ 1]) + stored[71:])
+        for path in logged.iterdir():
+            # an old mtime, so that any write shows in it
+            os.utime(path, ns=(NOW * 10**6, NOW * 10**6))
+        before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in logged.iterdir()}
+        monkeypatch.chdir(logged.parent)
+        if read == "open and close":
+            with TransparencyLog(logged) as log:
+                assert log.entry(3).index == 3 and log.prove_inclusion(3, 4)
+        else:
+            assert main([*read, "--log-dir", str(logged)]) == EXIT_OK
+        after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in logged.iterdir()}
+        assert after == before
 
     @pytest.mark.parametrize(
         "command",

@@ -1,10 +1,13 @@
 """Keystore, signature, and rotation tests."""
 
 import hashlib
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519
 
 from manifestd.errors import (
     ConfigError,
@@ -319,6 +322,32 @@ class TestPersistence:
     def test_missing_file(self, tmp_path):
         with pytest.raises(StorageError):
             Keystore.load(tmp_path / "absent.pem")
+
+    @pytest.mark.parametrize(
+        "scheme, key",
+        [
+            ("ecdsa-p256", ed25519.Ed25519PrivateKey.generate),
+            ("ecdsa-p256", lambda: ec.generate_private_key(ec.SECP384R1())),
+            ("ed25519", lambda: ec.generate_private_key(ec.SECP256R1())),
+        ],
+        ids=["ed25519-in-p256", "p384-in-p256", "p256-in-ed25519"],
+    )
+    def test_a_key_of_another_scheme_is_refused(self, tmp_path, scheme, key):
+        # a P-384 key in an ecdsa-p256 file used to load and sign
+        path = tmp_path / "keys.json"
+        ks = Keystore(scheme)
+        ks.keygen("good")
+        ks.keygen("odd")
+        ks.save(path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["keys"][1]["private_pem"] = key().private_bytes(
+            serialization.Encoding.PEM,
+            serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption(),
+        ).decode("ascii")
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(StorageError, match=f"cannot load key 'odd': not a {scheme} key"):
+            Keystore.load(path)
 
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "keys.pem"

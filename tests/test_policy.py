@@ -6,6 +6,7 @@ manifest passes only when no blocking rule failed.
 
 import copy
 import json
+import math
 import pickle
 import re
 
@@ -201,6 +202,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             PolicySet((), clock_skew_ms=-1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1.5, True, "60000"])
+    @pytest.mark.parametrize("name", ["epoch_ms", "clock_skew_ms"])
+    def test_a_freshness_window_that_is_not_an_int_is_refused(self, name, value):
+        # a NaN window compared false both ways and passed every timestamp
+        with pytest.raises(ConfigError, match=f"{name} must be an int"):
+            PolicySet((), **{name: value})
+
 
 class TestSerialization:
     def policy(self):
@@ -266,6 +274,22 @@ class TestSerialization:
         obj = self.document()
         obj["rules"][0]["kind"] = "made-up"
         with pytest.raises(ConfigError):
+            policy_from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("params", "x", "params must be a JSON object"),
+            ("params", ["field", "query"], "params must be a JSON object"),
+            ("params", None, "params must be a JSON object"),
+            ("rule_id", None, "rule_id must be a string"),
+            ("rule_id", 7, "rule_id must be a string"),
+        ],
+    )
+    def test_a_malformed_rule_is_refused_by_number(self, field, value, message):
+        obj = self.document()
+        obj["rules"][1][field] = value
+        with pytest.raises(ConfigError, match=f"rule #1: {message}"):
             policy_from_dict(obj)
 
 

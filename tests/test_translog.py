@@ -427,7 +427,7 @@ class TestAppendCost:
         with TransparencyLog(tmp_path) as log:
             files = {log._records_fd: RECORDS_NAME, log._checkpoints_fd: CHECKPOINTS_NAME}
             monkeypatch.setattr(os, "write", write)
-            # past a tile, so the index's buffer is written out on the way
+            # no append writes the index: close() does
             for i in range(TILE_LEAVES + 3):
                 log.append(self.DIG, b"\x30" * 71, "k", appended_at=i)
                 assert [files.get(fd) for fd, _ in written[-2:]] == [
@@ -435,6 +435,7 @@ class TestAppendCost:
                 ]
                 assert len(written) == 2 * (i + 1)
             monkeypatch.undo()
+            assert not (tmp_path / LEAVES_NAME).exists()
         # the writes are the files, byte for byte
         for fd, name in files.items():
             assert b"".join(data for to, data in written if to == fd) == (
@@ -737,8 +738,8 @@ class TestReadHandle:
         monkeypatch.setattr(translog, "open", failing_open, raising=False)
         with pytest.raises(StorageError):
             TransparencyLog(tmp_path)
-        # the records, checkpoints and index writers, opened before the reader
-        assert len(opened) == 3
+        # the records and checkpoints writers, opened before the reader
+        assert len(opened) == 2
         assert all(fh.closed for fh in opened)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -825,21 +826,57 @@ def fail_write(monkeypatch, fd, at, how):
     monkeypatch.setattr(os, "write", write)
 
 
-class FailingIndex:
-    """The index's writer, failing at its ``at``-th write, or at close."""
+#: Where ``fail_index`` makes the index write of ``close`` fail.
+INDEX_FAILURES = ("open", "write", "truncate")
 
-    def __init__(self, fh, at=None):
-        self.fh, self.at, self.calls = fh, at, 0
+
+class FailingIndex:
+    """The writer ``close`` opens on ``log.leaves``, failing at ``at``.
+
+    ``"write"`` writes half the bytes, then raises; ``"truncate"`` raises
+    after the whole write.
+    """
+
+    def __init__(self, fh, at):
+        self.fh, self.at = fh, at
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def seek(self, pos):
+        return self.fh.seek(pos)
 
     def write(self, data):
-        self.calls += 1
-        if self.calls == self.at:
+        if self.at == "write":
+            self.fh.write(data[: len(data) // 2])
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         return self.fh.write(data)
 
-    def close(self):
-        self.fh.close()
-        raise OSError(errno.EIO, os.strerror(errno.EIO))
+    def truncate(self):
+        if self.at == "truncate":
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+        return self.fh.truncate()
+
+
+def fail_index(monkeypatch, at):
+    """Make the index write of the next ``close`` fail at ``at``, one of ``INDEX_FAILURES``.
+
+    ``close`` opens ``log.leaves`` with ``os.open`` and wraps the descriptor
+    in ``open(fd, "wb")``, the only ``"wb"`` open in ``translog``.
+    """
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if mode != "wb":
+            return open(file, mode, *args, **kwargs)
+        if at == "open":
+            os.close(file)
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        return FailingIndex(open(file, mode, *args, **kwargs), at)
+
+    monkeypatch.setattr(translog, "open", failing_open, raising=False)
 
 
 def assert_log_whole(directory, size, root):
@@ -869,24 +906,30 @@ class TestFailedAppend:
             assert index == 3 and log.entry(3).manifest_digest == self.DIG
         assert_log_whole(tmp_path, 4, root)
 
-    def test_a_failed_index_write_fails_no_append(self, tmp_path):
+    @pytest.mark.parametrize(
+        "at, report",
+        [
+            # the index keeps the first session's leaf
+            ("open", ReopenReport(1, 2, "extended")),
+            # half of the two new leaves reached it
+            ("write", ReopenReport(2, 1, "extended")),
+            ("truncate", ReopenReport(3, 0, "kept")),
+        ],
+    )
+    def test_a_failed_index_write_at_close_is_not_raised(self, tmp_path, monkeypatch, at, report):
         with TransparencyLog(tmp_path) as log:
             fill(log, 1)
-            log._leaves_fh = FailingIndex(log._leaves_fh, at=1)
-            assert log.append(self.DIG, b"\x01", "k", appended_at=1)[0] == 1
-            index, root = log.append(self.DIG, b"\x01", "k", appended_at=2)
-            assert index == 2
         with TransparencyLog(tmp_path) as log:
-            # the index stopped at the failed write; reopening extended it
-            assert log.reopened == ReopenReport(1, 2, "extended")
-        assert_log_whole(tmp_path, 3, root)
-
-    def test_a_failed_index_write_at_close_is_not_raised(self, tmp_path):
-        with TransparencyLog(tmp_path) as log:
-            fill(log, 5)
+            fill(log, 2, start=1)
             root = log.current_root()
-            log._leaves_fh = FailingIndex(log._leaves_fh)
-        assert_log_whole(tmp_path, 5, root)
+            fail_index(monkeypatch, at)
+        monkeypatch.undo()
+        leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
+        assert leaves.startswith((tmp_path / LEAVES_NAME).read_bytes())
+        with TransparencyLog(tmp_path) as log:
+            # the index lags, and reopening extends it
+            assert log.reopened == report
+        assert_log_whole(tmp_path, 3, root)
 
     @pytest.mark.parametrize("name", [RECORDS_NAME, CHECKPOINTS_NAME])
     @pytest.mark.parametrize("how", [errno.ENOSPC, errno.EIO, "short"])
@@ -943,7 +986,7 @@ class TestFailedAppend:
             with TransparencyLog(directory) as log:
                 fill(log, size)
                 if name == LEAVES_NAME:
-                    log._leaves_fh = FailingIndex(log._leaves_fh, at=at)
+                    fail_index(monkeypatch, INDEX_FAILURES[at - 1])
                 else:
                     fd = log._records_fd if name == RECORDS_NAME else log._checkpoints_fd
                     fail_write(monkeypatch, fd, at, how)
@@ -1112,8 +1155,11 @@ def log_reads(log):
     )
 
 
-#: More than two full tiles of the index and a partial one.
+#: More than two full tiles and a partial one.
 INDEXED = 2 * TILE_LEAVES + 88
+
+#: Entries of the first session of the crashed writer.
+CRASHED_AFTER = 300
 
 
 @pytest.fixture(scope="module")
@@ -1139,8 +1185,9 @@ def indexed_log(tmp_path_factory):
 def reopen_with_index(files, index):
     """Reopen the log's files with ``index`` as its index, or with none.
 
-    Returns the restored state and reads, the reopen report, the index file
-    left behind, and the integrity report afterwards.
+    Returns the restored state and reads, the reopen report, the files left
+    behind by that reading handle, the integrity report afterwards, and the
+    index and reopen report after one more handle appends one entry.
     """
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
@@ -1151,7 +1198,13 @@ def reopen_with_index(files, index):
         with TransparencyLog(directory) as log:
             restored = (log_state(log), log_reads(log))
             report = log.reopened
-        return restored, report, (directory / LEAVES_NAME).read_bytes(), check_integrity(directory)
+        left = log_files(directory)
+        integrity = check_integrity(directory)
+        with TransparencyLog(directory) as log:
+            fill(log, 1, start=log.size)
+        with TransparencyLog(directory) as log:
+            appended = ((directory / LEAVES_NAME).read_bytes(), log.reopened)
+        return restored, report, left, integrity, appended
 
 
 class TestAtomicWrite:
@@ -1188,15 +1241,21 @@ class TestAtomicWrite:
 
 
 class TestLeafIndex:
-    """A damaged, missing or stale ``log.leaves`` restores the no-index state and is repaired."""
+    """A damaged, missing or stale ``log.leaves`` restores the no-index state.
+
+    Reading leaves it as it was; ``close`` after an append writes it whole.
+    """
 
     def check(self, indexed_log, index, report):
         files, expected, integrity = indexed_log
-        restored, got_report, left, got_integrity = reopen_with_index(files, index)
+        restored, got_report, left, got_integrity, appended = reopen_with_index(files, index)
         assert got_report == report
         assert restored == expected
-        assert left == files[LEAVES_NAME]
+        assert left == {**files, LEAVES_NAME: index}
         assert got_integrity == integrity
+        leaf = appended[0][INDEXED * _kernels.HASH_SIZE :]
+        assert appended == (files[LEAVES_NAME] + leaf, ReopenReport(INDEXED + 1, 0, "kept"))
+        assert len(leaf) == _kernels.HASH_SIZE
 
     def test_missing_index(self, indexed_log):
         self.check(indexed_log, None, ReopenReport(0, INDEXED, "extended"))
@@ -1239,14 +1298,17 @@ class TestLeafIndex:
         self.check(indexed_log, b"".join(leaves), ReopenReport(0, INDEXED, "rebuilt"))
 
     def test_crash_after_the_checkpoint_before_the_index_is_written(self, indexed_log, tmp_path):
-        # the writer dies without closing: the buffered tail of the index is lost
+        # the writer of a second session dies without closing: the index
+        # holds the first session's leaves and none of the second's
         files = indexed_log[0]
         script = (
             "import os, sys\n"
             "from test_translog import fill\n"
             "from manifestd.translog import TransparencyLog\n"
+            "with TransparencyLog(sys.argv[1]) as log:\n"
+            f"    fill(log, {CRASHED_AFTER})\n"
             "log = TransparencyLog(sys.argv[1])\n"
-            f"fill(log, {INDEXED})\n"
+            f"fill(log, {INDEXED - CRASHED_AFTER}, start={CRASHED_AFTER})\n"
             "os._exit(0)\n"
         )
         package_root = Path(translog.__file__).resolve().parent.parent
@@ -1260,11 +1322,34 @@ class TestLeafIndex:
         for name in (RECORDS_NAME, CHECKPOINTS_NAME):
             assert (tmp_path / name).read_bytes() == files[name]
         written = (tmp_path / LEAVES_NAME).read_bytes()
-        # whole tiles only, and not the last, partial one
-        assert len(written) == INDEXED // TILE_LEAVES * TILE_LEAVES * _kernels.HASH_SIZE
-        assert files[LEAVES_NAME].startswith(written)
-        k = len(written) // _kernels.HASH_SIZE
-        self.check(indexed_log, written, ReopenReport(k, INDEXED - k, "extended"))
+        assert written == files[LEAVES_NAME][: CRASHED_AFTER * _kernels.HASH_SIZE]
+        self.check(
+            indexed_log, written, ReopenReport(CRASHED_AFTER, INDEXED - CRASHED_AFTER, "extended")
+        )
+
+    @pytest.mark.parametrize("before", [0, 300])
+    def test_a_reader_leaves_a_live_writers_index_alone(self, tmp_path, before):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, before)
+        with TransparencyLog(tmp_path) as writer:
+            fill(writer, 300, start=before)
+            with TransparencyLog(tmp_path) as reader:
+                assert reader.reopened == ReopenReport(before, 300, "extended")
+                assert reader.current_root() == writer.current_root()
+            fill(writer, 300, start=before + 300)
+        leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
+        assert len(leaves) == (before + 600) * _kernels.HASH_SIZE
+        assert (tmp_path / LEAVES_NAME).read_bytes() == leaves
+        with TransparencyLog(tmp_path) as log:
+            assert log.reopened == ReopenReport(before + 600, 0, "kept")
+
+    def test_a_second_close_writes_nothing(self, tmp_path):
+        log = TransparencyLog(tmp_path)
+        fill(log, 3)
+        log.close()
+        (tmp_path / LEAVES_NAME).unlink()
+        log.close()
+        assert not (tmp_path / LEAVES_NAME).exists()
 
     def test_index_follows_appends_after_a_reopen(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
