@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Optional
@@ -127,6 +128,17 @@ def _log_dir(args) -> Path:
     raise ConfigError(f"no log directory: pass --log-dir or set {LOG_DIR_ENV}")
 
 
+def _refuse_unwritable(*paths) -> None:
+    """Refuse, creating no file, an output path that cannot take a new file."""
+    for path in map(Path, filter(None, paths)):
+        try:
+            if path.is_dir():
+                raise IsADirectoryError("is a directory")
+            tempfile.TemporaryFile(dir=path.parent).close()
+        except OSError as exc:
+            raise StorageError(f"cannot write {path}: {exc}") from exc
+
+
 def _existing_log(args) -> TransparencyLog:
     """The log a read-only command reads, writing no file; refused if absent."""
     directory = _log_dir(args)
@@ -208,9 +220,8 @@ def cmd_verify(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.infile}: {exc}") from exc
     now = _now_ms(args)
-    if args.receipts:
-        # an unwritable receipts path fails here, before anything is logged
-        write_ndjson(args.receipts, [])
+    # an unwritable receipts path fails here, before anything is logged
+    _refuse_unwritable(args.receipts)
     receipts = []
     rejected = 0
     with TransparencyLog(_log_dir(args)) as log:
@@ -256,6 +267,8 @@ def cmd_audit(args) -> int:
     probability = float(args.probability)
     if not 0.0 <= probability <= 1.0:
         raise ConfigError(f"audit probability {probability} outside [0, 1]")
+    # an unwritable output path fails here, before either file is written
+    _refuse_unwritable(args.out, args.receipts)
     with _existing_log(args) as log:
         size = log.size
         root = log.current_root()

@@ -284,7 +284,13 @@ class Keystore:
                 raise StorageError(
                     f"keystore {path}: key entry {position} needs string key_id and private_pem"
                 )
+            created_at, revoked = raw.get("created_at", 0), raw.get("revoked", False)
             try:
+                # JSON's own types: no string, float or bool is read as another
+                if type(created_at) is not int:
+                    raise ValueError(f"created_at must be an integer, not {created_at!r}")
+                if type(revoked) is not bool:
+                    raise ValueError(f"revoked must be true or false, not {revoked!r}")
                 private_key = serialization.load_pem_private_key(
                     raw["private_pem"].encode("ascii"), password=password
                 )
@@ -293,8 +299,8 @@ class Keystore:
                 record = _KeyRecord(
                     key_id=raw["key_id"],
                     private_key=private_key,
-                    created_at=int(raw.get("created_at", 0)),
-                    revoked=bool(raw.get("revoked", False)),
+                    created_at=created_at,
+                    revoked=revoked,
                 )
             except (TypeError, ValueError) as exc:
                 raise StorageError(

@@ -61,7 +61,7 @@ m, the records file's length at m, the SHA-256 digests of both files up to
 m, and the peak states at m (an RFC 9162 §8.3 monitor's last verified tree
 head).  Only an ok report of this process makes it, and no file holds it.
 The next check of that directory hashes each held prefix; if both digests
-match, the tile loop resumes at entry m with the held states, so a re-check
+match, the check resumes at entry m with the held states, so a re-check
 costs one SHA-256 pass over both files plus the hashes of the entries after
 m.  Otherwise the full check runs and localizes, and a report that is not ok
 drops the held state.  The reports are those of the full check on every
@@ -80,7 +80,7 @@ import time
 from array import array
 from binascii import hexlify, unhexlify
 from dataclasses import dataclass, field
-from itertools import count, islice
+from itertools import count
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, NoReturn, Optional, Sequence, Union
@@ -101,10 +101,6 @@ _NODE = struct.Struct(f"{_kernels.HASH_SIZE}s")
 
 #: Hard cap on one record's size; a length prefix above this is corruption.
 MAX_RECORD_BYTES = 1 << 20
-
-#: Entries per tile: ``check_integrity`` frames, hashes and compares one
-#: tile of records and checkpoint lines at a time.
-TILE_LEAVES = 256
 
 #: Bytes of ``log.records`` read per call while framing records, and of
 #: either file while ``check_integrity`` hashes what it verified before.
@@ -278,7 +274,6 @@ class TransparencyLog:
 
     def __init__(self, directory: Union[str, Path]):
         self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
         self._records_path = self._dir / RECORDS_NAME
         self._checkpoints_path = self._dir / CHECKPOINTS_NAME
         self._leaves_path = self._dir / LEAVES_NAME
@@ -305,6 +300,8 @@ class TransparencyLog:
         opened = []
         appending = os.O_WRONLY | os.O_APPEND | os.O_CREAT
         try:
+            # a directory path that is a file, or lies under one, fails here
+            self._dir.mkdir(parents=True, exist_ok=True)
             # append takes one os.write on each of these two descriptors; an
             # unbuffered file object owns each one and closes it
             for path in (self._records_path, self._checkpoints_path):
@@ -341,7 +338,8 @@ class TransparencyLog:
         """Close the log; the one writer of ``log.leaves``, after an append only.
 
         It writes level 0 after the leaves the file holds as verified
-        (``ReopenReport.leaves_from_index``) and cuts the file there; a
+        (``ReopenReport.leaves_from_index``), or after all the whole leaves it
+        holds now if it was cut or removed since, and cuts the file there; a
         failure is dropped, leaving an index that reopening extends.
         """
         # a closed descriptor's number can be reused by another file
@@ -353,10 +351,12 @@ class TransparencyLog:
             return
         self._appended = False
         start = self._reopened.leaves_from_index if self._reopened else 0
-        start *= _kernels.HASH_SIZE
         try:
             # O_CREAT without O_TRUNC: the verified leaves before start stay
-            with open(os.open(self._leaves_path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fd = os.open(self._leaves_path, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "wb") as fh:
+                start = min(start, os.fstat(fd).st_size // _kernels.HASH_SIZE)
+                start *= _kernels.HASH_SIZE
                 fh.seek(start)
                 with memoryview(self._levels[0]) as leaves:
                     fh.write(leaves[start:])
@@ -641,8 +641,6 @@ class TransparencyLog:
         """
         leaves = bytearray(start * _kernels.HASH_SIZE)
         offsets = array("q", [0])
-        hash_leaf = _kernels.hash_leaf
-        done = start
         try:
             if start:
                 with open(self._leaves_path, "rb") as fh:
@@ -650,14 +648,8 @@ class TransparencyLog:
                         raise OSError(f"{LEAVES_NAME} shrank while it was read")
             with open(self._records_path, "rb") as records:
                 for data, base in _chunks(records, offsets):
-                    framed = len(offsets) - 1
-                    if framed > done:
-                        view = memoryview(data)
-                        for i in range(done, framed):
-                            leaves += hash_leaf(
-                                view[offsets[i] - base + _LEN.size : offsets[i + 1] - base]
-                            )
-                        done = framed
+                    leaves += b"".join(_leaf_hashes(data, base, offsets, start))
+                    start = max(start, len(offsets) - 1)
         except OSError as exc:
             raise LogDamage(None, f"cannot read log files in {self._dir}: {exc}") from exc
         del leaves[(len(offsets) - 1) * _kernels.HASH_SIZE :]
@@ -844,7 +836,8 @@ def _chunks(records, ends, index: int = 0) -> Iterator[tuple[bytes, int]]:
     chunk holds whole, the offset where the record ends, counted from the
     file's starting position, is appended to ``ends``; then the chunk is
     yielded with the offset it starts at.  Only length prefixes are read
-    here: what to do with the bodies is the caller's.
+    here: reopen and ``check_integrity`` hash the bodies with
+    ``_leaf_hashes``.
     """
     append, unpack_from, prefix = ends.append, _LEN.unpack_from, _LEN.size
     data = b""
@@ -884,22 +877,17 @@ def _chunks(records, ends, index: int = 0) -> Iterator[tuple[bytes, int]]:
         pos = 0
 
 
-def _frames(records, index: int = 0) -> Iterator[memoryview]:
-    """Yield the body of every record of an open records file, in order.
+def _leaf_hashes(data: bytes, base: int, offsets, start: int) -> list[bytes]:
+    """The leaf hashes of records ``start`` on, which one read of ``_chunks`` framed.
 
-    The file is positioned at record ``index``; the records are framed by
-    ``_chunks``.  A yielded body is a view into the chunk that holds it.
+    ``data`` is the read, at file offset ``base``; record i spans ``offsets[i]``
+    to ``offsets[i + 1]``, and the read holds records ``start`` on whole.
     """
-    prefix = _LEN.size
-    ends: list[int] = []
-    for data, base in _chunks(records, ends, index):
-        view = memoryview(data)
-        start = prefix
-        for end in ends:
-            end -= base
-            yield view[start:end]
-            start = end + prefix
-        ends.clear()
+    hash_leaf, prefix, view = _kernels.hash_leaf, _LEN.size, memoryview(data)
+    return [
+        hash_leaf(view[offsets[i] - base + prefix : offsets[i + 1] - base])
+        for i in range(start, len(offsets) - 1)
+    ]
 
 
 def _checkpoints_size(size: int) -> int:
@@ -981,19 +969,19 @@ def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
     kind, is reported, so any single-byte change to either file (including
     truncation, an inserted or a deleted byte) is reported where it is.
 
-    The check runs a tile of ``TILE_LEAVES`` entries at a time: it frames
-    and hashes the tile's records, computes the root at every size in the
-    tile with ``_kernels.prefix_roots``, builds the checkpoint lines
-    ``append`` would have written for them and compares those bytes with the
-    same range of the checkpoints file.  A line has one valid form, so equal
+    The check runs one read of ``log.records`` at a time: it hashes the
+    records the read holds whole, computes the root at every size they add
+    with ``_kernels.prefix_roots``, builds the checkpoint lines ``append``
+    would have written for them and compares those bytes with the same
+    range of the checkpoints file.  A line has one valid form, so equal
     bytes check the form, the size and the root at once, with the hashes of
-    an entry-at-a-time replay.  Only a tile that fails is looked at line by
-    line, to name its first bad entry.
+    an entry-at-a-time replay.  Only a read whose lines differ is looked at
+    line by line, to name its first bad entry.
 
     An ok report leaves this process holding what it verified, in memory
     only (see the module docstring).  A later check of the same directory
     whose files still begin with exactly those bytes, checked by one SHA-256
-    pass over each, resumes the tile loop after them: it costs that pass and
+    pass over each, resumes the read loop after them: it costs that pass and
     the hashes of the new entries alone, 0 for an unchanged log.  Any other
     check is the full one, and a report that is not ok drops the held state.
     An empty ``log.records`` with no ``log.checkpoints`` is the empty log.
@@ -1014,7 +1002,7 @@ def check_integrity(directory: Union[str, Path]) -> IntegrityReport:
                 report = IntegrityReport(True, None, "0 entries verified")
             else:
                 with checkpoints:
-                    report, verified = _check_tiles(records, checkpoints, held)
+                    report, verified = _check_reads(records, checkpoints, held)
     except OSError as exc:
         report = IntegrityReport(False, None, f"cannot read log files in {directory}: {exc}")
     with _held_lock:
@@ -1064,19 +1052,19 @@ def _held_prefixes(records, checkpoints, held: _Verified) -> Optional[list]:
     return states
 
 
-def _check_tiles(
+def _check_reads(
     records, checkpoints, held: Optional[_Verified]
 ) -> tuple[IntegrityReport, Optional[_Verified]]:
-    """``check_integrity`` over the open log files, a tile at a time.
+    """``check_integrity`` over the open log files, one read of ``log.records`` at a time.
 
     It resumes after ``held`` when both files begin with the bytes it
-    verified, and returns what an ok report verified.  A tile's records are
-    framed and hashed up to the first that fails to frame; its lines are
-    compared with those ``append`` wrote for them in one compare, and only
-    when they differ does ``_first_bad_line`` look for the one that does.
-    If every line matches, the framing damage is the first failure.
+    verified, and returns what an ok report verified.  The lines of a
+    read's records are compared with those ``append`` wrote for them in one
+    compare, and only when they differ does ``_first_bad_line`` look for
+    the one that does.  ``_chunks`` gives every record before the first
+    that fails to frame, so framing damage is the first failure when every
+    line before it matches.
     """
-    hash_leaf, prefix_roots = _kernels.hash_leaf, _kernels.prefix_roots
     digests = None if held is None else _held_prefixes(records, checkpoints, held)
     if digests is not None:
         size, records_at = held.size, held.records_bytes
@@ -1088,37 +1076,29 @@ def _check_tiles(
         size = records_at = 0
         states = []
     records_digest, checkpoints_digest = digests
-    frames = _frames(_Digesting(records, records_digest), size)
-    while True:
-        leaves = []
-        spanned = 0
-        damage = None
-        try:
-            for record in islice(frames, TILE_LEAVES):
-                leaves.append(hash_leaf(record))
-                spanned += _LEN.size + len(record)
-        except LogDamage as exc:
-            damage = exc
-        roots = prefix_roots(states, size, leaves)
-        expected = b"".join(
-            [_CHECKPOINT % (n, hexlify(root)) for n, root in zip(count(size + 1), roots)]
-        )
-        got = checkpoints.read(len(expected))
-        if got != expected:
-            return _first_bad_line(got, roots, size), None
-        if damage is not None:
-            return IntegrityReport(False, damage.index, str(damage)), None
-        checkpoints_digest.update(expected)
-        size += len(leaves)
-        records_at += spanned
-        if len(leaves) < TILE_LEAVES:
-            if checkpoints.read(1):
-                return IntegrityReport(False, size, f"checkpoint line {size} has no record"), None
-            verified = _Verified(
-                size, records_at, records_digest.digest(), checkpoints_digest.digest(),
-                tuple(states),
+    # where records end, counted from records_at; cut to the last after each read
+    ends = [0]
+    try:
+        for data, base in _chunks(_Digesting(records, records_digest), ends, size):
+            roots = _kernels.prefix_roots(states, size, _leaf_hashes(data, base, ends, 0))
+            del ends[:-1]
+            expected = b"".join(
+                [_CHECKPOINT % (n, hexlify(root)) for n, root in zip(count(size + 1), roots)]
             )
-            return IntegrityReport(True, None, f"{size} entries verified"), verified
+            got = checkpoints.read(len(expected))
+            if got != expected:
+                return _first_bad_line(got, roots, size), None
+            checkpoints_digest.update(expected)
+            size += len(roots)
+    except LogDamage as exc:
+        return IntegrityReport(False, exc.index, str(exc)), None
+    if checkpoints.read(1):
+        return IntegrityReport(False, size, f"checkpoint line {size} has no record"), None
+    verified = _Verified(
+        size, records_at + ends[-1], records_digest.digest(), checkpoints_digest.digest(),
+        tuple(states),
+    )
+    return IntegrityReport(True, None, f"{size} entries verified"), verified
 
 
 def _first_bad_line(got: bytes, roots: list[bytes], size: int) -> IntegrityReport:

@@ -152,9 +152,12 @@ class TestKeyCommands:
             lambda store: store["keys"][0].update(key_id=5),
             lambda store: store["keys"][0].update(private_pem=5),
             lambda store: store["keys"][0].update(created_at="x"),
+            lambda store: store["keys"][0].update(created_at=1.9),
+            lambda store: store["keys"][0].update(revoked="false"),
         ],
         ids=["keys-not-list", "scheme-not-string", "entry-not-object", "no-key-id",
-             "no-pem", "key-id-not-string", "pem-not-string", "bad-created-at"],
+             "no-pem", "key-id-not-string", "pem-not-string", "bad-created-at",
+             "float-created-at", "string-revoked"],
     )
     def test_malformed_keystore_exits_5(self, tmp_path, capsys, edit):
         ks = tmp_path / "keys.pem"
@@ -164,7 +167,9 @@ class TestKeyCommands:
         ks.write_text(json.dumps(store))
         capsys.readouterr()
         assert main(["key-list", "--keystore", str(ks)]) == EXIT_STORAGE
-        assert "keystore" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "keystore" in captured.err
+        assert not captured.out
 
     def test_revoke_unknown_key_exits_3(self, tmp_path):
         ks = tmp_path / "keys.pem"
@@ -361,14 +366,27 @@ class TestVerify:
         receipts = [json.loads(l) for l in receipts_path.read_text().splitlines()]
         assert [(r["line"], r["index"]) for r in receipts] == [(1, 0), (4, 1)]
 
-    def test_unwritable_receipts_path_exits_5_before_logging(self, logged, capsys):
+    @pytest.mark.parametrize("under", [False, True])
+    def test_a_log_dir_that_cannot_be_a_directory_exits_5(self, workspace, capsys, under):
+        # a file, or a path under one: a traceback and exit 1 before
+        log_dir = workspace / "signed.ndjson"
+        rc = main(["verify", "--in", str(workspace / "signed.ndjson"),
+                   "--keystore", str(workspace / "keys.pem"),
+                   "--log-dir", str(log_dir / "sub" if under else log_dir), "--now", str(NOW)])
+        assert rc == EXIT_STORAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot open log files"), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("receipts", ["nodir/r.ndjson", "log"])
+    def test_unwritable_receipts_path_exits_5_before_logging(self, logged, capsys, receipts):
         workspace = logged.parent
         rc = main(["verify", "--in", str(workspace / "signed.ndjson"),
                    "--keystore", str(workspace / "keys.pem"),
                    "--log-dir", str(logged), "--now", str(NOW),
-                   "--receipts", str(workspace / "nodir" / "r.ndjson")])
+                   "--receipts", str(workspace / receipts)])
         assert rc == EXIT_STORAGE
-        assert "nodir" in capsys.readouterr().err
+        assert f"cannot write {workspace / receipts}" in capsys.readouterr().err
         with TransparencyLog(logged) as log:
             assert log.size == 5
 
@@ -534,6 +552,21 @@ class TestAudit:
             assert recheck_evidence(EvidenceTuple.from_json_line(line))
         receipt_rows = [json.loads(l) for l in receipts.read_text().splitlines()]
         assert [r["log_index"] for r in receipt_rows] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("unwritable", ["out", "receipts"])
+    @pytest.mark.parametrize("path", ["nodir/x.ndjson", "log"])
+    def test_an_unwritable_output_exits_5_and_writes_neither_file(
+        self, logged, capsys, unwritable, path
+    ):
+        workspace = logged.parent
+        paths = {"out": workspace / "evidence.ndjson", "receipts": workspace / "receipts.ndjson"}
+        paths[unwritable] = workspace / path
+        before = sorted(workspace.iterdir())
+        rc = main(["audit", "--log-dir", str(logged), "--probability", "1", "--seed", "9",
+                   "--out", str(paths["out"]), "--receipts", str(paths["receipts"])])
+        assert rc == EXIT_STORAGE
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert sorted(workspace.iterdir()) == before
 
     def test_same_seed_reproduces_identical_bytes(self, logged, capsys):
         a = logged.parent / "a.ndjson"

@@ -349,6 +349,24 @@ class TestPersistence:
         with pytest.raises(StorageError, match=f"cannot load key 'odd': not a {scheme} key"):
             Keystore.load(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("revoked", "false"), ("revoked", 0), ("revoked", None),
+         ("created_at", 1.9), ("created_at", True), ("created_at", "7")],
+    )
+    def test_a_key_field_of_another_json_type_is_refused(self, tmp_path, field, value):
+        # "false" used to load as revoked, and 1.9 as created_at 1
+        path = tmp_path / "keys.json"
+        ks = Keystore()
+        ks.keygen("good")
+        ks.keygen("k1")
+        ks.save(path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["keys"][1][field] = value
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with pytest.raises(StorageError, match=f"cannot load key 'k1': {field} must be"):
+            Keystore.load(path)
+
     def test_corrupted_file(self, tmp_path):
         path = tmp_path / "keys.pem"
         ks = Keystore()

@@ -7,9 +7,11 @@ roots are compared byte for byte with the recursive RFC 9162 oracles of
 ``test_kernels``.
 """
 
+import bisect
 import errno
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -24,6 +26,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 from hypothesis import strategies as st
 from test_kernels import oracle_leaf, oracle_path, oracle_root
 
@@ -37,7 +40,6 @@ from manifestd.translog import (
     LEAVES_NAME,
     MAX_RECORD_BYTES,
     RECORDS_NAME,
-    TILE_LEAVES,
     LogEntry,
     MerkleProof,
     MerkleRoot,
@@ -51,6 +53,13 @@ from manifestd.translog import (
 )
 
 _LEN = struct.Struct(">I")
+
+#: An entry count that test sizes sit around: 2^8, where a tree gains a level.
+SPAN = 256
+
+#: Bytes per read of ``log.records`` that tests patch in as ``translog._CHUNK``:
+#: the small ones put a read boundary next to every entry.
+CHUNKS = (7, 64, 200, translog._CHUNK)
 
 
 def naive_records(directory):
@@ -428,7 +437,7 @@ class TestAppendCost:
             files = {log._records_fd: RECORDS_NAME, log._checkpoints_fd: CHECKPOINTS_NAME}
             monkeypatch.setattr(os, "write", write)
             # no append writes the index: close() does
-            for i in range(TILE_LEAVES + 3):
+            for i in range(SPAN + 3):
                 log.append(self.DIG, b"\x30" * 71, "k", appended_at=i)
                 assert [files.get(fd) for fd, _ in written[-2:]] == [
                     RECORDS_NAME, CHECKPOINTS_NAME
@@ -1007,6 +1016,14 @@ class TestFailedAppend:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("under", [False, True])
+    def test_a_directory_path_that_is_a_file_is_a_storage_error(self, tmp_path, under):
+        path = tmp_path / "file"
+        path.write_bytes(b"")
+        with pytest.raises(StorageError, match="cannot open log files"):
+            TransparencyLog(path / "sub" if under else path)
+        assert path.read_bytes() == b""
+
     def test_reopen_restores_state(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
             fill(log, 13)
@@ -1155,8 +1172,8 @@ def log_reads(log):
     )
 
 
-#: More than two full tiles and a partial one.
-INDEXED = 2 * TILE_LEAVES + 88
+#: More than twice SPAN entries.
+INDEXED = 2 * SPAN + 88
 
 #: Entries of the first session of the crashed writer.
 CRASHED_AFTER = 300
@@ -1343,6 +1360,25 @@ class TestLeafIndex:
         with TransparencyLog(tmp_path) as log:
             assert log.reopened == ReopenReport(before + 600, 0, "kept")
 
+    @pytest.mark.parametrize("left", [None, 1000])
+    def test_an_index_cut_under_a_live_writer_is_written_whole(self, tmp_path, left):
+        # close used to write from the leaves its reopen verified, leaving a
+        # hole of zero bytes where the file had lost them
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 300)
+        index = tmp_path / LEAVES_NAME
+        with TransparencyLog(tmp_path) as writer:
+            assert writer.reopened == ReopenReport(300, 0, "kept")
+            if left is None:
+                index.unlink()
+            else:
+                os.truncate(index, left)
+            fill(writer, 300, start=300)
+        leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
+        assert index.read_bytes() == leaves
+        with TransparencyLog(tmp_path) as log:
+            assert log.reopened == ReopenReport(600, 0, "kept")
+
     def test_a_second_close_writes_nothing(self, tmp_path):
         log = TransparencyLog(tmp_path)
         fill(log, 3)
@@ -1376,7 +1412,7 @@ class TestLeafIndex:
             assert log.reopened == ReopenReport(3, 0, "kept")
             assert log.current_root().value == naive_root(naive_records(tmp_path))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, TILE_LEAVES - 1, TILE_LEAVES, TILE_LEAVES + 1, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 3, SPAN - 1, SPAN, SPAN + 1, 1000])
     def test_reopen_hash_costs(self, tmp_path, monkeypatch, n):
         # with a complete index no record is hashed: n - 1 interior hashes
         # rebuild the tree
@@ -1704,7 +1740,7 @@ class TestReopenFraming:
         if index == "cut":
             leaves = leaves[: data.draw(st.integers(0, len(leaves) - 1), label="index cut")]
         # small chunks put record ends and length prefixes across chunk reads
-        chunk = data.draw(st.sampled_from([7, 64, 200, translog._CHUNK]), label="chunk")
+        chunk = data.draw(st.sampled_from(CHUNKS), label="chunk")
         try:
             for _ in _reference_frames(bytes(records)):
                 pass
@@ -1736,19 +1772,19 @@ class TestReopenFraming:
                 assert not isinstance(raised.value, translog.LogDamage)
 
 
-#: Three tiles and a few entries more.
-TILED = 3 * TILE_LEAVES + 4
+#: Three times SPAN entries and a few more: two default reads of ``log.records``.
+CHECKED = 3 * SPAN + 4
 
 
 @pytest.fixture(scope="module")
-def tiled_log(tmp_path_factory):
-    """The records and checkpoint lines of a closed TILED-entry log."""
-    directory = tmp_path_factory.mktemp("tiled")
+def checked_log(tmp_path_factory):
+    """The records and checkpoint lines of a closed CHECKED-entry log."""
+    directory = tmp_path_factory.mktemp("checked")
     with TransparencyLog(directory) as log:
-        fill(log, TILED)
+        fill(log, CHECKED)
     records = naive_records(directory)
     lines = (directory / CHECKPOINTS_NAME).read_bytes().splitlines(keepends=True)
-    assert len(records) == len(lines) == TILED
+    assert len(records) == len(lines) == CHECKED
     return records, lines
 
 
@@ -1846,58 +1882,71 @@ def check_both(records_blob, checkpoints_blob):
         return (report.ok, report.tampered_at), reference_check(directory)
 
 
-class TestTileCheck:
-    """``check_integrity`` a tile at a time: the same hashes and the same reports."""
+def first_read_holds(records, chunk):
+    """How many of ``records`` the first read of ``log.records`` holds whole, at ``chunk`` bytes a read."""
+    return bisect.bisect_right(list(itertools.accumulate(_LEN.size + len(r) for r in records)), chunk)
 
-    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 511, 1025])
-    def test_hash_count_is_the_entry_by_entry_count(self, tmp_path, n):
+
+class TestReadCheck:
+    """``check_integrity`` one read of ``log.records`` at a time: the same hashes and the same reports."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("n", [0, 1, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN - 1, 4 * SPAN + 1])
+    def test_hash_count_is_the_entry_by_entry_count(self, tmp_path, chunk, n):
         dig = ManifestDigest(bytes.fromhex("a7" * 32))
         with TransparencyLog(tmp_path) as log:
             for i in range(n):
                 log.append(dig, b"\x30" * 71, "k", appended_at=i)
         before = _kernels.ops()
-        assert check_integrity(tmp_path).ok
+        with mock.patch.object(translog, "_CHUNK", chunk):
+            assert check_integrity(tmp_path).ok
         assert _kernels.ops() - before == full_check_hashes(n)
 
-    @pytest.mark.parametrize("n", [0, 1, TILE_LEAVES - 1, TILE_LEAVES, TILE_LEAVES + 1, TILED])
-    def test_clean_prefixes_verify(self, tiled_log, n):
-        records, lines = tiled_log
+    @pytest.mark.parametrize("n", [0, 1, SPAN - 1, SPAN, SPAN + 1, CHECKED])
+    def test_clean_prefixes_verify(self, checked_log, n):
+        records, lines = checked_log
         framed = b"".join(_LEN.pack(len(r)) + r for r in records[:n])
         got, want = check_both(framed, b"".join(lines[:n]))
         assert got == want == (True, None)
 
-    @pytest.mark.parametrize("n", [TILE_LEAVES, TILE_LEAVES + 1])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("past", [1, 2])
     @pytest.mark.parametrize("kind", DAMAGE_KINDS)
-    def test_damage_next_to_a_tile_boundary_is_reported_as_before(self, tiled_log, n, kind):
-        records, lines = tiled_log
-        for entry in range(TILE_LEAVES - 2, min(TILE_LEAVES + 2, n)):
-            for at in (0, 3, 5, 40, 130):
-                got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
-                assert got == want, (kind, entry, at)
-                assert not got[0]
-                if kind in RECORD_DAMAGE:
-                    assert got[1] == entry, (kind, entry, at)
+    def test_damage_next_to_a_read_boundary_is_reported_as_before(
+        self, checked_log, chunk, past, kind
+    ):
+        records, lines = checked_log
+        # the first read ends inside entry `split`; a chunk shorter than a
+        # record ends a read inside every one
+        split = max(first_read_holds(records, chunk), 2)
+        n = split + past
+        with mock.patch.object(translog, "_CHUNK", chunk):
+            for entry in range(split - 2, n):
+                for at in (0, 3, 5, 40, 130):
+                    got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
+                    assert got == want, (kind, entry, at)
+                    assert not got[0]
+                    if kind in RECORD_DAMAGE:
+                        assert got[1] == entry, (kind, entry, at)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_one_damage_is_reported_as_before(self, tiled_log, data):
-        records, lines = tiled_log
+    def test_one_damage_is_reported_as_before(self, checked_log, data):
+        records, lines = checked_log
         kind = data.draw(st.sampled_from(DAMAGE_KINDS), label="kind")
         # a swap needs two records
-        n = data.draw(st.integers(2 if kind == "record swap" else 1, TILED), label="entries")
-        near_boundary = [
-            tile + step
-            for tile in range(TILE_LEAVES, TILED, TILE_LEAVES)
-            for step in (-2, -1, 0, 1)
-            if tile + step < n
-        ]
+        n = data.draw(st.integers(2 if kind == "record swap" else 1, CHECKED), label="entries")
+        chunk = data.draw(st.sampled_from(CHUNKS), label="chunk")
+        split = first_read_holds(records, chunk)
+        near_boundary = [split + step for step in (-2, -1, 0, 1) if 0 <= split + step < n]
         entry = data.draw(
             st.sampled_from(near_boundary) if near_boundary and data.draw(st.booleans())
             else st.integers(0, n - 1),
             label="entry",
         )
         at = data.draw(st.integers(0, 1 << 16), label="at")
-        got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
+        with mock.patch.object(translog, "_CHUNK", chunk):
+            got, want = check_both(*damaged(records[:n], lines[:n], kind, entry, at))
         assert got == want
         assert not got[0]
         if kind in RECORD_DAMAGE:
@@ -1905,7 +1954,7 @@ class TestTileCheck:
 
     def test_reads_only_the_records_and_checkpoints_and_writes_nothing(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
-            fill(log, TILE_LEAVES + 3)
+            fill(log, SPAN + 3)
         (tmp_path / LEAVES_NAME).write_bytes(b"\xff" * 7)
         before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
         assert check_integrity(tmp_path).ok
@@ -1921,11 +1970,11 @@ class TestResumedCheck:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_a_resumed_check_reports_as_a_full_check(self, tiled_log, data):
-        records, lines = tiled_log
+    def test_a_resumed_check_reports_as_a_full_check(self, checked_log, data):
+        records, lines = checked_log
         kind = data.draw(st.sampled_from(DAMAGE_KINDS + GARBAGE_KINDS), label="kind")
         # a swap needs two records
-        n = data.draw(st.integers(2 if kind == "record swap" else 1, TILED), label="entries")
+        n = data.draw(st.integers(2 if kind == "record swap" else 1, CHECKED), label="entries")
         held = data.draw(st.integers(0, n), label="held")
         # damage on either side of the held size
         sides = [st.integers(0, held - 1)] if held else []
@@ -1949,13 +1998,13 @@ class TestResumedCheck:
 
     @pytest.mark.parametrize(
         "held, n",
-        [(0, 0), (0, 1), (5, 5), (1, TILE_LEAVES), (TILE_LEAVES - 1, TILE_LEAVES + 1),
-         (TILE_LEAVES, 2 * TILE_LEAVES), (300, TILED), (TILED, TILED)],
+        [(0, 0), (0, 1), (5, 5), (1, SPAN), (SPAN - 1, SPAN + 1),
+         (SPAN, 2 * SPAN), (300, CHECKED), (CHECKED, CHECKED)],
     )
     def test_a_clean_resumed_check_costs_the_new_entries_hashes(
-        self, tiled_log, tmp_path, held, n
+        self, checked_log, tmp_path, held, n
     ):
-        records, lines = tiled_log
+        records, lines = checked_log
         write_log(tmp_path, *clean_files(records, lines, held))
         assert check_integrity(tmp_path).ok
         write_log(tmp_path, *clean_files(records, lines, n))
@@ -1977,7 +2026,7 @@ class TestResumedCheck:
                                           (CHECKPOINTS_NAME, 5), (CHECKPOINTS_NAME, -5)])
     def test_a_damaged_then_restored_log_is_checked_exactly(self, tmp_path, name, at):
         with TransparencyLog(tmp_path) as log:
-            fill(log, TILE_LEAVES + 9)
+            fill(log, SPAN + 9)
         path = tmp_path / name
         clean = path.read_bytes()
         assert check_integrity(tmp_path).ok
@@ -1989,7 +2038,7 @@ class TestResumedCheck:
         assert not report.ok
         path.write_bytes(clean)
         # the failed check dropped the held state: the full check runs, then holds again
-        for cost in (full_check_hashes(TILE_LEAVES + 9), 0):
+        for cost in (full_check_hashes(SPAN + 9), 0):
             before = _kernels.ops()
             assert check_integrity(tmp_path).ok
             assert _kernels.ops() - before == cost
@@ -2003,3 +2052,127 @@ class TestResumedCheck:
             os.path.realpath(d) for d in directories[-translog.HELD_CHECKS:]
         ]
         assert len(translog._held) == translog.HELD_CHECKS
+
+
+#: Key ids the log machine appends with: one needs JSON quoting.
+MACHINE_KEYS = ("k", "op-1", 'q"\\é')
+
+
+class LogMachine(RuleBasedStateMachine):
+    """Appends, reopens, checks and damage in any order, against a list of the entries appended.
+
+    A record's bytes are rebuilt by ``json.dumps`` and its leaf and root by
+    the oracles, so the model needs nothing from the package.  A flipped
+    byte of ``log.records`` or ``log.checkpoints`` is damage until it is
+    flipped back; a cut or missing ``log.leaves`` is not.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.dir = Path(tempfile.mkdtemp())
+        self.leaves: list[bytes] = []
+        # where each framed record and each checkpoint line starts, and the
+        # ends of both files
+        self.starts = {RECORDS_NAME: [0], CHECKPOINTS_NAME: [0]}
+        self.flips: list[tuple[str, int, int]] = []
+        self.log = TransparencyLog(self.dir)
+
+    def teardown(self):
+        if self.log is not None:
+            self.log.close()
+        for path in self.dir.iterdir():
+            path.unlink()
+        self.dir.rmdir()
+
+    @precondition(lambda self: self.log is not None)
+    @rule(count=st.integers(1, 40), at=st.integers(-(1 << 41), 1 << 41))
+    def append(self, count, at):
+        for _ in range(count):
+            index = len(self.leaves)
+            key = MACHINE_KEYS[index % len(MACHINE_KEYS)]
+            dig, signature = hashlib.sha256(b"%d" % index).digest(), bytes([index % 256]) * 9
+            self.log.append(ManifestDigest(dig), signature, key, appended_at=at + index)
+            record = json.dumps(
+                {"index": index, "manifest_digest": dig.hex(), "signature": signature.hex(),
+                 "key_id": key, "appended_at": at + index},
+                separators=(",", ":"), ensure_ascii=False,
+            )
+            self.leaves.append(oracle_leaf(record.encode("utf-8")))
+            for name, length in ((RECORDS_NAME, _LEN.size + len(record.encode("utf-8"))),
+                                 (CHECKPOINTS_NAME, len(b"%d " % (index + 1)) + 65)):
+                self.starts[name].append(self.starts[name][-1] + length)
+
+    @rule(chunk=st.sampled_from(CHUNKS))
+    def reopen(self, chunk):
+        if self.log is not None:
+            self.log.close()
+        self.log = None
+        with mock.patch.object(translog, "_CHUNK", chunk):
+            try:
+                self.log = TransparencyLog(self.dir)
+            except StorageError:
+                # only damage refuses a reopen; the invariant checks what loads
+                assert self.flips
+
+    @rule(chunk=st.sampled_from(CHUNKS), times=st.integers(1, 2))
+    def check(self, chunk, times):
+        # a second check re-checks from the state the first one held
+        for _ in range(times):
+            with mock.patch.object(translog, "_CHUNK", chunk):
+                report = check_integrity(self.dir)
+            assert (report.ok, report.tampered_at) == reference_check(self.dir)
+            if not self.flips:
+                assert report == translog.IntegrityReport(
+                    True, None, f"{len(self.leaves)} entries verified"
+                )
+
+    @precondition(lambda self: self.leaves)
+    @rule(name=st.sampled_from([RECORDS_NAME, CHECKPOINTS_NAME]), data=st.data())
+    def flip(self, name, data):
+        path = self.dir / name
+        blob = bytearray(path.read_bytes())
+        # any byte, or one next to where a record or a line starts: a length
+        # prefix, a newline
+        starts = self.starts[name]
+        near = [start + step for start in starts for step in (-1, 0, 1, 2, 3)]
+        at = data.draw(
+            st.one_of(st.integers(0, len(blob) - 1),
+                      st.sampled_from([at for at in near if 0 <= at < len(blob)])),
+            label="at",
+        )
+        mask = data.draw(st.integers(1, 255), label="mask")
+        blob[at] ^= mask
+        path.write_bytes(blob)
+        self.flips.append((name, at, mask))
+
+    @precondition(lambda self: self.flips)
+    @rule()
+    def restore(self):
+        for name, at, mask in reversed(self.flips):
+            path = self.dir / name
+            blob = bytearray(path.read_bytes())
+            blob[at] ^= mask
+            path.write_bytes(blob)
+        self.flips.clear()
+
+    @rule(keep=st.one_of(st.none(), st.integers(0, 1 << 16)))
+    def cut_index(self, keep):
+        index = self.dir / LEAVES_NAME
+        if not index.exists():
+            return
+        if keep is None:
+            index.unlink()
+        else:
+            os.truncate(index, min(keep, index.stat().st_size))
+
+    @invariant()
+    def handle_holds_the_model(self):
+        if self.log is not None:
+            assert self.log.size == len(self.leaves)
+            assert self.log.current_root().value == oracle_root(self.leaves)
+
+
+LogMachine.TestCase.settings = settings(
+    max_examples=200, stateful_step_count=30, deadline=None
+)
+TestLogMachine = LogMachine.TestCase
