@@ -10,7 +10,9 @@ Reopening writes no file; a parent tree older than that rule also writes
 the index back on its "no index" side.  It records the reopen wall time,
 the tree-hash operations one reopen costs (``_kernels.ops()``), the root it
 restores, and the peak of Python allocations during one more reopen per
-side under ``tracemalloc``.  The two
+side under ``tracemalloc``.  That traced run then closes its handle and,
+still holding it, reopens the log again, as a restarting auditor does; the
+peak of that restart is recorded too.  The two
 trees' hash counts are also put side by side for each index state, with the
 change's ratio to the parent and the pairs it won.
 
@@ -20,7 +22,8 @@ state must cost the same hashes.
 
 from _compare import ENTRY, main, spread, won
 
-#: Child program: reopen the log once, timed, or once under tracemalloc.
+#: Child program: reopen the log once, timed, or under tracemalloc once and
+#: then once more while the closed first handle is still referenced.
 _CHILD = r"""
 import json, time, tracemalloc
 from pathlib import Path
@@ -41,10 +44,15 @@ hashes = _kernels.ops() - before
 peak = tracemalloc.get_traced_memory()[1] if traced else None
 root = log.current_root().hex
 log.close()
+restart_peak = None
+if traced:
+    tracemalloc.reset_peak()
+    TransparencyLog(log_dir).close()
+    restart_peak = tracemalloc.get_traced_memory()[1]
 if drop_index:
     aside.replace(index)
 print(json.dumps({"seconds": elapsed, "hashes": hashes, "traced_peak_bytes": peak,
-                  "root": root}))
+                  "traced_restart_peak_bytes": restart_peak, "root": root}))
 """
 
 #: Each side's tree and whether it deletes the index before each reopen.
@@ -68,6 +76,7 @@ def summarize(runs: dict[str, list[dict]], traced: dict) -> dict:
             "reopen_s": spread([s["seconds"] for s in samples]),
             "hashes": traced[side]["hashes"],
             "traced_peak_bytes": traced[side]["traced_peak_bytes"],
+            "traced_restart_peak_bytes": traced[side]["traced_restart_peak_bytes"],
             "root": traced[side]["root"],
         }
         for side, samples in runs.items()

@@ -37,22 +37,26 @@ other two files while that handle is open, or when it died unclosed.
 
 An open log holds one ``O_WRONLY | O_APPEND`` descriptor on each of the
 records and checkpoints files, for ``append``, and one read-only descriptor
-on the records file, for ``entry``.
+on the records file, for ``entry``.  In memory it holds 72 B per entry: 64 B
+of stored hashes (the leaf and, on average, one node of the levels above)
+and the 8-byte offset of its record.  ``close`` lets go of the descriptors
+and of those bytes, so a restart that reopens a log holds one tree, not two;
+every read of a closed log then raises ``StorageError``.
 
 Reopening frames every record (each length prefix, the record size cap, and
 that the records end exactly at the end of the file), checks that the
 checkpoints file is exactly as long as that many lines, and parses its last
 line.  It takes the leaf hashes the index holds, hashes only the records
 after them, rebuilds every level from the leaves (n - 1 interior hashes)
-and compares the root with the last line.  If they differ it retries once
-without the index, and if that agrees the index was at fault; either way
-it mends the index in memory only.  So reopening trusts nothing it has not
-checked against the last checkpoint, but it does not re-hash a record the
-index covers, and frames it by its length prefix alone: a same-size
-change inside such a record body, or inside any checkpoint line but the
-last, does not fail reopening.  ``entry`` refuses such a record, and
-``check_integrity``, which reads only the records and checkpoints, reports
-it.
+and compares the root with the last line.  If they differ it drops that
+tree and retries once without the index, and if that agrees the index was
+at fault; either way it mends the index in memory only.  So reopening
+trusts nothing it has not checked against the last checkpoint, but it does
+not re-hash a record the index covers, and frames it by its length prefix
+alone: a same-size change inside such a record body, or inside any
+checkpoint line but the last, does not fail reopening.  ``entry`` refuses
+such a record, and ``check_integrity``, which reads only the records and
+checkpoints, reports it.
 
 ``check_integrity`` replays the whole log against every checkpoint line, as
 its docstring says.  On an ok report this process holds, in memory only and
@@ -79,6 +83,7 @@ import threading
 import time
 from array import array
 from binascii import hexlify, unhexlify
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import count
 from json.encoder import encode_basestring
@@ -269,6 +274,24 @@ def empty_root() -> MerkleRoot:
     return MerkleRoot(_kernels.sha256(b""), 0)
 
 
+class _Released:
+    """What a closed log holds in place of its stored hashes and offsets.
+
+    Every read starts by taking the length of, or indexing, one of them, so
+    this one object makes each read of a closed log raise ``StorageError``
+    at no cost to an open one.
+    """
+
+    def __init__(self, reason: str) -> None:
+        self._reason = reason
+
+    def __len__(self) -> NoReturn:
+        raise StorageError(self._reason)
+
+    def __getitem__(self, key) -> NoReturn:
+        raise StorageError(self._reason)
+
+
 class TransparencyLog:
     """Single-writer log over one directory, checked against its last checkpoint on reopen."""
 
@@ -340,29 +363,33 @@ class TransparencyLog:
         It writes level 0 after the leaves the file holds as verified
         (``ReopenReport.leaves_from_index``), or after all the whole leaves it
         holds now if it was cut or removed since, and cuts the file there; a
-        failure is dropped, leaving an index that reopening extends.
+        failure is dropped, leaving an index that reopening extends.  Then
+        it lets go of the stored hashes and offsets: every read of a closed
+        log raises ``StorageError``, ``reopened`` alone still answers, and a
+        second ``close`` does nothing.
         """
         # a closed descriptor's number can be reused by another file
         self._refused = f"{self._dir}: the log is closed"
         self._records_out.close()
         self._checkpoints_out.close()
         self._reader.close()
-        if not self._appended:
-            return
-        self._appended = False
-        start = self._reopened.leaves_from_index if self._reopened else 0
-        try:
-            # O_CREAT without O_TRUNC: the verified leaves before start stay
-            fd = os.open(self._leaves_path, os.O_WRONLY | os.O_CREAT, 0o666)
-            with open(fd, "wb") as fh:
-                start = min(start, os.fstat(fd).st_size // _kernels.HASH_SIZE)
-                start *= _kernels.HASH_SIZE
-                fh.seek(start)
-                with memoryview(self._levels[0]) as leaves:
-                    fh.write(leaves[start:])
-                fh.truncate()
-        except OSError:
-            pass  # the index lags, and reopening extends it
+        if self._appended:
+            self._appended = False
+            start = self._reopened.leaves_from_index if self._reopened else 0
+            try:
+                # O_CREAT without O_TRUNC: the verified leaves before start stay
+                fd = os.open(self._leaves_path, os.O_WRONLY | os.O_CREAT, 0o666)
+                with open(fd, "wb") as fh:
+                    start = min(start, os.fstat(fd).st_size // _kernels.HASH_SIZE)
+                    start *= _kernels.HASH_SIZE
+                    fh.seek(start)
+                    with memoryview(self._levels[0]) as leaves:
+                        fh.write(leaves[start:])
+                    fh.truncate()
+            except OSError:
+                pass  # the index lags, and reopening extends it
+        self._levels = self._offsets = _Released(self._refused)
+        self._states, self._edge = [], []
 
     def __enter__(self) -> "TransparencyLog":
         return self
@@ -498,8 +525,7 @@ class TransparencyLog:
         length = offsets[index + 1] - start
         try:
             data = os.pread(self._reader.fileno(), length, start)
-        except (OSError, ValueError) as exc:
-            # ValueError: the log is closed
+        except OSError as exc:
             raise StorageError(f"cannot read record {index}: {exc}") from exc
         record = data[_LEN.size :]
         if len(data) != length or _LEN.unpack_from(data)[0] != len(record):
@@ -612,15 +638,17 @@ class TransparencyLog:
             if start == stored:
                 line = _final_checkpoint(self._checkpoints_path, size)
             levels = _levels_over(leaves)
-            self._levels, self._offsets = levels, offsets
             states, edge = _peak_states(levels, size)
             if line is None or line["root"] == hexlify(edge[0]):
                 break
+            # the retry without the index builds its tree with this one gone
+            del leaves, offsets, levels
         else:
             raise StorageError(
                 f"{self._dir}: replayed state disagrees with final checkpoint; "
                 "run an integrity check"
             )
+        self._levels, self._offsets = levels, offsets
         self._states, self._edge = states, edge
         from_index = min(start, size)
         if start != stored:
@@ -708,7 +736,9 @@ def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
     The temp file is created afresh with ``mode`` (less the umask): a stale
     one left by an earlier crash is removed first, so its mode, and so the
     mode of ``path``, is never inherited from it.  Any failure, a missing
-    directory or a full disk, raises ``StorageError``.
+    directory, a full disk or a ``path`` that is a directory, raises
+    ``StorageError``.  A failure after the temp file was created removes it;
+    a stale one that could not be removed is left as it was.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -717,9 +747,15 @@ def atomic_write_bytes(path: Union[str, Path], data, mode: int = 0o666) -> None:
             os.unlink(tmp)
         except FileNotFoundError:
             pass
-        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode), "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        try:
+            with open(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise StorageError(f"cannot write {path}: {exc}") from exc
 

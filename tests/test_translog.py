@@ -683,6 +683,20 @@ class TestStoredHashReads:
             assert log.current_root() == MerkleRoot(oracle_root(hashes), len(hashes))
 
 
+#: Every read of a log, which a closed log must refuse.
+CLOSED_READS = {
+    "size": lambda log: log.size,
+    "storage_bytes": lambda log: log.storage_bytes,
+    "current_root": lambda log: log.current_root(),
+    "root_at": lambda log: log.root_at(1),
+    "leaf_hash": lambda log: log.leaf_hash(0),
+    "entry": lambda log: log.entry(1),
+    "prove_inclusion": lambda log: log.prove_inclusion(0, 2),
+    "prove_consistency": lambda log: log.prove_consistency(1, 2),
+    "growth_series": lambda log: log.growth_series(),
+}
+
+
 class TestReadHandle:
     @pytest.mark.parametrize("offset", ["body", "length prefix"])
     def test_entry_fails_closed_on_a_record_changed_after_open(self, tmp_path, offset):
@@ -714,12 +728,20 @@ class TestReadHandle:
                 fill(log, 1, start=i)
                 assert log.entry(i).appended_at == 2_000 + i
 
-    def test_entry_after_close_raises_storage_error(self, tmp_path):
+    @pytest.mark.parametrize("read", CLOSED_READS.values(), ids=CLOSED_READS)
+    def test_every_read_after_close_raises_storage_error(self, tmp_path, read):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 1)
         log = TransparencyLog(tmp_path)
-        fill(log, 2)
+        fill(log, 1, start=1)
         log.close()
-        with pytest.raises(StorageError):
-            log.entry(1)
+        for _ in range(2):
+            with pytest.raises(StorageError, match="closed"):
+                read(log)
+            log.close()  # a second close does nothing
+        assert log.reopened == ReopenReport(1, 0, "kept")
+        with TransparencyLog(tmp_path) as log:
+            assert log.reopened == ReopenReport(2, 0, "kept")
 
     def test_append_after_close_raises_storage_error_and_writes_nothing(self, tmp_path):
         log = TransparencyLog(tmp_path)
@@ -1255,6 +1277,20 @@ class TestAtomicWrite:
         with pytest.raises(StorageError, match="cannot write"):
             atomic_write_bytes(path, b"new")
         assert path.read_bytes() == b"old"
+        # a stale temp file it could not remove is not its own to remove
+        assert (tmp_path / "out.bin.tmp").is_dir()
+
+    @pytest.mark.parametrize("fails", ["rename", "write"])
+    def test_a_failure_after_the_temp_file_is_made_removes_it(self, tmp_path, fails):
+        path = tmp_path / "out"
+        if fails == "rename":
+            path.mkdir()  # os.replace cannot put a file over a directory
+            with pytest.raises(StorageError, match="cannot write"):
+                atomic_write_bytes(path, b"x")
+        else:
+            with pytest.raises(TypeError):
+                atomic_write_bytes(path, "not bytes")
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["out"] if fails == "rename" else [])
 
 
 class TestLeafIndex:
@@ -1489,6 +1525,44 @@ class TestLeafIndex:
         log.close()
         assert log.reopened == ReopenReport(1 << 14, 0, "kept")
         assert peak <= 1_800_000
+
+    def test_a_reopen_holds_one_tree(self, tmp_path):
+        # a restart that keeps its closed handle, and a reopen that rejects
+        # its index and rebuilds, hold one tree at their peak; two would be
+        # 1.8x a clean reopen's peak at 2^14 entries (at 2^12 the reads of
+        # log.records are half the peak, and two trees read only 1.5x)
+        dig = ManifestDigest(bytes.fromhex("5e" * 32))
+        with TransparencyLog(tmp_path) as log:
+            for i in range(1 << 14):
+                log.append(dig, b"\x30" * 71, "k", appended_at=i)
+
+        def peak_of_reopen():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            log = TransparencyLog(tmp_path)
+            return log, tracemalloc.get_traced_memory()[1] - base
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            closed, clean = peak_of_reopen()
+            closed.close()
+            again, _ = peak_of_reopen()
+            restart = tracemalloc.get_traced_memory()[1] - base
+            again.close()
+            with open(tmp_path / LEAVES_NAME, "r+b") as fh:
+                fh.seek(100)
+                byte = fh.read(1)
+                fh.seek(100)
+                fh.write(bytes([byte[0] ^ 0x01]))
+            rebuilt, rebuild = peak_of_reopen()
+            rebuilt.close()
+        finally:
+            tracemalloc.stop()
+        assert closed.reopened.index == again.reopened.index == "kept"
+        assert rebuilt.reopened == ReopenReport(0, 1 << 14, "rebuilt")
+        assert restart < 1.5 * clean
+        assert rebuild < 1.5 * clean
 
 
 class TestTamperDetection:
@@ -2059,7 +2133,7 @@ MACHINE_KEYS = ("k", "op-1", 'q"\\é')
 
 
 class LogMachine(RuleBasedStateMachine):
-    """Appends, reopens, checks and damage in any order, against a list of the entries appended.
+    """Appends, reads, reopens, checks and damage in any order, against the entries appended.
 
     A record's bytes are rebuilt by ``json.dumps`` and its leaf and root by
     the oracles, so the model needs nothing from the package.  A flipped
@@ -2070,6 +2144,7 @@ class LogMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp())
+        self.records: list[bytes] = []
         self.leaves: list[bytes] = []
         # where each framed record and each checkpoint line starts, and the
         # ends of both files
@@ -2097,22 +2172,41 @@ class LogMachine(RuleBasedStateMachine):
                  "key_id": key, "appended_at": at + index},
                 separators=(",", ":"), ensure_ascii=False,
             )
-            self.leaves.append(oracle_leaf(record.encode("utf-8")))
-            for name, length in ((RECORDS_NAME, _LEN.size + len(record.encode("utf-8"))),
+            self.records.append(record.encode("utf-8"))
+            self.leaves.append(oracle_leaf(self.records[-1]))
+            for name, length in ((RECORDS_NAME, _LEN.size + len(self.records[-1])),
                                  (CHECKPOINTS_NAME, len(b"%d " % (index + 1)) + 65)):
                 self.starts[name].append(self.starts[name][-1] + length)
 
-    @rule(chunk=st.sampled_from(CHUNKS))
-    def reopen(self, chunk):
-        if self.log is not None:
-            self.log.close()
-        self.log = None
+    @rule(chunk=st.sampled_from(CHUNKS), read=st.sampled_from(sorted(CLOSED_READS)))
+    def reopen(self, chunk, read):
+        # the closed handle stays referenced through the reopen, as in a restart
+        closed, self.log = self.log, None
+        if closed is not None:
+            closed.close()
         with mock.patch.object(translog, "_CHUNK", chunk):
             try:
                 self.log = TransparencyLog(self.dir)
             except StorageError:
                 # only damage refuses a reopen; the invariant checks what loads
                 assert self.flips
+        if closed is not None:
+            with pytest.raises(StorageError, match="closed"):
+                CLOSED_READS[read](closed)
+
+    @precondition(lambda self: self.log is not None and self.leaves and not self.flips)
+    @rule(data=st.data())
+    def read(self, data):
+        size = data.draw(st.integers(1, len(self.leaves)), label="size")
+        index = data.draw(st.integers(0, size - 1), label="index")
+        root = MerkleRoot(oracle_root(self.leaves[:size]), size)
+        assert self.log.root_at(size) == root
+        entry = self.log.entry(index)
+        fields = (entry.index, entry.manifest_digest, entry.signature, entry.key_id,
+                  entry.appended_at)
+        assert LogEntry(*fields).to_record() == self.records[index]
+        proof = self.log.prove_inclusion(index, size)
+        assert verify_inclusion(self.leaves[index], proof, root)
 
     @rule(chunk=st.sampled_from(CHUNKS), times=st.integers(1, 2))
     def check(self, chunk, times):
