@@ -3,18 +3,19 @@
 
 Builds one synthetic log per size (default 10^4, 10^5 and 10^6 entries) with
 ``_compare.build_log`` and reopens it, parent against change through
-``_compare``.  Each tree reopens the log with its complete ``log.leaves``
-index ("warm index") and with the index moved aside for the reopen and put
-back after ``close`` ("no index"), so four sides take turns on one log.
-Reopening writes no file; a parent tree older than that rule also writes
-the index back on its "no index" side.  It records the reopen wall time,
-the tree-hash operations one reopen costs (``_kernels.ops()``), the root it
-restores, and the peak of Python allocations during one more reopen per
-side under ``tracemalloc``.  That traced run then closes its handle and,
-still holding it, reopens the log again, as a restarting auditor does; the
-peak of that restart is recorded too.  The two
-trees' hash counts are also put side by side for each index state, with the
-change's ratio to the parent and the pairs it won.
+``_compare``.  Each tree reopens the log with its complete derived files,
+the ``log.leaves`` index and the ``log.offsets`` record ends ("warm index"),
+and with both moved aside for the reopen and put back after ``close`` ("no
+index"), so four sides take turns on one log; a tree older than
+``log.offsets`` ignores that file.  Reopening writes no file; a parent tree
+older than that rule also writes the index back on its "no index" side.  It
+records the reopen wall time, the tree-hash operations one reopen costs
+(``_kernels.ops()``), the root it restores, and the peak of Python
+allocations during one more reopen per side under ``tracemalloc``.  That
+traced run then closes its handle and, still holding it, reopens the log
+again, as a restarting auditor does; the peak of that restart is recorded
+too.  The two trees' hash counts are also put side by side for each index
+state, with the change's ratio to the parent and the pairs it won.
 
 Every reopen must restore the same root, and every reopen in the same index
 state must cost the same hashes.
@@ -30,10 +31,10 @@ from pathlib import Path
 from manifestd import _kernels
 from manifestd.translog import TransparencyLog
 log_dir, drop_index, traced = Path(given["log"]), given["drop_index"], given["traced"]
-index = log_dir / "log.leaves"
-aside = log_dir / "log.leaves.aside"
+derived = [log_dir / "log.leaves", log_dir / "log.offsets"]
 if drop_index:
-    index.replace(aside)
+    for path in derived:
+        path.replace(path.with_name(path.name + ".aside"))
 if traced:
     tracemalloc.start()
 before = _kernels.ops()
@@ -50,12 +51,13 @@ if traced:
     TransparencyLog(log_dir).close()
     restart_peak = tracemalloc.get_traced_memory()[1]
 if drop_index:
-    aside.replace(index)
+    for path in derived:
+        path.with_name(path.name + ".aside").replace(path)
 print(json.dumps({"seconds": elapsed, "hashes": hashes, "traced_peak_bytes": peak,
                   "traced_restart_peak_bytes": restart_peak, "root": root}))
 """
 
-#: Each side's tree and whether it deletes the index before each reopen.
+#: Each side's tree and whether it moves the derived files aside before each reopen.
 SIDES = {
     "parent": ("parent", {"drop_index": False}),
     "parent_no_index": ("parent", {"drop_index": True}),

@@ -61,7 +61,13 @@ from .manifest import (
 from .pipeline import accept, admit
 from .policy import load_policy_file, read_json_file
 from .stats import report_from_rows
-from .translog import LEAVES_NAME, RECORDS_NAME, TransparencyLog, check_integrity
+from .translog import (
+    LEAVES_NAME,
+    OFFSETS_NAME,
+    RECORDS_NAME,
+    TransparencyLog,
+    check_integrity,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -466,17 +472,19 @@ def cmd_log_stats(args) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad --samples value: {exc}") from exc
         series = log.growth_series(samples)
-        try:
-            index_bytes = (_log_dir(args) / LEAVES_NAME).stat().st_size
-        except FileNotFoundError:
-            index_bytes = 0  # only close() after an append writes the index
+        derived = {}
+        for key, name in (("index_bytes", LEAVES_NAME), ("offsets_bytes", OFFSETS_NAME)):
+            try:
+                derived[key] = (_log_dir(args) / name).stat().st_size
+            except FileNotFoundError:
+                derived[key] = 0  # only close() after an append writes it
         _emit(
             {
                 "tree_size": log.size,
                 "bytes": log.storage_bytes,
                 "root": log.current_root().hex,
                 "growth": [[n, b] for n, b in series],
-                "index_bytes": index_bytes,
+                **derived,
                 "reopen": dataclasses.asdict(log.reopened),
             }
         )

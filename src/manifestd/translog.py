@@ -27,13 +27,15 @@ once: at most popcount(m) - 1 hashes.  Neither proof carries sides:
 ``_sides`` derives them, and both verifiers are ``_kernels.fold_path``
 walks.
 
-A log directory holds three files.  ``log.records`` holds the records, each
+A log directory holds four files.  ``log.records`` holds the records, each
 a 4-byte big-endian length and that many bytes in one fixed JSON layout,
 ``_RECORD``.  ``log.checkpoints`` holds one line ``<tree_size> <root hex>``
-per append, ``_CHECKPOINT``.  ``log.leaves``, the index, holds level 0 of
-the stored hashes, 32 bytes per entry in append order; it is derived data,
-written only by ``close`` of a handle that appended, so it lags behind the
-other two files while that handle is open, or when it died unclosed.
+per append, ``_CHECKPOINT``.  Two files are derived data, written only by
+``close`` of a handle that appended, so they lag behind the other two while
+that handle is open, or when it died unclosed: ``log.leaves``, the index,
+holds level 0 of the stored hashes, 32 bytes per entry in append order, and
+``log.offsets`` holds where each record ends in ``log.records``, 8 bytes
+little-endian per entry in append order.
 
 An open log holds one ``O_WRONLY | O_APPEND`` descriptor on each of the
 records and checkpoints files, for ``append``, and one read-only descriptor
@@ -46,17 +48,21 @@ every read of a closed log then raises ``StorageError``.
 Reopening frames every record (each length prefix, the record size cap, and
 that the records end exactly at the end of the file), checks that the
 checkpoints file is exactly as long as that many lines, and parses its last
-line.  It takes the leaf hashes the index holds, hashes only the records
-after them, rebuilds every level from the leaves (n - 1 interior hashes)
-and compares the root with the last line.  If they differ it drops that
-tree and retries once without the index, and if that agrees the index was
-at fault; either way it mends the index in memory only.  So reopening
-trusts nothing it has not checked against the last checkpoint, but it does
-not re-hash a record the index covers, and frames it by its length prefix
-alone: a same-size change inside such a record body, or inside any
-checkpoint line but the last, does not fail reopening.  ``entry`` refuses
-such a record, and ``check_integrity``, which reads only the records and
-checkpoints, reports it.
+line.  It takes the record ends ``log.offsets`` stores for the records the
+index covers, but trusts none of them: one vectorized pass checks each
+stored end against the length prefix of its record, and any mismatch drops
+them all, so the records are framed one by one from the first, and damage is
+named as that framing names it.  It takes the leaf hashes the index holds,
+hashes only the records after them, rebuilds every level from the leaves
+(n - 1 interior hashes) and compares the root with the last line.  If they
+differ it drops that tree and retries once without either derived file, and
+if that agrees the index was at fault; either way it mends them in memory
+only.  So reopening trusts nothing it has not checked against the last
+checkpoint or a length prefix, but it does not re-hash a record the index
+covers, and frames it by its length prefix alone: a same-size change inside
+such a record body, or inside any checkpoint line but the last, does not
+fail reopening.  ``entry`` refuses such a record, and ``check_integrity``,
+which reads only the records and checkpoints, reports it.
 
 ``check_integrity`` replays the whole log against every checkpoint line, as
 its docstring says.  On an ok report this process holds, in memory only and
@@ -79,6 +85,7 @@ import json
 import os
 import re
 import struct
+import sys
 import threading
 import time
 from array import array
@@ -90,6 +97,8 @@ from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, NoReturn, Optional, Sequence, Union
 
+import numpy as np
+
 from . import _kernels
 from .errors import EncodingError, OutOfRange, StorageError
 from .manifest import ManifestDigest
@@ -97,6 +106,7 @@ from .manifest import ManifestDigest
 RECORDS_NAME = "log.records"
 CHECKPOINTS_NAME = "log.checkpoints"
 LEAVES_NAME = "log.leaves"
+OFFSETS_NAME = "log.offsets"
 
 _LEN = struct.Struct(">I")
 
@@ -110,6 +120,10 @@ MAX_RECORD_BYTES = 1 << 20
 #: Bytes of ``log.records`` read per call while framing records, and of
 #: either file while ``check_integrity`` hashes what it verified before.
 _CHUNK = 1 << 16
+
+#: Bytes of ``log.records`` read per call while reopen checks the record ends
+#: ``log.offsets`` stores against their length prefixes.
+_ENDS_READ = 1 << 17
 
 #: Most log directories whose last ok ``check_integrity`` this process holds.
 HELD_CHECKS = 16
@@ -255,19 +269,23 @@ class IntegrityReport:
 
 @dataclass(frozen=True)
 class ReopenReport:
-    """What reopening a log did with its leaf-hash index.
+    """What reopening a log did with its leaf-hash index and its stored record ends.
 
     ``index`` is ``"kept"`` when the file held exactly the verified leaves,
     ``"extended"`` when it held fewer (missing, cut or behind the records),
     ``"trimmed"`` when it held them and more, and ``"rebuilt"`` when its
     leaves failed the check against the last checkpoint.  Reopening writes
-    no file: ``leaves_from_index`` leading leaves of the file are verified,
-    and ``close`` of a handle that appends writes level 0 after them.
+    no file: ``leaves_from_index`` leading leaves of the index and
+    ``offsets_from_index`` leading ends of ``log.offsets`` are verified, and
+    ``close`` of a handle that appends writes each file after them.  The
+    ends are taken only for records whose leaves come from the index, and
+    all of them or none: 0 when any failed its check.
     """
 
     leaves_from_index: int
     leaves_rehashed: int
     index: str
+    offsets_from_index: int
 
 
 def empty_root() -> MerkleRoot:
@@ -300,6 +318,7 @@ class TransparencyLog:
         self._records_path = self._dir / RECORDS_NAME
         self._checkpoints_path = self._dir / CHECKPOINTS_NAME
         self._leaves_path = self._dir / LEAVES_NAME
+        self._offsets_path = self._dir / OFFSETS_NAME
         # _levels[k] holds the roots of the complete subtrees of 2^k leaves.
         self._levels: list[bytearray] = [bytearray()]
         # _offsets[i] is the file offset where record i starts; the final
@@ -358,15 +377,17 @@ class TransparencyLog:
         return self._reopened
 
     def close(self) -> None:
-        """Close the log; the one writer of ``log.leaves``, after an append only.
+        """Close the log; after an append, the one writer of its two derived files.
 
-        It writes level 0 after the leaves the file holds as verified
-        (``ReopenReport.leaves_from_index``), or after all the whole leaves it
-        holds now if it was cut or removed since, and cuts the file there; a
-        failure is dropped, leaving an index that reopening extends.  Then
-        it lets go of the stored hashes and offsets: every read of a closed
-        log raises ``StorageError``, ``reopened`` alone still answers, and a
-        second ``close`` does nothing.
+        It writes level 0 after the leaves the index holds as verified
+        (``ReopenReport.leaves_from_index``), and the record ends after the
+        ends ``log.offsets`` holds as verified (``offsets_from_index``), each
+        after all the whole entries its file holds now if it was cut or
+        removed since, and cuts each file there; a failure is dropped,
+        leaving a file that reopening extends.  Then it lets go of the
+        stored hashes and offsets: every read of a closed log raises
+        ``StorageError``, ``reopened`` alone still answers, and a second
+        ``close`` does nothing.
         """
         # a closed descriptor's number can be reused by another file
         self._refused = f"{self._dir}: the log is closed"
@@ -375,19 +396,15 @@ class TransparencyLog:
         self._reader.close()
         if self._appended:
             self._appended = False
-            start = self._reopened.leaves_from_index if self._reopened else 0
-            try:
-                # O_CREAT without O_TRUNC: the verified leaves before start stay
-                fd = os.open(self._leaves_path, os.O_WRONLY | os.O_CREAT, 0o666)
-                with open(fd, "wb") as fh:
-                    start = min(start, os.fstat(fd).st_size // _kernels.HASH_SIZE)
-                    start *= _kernels.HASH_SIZE
-                    fh.seek(start)
-                    with memoryview(self._levels[0]) as leaves:
-                        fh.write(leaves[start:])
-                    fh.truncate()
-            except OSError:
-                pass  # the index lags, and reopening extends it
+            leaves_from = ends_from = 0
+            if self._reopened is not None:
+                leaves_from = self._reopened.leaves_from_index
+                ends_from = self._reopened.offsets_from_index
+            if sys.byteorder != "little":
+                self._offsets.byteswap()  # released below
+            with memoryview(self._offsets) as offsets, offsets[1:] as ends:
+                _write_after(self._leaves_path, self._levels[0], _kernels.HASH_SIZE, leaves_from)
+                _write_after(self._offsets_path, ends, ends.itemsize, ends_from)
         self._levels = self._offsets = _Released(self._refused)
         self._states, self._edge = [], []
 
@@ -619,10 +636,11 @@ class TransparencyLog:
     # -- reopen -----------------------------------------------------------
 
     def _reopen(self) -> ReopenReport:
-        """Restore the state of an existing log and say what its index held.
+        """Restore the state of an existing log and say what its derived files held.
 
-        The index is read up to the number of records the records file can
-        hold at most, so a runaway index costs no memory.  No file is written.
+        The index, and ``log.offsets`` with it, is read up to the number of
+        records the records file can hold at most, so a runaway file costs no
+        memory.  No file is written.
         """
         try:
             index_bytes = self._leaves_path.stat().st_size
@@ -633,7 +651,7 @@ class TransparencyLog:
         )
         line = None
         for start in [stored, 0] if stored else [0]:
-            leaves, offsets = self._leaf_level(start)
+            leaves, offsets, ends_kept = self._leaf_level(start)
             size = len(offsets) - 1
             if start == stored:
                 line = _final_checkpoint(self._checkpoints_path, size)
@@ -657,31 +675,125 @@ class TransparencyLog:
             action = "kept"
         else:
             action = "extended" if from_index < size else "trimmed"
-        return ReopenReport(from_index, size - from_index, action)
+        return ReopenReport(from_index, size - from_index, action, ends_kept)
 
-    def _leaf_level(self, start: int) -> tuple[bytearray, array]:
-        """Frame every record; return the leaf hashes and the record offsets.
+    def _leaf_level(self, start: int) -> tuple[bytearray, array, int]:
+        """Frame every record; return the leaf hashes, the record offsets and
+        how many of the offsets came from ``log.offsets``.
 
         Leaves before ``start`` come from the index, the rest are hashed from
-        their records; ``start`` may exceed the number of records.  A record
-        the index covers is framed by its length prefix alone: its body is
-        neither hashed nor sliced out of its chunk.
+        their records; ``start`` may exceed the number of records.  The ends
+        of up to ``start`` records come from ``log.offsets`` if every one
+        checks against its length prefix (``_stored_ends``), and ``_chunks``
+        frames the records after them.  A record the index covers is framed
+        by its length prefix alone: its body is neither hashed nor sliced out
+        of its chunk.
         """
         leaves = bytearray(start * _kernels.HASH_SIZE)
-        offsets = array("q", [0])
         try:
             if start:
                 with open(self._leaves_path, "rb") as fh:
                     if fh.readinto(leaves) != len(leaves):
                         raise OSError(f"{LEAVES_NAME} shrank while it was read")
             with open(self._records_path, "rb") as records:
-                for data, base in _chunks(records, offsets):
+                offsets = _stored_ends(self._offsets_path, records, start)
+                kept = len(offsets) - 1
+                records.seek(offsets[-1])
+                for data, base in _chunks(records, offsets, kept):
                     leaves += b"".join(_leaf_hashes(data, base, offsets, start))
                     start = max(start, len(offsets) - 1)
         except OSError as exc:
             raise LogDamage(None, f"cannot read log files in {self._dir}: {exc}") from exc
         del leaves[(len(offsets) - 1) * _kernels.HASH_SIZE :]
-        return leaves, offsets
+        return leaves, offsets, kept
+
+
+def _write_after(path: Path, data, width: int, verified: int) -> None:
+    """Write ``data``, ``width`` bytes per entry, over ``path`` after its first
+    ``verified`` entries, and cut the file there.
+
+    The file may have lost entries since they were verified: then ``data`` goes
+    after all the whole entries it holds now, so it never holds a hole.  A
+    failure is dropped: the file lags, and reopening extends it.
+    """
+    try:
+        # O_CREAT without O_TRUNC: the verified entries before start stay
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as fh:
+            start = min(verified, os.fstat(fd).st_size // width) * width
+            fh.seek(start)
+            with memoryview(data) as view, view.cast("B") as raw:
+                fh.write(raw[start:])
+            fh.truncate()
+    except OSError:
+        pass
+
+
+def _stored_ends(path: Path, records, most: int) -> array:
+    """The record offsets ``log.offsets`` gives for the first ``most`` records at most.
+
+    ``[0]`` and each stored end, read straight into the array, if all of
+    them check against the open records file (``_ends_frame``); just ``[0]``
+    when any does not, or when the file is missing or unreadable.
+    """
+    offsets = array("q", [0])
+    if most:
+        try:
+            with open(path, "rb") as fh:
+                count = min(most, os.fstat(fh.fileno()).st_size // offsets.itemsize)
+                offsets *= count + 1
+                with memoryview(offsets) as view, view[1:] as ends, ends.cast("B") as raw:
+                    whole = fh.readinto(raw) == len(raw)
+        except OSError:
+            whole = False
+        if sys.byteorder != "little":
+            offsets.byteswap()
+        if not (whole and _ends_frame(records, offsets)):
+            del offsets[1:]
+    return offsets
+
+
+def _ends_frame(records, offsets: array) -> bool:
+    """Whether ``offsets`` are where the first ``len(offsets) - 1`` records start and end.
+
+    ``offsets[0]`` is 0, and record i's 4-byte big-endian length prefix at
+    ``offsets[i]`` must be ``offsets[i + 1] - offsets[i] - 4`` and at most
+    ``MAX_RECORD_BYTES``, with the last end within the file: exactly what
+    ``_chunks`` would find framing them one by one.  The file is read
+    ``_ENDS_READ`` bytes at a time, each read starting at the first record
+    not yet checked, into one buffer, and each read's prefixes are checked
+    at once with numpy.  A record longer than a read is skipped over.
+    """
+    ends = np.frombuffer(offsets, dtype=np.int64)
+    buffer = bytearray(_ENDS_READ)
+    read = np.frombuffer(buffer, dtype=np.uint8)
+    prefix_bytes = np.arange(_LEN.size)
+    last = len(ends) - 1
+    i = 0
+    while i < last:
+        at = int(ends[i])
+        records.seek(at)
+        got = records.readinto(buffer)
+        if got < _LEN.size:
+            return False
+        # a prefix starts at most every 4 bytes, so at most got // 4 of them
+        # are in this read; on checked ends they are the first n, and n >= 1
+        # since window[0] is at, whatever the order of the rest
+        window = ends[i : min(last, i + got // _LEN.size) + 1]
+        n = int(window[:-1].searchsorted(at + got - _LEN.size, side="right"))
+        starts = window[:n] - at
+        lengths = window[1 : n + 1] - window[:n] - _LEN.size
+        # equal lengths are >= 0, so the starts rise and the last is the
+        # greatest: only a failing read takes a clipped start
+        heads = read.take(starts[:, None] + prefix_bytes, mode="clip")
+        if (
+            starts[-1] > got - _LEN.size
+            or (heads.view(">u4")[:, 0] != lengths).any()
+            or lengths.max() > MAX_RECORD_BYTES
+        ):
+            return False
+        i += n
+    return int(ends[last]) <= os.fstat(records.fileno()).st_size
 
 
 def _levels_over(leaves: bytearray) -> list[bytearray]:
@@ -860,24 +972,24 @@ _MAX_LINE = 256
 def _chunks(records, ends, index: int = 0) -> Iterator[tuple[bytes, int]]:
     """Frame the records of an open records file, one read at a time.
 
-    The file is positioned at record ``index``.  Record i is a 4-byte
-    big-endian length, at most ``MAX_RECORD_BYTES``, and that many bytes, and
-    the last record ends at the end of the file; any breach raises
+    The file is positioned at record ``index``, which starts at the file
+    offset ``ends[-1]``.  Record i is a 4-byte big-endian length, at most
+    ``MAX_RECORD_BYTES``, and that many bytes, and the last record ends at
+    the end of the file; any breach raises
     ``LogDamage`` at the first record it affects, once the records before it
     have been given.  The file is read ``_CHUNK`` bytes at a time, or one
     record's worth when a record is longer, so memory does not grow with the
     log.
 
     Each chunk begins with a record's length prefix.  For every record a
-    chunk holds whole, the offset where the record ends, counted from the
-    file's starting position, is appended to ``ends``; then the chunk is
-    yielded with the offset it starts at.  Only length prefixes are read
-    here: reopen and ``check_integrity`` hash the bodies with
-    ``_leaf_hashes``.
+    chunk holds whole, the file offset where the record ends is appended to
+    ``ends``; then the chunk is yielded with the file offset it starts at.
+    Only length prefixes are read here: reopen and ``check_integrity`` hash
+    the bodies with ``_leaf_hashes``.
     """
     append, unpack_from, prefix = ends.append, _LEN.unpack_from, _LEN.size
     data = b""
-    base = pos = 0
+    base, pos = ends[-1], 0
     while True:
         size = len(data)
         before = len(ends)
@@ -1102,18 +1214,17 @@ def _check_reads(
     line before it matches.
     """
     digests = None if held is None else _held_prefixes(records, checkpoints, held)
+    # ends holds where records end in the file, cut to the last after each read
     if digests is not None:
-        size, records_at = held.size, held.records_bytes
+        size, ends = held.size, [held.records_bytes]
         states = list(held.states)
     else:
         records.seek(0)
         checkpoints.seek(0)
         digests = [hashlib.sha256(), hashlib.sha256()]
-        size = records_at = 0
+        size, ends = 0, [0]
         states = []
     records_digest, checkpoints_digest = digests
-    # where records end, counted from records_at; cut to the last after each read
-    ends = [0]
     try:
         for data, base in _chunks(_Digesting(records, records_digest), ends, size):
             roots = _kernels.prefix_roots(states, size, _leaf_hashes(data, base, ends, 0))
@@ -1131,8 +1242,7 @@ def _check_reads(
     if checkpoints.read(1):
         return IntegrityReport(False, size, f"checkpoint line {size} has no record"), None
     verified = _Verified(
-        size, records_at + ends[-1], records_digest.digest(), checkpoints_digest.digest(),
-        tuple(states),
+        size, ends[-1], records_digest.digest(), checkpoints_digest.digest(), tuple(states)
     )
     return IntegrityReport(True, None, f"{size} entries verified"), verified
 

@@ -35,7 +35,9 @@ from manifestd.harness import (
 from manifestd.manifest import ManifestDigest
 from manifestd.policy import Severity
 from manifestd.translog import (
+    CHECKPOINTS_NAME,
     LEAVES_NAME,
+    OFFSETS_NAME,
     RECORDS_NAME,
     MerkleProof,
     MerkleRoot,
@@ -458,19 +460,40 @@ class TestLogCommands:
     def test_log_stats_reports_what_reopening_did(self, logged, capsys):
         assert main(["log-stats", "--log-dir", str(logged)]) == EXIT_OK
         stats = emitted(capsys)[-1]
-        assert stats["index_bytes"] == 5 * _kernels.HASH_SIZE
-        assert stats["reopen"] == {"leaves_from_index": 5, "leaves_rehashed": 0, "index": "kept"}
+        assert (stats["index_bytes"], stats["offsets_bytes"]) == (5 * _kernels.HASH_SIZE, 5 * 8)
+        assert stats["reopen"] == {
+            "leaves_from_index": 5, "leaves_rehashed": 0, "index": "kept", "offsets_from_index": 5
+        }
         (logged / LEAVES_NAME).unlink()
-        # a read writes no index back, so the second run finds none either
+        # a read writes no index back, so the second run finds none either;
+        # the stored ends are taken only for leaves the index gives
         for _ in range(2):
             assert main(["log-stats", "--log-dir", str(logged)]) == EXIT_OK
             stats = emitted(capsys)[-1]
             assert stats["reopen"] == {
-                "leaves_from_index": 0, "leaves_rehashed": 5, "index": "extended"
+                "leaves_from_index": 0, "leaves_rehashed": 5, "index": "extended",
+                "offsets_from_index": 0,
             }
-            assert stats["index_bytes"] == 0
+            assert (stats["index_bytes"], stats["offsets_bytes"]) == (0, 5 * 8)
         assert not (logged / LEAVES_NAME).exists()
 
+    @pytest.mark.parametrize("damage", ["missing", "flipped"])
+    def test_log_stats_reports_the_stored_record_ends(self, logged, capsys, damage):
+        offsets = logged / OFFSETS_NAME
+        if damage == "missing":
+            offsets.unlink()
+        else:
+            stored = offsets.read_bytes()
+            offsets.write_bytes(stored[:9] + bytes([stored[9] ^ 1]) + stored[10:])
+        assert main(["log-stats", "--log-dir", str(logged)]) == EXIT_OK
+        stats = emitted(capsys)[-1]
+        # a stored end that fails its length prefix drops them all
+        assert stats["offsets_bytes"] == (0 if damage == "missing" else 5 * 8)
+        assert stats["reopen"] == {
+            "leaves_from_index": 5, "leaves_rehashed": 0, "index": "kept", "offsets_from_index": 0
+        }
+
+    @pytest.mark.parametrize("derived", [LEAVES_NAME, OFFSETS_NAME])
     @pytest.mark.parametrize("index", ["exact", "missing", "cut", "over-long", "flipped"])
     @pytest.mark.parametrize(
         "read",
@@ -481,17 +504,20 @@ class TestLogCommands:
             "open and close",
         ],
     )
-    def test_reads_write_nothing(self, logged, capsys, monkeypatch, read, index):
-        leaves = logged / LEAVES_NAME
-        stored = leaves.read_bytes()
+    def test_reads_write_nothing(self, logged, capsys, monkeypatch, read, index, derived):
+        assert sorted(p.name for p in logged.iterdir()) == sorted(
+            [RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME, OFFSETS_NAME]
+        )
+        path = logged / derived
+        stored = path.read_bytes()
         if index == "missing":
-            leaves.unlink()
+            path.unlink()
         elif index == "cut":
-            leaves.write_bytes(stored[:-40])
+            path.write_bytes(stored[:-12])
         elif index == "over-long":
-            leaves.write_bytes(stored + bytes(40))
+            path.write_bytes(stored + bytes(40))
         elif index == "flipped":
-            leaves.write_bytes(stored[:70] + bytes([stored[70] ^ 1]) + stored[71:])
+            path.write_bytes(stored[:17] + bytes([stored[17] ^ 1]) + stored[18:])
         for path in logged.iterdir():
             # an old mtime, so that any write shows in it
             os.utime(path, ns=(NOW * 10**6, NOW * 10**6))

@@ -8,6 +8,7 @@ roots are compared byte for byte with the recursive RFC 9162 oracles of
 """
 
 import bisect
+import contextlib
 import errno
 import hashlib
 import io
@@ -39,6 +40,7 @@ from manifestd.translog import (
     CHECKPOINTS_NAME,
     LEAVES_NAME,
     MAX_RECORD_BYTES,
+    OFFSETS_NAME,
     RECORDS_NAME,
     LogEntry,
     MerkleProof,
@@ -72,6 +74,15 @@ def naive_records(directory):
         records.append(data[pos : pos + length])
         pos += length
     return records
+
+
+def naive_offsets(directory):
+    """What ``log.offsets`` holds for the records file: each record's end, 8 bytes little-endian."""
+    ends, end = [], 0
+    for record in naive_records(directory):
+        end += _LEN.size + len(record)
+        ends.append(struct.pack("<Q", end))
+    return b"".join(ends)
 
 
 def naive_root(records):
@@ -285,11 +296,15 @@ class TestAppendAndRoots:
                 log.prove_consistency(2, 4)
 
 
+#: Every file of a log directory.
+LOG_FILES = (RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME, OFFSETS_NAME)
+
+
 def log_files(directory):
-    """The bytes of the three log files, a missing one as None."""
+    """The bytes of the four log files, a missing one as None."""
     return {
         name: (directory / name).read_bytes() if (directory / name).exists() else None
-        for name in (RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME)
+        for name in LOG_FILES
     }
 
 
@@ -445,6 +460,7 @@ class TestAppendCost:
                 assert len(written) == 2 * (i + 1)
             monkeypatch.undo()
             assert not (tmp_path / LEAVES_NAME).exists()
+            assert not (tmp_path / OFFSETS_NAME).exists()
         # the writes are the files, byte for byte
         for fd, name in files.items():
             assert b"".join(data for to, data in written if to == fd) == (
@@ -486,6 +502,7 @@ def test_log_files_match_the_golden_digests(tmp_path):
     assert {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES
     } == GOLDEN_FILES
+    assert (tmp_path / OFFSETS_NAME).read_bytes() == naive_offsets(tmp_path)
 
 
 def test_every_golden_record_reads_back_in_its_one_layout(tmp_path):
@@ -739,9 +756,9 @@ class TestReadHandle:
             with pytest.raises(StorageError, match="closed"):
                 read(log)
             log.close()  # a second close does nothing
-        assert log.reopened == ReopenReport(1, 0, "kept")
+        assert log.reopened == ReopenReport(1, 0, "kept", 1)
         with TransparencyLog(tmp_path) as log:
-            assert log.reopened == ReopenReport(2, 0, "kept")
+            assert log.reopened == ReopenReport(2, 0, "kept", 2)
 
     def test_append_after_close_raises_storage_error_and_writes_nothing(self, tmp_path):
         log = TransparencyLog(tmp_path)
@@ -940,11 +957,11 @@ class TestFailedAppend:
     @pytest.mark.parametrize(
         "at, report",
         [
-            # the index keeps the first session's leaf
-            ("open", ReopenReport(1, 2, "extended")),
-            # half of the two new leaves reached it
-            ("write", ReopenReport(2, 1, "extended")),
-            ("truncate", ReopenReport(3, 0, "kept")),
+            # each derived file keeps the first session's entry
+            ("open", ReopenReport(1, 2, "extended", 1)),
+            # half of the two new entries reached each
+            ("write", ReopenReport(2, 1, "extended", 2)),
+            ("truncate", ReopenReport(3, 0, "kept", 3)),
         ],
     )
     def test_a_failed_index_write_at_close_is_not_raised(self, tmp_path, monkeypatch, at, report):
@@ -957,8 +974,9 @@ class TestFailedAppend:
         monkeypatch.undo()
         leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
         assert leaves.startswith((tmp_path / LEAVES_NAME).read_bytes())
+        assert naive_offsets(tmp_path).startswith((tmp_path / OFFSETS_NAME).read_bytes())
         with TransparencyLog(tmp_path) as log:
-            # the index lags, and reopening extends it
+            # the derived files lag, and reopening extends them
             assert log.reopened == report
         assert_log_whole(tmp_path, 3, root)
 
@@ -1208,29 +1226,28 @@ def indexed_log(tmp_path_factory):
     with TransparencyLog(directory) as log:
         fill(log, INDEXED)
         live = log_state(log)
-    files = {
-        name: (directory / name).read_bytes()
-        for name in (RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME)
-    }
+    files = log_files(directory)
     assert files[LEAVES_NAME] == b"".join(oracle_leaf(r) for r in naive_records(directory))
+    assert files[OFFSETS_NAME] == naive_offsets(directory)
     (directory / LEAVES_NAME).unlink()
     with TransparencyLog(directory) as replayed:
-        assert replayed.reopened == ReopenReport(0, INDEXED, "extended")
+        assert replayed.reopened == ReopenReport(0, INDEXED, "extended", 0)
         expected = (log_state(replayed), log_reads(replayed))
     assert expected[0] == live
     return files, expected, check_integrity(directory)
 
 
 def reopen_with_index(files, index):
-    """Reopen the log's files with ``index`` as its index, or with none.
+    """Reopen the log's files with ``index`` as its index, or with none, and
+    its complete ``log.offsets``.
 
     Returns the restored state and reads, the reopen report, the files left
     behind by that reading handle, the integrity report afterwards, and the
-    index and reopen report after one more handle appends one entry.
+    derived files and reopen report after one more handle appends one entry.
     """
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp)
-        for name in (RECORDS_NAME, CHECKPOINTS_NAME):
+        for name in (RECORDS_NAME, CHECKPOINTS_NAME, OFFSETS_NAME):
             (directory / name).write_bytes(files[name])
         if index is not None:
             (directory / LEAVES_NAME).write_bytes(index)
@@ -1242,7 +1259,7 @@ def reopen_with_index(files, index):
         with TransparencyLog(directory) as log:
             fill(log, 1, start=log.size)
         with TransparencyLog(directory) as log:
-            appended = ((directory / LEAVES_NAME).read_bytes(), log.reopened)
+            appended = (log_files(directory), log.reopened)
         return restored, report, left, integrity, appended
 
 
@@ -1297,6 +1314,8 @@ class TestLeafIndex:
     """A damaged, missing or stale ``log.leaves`` restores the no-index state.
 
     Reading leaves it as it was; ``close`` after an append writes it whole.
+    The stored record ends, complete here, are taken for the leaves the
+    index gives, and for none when it is rebuilt.
     """
 
     def check(self, indexed_log, index, report):
@@ -1306,16 +1325,20 @@ class TestLeafIndex:
         assert restored == expected
         assert left == {**files, LEAVES_NAME: index}
         assert got_integrity == integrity
-        leaf = appended[0][INDEXED * _kernels.HASH_SIZE :]
-        assert appended == (files[LEAVES_NAME] + leaf, ReopenReport(INDEXED + 1, 0, "kept"))
-        assert len(leaf) == _kernels.HASH_SIZE
+        written, reopened = appended
+        leaf = written[LEAVES_NAME][INDEXED * _kernels.HASH_SIZE :]
+        end = written[OFFSETS_NAME][INDEXED * 8 :]
+        assert written[LEAVES_NAME] == files[LEAVES_NAME] + leaf
+        assert written[OFFSETS_NAME] == files[OFFSETS_NAME] + end
+        assert reopened == ReopenReport(INDEXED + 1, 0, "kept", INDEXED + 1)
+        assert (len(leaf), len(end)) == (_kernels.HASH_SIZE, 8)
 
     def test_missing_index(self, indexed_log):
-        self.check(indexed_log, None, ReopenReport(0, INDEXED, "extended"))
+        self.check(indexed_log, None, ReopenReport(0, INDEXED, "extended", 0))
 
     def test_complete_index_is_kept(self, indexed_log):
         files = indexed_log[0]
-        self.check(indexed_log, files[LEAVES_NAME], ReopenReport(INDEXED, 0, "kept"))
+        self.check(indexed_log, files[LEAVES_NAME], ReopenReport(INDEXED, 0, "kept", INDEXED))
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -1323,14 +1346,14 @@ class TestLeafIndex:
         index = indexed_log[0][LEAVES_NAME]
         cut = data.draw(st.integers(0, len(index) - 1))
         k = cut // _kernels.HASH_SIZE
-        self.check(indexed_log, index[:cut], ReopenReport(k, INDEXED - k, "extended"))
+        self.check(indexed_log, index[:cut], ReopenReport(k, INDEXED - k, "extended", k))
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
     def test_index_with_extra_bytes(self, indexed_log, data):
         index = indexed_log[0][LEAVES_NAME]
         extra = data.draw(st.binary(min_size=1, max_size=3 * _kernels.HASH_SIZE))
-        self.check(indexed_log, index + extra, ReopenReport(INDEXED, 0, "trimmed"))
+        self.check(indexed_log, index + extra, ReopenReport(INDEXED, 0, "trimmed", INDEXED))
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -1338,7 +1361,7 @@ class TestLeafIndex:
         index = bytearray(indexed_log[0][LEAVES_NAME])
         at = data.draw(st.integers(0, len(index) - 1))
         index[at] ^= data.draw(st.integers(1, 255))
-        self.check(indexed_log, bytes(index), ReopenReport(0, INDEXED, "rebuilt"))
+        self.check(indexed_log, bytes(index), ReopenReport(0, INDEXED, "rebuilt", 0))
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -1348,7 +1371,7 @@ class TestLeafIndex:
         i = data.draw(st.integers(0, INDEXED - 1))
         j = data.draw(st.integers(0, INDEXED - 1).filter(lambda j: j != i))
         leaves[i], leaves[j] = leaves[j], leaves[i]
-        self.check(indexed_log, b"".join(leaves), ReopenReport(0, INDEXED, "rebuilt"))
+        self.check(indexed_log, b"".join(leaves), ReopenReport(0, INDEXED, "rebuilt", 0))
 
     def test_crash_after_the_checkpoint_before_the_index_is_written(self, indexed_log, tmp_path):
         # the writer of a second session dies without closing: the index
@@ -1376,8 +1399,11 @@ class TestLeafIndex:
             assert (tmp_path / name).read_bytes() == files[name]
         written = (tmp_path / LEAVES_NAME).read_bytes()
         assert written == files[LEAVES_NAME][: CRASHED_AFTER * _kernels.HASH_SIZE]
+        assert (tmp_path / OFFSETS_NAME).read_bytes() == files[OFFSETS_NAME][: CRASHED_AFTER * 8]
         self.check(
-            indexed_log, written, ReopenReport(CRASHED_AFTER, INDEXED - CRASHED_AFTER, "extended")
+            indexed_log,
+            written,
+            ReopenReport(CRASHED_AFTER, INDEXED - CRASHED_AFTER, "extended", CRASHED_AFTER),
         )
 
     @pytest.mark.parametrize("before", [0, 300])
@@ -1387,41 +1413,47 @@ class TestLeafIndex:
         with TransparencyLog(tmp_path) as writer:
             fill(writer, 300, start=before)
             with TransparencyLog(tmp_path) as reader:
-                assert reader.reopened == ReopenReport(before, 300, "extended")
+                assert reader.reopened == ReopenReport(before, 300, "extended", before)
                 assert reader.current_root() == writer.current_root()
             fill(writer, 300, start=before + 300)
         leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
         assert len(leaves) == (before + 600) * _kernels.HASH_SIZE
         assert (tmp_path / LEAVES_NAME).read_bytes() == leaves
+        assert (tmp_path / OFFSETS_NAME).read_bytes() == naive_offsets(tmp_path)
         with TransparencyLog(tmp_path) as log:
-            assert log.reopened == ReopenReport(before + 600, 0, "kept")
+            assert log.reopened == ReopenReport(before + 600, 0, "kept", before + 600)
 
+    @pytest.mark.parametrize("name", [LEAVES_NAME, OFFSETS_NAME])
     @pytest.mark.parametrize("left", [None, 1000])
-    def test_an_index_cut_under_a_live_writer_is_written_whole(self, tmp_path, left):
-        # close used to write from the leaves its reopen verified, leaving a
+    def test_an_index_cut_under_a_live_writer_is_written_whole(self, tmp_path, left, name):
+        # close used to write from the entries its reopen verified, leaving a
         # hole of zero bytes where the file had lost them
         with TransparencyLog(tmp_path) as log:
             fill(log, 300)
-        index = tmp_path / LEAVES_NAME
+        derived = tmp_path / name
         with TransparencyLog(tmp_path) as writer:
-            assert writer.reopened == ReopenReport(300, 0, "kept")
+            assert writer.reopened == ReopenReport(300, 0, "kept", 300)
             if left is None:
-                index.unlink()
+                derived.unlink()
             else:
-                os.truncate(index, left)
+                os.truncate(derived, left)
             fill(writer, 300, start=300)
         leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
-        assert index.read_bytes() == leaves
+        assert (tmp_path / LEAVES_NAME).read_bytes() == leaves
+        assert (tmp_path / OFFSETS_NAME).read_bytes() == naive_offsets(tmp_path)
         with TransparencyLog(tmp_path) as log:
-            assert log.reopened == ReopenReport(600, 0, "kept")
+            assert log.reopened == ReopenReport(600, 0, "kept", 600)
 
     def test_a_second_close_writes_nothing(self, tmp_path):
         log = TransparencyLog(tmp_path)
         fill(log, 3)
         log.close()
-        (tmp_path / LEAVES_NAME).unlink()
+        for name in (LEAVES_NAME, OFFSETS_NAME):
+            (tmp_path / name).unlink()
         log.close()
-        assert not (tmp_path / LEAVES_NAME).exists()
+        assert [name for name in LOG_FILES if (tmp_path / name).exists()] == [
+            RECORDS_NAME, CHECKPOINTS_NAME
+        ]
 
     def test_index_follows_appends_after_a_reopen(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
@@ -1430,8 +1462,9 @@ class TestLeafIndex:
             fill(log, 300, start=300)
         leaves = b"".join(oracle_leaf(r) for r in naive_records(tmp_path))
         assert (tmp_path / LEAVES_NAME).read_bytes() == leaves
+        assert (tmp_path / OFFSETS_NAME).read_bytes() == naive_offsets(tmp_path)
         with TransparencyLog(tmp_path) as log:
-            assert log.reopened == ReopenReport(600, 0, "kept")
+            assert log.reopened == ReopenReport(600, 0, "kept", 600)
 
     @pytest.mark.parametrize("empty_records", [False, True])
     def test_a_new_log_drops_a_stale_index(self, tmp_path, empty_records):
@@ -1445,7 +1478,7 @@ class TestLeafIndex:
         with TransparencyLog(tmp_path) as log:
             fill(log, 3)
         with TransparencyLog(tmp_path) as log:
-            assert log.reopened == ReopenReport(3, 0, "kept")
+            assert log.reopened == ReopenReport(3, 0, "kept", 3)
             assert log.current_root().value == naive_root(naive_records(tmp_path))
 
     @pytest.mark.parametrize("n", [1, 2, 3, SPAN - 1, SPAN, SPAN + 1, 1000])
@@ -1460,7 +1493,7 @@ class TestLeafIndex:
         before = _kernels.ops()
         with TransparencyLog(tmp_path) as log:
             assert _kernels.ops() - before == n - 1
-            assert log.reopened == ReopenReport(n, 0, "kept")
+            assert log.reopened == ReopenReport(n, 0, "kept", n)
         assert leaf_hashes == []
         (tmp_path / LEAVES_NAME).unlink()
         before = _kernels.ops()
@@ -1478,7 +1511,7 @@ class TestLeafIndex:
             fh.seek(at)
             fh.write(bytes([byte[0] ^ 0x01]))
         with TransparencyLog(tmp_path) as log:
-            assert log.reopened == ReopenReport(12, 0, "kept")
+            assert log.reopened == ReopenReport(12, 0, "kept", 12)
             with pytest.raises(StorageError, match="record 5"):
                 log.entry(5)
             assert log.entry(4).index == 4 and log.entry(6).index == 6
@@ -1523,7 +1556,7 @@ class TestLeafIndex:
         finally:
             tracemalloc.stop()
         log.close()
-        assert log.reopened == ReopenReport(1 << 14, 0, "kept")
+        assert log.reopened == ReopenReport(1 << 14, 0, "kept", 1 << 14)
         assert peak <= 1_800_000
 
     def test_a_reopen_holds_one_tree(self, tmp_path):
@@ -1560,7 +1593,7 @@ class TestLeafIndex:
         finally:
             tracemalloc.stop()
         assert closed.reopened.index == again.reopened.index == "kept"
-        assert rebuilt.reopened == ReopenReport(0, 1 << 14, "rebuilt")
+        assert rebuilt.reopened == ReopenReport(0, 1 << 14, "rebuilt", 0)
         assert restart < 1.5 * clean
         assert rebuild < 1.5 * clean
 
@@ -1714,8 +1747,8 @@ _REFERENCE_LINE = re.compile(rb"([1-9][0-9]*) (?P<root>[0-9a-f]{64})\n")
 
 
 class _Damaged(Exception):
-    def __init__(self, index):
-        super().__init__(index)
+    def __init__(self, index, message):
+        super().__init__(message)
         self.index = index
 
 
@@ -1724,11 +1757,11 @@ def _reference_frames(data):
     pos = index = 0
     while pos < len(data):
         if len(data) - pos < _LEN.size:
-            raise _Damaged(index)
+            raise _Damaged(index, f"truncated length prefix at record {index}")
         (length,) = _LEN.unpack_from(data, pos)
         end = pos + _LEN.size + length
         if length > MAX_RECORD_BYTES or end > len(data):
-            raise _Damaged(index)
+            raise _Damaged(index, f"truncated or oversized record {index}")
         yield data[pos + _LEN.size : end]
         pos, index = end, index + 1
 
@@ -1777,29 +1810,51 @@ FRAMED = 40
 
 @pytest.fixture(scope="module")
 def framed_log(tmp_path_factory):
-    """A closed FRAMED-entry log's files, and what reopening it restores."""
+    """A closed FRAMED-entry log's files, and the state reopening it restores."""
     directory = tmp_path_factory.mktemp("framed")
     with TransparencyLog(directory) as log:
         fill(log, FRAMED)
-    files = {
-        name: (directory / name).read_bytes()
-        for name in (RECORDS_NAME, CHECKPOINTS_NAME, LEAVES_NAME)
-    }
+    files = log_files(directory)
     with TransparencyLog(directory) as log:
-        restored = (log.storage_bytes, log.growth_series(), log.current_root())
+        restored = log_state(log)
         starts = [start for _, start in log.growth_series(range(FRAMED))]
     return files, restored, starts
 
 
-class TestReopenFraming:
-    """Reopen frames damaged records exactly as the reference framer does."""
+@contextlib.contextmanager
+def reads_of(chunk):
+    """``log.records`` read ``chunk`` bytes at a time, both to frame records and
+    to check stored record ends; the default chunk keeps both defaults."""
+    ends_read = translog._ENDS_READ if chunk == translog._CHUNK else chunk
+    with mock.patch.object(translog, "_CHUNK", chunk), mock.patch.object(
+        translog, "_ENDS_READ", ends_read
+    ):
+        yield
 
-    @settings(max_examples=200, deadline=None)
+
+def stored_ends_taken(leaves, ends, true_ends):
+    """``offsets_from_index`` of a reopen that takes ``leaves`` from the index
+    and finds ``ends`` in ``log.offsets``, when the records end at ``true_ends``.
+
+    The first min(stored ends, leaves) ends are taken if every one is right,
+    and none otherwise.
+    """
+    taken = min(len(ends) // 8, leaves)
+    return taken if ends[: 8 * taken] == true_ends[: 8 * taken] else 0
+
+
+class TestReopenFraming:
+    """Reopen frames damaged records exactly as the reference framer does,
+    whatever ``log.offsets`` holds."""
+
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_one_damage_fails_at_the_reference_index(self, framed_log, data):
         files, restored, starts = framed_log
         records = bytearray(files[RECORDS_NAME])
-        kind = data.draw(st.sampled_from(["cut", "prefix flip", "garbage"]), label="kind")
+        kind = data.draw(
+            st.sampled_from(["none", "cut", "prefix flip", "garbage"]), label="kind"
+        )
         if kind == "cut":
             del records[data.draw(st.integers(0, len(records)), label="at") :]
         elif kind == "prefix flip":
@@ -1807,43 +1862,84 @@ class TestReopenFraming:
                 st.integers(0, _LEN.size - 1), label="byte"
             )
             records[at] ^= data.draw(st.integers(1, 255), label="mask")
-        else:
+        elif kind == "garbage":
             records += data.draw(st.binary(min_size=1, max_size=2 * _LEN.size), label="garbage")
         leaves = files[LEAVES_NAME]
         index = data.draw(st.sampled_from(["complete", "cut", "absent"]), label="index")
         if index == "cut":
             leaves = leaves[: data.draw(st.integers(0, len(leaves) - 1), label="index cut")]
-        # small chunks put record ends and length prefixes across chunk reads
+        ends = bytearray(files[OFFSETS_NAME])
+        offsets = data.draw(
+            st.sampled_from(["complete", "cut", "flipped", "shifted", "absent"]), label="offsets"
+        )
+        if offsets == "cut":
+            del ends[data.draw(st.integers(0, len(ends) - 1), label="offsets cut") :]
+        elif offsets == "flipped":
+            at = data.draw(st.integers(0, len(ends) - 1), label="offsets byte")
+            ends[at] ^= data.draw(st.integers(1, 255), label="offsets mask")
+        elif offsets == "shifted":
+            # spaced as the records are, but each end is off by the shift
+            shift = data.draw(st.integers(-3, 3).filter(bool), label="shift")
+            ends = b"".join(
+                struct.pack("<Q", end + shift)
+                for (end,) in struct.iter_unpack("<Q", ends)
+            )
+        # small chunks put record ends and length prefixes across reads
         chunk = data.draw(st.sampled_from(CHUNKS), label="chunk")
         try:
             for _ in _reference_frames(bytes(records)):
                 pass
         except _Damaged as exc:
-            damaged_at = exc.index
+            damaged = exc
         else:
-            damaged_at = None
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(translog, "_CHUNK", chunk):
+            damaged = None
+        with tempfile.TemporaryDirectory() as tmp, reads_of(chunk):
             directory = Path(tmp)
             (directory / RECORDS_NAME).write_bytes(records)
             (directory / CHECKPOINTS_NAME).write_bytes(files[CHECKPOINTS_NAME])
             if index != "absent":
                 (directory / LEAVES_NAME).write_bytes(leaves)
-            if damaged_at is not None:
+            if offsets != "absent":
+                (directory / OFFSETS_NAME).write_bytes(ends)
+            before = log_files(directory)
+            if damaged is not None:
                 with pytest.raises(translog.LogDamage) as raised:
                     TransparencyLog(directory)
-                assert raised.value.index == damaged_at
-                # a refused reopen leaves the index as it was
-                assert (directory / LEAVES_NAME).exists() == (index != "absent")
-                if index != "absent":
-                    assert (directory / LEAVES_NAME).read_bytes() == leaves
+                assert (raised.value.index, str(raised.value)) == (damaged.index, str(damaged))
+                # a refused reopen leaves every file as it was
+                assert log_files(directory) == before
             elif records == files[RECORDS_NAME]:
                 with TransparencyLog(directory) as log:
-                    assert (log.storage_bytes, log.growth_series(), log.current_root()) == restored
+                    assert log_state(log) == restored
+                    taken = stored_ends_taken(
+                        len(leaves) // _kernels.HASH_SIZE if index != "absent" else 0,
+                        ends if offsets != "absent" else b"",
+                        files[OFFSETS_NAME],
+                    )
+                    assert log.reopened.offsets_from_index == taken
+                    if index == "complete" and offsets in ("flipped", "shifted"):
+                        assert taken == 0
             else:
                 # frames cleanly into other records: the checkpoints disagree
                 with pytest.raises(StorageError) as raised:
                     TransparencyLog(directory)
                 assert not isinstance(raised.value, translog.LogDamage)
+
+    def test_a_stored_end_past_an_oversized_record_is_refused(self, tmp_path):
+        # every stored end matches its length prefix, but the last prefix is
+        # over the cap: framing refuses that record, and so does the check
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 3)
+            end = log.storage_bytes
+        body = bytes(MAX_RECORD_BYTES + 1)
+        for name, data in ((RECORDS_NAME, _LEN.pack(len(body)) + body),
+                           (OFFSETS_NAME, struct.pack("<Q", end + _LEN.size + len(body))),
+                           (LEAVES_NAME, oracle_leaf(body))):
+            with open(tmp_path / name, "ab") as fh:
+                fh.write(data)
+        with pytest.raises(translog.LogDamage, match="^truncated or oversized record 3$") as raised:
+            TransparencyLog(tmp_path)
+        assert raised.value.index == 3
 
 
 #: Three times SPAN entries and a few more: two default reads of ``log.records``.
@@ -2029,12 +2125,14 @@ class TestReadCheck:
     def test_reads_only_the_records_and_checkpoints_and_writes_nothing(self, tmp_path):
         with TransparencyLog(tmp_path) as log:
             fill(log, SPAN + 3)
-        (tmp_path / LEAVES_NAME).write_bytes(b"\xff" * 7)
+        for name in (LEAVES_NAME, OFFSETS_NAME):
+            (tmp_path / name).write_bytes(b"\xff" * 7)
         before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
         assert check_integrity(tmp_path).ok
-        (tmp_path / LEAVES_NAME).unlink()
+        for name in (LEAVES_NAME, OFFSETS_NAME):
+            (tmp_path / name).unlink()
+            del before[name]
         assert check_integrity(tmp_path).ok
-        del before[LEAVES_NAME]
         after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
         assert after == before
 
@@ -2138,7 +2236,8 @@ class LogMachine(RuleBasedStateMachine):
     A record's bytes are rebuilt by ``json.dumps`` and its leaf and root by
     the oracles, so the model needs nothing from the package.  A flipped
     byte of ``log.records`` or ``log.checkpoints`` is damage until it is
-    flipped back; a cut or missing ``log.leaves`` is not.
+    flipped back; a flipped byte of, a cut of or a missing ``log.leaves`` or
+    ``log.offsets`` is not, and a reopen reports what it found in each.
     """
 
     def __init__(self):
@@ -2151,6 +2250,8 @@ class LogMachine(RuleBasedStateMachine):
         self.starts = {RECORDS_NAME: [0], CHECKPOINTS_NAME: [0]}
         self.flips: list[tuple[str, int, int]] = []
         self.log = TransparencyLog(self.dir)
+        # what the open handle's reopen must report, when the model knows it
+        self.reopened = None
 
     def teardown(self):
         if self.log is not None:
@@ -2184,7 +2285,8 @@ class LogMachine(RuleBasedStateMachine):
         closed, self.log = self.log, None
         if closed is not None:
             closed.close()
-        with mock.patch.object(translog, "_CHUNK", chunk):
+        self.reopened = None if self.flips else self.expected_reopen()
+        with reads_of(chunk):
             try:
                 self.log = TransparencyLog(self.dir)
             except StorageError:
@@ -2249,21 +2351,62 @@ class LogMachine(RuleBasedStateMachine):
             path.write_bytes(blob)
         self.flips.clear()
 
-    @rule(keep=st.one_of(st.none(), st.integers(0, 1 << 16)))
-    def cut_index(self, keep):
-        index = self.dir / LEAVES_NAME
-        if not index.exists():
-            return
-        if keep is None:
-            index.unlink()
+    def expected_reopen(self):
+        """The report of a reopen of the log's files as they are now, none damaged.
+
+        Leaves are taken from the index up to as many as the records file
+        could hold; if one is wrong the tree is rebuilt without either
+        derived file.  Otherwise the index is kept when it holds exactly the
+        leaves, and the stored ends are taken for the leaves it gives.
+        """
+        derived = {name: (self.dir / name).read_bytes() if (self.dir / name).exists() else b""
+                   for name in (LEAVES_NAME, OFFSETS_NAME)}
+        index, n = derived[LEAVES_NAME], len(self.leaves)
+        stored = min(len(index) // _kernels.HASH_SIZE, self.starts[RECORDS_NAME][-1] // _LEN.size)
+        taken = min(stored, n)
+        if index[: taken * _kernels.HASH_SIZE] != b"".join(self.leaves[:taken]):
+            return ReopenReport(0, n, "rebuilt", 0)
+        if len(index) == n * _kernels.HASH_SIZE:
+            action = "kept"
         else:
-            os.truncate(index, min(keep, index.stat().st_size))
+            action = "extended" if taken < n else "trimmed"
+        true_ends = b"".join(struct.pack("<Q", end) for end in self.starts[RECORDS_NAME][1:])
+        return ReopenReport(
+            taken, n - taken, action, stored_ends_taken(stored, derived[OFFSETS_NAME], true_ends)
+        )
+
+    @rule(name=st.sampled_from([LEAVES_NAME, OFFSETS_NAME]), delete=st.booleans(),
+          data=st.data())
+    def cut_derived(self, name, delete, data):
+        path = self.dir / name
+        if not path.exists():
+            return
+        if delete:
+            path.unlink()
+        else:
+            os.truncate(path, data.draw(st.integers(0, path.stat().st_size), label="keep"))
+
+    @rule(name=st.sampled_from([LEAVES_NAME, OFFSETS_NAME]), data=st.data())
+    def flip_derived(self, name, data):
+        path = self.dir / name
+        blob = bytearray(path.read_bytes()) if path.exists() else b""
+        if not blob:
+            return
+        blob[data.draw(st.integers(0, len(blob) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="mask"
+        )
+        path.write_bytes(blob)
 
     @invariant()
     def handle_holds_the_model(self):
         if self.log is not None:
             assert self.log.size == len(self.leaves)
             assert self.log.current_root().value == oracle_root(self.leaves)
+
+    @invariant()
+    def reopen_reports_what_each_derived_file_held(self):
+        if self.log is not None and self.reopened is not None:
+            assert self.log.reopened == self.reopened
 
 
 LogMachine.TestCase.settings = settings(
