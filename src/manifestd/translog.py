@@ -28,14 +28,16 @@ once: at most popcount(m) - 1 hashes.  Neither proof carries sides:
 walks.
 
 A log directory holds four files.  ``log.records`` holds the records, each
-a 4-byte big-endian length and that many bytes in one fixed JSON layout,
-``_RECORD``.  ``log.checkpoints`` holds one line ``<tree_size> <root hex>``
-per append, ``_CHECKPOINT``.  Two files are derived data, written only by
-``close`` of a handle that appended, so they lag behind the other two while
-that handle is open, or when it died unclosed: ``log.leaves``, the index,
-holds level 0 of the stored hashes, 32 bytes per entry in append order, and
-``log.offsets`` holds where each record ends in ``log.records``, 8 bytes
-little-endian per entry in append order.
+a 4-byte big-endian length and that many bytes in one fixed binary layout,
+``_HEAD``; reopening refuses a log whose record 0 has another tag, such as
+the JSON layout earlier versions wrote.  ``log.checkpoints`` holds one line
+``<tree_size> <root hex>`` per append, ``_CHECKPOINT``.  Two files are
+derived data, written only by ``close`` of a handle that appended, so they
+lag behind the other two while that handle is open, or when it died
+unclosed: ``log.leaves``, the index, holds level 0 of the stored hashes, 32
+bytes per entry in append order, and ``log.offsets`` holds where each
+record ends in ``log.records``, 8 bytes little-endian per entry in append
+order.
 
 An open log holds one ``O_WRONLY | O_APPEND`` descriptor on each of the
 records and checkpoints files, for ``append``, and one read-only descriptor
@@ -81,7 +83,6 @@ input.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import re
 import struct
@@ -89,11 +90,10 @@ import sys
 import threading
 import time
 from array import array
-from binascii import hexlify, unhexlify
+from binascii import hexlify
 from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import count
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterator, NoReturn, Optional, Sequence, Union
 
@@ -132,19 +132,16 @@ HELD_CHECKS = 16
 #: transient memory of one call.
 _BATCH_NODES = 1 << 12
 
-#: One record: the JSON object ``json.dumps`` writes with compact separators
-#: and ``ensure_ascii=False``, fields in this order.  The leaf hash commits to
-#: these bytes, so the layout is fixed.
-_RECORD = b'{"index":%d,"manifest_digest":"%s","signature":"%s","key_id":%s,"appended_at":%d}'
+#: The first byte of every record: the one record layout this version
+#: writes and reads.
+_TAG = 1
 
-#: ``_RECORD``'s layout and no other: decimal integers without a sign or
-#: leading zero (``appended_at`` may be negative), lowercase hex, and the key
-#: id's JSON string body, with no raw quote, backslash or control byte.
-_RECORD_FORM = re.compile(
-    rb'\{"index":(0|[1-9][0-9]*),"manifest_digest":"([0-9a-f]{64})",'
-    rb'"signature":"([0-9a-f]*)","key_id":"((?:[^"\\\x00-\x1f]|\\.)*)",'
-    rb'"appended_at":(0|-?[1-9][0-9]*)\}'
-)
+#: The fixed head of one record, big-endian: ``_TAG``, the index (u64),
+#: ``appended_at`` (i64), the 32-byte manifest digest and the signature's
+#: length (u32).  The signature follows, then the key id's length (u32) and
+#: its UTF-8 bytes.  The leaf hash commits to these bytes, so the layout is
+#: fixed.
+_HEAD = struct.Struct(">BQq32sI")
 
 #: One checkpoint line: tree size and root hex.
 _CHECKPOINT = b"%d %s\n"
@@ -163,21 +160,21 @@ class MerkleRoot:
 
 
 def _record_bytes(
-    index: int, manifest_digest: ManifestDigest, signature: bytes, key_id: str, appended_at: int
+    index: int, manifest_digest: ManifestDigest, signature: bytes, key: bytes, appended_at: int
 ) -> bytes:
     """The bytes of one record, as ``LogEntry.to_record`` returns them.
 
-    ``encode_basestring`` is the quoting ``json`` applies to a string with
-    ``ensure_ascii=False``; a ``key_id`` with a lone surrogate raises
-    ``UnicodeEncodeError``.
+    ``key`` is the key id's UTF-8 encoding.  An index or ``appended_at``
+    outside its field raises ``EncodingError``.
     """
-    return _RECORD % (
-        index,
-        hexlify(manifest_digest.value),
-        hexlify(signature),
-        encode_basestring(key_id).encode("utf-8"),
-        appended_at,
-    )
+    try:
+        head = _HEAD.pack(_TAG, index, appended_at, manifest_digest.value, len(signature))
+    except struct.error as exc:
+        raise EncodingError(
+            f"entry {index}, appended at {appended_at}, does not fit the record's "
+            f"u64 index and i64 time: {exc}"
+        ) from exc
+    return b"".join((head, signature, _LEN.pack(len(key)), key))
 
 
 @dataclass(frozen=True)
@@ -196,47 +193,51 @@ class LogEntry:
         if self._record is not None:
             return self._record
         return _record_bytes(
-            self.index, self.manifest_digest, self.signature, self.key_id, self.appended_at
+            self.index,
+            self.manifest_digest,
+            self.signature,
+            self.key_id.encode("utf-8"),
+            self.appended_at,
         )
 
     @classmethod
     def from_record(cls, data: bytes) -> "LogEntry":
         """The entry whose ``to_record`` is exactly ``data``, which it keeps.
 
-        Only bytes in ``_RECORD``'s layout are read, so decoding and encoding
-        are inverses; any other bytes raise ``StorageError``.  A key id with
-        an escape is decoded by ``json`` and must quote back to the same
-        bytes; any other key id is its own UTF-8 text.
+        Only one record in ``_HEAD``'s layout is read: the tag must be
+        ``_TAG``, the two lengths must add up to exactly ``len(data)``, and
+        the key id must be UTF-8 (Python's strict decoder, so no surrogate
+        or overlong form).  Any other bytes raise ``StorageError``, so
+        decoding and encoding are inverses.
         """
-        match = _RECORD_FORM.fullmatch(data)
-        if match is None:
-            raise StorageError("log record is not in the record layout")
-        index, digest_hex, signature_hex, key_id, appended_at = match.groups()
+        data = bytes(data)
         try:
-            if b"\\" in key_id:
-                quoted = b'"' + key_id + b'"'
-                key_id = json.loads(quoted.decode("utf-8"))
-                if encode_basestring(key_id).encode("utf-8") != quoted:
-                    raise ValueError("key id is not in its one quoted form")
-            else:
-                key_id = key_id.decode("utf-8")
-            signature = unhexlify(signature_hex)
-        except ValueError as exc:
-            # bad UTF-8 or escape, a lone surrogate, odd-length hex
-            raise StorageError(f"unreadable log record: {exc}") from exc
+            tag, index, appended_at, value, signed = _HEAD.unpack_from(data)
+            key_at = _HEAD.size + signed + _LEN.size
+            end = key_at + _LEN.unpack_from(data, key_at - _LEN.size)[0]
+        except struct.error as exc:
+            raise StorageError(f"log record is shorter than its lengths: {exc}") from exc
+        if tag != _TAG:
+            raise StorageError(f"log record has tag {tag:#04x}, not {_TAG:#04x}")
+        if end != len(data):
+            raise StorageError(f"log record lengths end at byte {end}, not {len(data)}")
+        try:
+            key_id = data[key_at:].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise StorageError(f"log record key id is not UTF-8: {exc}") from exc
         # Every value already has the form the constructors check, so both
         # frozen instances are filled in directly, skipping a guarded
-        # object.__setattr__ per field: about a fifth of a decode.
+        # object.__setattr__ per field.
         manifest_digest = object.__new__(ManifestDigest)
-        vars(manifest_digest)["value"] = unhexlify(digest_hex)
+        vars(manifest_digest)["value"] = value
         entry = object.__new__(cls)
         vars(entry).update(
-            index=int(index),
+            index=index,
             manifest_digest=manifest_digest,
-            signature=signature,
+            signature=data[_HEAD.size : key_at - _LEN.size],
             key_id=key_id,
-            appended_at=int(appended_at),
-            _record=bytes(data),
+            appended_at=appended_at,
+            _record=data,
         )
         return entry
 
@@ -443,7 +444,9 @@ class TransparencyLog:
         not read back as given (a ``manifest_digest`` that is not a
         ``ManifestDigest``, a ``key_id`` that is not a UTF-8-encodable
         ``str``, a ``signature`` that is not ``bytes``, an ``appended_at``
-        that is not an ``int`` or is a ``bool``) raises ``EncodingError``
+        that is not an ``int`` or is a ``bool``, or an index or
+        ``appended_at`` outside its record field) raises ``EncodingError``,
+        and a record over ``MAX_RECORD_BYTES`` raises ``StorageError``,
         before anything is written.
         """
         if self._refused is not None:
@@ -460,16 +463,18 @@ class TransparencyLog:
             raise EncodingError(f"key id must be a str, not {type(key_id).__name__}")
         if not isinstance(signature, bytes):
             raise EncodingError(f"signature must be bytes, not {type(signature).__name__}")
-        index = len(self._offsets) - 1
         try:
-            record = _record_bytes(index, manifest_digest, signature, key_id, appended_at)
+            key = key_id.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise EncodingError(f"key id is not encodable as UTF-8: {exc}") from exc
-        if len(record) > MAX_RECORD_BYTES:
+        length = _HEAD.size + len(signature) + _LEN.size + len(key)
+        if length > MAX_RECORD_BYTES:
             # refuse to write what replay would refuse to read
             raise StorageError(
-                f"record of {len(record)} bytes exceeds the {MAX_RECORD_BYTES} byte limit"
+                f"record of {length} bytes exceeds the {MAX_RECORD_BYTES} byte limit"
             )
+        index = len(self._offsets) - 1
+        record = _record_bytes(index, manifest_digest, signature, key, appended_at)
         leaf = _kernels.hash_leaf(record)
         states = list(self._states)
         nodes, edge = _kernels.push_node(states, index, leaf)
@@ -642,6 +647,7 @@ class TransparencyLog:
         records the records file can hold at most, so a runaway file costs no
         memory.  No file is written.
         """
+        _check_layout(self._records_path)
         try:
             index_bytes = self._leaves_path.stat().st_size
         except FileNotFoundError:
@@ -706,6 +712,23 @@ class TransparencyLog:
             raise LogDamage(None, f"cannot read log files in {self._dir}: {exc}") from exc
         del leaves[(len(offsets) - 1) * _kernels.HASH_SIZE :]
         return leaves, offsets, kept
+
+
+def _check_layout(path: Path) -> None:
+    """Refuse a records file whose record 0 does not begin with ``_TAG``.
+
+    Reopening decodes no record, so this keeps a log in another layout, such
+    as the JSON one earlier versions wrote, from being extended with binary
+    records.  A file too short to hold a tag is left to the framing.
+    """
+    try:
+        with open(path, "rb") as fh:
+            tag = fh.read(_LEN.size + 1)[_LEN.size :]
+    except OSError as exc:
+        raise LogDamage(None, f"cannot read log files in {path.parent}: {exc}") from exc
+    if tag and tag[0] != _TAG:
+        found = "the JSON layout of earlier versions" if tag == b"{" else f"tag {tag[0]:#04x}"
+        raise StorageError(f"{path.parent}: record 0 has {found}, not the tag {_TAG:#04x}")
 
 
 def _write_after(path: Path, data, width: int, verified: int) -> None:
@@ -1237,6 +1260,9 @@ def _check_reads(
                 return _first_bad_line(got, roots, size), None
             checkpoints_digest.update(expected)
             size += len(roots)
+            # a read's lines widen with the digits of the size: drop them
+            # before the next read, so memory holds one read's worth
+            del roots, expected, got
     except LogDamage as exc:
         return IntegrityReport(False, exc.index, str(exc)), None
     if checkpoints.read(1):

@@ -889,9 +889,9 @@ class TestExportBytes:
     }
     AUDIT_SHA = {
         "evidence.ndjson":
-            "0ea2001ae4bd79d8c61812ed27112a79e1a7d53ca3159d1f2ea8d724e4a29524",
+            "6e446d68f4e85a2665c5b097c37d837d4cdea1daeec58cc132a9d5cf8202bf58",
         "receipts.ndjson":
-            "76a5d3ec418f040c281cc5cfb45dacdcd3f263c6c1c6bde076ca11890ea5d1f3",
+            "85426fc561a3c40907fae95e832a0d81641b6bf1a0332d12a1b1eb11169621eb",
     }
 
     def test_bench_exports_are_pinned(self, tmp_path, monkeypatch, capsys):

@@ -56,8 +56,48 @@ from manifestd.translog import (
 
 _LEN = struct.Struct(">I")
 
-#: An entry count that test sizes sit around: 2^8, where a tree gains a level.
-SPAN = 256
+
+def spec_record(index, digest_value, signature, key_id, appended_at):
+    """One record as README "Log format" lays it out, built with struct alone.
+
+    Big-endian: tag 1 (1 B), index (u64), appended_at (i64), the 32-byte
+    digest, the signature's length (u32) and the signature, the key id's
+    length (u32) and its UTF-8 bytes.
+    """
+    key = key_id.encode("utf-8")
+    return (
+        struct.pack(">BQq32sI", 1, index, appended_at, digest_value, len(signature))
+        + signature
+        + struct.pack(">I", len(key))
+        + key
+    )
+
+
+def with_u32(record, at, value):
+    """``record`` with the big-endian u32 at byte ``at`` replaced by ``value``."""
+    return record[:at] + struct.pack(">I", value) + record[at + 4 :]
+
+
+#: The record of README "Log format"'s example entry, byte for byte.
+RECORD_VECTOR = bytes.fromhex(
+    "01" "0000000000000003" "0000018bcfe56800"
+    "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"
+    "00000002" "abcd" "00000005" "6f702dc3a9"
+)
+
+#: A record the layout tests change, and where its two lengths sit.
+GOOD_RECORD = spec_record(12, bytes.fromhex("ab12" * 16), b"\xab\xcd", "kA", 5)
+_SIGNED_AT = 1 + 8 + 8 + 32
+_KEYED_AT = _SIGNED_AT + _LEN.size + 2
+
+#: The framed length of every record ``fill`` appends: a 16-byte signature
+#: and a 2-byte key id.
+FILL_FRAMED = _LEN.size + len(spec_record(0, bytes(32), b"\x01\x02" * 8, "k0", 0))
+
+#: An entry count that test sizes sit around: the records ``fill`` writes
+#: that one default read of ``log.records`` holds whole, so sizes next to it
+#: put the end of a read next to a record boundary.
+SPAN = translog._CHUNK // FILL_FRAMED
 
 #: Bytes per read of ``log.records`` that tests patch in as ``translog._CHUNK``:
 #: the small ones put a read boundary next to every entry.
@@ -185,25 +225,43 @@ class TestAppendAndRoots:
         with pytest.raises(StorageError):
             LogEntry.from_record(b"{not json")
 
+    def test_the_pinned_record_vector(self):
+        # README "Log format" pins the same bytes
+        entry = LogEntry(
+            3, ManifestDigest(bytes(range(32))), b"\xab\xcd", "op-\xe9", 1_700_000_000_000
+        )
+        assert entry.to_record() == RECORD_VECTOR
+        assert LogEntry.from_record(RECORD_VECTOR) == entry
+        assert spec_record(3, bytes(range(32)), b"\xab\xcd", "op-\xe9", 1_700_000_000_000) == (
+            RECORD_VECTOR
+        )
+
+    def test_readme_pins_the_same_record_vector(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+        block = readme.split("this 64-byte record (spaces between the fields):\n\n", 1)[1]
+        assert bytes.fromhex(block.split("\n\n", 1)[0]) == RECORD_VECTOR
+
     @settings(max_examples=300)
     @given(
         key_id=st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
-        index=st.integers(0, 2**80),
-        appended_at=st.integers(-(2**80), 2**80),
+        index=st.integers(0, 2**64 - 1),
+        appended_at=st.integers(-(2**63), 2**63 - 1),
         signature=st.binary(max_size=80),
     )
-    def test_record_bytes_are_json_dumps_bytes(self, key_id, index, appended_at, signature):
+    def test_record_bytes_are_the_spec_bytes(self, key_id, index, appended_at, signature):
         # quotes, backslashes, control and non-ASCII characters included
         dig = ManifestDigest(bytes.fromhex("5e" * 32))
-        obj = {
-            "index": index,
-            "manifest_digest": dig.hex,
-            "signature": signature.hex(),
-            "key_id": key_id,
-            "appended_at": appended_at,
-        }
-        expected = json.dumps(obj, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        expected = spec_record(index, dig.value, signature, key_id, appended_at)
         assert LogEntry(index, dig, signature, key_id, appended_at).to_record() == expected
+
+    @pytest.mark.parametrize(
+        "index, appended_at",
+        [(2**64, 0), (-1, 0), (0, 2**63), (0, -(2**63) - 1)],
+    )
+    def test_a_field_out_of_range_is_not_encoded(self, index, appended_at):
+        entry = LogEntry(index, ManifestDigest(bytes(32)), b"", "k", appended_at)
+        with pytest.raises(EncodingError, match="does not fit"):
+            entry.to_record()
 
     @settings(max_examples=300)
     @given(
@@ -213,8 +271,8 @@ class TestAppendAndRoots:
                 st.characters(blacklist_categories=("Cs",)),
             )
         ),
-        index=st.integers(0, 2**80),
-        appended_at=st.integers(-(2**80), 2**80),
+        index=st.integers(0, 2**64 - 1),
+        appended_at=st.integers(-(2**63), 2**63 - 1),
         signature=st.binary(max_size=80),
     )
     def test_decoding_inverts_encoding(self, key_id, index, appended_at, signature):
@@ -227,50 +285,64 @@ class TestAppendAndRoots:
         assert decoded.to_record() == record
 
     @pytest.mark.parametrize(
-        "old, new",
+        "bad",
         [
-            (b'{"index":12,"manifest_digest"', b'{"manifest_digest"'),  # reordered keys
-            (b'"index":12', b'"index": 12'),
-            (b'","signature"', b'", "signature"'),
-            (b"ab12", b"AB12"),  # uppercase hex in the digest
-            (b'"signature":"abcd"', b'"signature":"ABCD"'),
-            (b'"index":12', b'"index":012'),
-            (b'"index":12', b'"index":+12'),
-            (b'"index":12', b'"index":-12'),
-            (b'"index":12', b'"index":12.0'),
-            (b'"index":12', b'"index":"12"'),
-            (b'"appended_at":5', b'"appended_at":-0'),
-            (b'"appended_at":5', b'"appended_at":+5'),
-            (b'"appended_at":5', b'"appended_at":05'),
-            (b'"appended_at":5', b'"appended_at":5e0'),
-            (b'"kA"', b'"k\\u0041"'),  # an escape where json writes the character
-            (b'"kA"', b'"k\\/"'),
-            (b'"kA"', b'"k\\ud800"'),  # an escaped lone surrogate
-            (b'"kA"', b'"k\\ud83d"'),
-            (b'"kA"', b'"k\xff"'),  # invalid UTF-8
-            (b'"kA"', b'"k\xed\xa0\x80"'),  # a UTF-8-encoded surrogate
-            (b'"kA"', b'"k\x01"'),  # a raw control byte
-            (b'"kA"', b'"k\\x"'),
-            (b'"kA"', b'"k\\"'),
-            (b'"signature":"abcd"', b'"signature":"abc"'),  # odd-length hex
-            (b'"signature":"abcd"', b'"signature":"abcg"'),
-            (b"ab12", b"ab1"),  # a short digest
-            (b"}", b"}\n"),  # a trailing newline
-            (b"}", b"} "),
-            (b"{", b" {"),
-            (b'"appended_at":5}', b'"appended_at":5,"extra":1}'),
-            (b',"appended_at":5', b""),
+            pytest.param(b"", id="empty"),
+            pytest.param(GOOD_RECORD[: _SIGNED_AT], id="head-cut"),
+            pytest.param(GOOD_RECORD[:-1], id="one-byte-short"),
+            pytest.param(GOOD_RECORD + b"\x00", id="trailing-byte"),
+            pytest.param(b"\x00" + GOOD_RECORD[1:], id="tag-0"),
+            pytest.param(b"\x02" + GOOD_RECORD[1:], id="tag-2"),
+            pytest.param(b"{" + GOOD_RECORD[1:], id="tag-brace"),
+            pytest.param(with_u32(GOOD_RECORD, _SIGNED_AT, 1), id="signature-length-short"),
+            pytest.param(with_u32(GOOD_RECORD, _SIGNED_AT, 3), id="signature-length-long"),
+            pytest.param(with_u32(GOOD_RECORD, _SIGNED_AT, 2**32 - 1), id="signature-length-max"),
+            pytest.param(with_u32(GOOD_RECORD, _KEYED_AT, 1), id="key-length-short"),
+            pytest.param(with_u32(GOOD_RECORD, _KEYED_AT, 3), id="key-length-long"),
+            pytest.param(with_u32(GOOD_RECORD, _KEYED_AT, 2**32 - 1), id="key-length-max"),
+            # the signature swallows the key id's length: the lengths no longer add up
+            pytest.param(with_u32(GOOD_RECORD, _SIGNED_AT, 2 + _LEN.size), id="lengths-shifted"),
+            pytest.param(GOOD_RECORD[:-2] + b"k\xff", id="invalid-utf8"),
+            pytest.param(GOOD_RECORD[:-2] + b"\xc1\x81", id="overlong-utf8"),
+            pytest.param(
+                with_u32(GOOD_RECORD[:-2] + b"\xed\xa0\x80", _KEYED_AT, 3), id="encoded-surrogate"
+            ),
+            pytest.param(
+                json.dumps(
+                    {"index": 12, "manifest_digest": "ab12" * 16, "signature": "abcd",
+                     "key_id": "kA", "appended_at": 5},
+                    separators=(",", ":"),
+                ).encode(),
+                id="json-layout",
+            ),
         ],
     )
-    def test_only_the_record_layout_is_read(self, old, new):
-        good = LogEntry(
-            12, ManifestDigest(bytes.fromhex("ab12" * 16)), b"\xab\xcd", "kA", 5
-        ).to_record()
-        assert LogEntry.from_record(good).to_record() == good
-        assert old in good
-        bad = good.replace(old, new, 1)
+    def test_only_the_record_layout_is_read(self, bad):
+        assert LogEntry.from_record(GOOD_RECORD).to_record() == GOOD_RECORD
         with pytest.raises(StorageError):
             LogEntry.from_record(bad)
+
+    @settings(max_examples=500)
+    @given(data=st.data())
+    def test_any_record_read_encodes_back_to_its_bytes(self, data):
+        # one change anywhere in a record: it is refused, or it is another
+        # record that encodes back to exactly these bytes
+        blob = bytearray(GOOD_RECORD)
+        at = data.draw(st.integers(0, len(blob)), label="at")
+        kind = data.draw(st.sampled_from(["flip", "insert", "delete"]), label="kind")
+        if kind == "flip" and at < len(blob):
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        elif kind == "insert":
+            blob.insert(at, data.draw(st.integers(0, 255), label="byte"))
+        else:
+            del blob[at : at + 1]
+        try:
+            entry = LogEntry.from_record(bytes(blob))
+        except StorageError:
+            return
+        fields = (entry.index, entry.manifest_digest, entry.signature, entry.key_id,
+                  entry.appended_at)
+        assert LogEntry(*fields).to_record() == bytes(blob)
 
     def test_oversized_record_refused_before_write(self, tmp_path):
         m = Manifest({"q": "x"}, {}, 1, "t")
@@ -326,6 +398,8 @@ class TestAppendInputs:
             pytest.param(b"\x01", None, 1, id="no-key"),
             pytest.param(b"\x01", "lone \ud800 surrogate", 1, id="surrogate-key"),
             pytest.param(b"\x01", "\udfff", None, id="surrogate-key-now"),
+            pytest.param(b"\x01", "k", 2**63, id="time-above-i64"),
+            pytest.param(b"\x01", "k", -(2**63) - 1, id="time-below-i64"),
             pytest.param("01", "k", 1, id="str-signature"),
             pytest.param(bytearray(b"\x01"), "k", 1, id="bytearray-signature"),
             pytest.param(None, "k", 1, id="no-signature"),
@@ -468,33 +542,36 @@ class TestAppendCost:
             )
 
 
-#: SHA-256 of each log file ``golden_log`` writes, computed when records
-#: were encoded by ``json.dumps``: they pin the on-disk format.  The
-#: checkpoints digest is that of the file as written when each line also
-#: held a chain value, with that third field cut from every line.
+#: SHA-256 of each log file ``golden_log`` writes: they pin the on-disk
+#: format.  Its records are also rebuilt by ``spec_record``.
 GOLDEN_FILES = {
-    RECORDS_NAME: "f874caa90c55deb96103177c2da9e8787551564cfee7a3e13a9d3a82ea8fe308",
-    CHECKPOINTS_NAME: "3de7b1b6090536a6b1764897f6c49ddc6ad267d0b9a2b3a5cfe045c5069dbc39",
-    LEAVES_NAME: "9a8f9a0fc04a110541935dc5bd16efcc0b6eaea618c9ab673bce648a1b7c5225",
+    RECORDS_NAME: "47a2e7cbff18f3baed20b8a2c95c2c4c0f99734d2b8913d9395fa7d28520f327",
+    CHECKPOINTS_NAME: "6cb6f9a0697e6a09fc2343e67195474ad4bb2ea34e3fc89fba3893404d841657",
+    LEAVES_NAME: "32e8e250669c0125ae68fe8eee87da2053d8c3d095de8acbe85ee83743fb39b2",
 }
 
 GOLDEN_KEY_IDS = [
     "k", "", 'quo"te', "back\\slash", "ctl \x00\x01\x08\x0c\x1f\x7f \n\r\t",
     "non-ascii \xe9\xdf\u4e2d \u2028\u2029", "astral \U0001f512\U00010000", "\"\\/",
 ]
-GOLDEN_TIMES = [0, -1, 2**63]
+GOLDEN_TIMES = [0, -1, -(2**63), 2**63 - 1]
 GOLDEN_SIGNATURE_LENGTHS = [0, 1, 64, 70, 71, 72, 255]
 
 
-def golden_log(directory, entries=700):
-    """A fixed sequence of appends over the awkward cases of the record format."""
+def golden_entries(entries=700):
+    """A fixed sequence of entries over the awkward cases of the record format."""
+    for i in range(entries):
+        dig = hashlib.sha256(b"golden %d" % i).digest()
+        length = GOLDEN_SIGNATURE_LENGTHS[i % len(GOLDEN_SIGNATURE_LENGTHS)]
+        signature = bytes((i + j) & 0xFF for j in range(length))
+        at = GOLDEN_TIMES[i // 5 % len(GOLDEN_TIMES)] if i % 5 == 0 else 1_700_000_000_000 + i
+        yield i, dig, signature, GOLDEN_KEY_IDS[i % len(GOLDEN_KEY_IDS)], at
+
+
+def golden_log(directory):
     with TransparencyLog(directory) as log:
-        for i in range(entries):
-            dig = ManifestDigest(hashlib.sha256(b"golden %d" % i).digest())
-            length = GOLDEN_SIGNATURE_LENGTHS[i % len(GOLDEN_SIGNATURE_LENGTHS)]
-            signature = bytes((i + j) & 0xFF for j in range(length))
-            at = GOLDEN_TIMES[i // 5 % len(GOLDEN_TIMES)] if i % 5 == 0 else 1_700_000_000_000 + i
-            log.append(dig, signature, GOLDEN_KEY_IDS[i % len(GOLDEN_KEY_IDS)], appended_at=at)
+        for _, dig, signature, key_id, at in golden_entries():
+            log.append(ManifestDigest(dig), signature, key_id, appended_at=at)
 
 
 def test_log_files_match_the_golden_digests(tmp_path):
@@ -502,6 +579,7 @@ def test_log_files_match_the_golden_digests(tmp_path):
     assert {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_FILES
     } == GOLDEN_FILES
+    assert naive_records(tmp_path) == [spec_record(*entry) for entry in golden_entries()]
     assert (tmp_path / OFFSETS_NAME).read_bytes() == naive_offsets(tmp_path)
 
 
@@ -1117,6 +1195,46 @@ class TestPersistence:
         report = check_integrity(tmp_path)
         assert (report.ok, report.tampered_at) == (False, 0)
         assert "checkpoint line 0 malformed" in report.detail
+
+    def test_a_log_in_the_json_record_layout_is_refused_and_left_as_it_was(self, tmp_path):
+        # all four files as a closed writer of the JSON layout left them,
+        # built with json and hashlib alone
+        records = [
+            json.dumps(
+                {"index": i, "manifest_digest": hashlib.sha256(b"%d" % i).hexdigest(),
+                 "signature": bytes([i] * 9).hex(), "key_id": 'op-"\xe9"',
+                 "appended_at": 1_700_000_000_000 + i},
+                separators=(",", ":"), ensure_ascii=False,
+            ).encode("utf-8")
+            for i in range(5)
+        ]
+        (tmp_path / RECORDS_NAME).write_bytes(b"".join(_LEN.pack(len(r)) + r for r in records))
+        (tmp_path / CHECKPOINTS_NAME).write_text(
+            "".join(f"{k} {naive_root(records[:k]).hex()}\n" for k in range(1, 6))
+        )
+        (tmp_path / LEAVES_NAME).write_bytes(b"".join(oracle_leaf(r) for r in records))
+        (tmp_path / OFFSETS_NAME).write_bytes(naive_offsets(tmp_path))
+        before = log_files(tmp_path)
+        with pytest.raises(StorageError, match="JSON layout"):
+            TransparencyLog(tmp_path)
+        assert log_files(tmp_path) == before
+        # the check frames and hashes records without decoding them
+        assert check_integrity(tmp_path) == translog.IntegrityReport(
+            True, None, "5 entries verified"
+        )
+        assert log_files(tmp_path) == before
+
+    def test_a_log_whose_first_record_has_another_tag_is_refused(self, tmp_path):
+        with TransparencyLog(tmp_path) as log:
+            fill(log, 5)
+        with open(tmp_path / RECORDS_NAME, "r+b") as fh:
+            fh.seek(_LEN.size)
+            fh.write(b"\x02")
+        before = log_files(tmp_path)
+        with pytest.raises(StorageError, match="record 0 has tag 0x02, not the tag 0x01"):
+            TransparencyLog(tmp_path)
+        assert log_files(tmp_path) == before
+        assert check_integrity(tmp_path).tampered_at == 0
 
     @pytest.mark.parametrize("code", [errno.EMFILE, errno.ENOSPC])
     def test_a_first_open_that_stopped_after_the_records_file_left_the_empty_log(
@@ -1942,7 +2060,8 @@ class TestReopenFraming:
         assert raised.value.index == 3
 
 
-#: Three times SPAN entries and a few more: two default reads of ``log.records``.
+#: Three times SPAN entries and a few more: three default reads of
+#: ``log.records`` and the start of a fourth.
 CHECKED = 3 * SPAN + 4
 
 
@@ -2226,14 +2345,33 @@ class TestResumedCheck:
         assert len(translog._held) == translog.HELD_CHECKS
 
 
-#: Key ids the log machine appends with: one needs JSON quoting.
+#: Key ids the log machine appends with: one is not ASCII.
 MACHINE_KEYS = ("k", "op-1", 'q"\\é')
+
+_MACHINE_DIG = ManifestDigest(bytes(32))
+
+#: Appends the log machine makes that must be refused: the error and the
+#: arguments.  The oversized one's record is ``MAX_RECORD_BYTES + 1`` bytes.
+REFUSED_APPENDS = {
+    "raw-digest": (EncodingError, (bytes(32), b"\x01", "k", 1)),
+    "str-signature": (EncodingError, (_MACHINE_DIG, "01", "k", 1)),
+    "bytes-key": (EncodingError, (_MACHINE_DIG, b"\x01", b"k", 1)),
+    "float-time": (EncodingError, (_MACHINE_DIG, b"\x01", "k", 1.0)),
+    "bool-time": (EncodingError, (_MACHINE_DIG, b"\x01", "k", True)),
+    "oversized": (
+        StorageError,
+        (_MACHINE_DIG, bytes(MAX_RECORD_BYTES + 1 - len(spec_record(0, bytes(32), b"", "k", 1))),
+         "k", 1),
+    ),
+    "lone-surrogate": (EncodingError, (_MACHINE_DIG, b"\x01", "k\ud800", 1)),
+    "time-2^63": (EncodingError, (_MACHINE_DIG, b"\x01", "k", 2**63)),
+}
 
 
 class LogMachine(RuleBasedStateMachine):
     """Appends, reads, reopens, checks and damage in any order, against the entries appended.
 
-    A record's bytes are rebuilt by ``json.dumps`` and its leaf and root by
+    A record's bytes are rebuilt by ``spec_record`` and its leaf and root by
     the oracles, so the model needs nothing from the package.  A flipped
     byte of ``log.records`` or ``log.checkpoints`` is damage until it is
     flipped back; a flipped byte of, a cut of or a missing ``log.leaves`` or
@@ -2268,16 +2406,22 @@ class LogMachine(RuleBasedStateMachine):
             key = MACHINE_KEYS[index % len(MACHINE_KEYS)]
             dig, signature = hashlib.sha256(b"%d" % index).digest(), bytes([index % 256]) * 9
             self.log.append(ManifestDigest(dig), signature, key, appended_at=at + index)
-            record = json.dumps(
-                {"index": index, "manifest_digest": dig.hex(), "signature": signature.hex(),
-                 "key_id": key, "appended_at": at + index},
-                separators=(",", ":"), ensure_ascii=False,
-            )
-            self.records.append(record.encode("utf-8"))
+            self.records.append(spec_record(index, dig, signature, key, at + index))
             self.leaves.append(oracle_leaf(self.records[-1]))
             for name, length in ((RECORDS_NAME, _LEN.size + len(self.records[-1])),
                                  (CHECKPOINTS_NAME, len(b"%d " % (index + 1)) + 65)):
                 self.starts[name].append(self.starts[name][-1] + length)
+
+    @precondition(lambda self: self.log is not None)
+    @rule(case=st.sampled_from(sorted(REFUSED_APPENDS)))
+    def refused_append(self, case):
+        error, args = REFUSED_APPENDS[case]
+        before = log_files(self.dir)
+        with pytest.raises(error):
+            self.log.append(*args[:3], appended_at=args[3])
+        assert self.log.size == len(self.leaves)
+        assert self.log.current_root().value == oracle_root(self.leaves)
+        assert log_files(self.dir) == before
 
     @rule(chunk=st.sampled_from(CHUNKS), read=st.sampled_from(sorted(CLOSED_READS)))
     def reopen(self, chunk, read):
