@@ -289,6 +289,9 @@ class TestAppendAndRoots:
         [
             pytest.param(b"", id="empty"),
             pytest.param(GOOD_RECORD[: _SIGNED_AT], id="head-cut"),
+            pytest.param(GOOD_RECORD[: _SIGNED_AT - 16], id="digest-cut"),
+            # the head and signature are whole; the key id's length is cut
+            pytest.param(GOOD_RECORD[: _KEYED_AT + 2], id="key-length-cut"),
             pytest.param(GOOD_RECORD[:-1], id="one-byte-short"),
             pytest.param(GOOD_RECORD + b"\x00", id="trailing-byte"),
             pytest.param(b"\x00" + GOOD_RECORD[1:], id="tag-0"),
@@ -306,6 +309,14 @@ class TestAppendAndRoots:
             pytest.param(GOOD_RECORD[:-2] + b"\xc1\x81", id="overlong-utf8"),
             pytest.param(
                 with_u32(GOOD_RECORD[:-2] + b"\xed\xa0\x80", _KEYED_AT, 3), id="encoded-surrogate"
+            ),
+            # U+1F600 as two encoded surrogates (CESU-8), not its one 4-byte form
+            pytest.param(
+                with_u32(GOOD_RECORD[:-2] + b"\xed\xa0\xbd\xed\xb8\x80", _KEYED_AT, 6),
+                id="encoded-surrogate-pair",
+            ),
+            pytest.param(
+                with_u32(GOOD_RECORD[:-2] + b"k\xf0\x9f\x98", _KEYED_AT, 4), id="utf8-sequence-cut"
             ),
             pytest.param(
                 json.dumps(
